@@ -5,7 +5,7 @@ budgets, value-estimation knobs, which diagnostic scans to execute, and
 where the artifacts go. Every default is materialized into the resolved
 config written next to the outputs, so a published run replays from that
 single file. No artifact contains a timestamp; rerunning a config with the
-same seed and jobs count reproduces every output byte for byte.
+same seed reproduces every output byte for byte.
 
 Exit status: 0 when every report passes, 1 on any fail or inconclusive
 verdict, 2 on configuration or stage errors.
@@ -294,9 +294,8 @@ class RunState:
     """Everything the stages share: the built problem, the policy under
     audit, the probe state, and the sinks for reports and artifacts."""
 
-    def __init__(self, cfg: ExperimentConfig, jobs=1):
+    def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.jobs = max(1, int(jobs))
         self.kind = cfg.kind
         params = {k: v for k, v in cfg.problem.items() if k != "kind"}
         built = _BUILDERS[self.kind](**params)
@@ -372,7 +371,8 @@ def _probe_direction(problem):
 def stage_simulate(st: RunState):
     sim = st.cfg.simulation
     rep = moment_bound_check(
-        st.problem, 0.0, st.probe, st.policy, p=4.0,
+        st.problem, 0.0, st.probe, st.policy,
+        p=st.problem.control_spec.p_integrability,
         n_paths=min(sim["n_paths"], 2000), n_steps=min(sim["n_steps"], 100),
         seed=st.seed("moment"))
     st.reports.append(rep)
@@ -391,7 +391,7 @@ def stage_value(st: RunState):
     fv = estimate_value_family(
         st.problem, 0.0, st.probe, family, n_candidates=val["family_size"],
         paths_per_candidate=ppc, n_steps=sim["n_steps"],
-        seed=st.seed("family"), jobs=st.jobs)
+        seed=st.seed("family"))
     if st.wants("csv"):
         rows = [(label, est.mean, est.std_error, est.n_paths)
                 for label, est in zip(fv.candidate_labels,
@@ -416,8 +416,7 @@ def stage_synthesize(st: RunState):
     rep = verify_optimality(
         st.problem, st.policy, 0.0, st.probe, n_challengers=12,
         n_paths=max(500, sim["n_paths"] // 10),
-        n_steps=min(sim["n_steps"], 150), seed=st.seed("tournament"),
-        jobs=st.jobs)
+        n_steps=min(sim["n_steps"], 150), seed=st.seed("tournament"))
     st.reports.append(rep)
     if st.kind == "lq" and st.wants("csv"):
         sol = st.extras["solution"]
@@ -437,7 +436,7 @@ def stage_diagnose(st: RunState):
              for _ in range(d["n_pairs"])]
     scan_cfg = dg.ScanConfig(
         n_pairs=d["n_pairs"], radius=d["radius"], center=st.probe,
-        se_mult=d["se_mult"], stability_tol=d["stability_tol"], jobs=st.jobs)
+        se_mult=d["se_mult"], stability_tol=d["stability_tol"])
 
     if "structural" in scans:
         if problem.b_op is not None:
@@ -447,7 +446,7 @@ def stage_diagnose(st: RunState):
     if "lipschitz" in scans:
         st.reports.append(dg.lipschitz_estimate(
             st.evaluator(), pairs, space, seed=st.seed("lipschitz"),
-            se_mult=d["se_mult"], jobs=st.jobs))
+            se_mult=d["se_mult"]))
     if "semiconcavity" in scans:
         st.reports.append(dg.semiconcavity_scan(
             st.evaluator(), 0.0, space, scan_cfg, seed=st.seed("scan")))
@@ -468,7 +467,7 @@ def stage_diagnose(st: RunState):
         st.reports.append(dg.trajectory_stability_check(
             problem, 0.0, [(st.probe, st.probe + d["radius"] * u)],
             n_paths=d["probe_paths"], n_steps=d["eval_steps"],
-            seed=st.seed("stability"), jobs=st.jobs))
+            seed=st.seed("stability")))
     if "midpoint" in scans:
         u = _probe_direction(problem)
         z = zero_signal(problem.control_spec.dim)
@@ -478,8 +477,7 @@ def stage_diagnose(st: RunState):
         st.reports.append(dg.midpoint_trajectory_check(
             problem, 0.0, probes, n_paths=d["probe_paths"],
             n_steps=d["eval_steps"], seed=st.seed("midpoint"),
-            stability_tol=d["stability_tol"], se_mult=d["se_mult"],
-            jobs=st.jobs))
+            stability_tol=d["stability_tol"], se_mult=d["se_mult"]))
     if "dpp" in scans:
         cfg = DppConfig(n_paths=d["eval_paths"], n_outer=60, n_inner=8,
                         n_steps=d["eval_steps"], se_mult=d["se_mult"])
@@ -532,7 +530,7 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def run_experiment(cfg: ExperimentConfig, stages=None, dry_run=False, jobs=1,
+def run_experiment(cfg: ExperimentConfig, stages=None, dry_run=False,
                    echo=print) -> int:
     """Execute the configured pipeline and write artifacts.
 
@@ -555,7 +553,7 @@ def run_experiment(cfg: ExperimentConfig, stages=None, dry_run=False, jobs=1,
         echo("dry run, nothing executed")
         return 0
 
-    st = RunState(cfg, jobs=jobs)
+    st = RunState(cfg)
     os.makedirs(st.out_dir, exist_ok=True)
     emit_config(cfg, st.path("config_resolved.ini"))
     for name in plan:
@@ -623,8 +621,6 @@ def build_parser():
         sp.add_argument("--out", help="override the output directory")
         sp.add_argument("--dry-run", action="store_true",
                         help="validate and print the plan, run nothing")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the embarrassing loops")
     return parser
 
 
@@ -638,8 +634,7 @@ def main(argv=None) -> int:
     cfg = apply_overrides(cfg, seed=args.seed, out=args.out)
     stages = None if args.command == "run-all" else [args.command]
     try:
-        return run_experiment(cfg, stages=stages, dry_run=args.dry_run,
-                              jobs=args.jobs)
+        return run_experiment(cfg, stages=stages, dry_run=args.dry_run)
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ import numpy as np
 from .controls import convex_combination, zero_signal
 from .engine import gaussian_increments, simulate_coupled_ensemble
 from .hilbert import semigroup_matrix, space_norm
-from .parallel import parallel_map
 from .report import PASS, FAIL, INCONCLUSIVE, DiagnosticReport
 from .seeds import stream
 
@@ -42,10 +41,6 @@ __all__ = [
     "midpoint_trajectory_check",
     "comparison_check",
 ]
-
-
-def _norm_fn(space, b_op, tag):
-    return space_norm(space, b_op, tag)
 
 
 def _samples(evaluator, t, x, seed):
@@ -73,7 +68,6 @@ def lipschitz_estimate(
     seed=0,
     declared_bound=None,
     se_mult=3.0,
-    jobs=1,
 ) -> DiagnosticReport:
     """Largest sampled ratio |V(t,x) - V(t,y)| / ||x - y|| over the pairs.
 
@@ -90,21 +84,18 @@ def lipschitz_estimate(
     if len(ts) != 1:
         raise ValueError("all pairs must share the same t")
     t = ts.pop()
-    norm = _norm_fn(space, b_op, norm_tag)
+    norm = space_norm(space, b_op, norm_tag)
 
-    def one(pair):
-        _, x, y = pair
+    kept = []
+    for i, (_, x, y) in enumerate(pairs):
         d = float(norm(np.asarray(x, float) - np.asarray(y, float)))
         if d == 0.0:
-            return None
+            continue
         diff = _samples(value_evaluator, t, x, seed) - _samples(
             value_evaluator, t, y, seed)
         m, se = _mean_se(diff)
-        return abs(m) / d, se / d
-
-    results = parallel_map(one, pairs, jobs=jobs)
-    kept = [(i, r) for i, r in enumerate(results) if r is not None]
-    skipped = len(results) - len(kept)
+        kept.append((i, (abs(m) / d, se / d)))
+    skipped = len(pairs) - len(kept)
     if not kept:
         return DiagnosticReport(
             name="lipschitz_ratio", verdict=INCONCLUSIVE, samples_used=0,
@@ -190,7 +181,6 @@ class ScanConfig:
     center: Optional[np.ndarray] = None
     se_mult: float = 3.0
     stability_tol: float = 0.2
-    jobs: int = 1
 
     def __post_init__(self):
         if self.n_pairs < 2:
@@ -207,22 +197,19 @@ def _scan_cloud(cfg, dim, seed):
 
 def _scan_triples(evaluator, t, space, cfg, norm_tag, b_op, seed):
     """Per-triple (ratio, defect, se, q) rows in pair-major order."""
-    norm = _norm_fn(space, b_op, norm_tag)
+    norm = space_norm(space, b_op, norm_tag)
     cloud = _scan_cloud(cfg, space.dim, seed)
 
-    def one_pair(i):
+    rows = []
+    for i in range(cfg.n_pairs):
         x, xp = cloud[i, 0], cloud[i, 1]
         q0 = float(norm(x - xp)) ** 2
-        rows = []
         for lam in cfg.lambdas:
             d = _defect_samples(evaluator, t, x, xp, lam, seed)
             m, se = _mean_se(d)
             q = lam * (1.0 - lam) * q0
             rows.append((m / q, m, se, q, i, lam))
-        return rows
-
-    nested = parallel_map(one_pair, range(cfg.n_pairs), jobs=cfg.jobs)
-    return cloud, [row for rows in nested for row in rows]
+    return cloud, rows
 
 
 def _prefix_max(values, n_pairs, per_pair):
@@ -394,7 +381,7 @@ def c11_modulus(
     if len(ts) != 1:
         raise ValueError("all pairs must share the same t")
     t = ts.pop()
-    norm = _norm_fn(space, b_op, norm_tag)
+    norm = space_norm(space, b_op, norm_tag)
 
     ratios, ses, kept_idx = [], [], []
     skipped = 0
@@ -477,7 +464,6 @@ def trajectory_stability_check(
     seed=0,
     norm_tag="H",
     slope_band=(0.9, 1.1),
-    jobs=1,
 ) -> DiagnosticReport:
     """Scaling audit for E[sup ||X_1 - X_0||^2] against the input gap.
 
@@ -500,11 +486,12 @@ def trajectory_stability_check(
         else (1.0, 0.5, 0.25, 0.125, 0.0625), dtype=float)
     if len(eps) < 4:
         raise ValueError("need at least four magnitudes to regress")
-    norm = _norm_fn(problem.space, problem.b_op, norm_tag)
+    norm = space_norm(problem.space, problem.b_op, norm_tag)
     base_control = control if control is not None \
         else zero_signal(problem.control_spec.dim)
 
-    def one_pair(item):
+    slopes, intercepts, exact_zero = [], [], 0
+    for item in pairs:
         if variant == "state":
             x0, x1 = item
             x0 = np.asarray(x0, float)
@@ -527,11 +514,6 @@ def trajectory_stability_check(
             float(np.mean(_sup_norm_gap(r.states, base, norm) ** 2))
             for r in runs[1:]
         ])
-        return gaps, degenerate
-
-    results = parallel_map(one_pair, list(pairs), jobs=jobs)
-    slopes, intercepts, exact_zero = [], [], 0
-    for gaps, degenerate in results:
         if degenerate or np.all(gaps == 0.0):
             if np.any(gaps != 0.0):
                 slopes.append(float("nan"))
@@ -625,7 +607,6 @@ def midpoint_trajectory_check(
     stability_tol=0.2,
     slope_band=(1.8, 2.2),
     se_mult=3.0,
-    jobs=1,
 ) -> DiagnosticReport:
     """Audit of the interpolated-trajectory gap E[sup ||X^lam - X_lam||].
 
@@ -644,9 +625,12 @@ def midpoint_trajectory_check(
         raise ValueError("need at least one probe")
     # the bound's right side uses the same norm as the gap, so one norm
     # serves both
-    norm = _norm_fn(problem.space, problem.b_op, norm_tag)
+    norm = space_norm(problem.space, problem.b_op, norm_tag)
 
-    def one_probe(pr):
+    ratios, prefix_ratios = [], []
+    endpoint_bad = None
+    rows = []
+    for k, pr in enumerate(probes):
         runs = simulate_coupled_ensemble(
             problem, t, [np.asarray(pr.x0, float), np.asarray(pr.x1, float),
                          pr.x_mid],
@@ -654,16 +638,7 @@ def midpoint_trajectory_check(
             seed=seed, n_paths=n_paths, n_steps=n_steps,
             stream_label="midpoint")
         interp = pr.lam * runs[1].states + (1.0 - pr.lam) * runs[0].states
-        gap = _sup_norm_gap(interp, runs[2].states, norm)
-        num, se = _mean_se(gap)
-        return num, se
-
-    results = parallel_map(one_probe, probes, jobs=jobs)
-
-    ratios, prefix_ratios = [], []
-    endpoint_bad = None
-    rows = []
-    for k, (pr, (num, se)) in enumerate(zip(probes, results)):
+        num, se = _mean_se(_sup_norm_gap(interp, runs[2].states, norm))
         dist2 = float(norm(np.asarray(pr.x1, float)
                            - np.asarray(pr.x0, float))) ** 2
         q = pr.lam * (1.0 - pr.lam) * dist2

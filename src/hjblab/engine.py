@@ -37,12 +37,10 @@ __all__ = [
     "gaussian_increments",
     "simulate_path",
     "simulate_ensemble",
-    "simulate_coupled",
     "simulate_coupled_ensemble",
     "simulate_costs",
     "CostRun",
     "moment_bound_check",
-    "write_trajectory_csv",
     "write_ensemble_csv",
 ]
 
@@ -316,13 +314,6 @@ def simulate_coupled_ensemble(
     ]
 
 
-def simulate_coupled(problem, t, inits, controls, seed=42, n_steps=200) -> list:
-    """Single-path version of simulate_coupled_ensemble: list of Trajectory."""
-    ensembles = simulate_coupled_ensemble(problem, t, inits, controls, seed,
-                                          1, n_steps)
-    return [e.trajectory(0) for e in ensembles]
-
-
 def simulate_costs(
     problem,
     t,
@@ -419,13 +410,6 @@ def _write_rows(fh, path_id, grid, states):
     for step in range(states.shape[0]):
         comps = ",".join(repr(float(v)) for v in states[step])
         fh.write(f"{path_id},{step},{float(grid[step])!r},{comps}\n")
-
-
-def write_trajectory_csv(path, trajectory: Trajectory):
-    n = trajectory.states.shape[1]
-    with open(path, "w") as fh:
-        fh.write("path_id,step,time," + ",".join(f"x{i}" for i in range(n)) + "\n")
-        _write_rows(fh, 0, trajectory.time_grid, trajectory.states)
 
 
 def write_ensemble_csv(path, ensemble: PathEnsemble, max_paths=None):

@@ -116,7 +116,6 @@ class DiscreteOperator:
 
     matrix: np.ndarray
     kind: str
-    dissipativity_shift: float = 0.0
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
@@ -223,13 +222,11 @@ def make_zero_operator(dim: int) -> DiscreteOperator:
     return DiscreteOperator(np.zeros((dim, dim)), kind="zero")
 
 
-def make_custom_operator(matrix, dissipativity_shift: float = 0.0) -> DiscreteOperator:
-    return DiscreteOperator(np.asarray(matrix, dtype=float), kind="custom",
-                            dissipativity_shift=dissipativity_shift)
+def make_custom_operator(matrix) -> DiscreteOperator:
+    return DiscreteOperator(np.asarray(matrix, dtype=float), kind="custom")
 
 
-# (operator -> {dt -> exp(dt A)}). Worst case under concurrent insertion is
-# a duplicate expm, never a wrong matrix.
+# operator -> {dt -> exp(dt A)}
 _SEMIGROUP_CACHE = weakref.WeakKeyDictionary()
 
 

@@ -3,14 +3,14 @@
 Every random draw in the package comes from a counter-based bit generator
 keyed by a seed derived here. Derivation is a pure function of
 (master_seed, stream_label, index), so results never depend on execution
-order, thread count, or platform.
+order or platform.
 """
 
 import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "stream", "path_seeds"]
+__all__ = ["derive_seed", "stream"]
 
 
 def derive_seed(master_seed: int, stream_label: str, index: int = 0) -> int:
@@ -30,6 +30,3 @@ def stream(master_seed: int, stream_label: str, index: int = 0) -> np.random.Gen
     key = derive_seed(master_seed, stream_label, index)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def path_seeds(master_seed: int, stream_label: str, n: int) -> list[int]:
-    return [derive_seed(master_seed, stream_label, k) for k in range(n)]

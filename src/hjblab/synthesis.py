@@ -23,8 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controls import clip_box, control_norm, project_ball
-from .engine import gaussian_increments, simulate_costs, simulate_ensemble
-from .parallel import parallel_map
+from .engine import gaussian_increments, simulate_costs
 from .report import PASS, FAIL, DiagnosticReport
 from .seeds import stream
 from .value import MCEstimate, ControlFamily, cost_samples
@@ -40,7 +39,6 @@ __all__ = [
     "make_riccati_policy",
     "scale_policy",
     "zero_policy",
-    "closed_loop_simulate",
     "feynman_kac_value",
     "verify_optimality",
     "DppConfig",
@@ -248,12 +246,6 @@ def zero_policy(problem, provenance="closed_form_gamma") -> Policy:
     )
 
 
-def closed_loop_simulate(problem, policy, t, x, seed=42, n_steps=200):
-    """One closed-loop trajectory; box saturation shows up in clip_fraction."""
-    ens = simulate_ensemble(problem, t, x, policy, 1, n_steps, seed)
-    return ens.trajectory(0)
-
-
 def feynman_kac_value(problem, policy, t, x, n_paths=2000, n_steps=200,
                       seed=42, stream_label="paths") -> MCEstimate:
     """Expected cost along the closed loop: the probabilistic reading of the
@@ -282,7 +274,6 @@ def verify_optimality(
     seed=42,
     family: Optional[ControlFamily] = None,
     se_mult=3.0,
-    jobs=1,
 ) -> DiagnosticReport:
     """Paired tournament: the policy against random open-loop signals and
     scaled variants of itself.
@@ -316,10 +307,9 @@ def verify_optimality(
             f *= 1.0 + 0.05 * (j // len(_PERTURB_FACTORS))
         challengers.append((f"scaled_{f:g}", scale_policy(policy, f)))
 
-    samples = parallel_map(lambda c: run(c[1]), challengers, jobs=jobs)
     margins, ses = [], []
-    for s in samples:
-        d = s - base
+    for _, challenger in challengers:
+        d = run(challenger) - base
         margins.append(float(d.mean()))
         ses.append(float(d.std(ddof=1) / math.sqrt(n_paths)))
     margins = np.array(margins)

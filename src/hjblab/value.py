@@ -27,7 +27,6 @@ from .controls import (
     zero_signal,
 )
 from .engine import gaussian_increments, simulate_costs
-from .parallel import parallel_map
 from .report import PASS, FAIL, DiagnosticReport
 from .seeds import stream
 
@@ -45,7 +44,6 @@ __all__ = [
     "PolicyIterationResult",
     "policy_iteration",
     "make_policy_evaluator",
-    "make_family_evaluator",
     "make_exact_evaluator",
 ]
 
@@ -189,7 +187,6 @@ def estimate_value_family(
     paths_per_candidate=2000,
     n_steps=200,
     seed=42,
-    jobs=1,
 ) -> FamilyValue:
     """Upper value estimate: paired minimum over the candidate family.
 
@@ -201,13 +198,11 @@ def estimate_value_family(
     dw = gaussian_increments(seed, "family_paths", paths_per_candidate,
                              n_steps, problem.noise_dim, dt)
     pairs = family.candidates(problem, t, n_candidates, seed)
-
-    def one(pair):
-        _, control = pair
-        return cost_samples(problem, t, x, control, paths_per_candidate,
-                            n_steps, seed, dw=dw, stream_label="family_paths")
-
-    all_samples = parallel_map(one, pairs, jobs=jobs)
+    all_samples = [
+        cost_samples(problem, t, x, control, paths_per_candidate, n_steps,
+                     seed, dw=dw, stream_label="family_paths")
+        for _, control in pairs
+    ]
     estimates = [MCEstimate.from_samples(s) for s in all_samples]
     means = np.array([e.mean for e in estimates])
     best = int(np.argmin(means))
@@ -227,15 +222,10 @@ def _truncate_candidate(candidate, m, weights):
     policies by wrapping their output."""
     if hasattr(candidate, "feedback"):
         inner = candidate.feedback
-
-        class _Truncated:
-            provenance = getattr(candidate, "provenance", "truncated")
-
-            @staticmethod
-            def feedback(s, x_batch):
-                return project_ball(inner(s, x_batch), m, weights)
-
-        return _Truncated()
+        return replace(
+            candidate,
+            feedback=lambda s, x_batch: project_ball(inner(s, x_batch), m,
+                                                     weights))
     if isinstance(candidate, PiecewiseConstantSignal):
         return PiecewiseConstantSignal(candidate.knots,
                                        project_ball(candidate.values, m, weights))
@@ -382,15 +372,6 @@ def make_policy_evaluator(problem, policy, n_paths=2000, n_steps=150,
     return evaluator
 
 
-def make_family_evaluator(problem, family, n_candidates=10,
-                          paths_per_candidate=1500, n_steps=150):
-    def evaluator(t, x, seed):
-        fv = estimate_value_family(problem, t, x, family, n_candidates,
-                                   paths_per_candidate, n_steps, seed)
-        return fv.argmin_samples
-    return evaluator
-
-
 def make_exact_evaluator(fn):
     """Wrap a closed-form value function as a zero-noise evaluator."""
     def evaluator(t, x, seed):
@@ -410,7 +391,6 @@ class PolicyIterationConfig:
     fd_step: Optional[float] = None
     tol_abs: float = 0.02
     tol_rel: float = 0.01
-    jobs: int = 1
 
 
 @dataclass
@@ -502,25 +482,18 @@ def policy_iteration(
         evaluator = make_policy_evaluator(problem, policy, cfg.paths_per_point,
                                           cfg.n_steps)
 
-        def eval_point(args):
-            i, j = args
-            t_i, x_j = float(t_arr[i]), x_arr[j]
-            s = (seed * 1000003 + i * 1009 + j) & 0x7FFFFFFF
-            samples = evaluator(t_i, x_j, s)
-            est = MCEstimate.from_samples(samples)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                grad, _ = gradient_fd(evaluator, t_i, x_j, h=cfg.fd_step,
-                                      seed=s, weights=problem.space.weights)
-            return est, grad
-
-        coords = [(i, j) for i in range(len(t_arr)) for j in range(x_arr.shape[0])]
-        results = parallel_map(eval_point, coords, jobs=cfg.jobs)
         est_grid = [[None] * x_arr.shape[0] for _ in t_arr]
         grad_grid = np.empty((len(t_arr), x_arr.shape[0], problem.dim))
-        for (i, j), (est, grad) in zip(coords, results):
-            est_grid[i][j] = est
-            grad_grid[i, j] = grad
+        for i in range(len(t_arr)):
+            for j in range(x_arr.shape[0]):
+                t_i, x_j = float(t_arr[i]), x_arr[j]
+                s = (seed * 1000003 + i * 1009 + j) & 0x7FFFFFFF
+                est_grid[i][j] = MCEstimate.from_samples(evaluator(t_i, x_j, s))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    grad_grid[i, j], _ = gradient_fd(
+                        evaluator, t_i, x_j, h=cfg.fd_step, seed=s,
+                        weights=problem.space.weights)
         vals = np.array([[e.mean for e in row] for row in est_grid])
         round_values.append(vals)
 

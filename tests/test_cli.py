@@ -1,5 +1,6 @@
 """Config schema, pipeline orchestration, artifact and replay contracts."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,12 +9,14 @@ import pytest
 
 from hjblab.cli import (
     ExperimentConfig,
+    RunState,
     apply_overrides,
     default_config,
     emit_config,
     main,
     parse_config,
     run_experiment,
+    stage_simulate,
 )
 
 
@@ -184,6 +187,16 @@ def test_single_stage_run(tmp_path):
     assert [r["name"] for r in reports] == ["moment_bound"]
 
 
+def test_moment_audit_uses_declared_integrability(tmp_path):
+    st = RunState(fast_cfg(tmp_path / "moment"))
+    spec = dataclasses.replace(st.problem.control_spec, p_integrability=6.0)
+    st.problem = dataclasses.replace(st.problem, control_spec=spec)
+    st.formats = ("json",)
+    stage_simulate(st)
+    assert st.reports[0].name == "moment_bound"
+    assert st.reports[0].constants["p"] == 6.0
+
+
 def test_corrupted_gain_fails_tournament(tmp_path):
     out = tmp_path / "bad"
     cfg = fast_cfg(out)
@@ -224,7 +237,7 @@ def test_formats_limit_artifacts(tmp_path):
     assert "sample_paths.csv" not in files
 
 
-def test_replay_is_bitwise_across_jobs(tmp_path):
+def test_replay_is_bitwise(tmp_path):
     out = tmp_path / "replay"
     cfg = fast_cfg(out)
 
@@ -234,9 +247,9 @@ def test_replay_is_bitwise_across_jobs(tmp_path):
             for name in sorted(os.listdir(out))
         }
 
-    assert run_experiment(cfg, jobs=1, echo=lambda *_: None) == 0
+    assert run_experiment(cfg, echo=lambda *_: None) == 0
     first = digest_dir()
-    assert run_experiment(cfg, jobs=8, echo=lambda *_: None) == 0
+    assert run_experiment(cfg, echo=lambda *_: None) == 0
     assert digest_dir() == first
 
 
@@ -260,6 +273,13 @@ def test_main_seed_override_recorded(tmp_path):
     assert main(["simulate", "--config", str(ini), "--seed", "7"]) == 0
     resolved = parse_config(out / "config_resolved.ini")
     assert resolved.master_seed == 7
+
+
+def test_main_rejects_removed_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-all", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

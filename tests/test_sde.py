@@ -14,7 +14,6 @@ from hjblab.engine import (
     gaussian_increments,
     moment_bound_check,
     simulate_costs,
-    simulate_coupled,
     simulate_coupled_ensemble,
     simulate_ensemble,
     simulate_path,
@@ -121,7 +120,7 @@ def test_refinement_is_first_order_on_smooth_deterministic_instance():
 
 def test_ou_terminal_mean_and_variance():
     # OU via the generator path: A = -I handled by the semigroup, drift 0
-    gen = make_custom_operator(-np.eye(1), dissipativity_shift=0.0)
+    gen = make_custom_operator(-np.eye(1))
     problem = scalar_problem(lambda x, a: np.zeros_like(x), 1.0, generator=gen)
     x0 = np.array([1.5])
     ens = simulate_ensemble(problem, 0.0, x0, zero_signal(1), n_paths=10_000,
@@ -155,17 +154,18 @@ def test_ou_drift_form_matches_generator_form_in_law():
 def test_coupled_identical_inputs_are_bitwise_identical():
     problem = scalar_problem(lambda x, a: -x + a, 0.6)
     sig = ConstantSignal(np.array([0.1]))
-    t1, t2 = simulate_coupled(problem, 0.0, [np.array([1.0])] * 2, [sig, sig],
-                              seed=9, n_steps=30)
+    t1, t2 = (e.trajectory(0) for e in simulate_coupled_ensemble(
+        problem, 0.0, [np.array([1.0])] * 2, [sig, sig], seed=9, n_paths=1,
+        n_steps=30))
     np.testing.assert_array_equal(t1.states, t2.states)
 
 
 def test_coupled_zero_noise_matches_independent_runs():
     problem = scalar_problem(lambda x, a: np.cos(x), 0.0)
     sig = zero_signal(1)
-    t1, t2 = simulate_coupled(problem, 0.0,
-                              [np.array([0.2]), np.array([0.9])], [sig, sig],
-                              seed=1, n_steps=25)
+    t1, t2 = (e.trajectory(0) for e in simulate_coupled_ensemble(
+        problem, 0.0, [np.array([0.2]), np.array([0.9])], [sig, sig], seed=1,
+        n_paths=1, n_steps=25))
     s1 = simulate_path(problem, 0.0, np.array([0.2]), sig, seed=77, n_steps=25)
     s2 = simulate_path(problem, 0.0, np.array([0.9]), sig, seed=78, n_steps=25)
     np.testing.assert_array_equal(t1.states, s1.states)

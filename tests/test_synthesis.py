@@ -11,7 +11,6 @@ from hjblab.synthesis import (
     DppConfig,
     HamiltonianConfig,
     Policy,
-    closed_loop_simulate,
     dpp_check,
     feynman_kac_value,
     gamma_separated,
@@ -174,8 +173,7 @@ def test_policy_provenance_validated():
 def test_zero_policy_matches_zero_signal_bitwise():
     problem, _, _ = lq_setup()
     pol = zero_policy(problem)
-    a = closed_loop_simulate(problem, pol, 0.0, np.array([1.0]), seed=5,
-                             n_steps=60)
+    a = simulate_path(problem, 0.0, np.array([1.0]), pol, seed=5, n_steps=60)
     b = simulate_path(problem, 0.0, np.array([1.0]), zero_signal(1), seed=5,
                       n_steps=60)
     np.testing.assert_array_equal(a.states, b.states)
@@ -200,8 +198,8 @@ def test_clip_fraction_reported_under_tight_box():
     sol = riccati_solve(oracle, np.linspace(0, 1, 801))
     policy = make_riccati_policy(problem, sol)
     # the raw feedback at |x| ~ 1.5 wants |u| ~ 1.2, far beyond the box
-    traj = closed_loop_simulate(problem, policy, 0.0, np.array([1.5]),
-                                seed=3, n_steps=80)
+    traj = simulate_path(problem, 0.0, np.array([1.5]), policy, seed=3,
+                         n_steps=80)
     assert traj.clip_fraction > 0.3
     assert np.all(np.abs(traj.control_trace) <= 0.2 + 1e-12)
 
