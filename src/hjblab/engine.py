@@ -9,7 +9,11 @@ semigroup matrix is computed once per (operator, dt) and cached.
 
 Noise is generated per path from counter-derived streams, so path k's
 increments depend only on (master_seed, stream_label, k) and never on how
-many paths run alongside it or in what order. Ensembles are advanced as one
+many paths run alongside it or in what order. One Philox generator is
+re-keyed for each path rather than built anew. Paired evaluations ask for the
+same block again and again, so the last block made is kept and a repeat of
+the same request gets that array back; blocks are handed out read-only, so no
+caller can change what the next one receives. Ensembles are advanced as one
 (n_paths, dim) batch; a path is a view into the batch.
 
 Running costs are accumulated with the trapezoid rule in time, with the
@@ -27,14 +31,14 @@ import numpy as np
 from .controls import TraceSignal, signal_values
 from .hilbert import h_norm, semigroup_matrix
 from .report import PASS, FAIL, DiagnosticReport
-from .seeds import derive_seed, stream
+from .seeds import derive_seed, path_streams
 
 __all__ = [
     "Trajectory",
     "PathEnsemble",
-    "CoupledPair",
     "SimulationDivergenceError",
     "gaussian_increments",
+    "increment_memo",
     "simulate_path",
     "simulate_ensemble",
     "simulate_coupled_ensemble",
@@ -106,13 +110,6 @@ class PathEnsemble:
 
 
 @dataclass
-class CoupledPair:
-    first: Trajectory
-    second: Trajectory
-    coupling_tag: str = "shared_noise"
-
-
-@dataclass
 class CostRun:
     """Per-path cost data from a costs-only sweep."""
 
@@ -123,12 +120,38 @@ class CostRun:
     time_grid: Optional[np.ndarray] = None
 
 
+class _LastBlock:
+    """The increment block handed out last, its request, and hit/miss counts."""
+
+    def __init__(self):
+        self.request = None
+        self.block = None
+        self.hits = 0
+        self.misses = 0
+
+
+increment_memo = _LastBlock()
+
+
 def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.ndarray:
-    """Brownian increments (P, M, n_w); path k comes from its own stream."""
+    """Brownian increments (P, M, n_w), read-only; path k comes from its own stream.
+
+    A repeat of the previous request returns the same array again.
+    """
+    memo = increment_memo
+    request = (master_seed, label, n_paths, n_steps, n_w, dt)
+    if memo.request == request:
+        memo.hits += 1
+        return memo.block
+    memo.misses += 1
+    # drop the held block first, so two blocks are never held at once
+    memo.request = memo.block = None
     out = np.empty((n_paths, n_steps, n_w))
-    for k in range(n_paths):
-        out[k] = stream(master_seed, label, k).standard_normal((n_steps, n_w))
+    for k, gen in enumerate(path_streams(master_seed, label, n_paths)):
+        gen.standard_normal(out=out[k])
     out *= math.sqrt(dt)
+    out.flags.writeable = False
+    memo.request, memo.block = request, out
     return out
 
 

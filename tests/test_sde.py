@@ -5,6 +5,9 @@ produced by the calibration path of moment_bound_check on the stated seeds
 and then pinned.
 """
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hjblab.controls import ConstantSignal, PiecewiseConstantSignal, zero_signal
 from hjblab.engine import (
     SimulationDivergenceError,
     gaussian_increments,
+    increment_memo,
     moment_bound_check,
     simulate_costs,
     simulate_coupled_ensemble,
@@ -347,6 +351,71 @@ def test_gaussian_increments_variance_scaling():
     dw1 = gaussian_increments(5, "w", 4, 10, 2, dt=0.25)
     dw2 = gaussian_increments(5, "w", 4, 10, 2, dt=1.0)
     np.testing.assert_allclose(dw1, 0.5 * dw2, atol=1e-15)
+
+
+def reference_increments(master_seed, label, n_paths, n_steps, n_w, dt):
+    """The noise contract spelled out: one fresh stream per path, scaled by sqrt(dt)."""
+    return np.stack([
+        stream(master_seed, label, k).standard_normal((n_steps, n_w)) * math.sqrt(dt)
+        for k in range(n_paths)
+    ])
+
+
+@pytest.mark.parametrize("master_seed", [5, 2**40 + 7])
+@pytest.mark.parametrize("n_w", [1, 3])
+def test_increment_path_k_is_stream_k(master_seed, n_w):
+    dw = gaussian_increments(master_seed, "contract", 4, 6, n_w, 0.037)
+    ref = reference_increments(master_seed, "contract", 4, 6, n_w, 0.037)
+    assert dw.tobytes() == ref.tobytes()
+
+
+def test_increment_paths_do_not_depend_on_path_count():
+    small = gaussian_increments(3, "prefix", 4, 7, 2, 0.1).tobytes()
+    big = gaussian_increments(3, "prefix", 4 + 5, 7, 2, 0.1)
+    assert big[:4].tobytes() == small
+
+
+def test_increment_block_frozen_digest():
+    # pinned so a change of the noise path that moves any bit breaks loudly
+    dw = gaussian_increments(42, "paths", 3, 5, 2, 1.0)
+    assert hashlib.sha256(dw.tobytes()).hexdigest() == (
+        "8fcc05c1ddea08f7558a7117a44cb8b28d737ceb2f7332988226de72fb95bc37"
+    )
+
+
+def test_repeated_request_returns_held_block_read_only():
+    first = gaussian_increments(8, "memo", 3, 4, 2, 0.25)
+    hits, misses = increment_memo.hits, increment_memo.misses
+    again = gaussian_increments(8, "memo", 3, 4, 2, 0.25)
+    assert again is first
+    assert (increment_memo.hits, increment_memo.misses) == (hits + 1, misses)
+    assert not again.flags.writeable
+    with pytest.raises(ValueError):
+        again[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("master_seed", 9), ("label", "memo_other"), ("n_paths", 4),
+    ("n_steps", 5), ("n_w", 1), ("dt", 0.5),
+])
+def test_request_differing_in_one_field_misses(field, value):
+    base = dict(master_seed=8, label="memo", n_paths=3, n_steps=4, n_w=2, dt=0.25)
+    gaussian_increments(**base)
+    hits, misses = increment_memo.hits, increment_memo.misses
+    request = dict(base, **{field: value})
+    dw = gaussian_increments(**request)
+    assert (increment_memo.hits, increment_memo.misses) == (hits, misses + 1)
+    assert dw.tobytes() == reference_increments(**request).tobytes()
+
+
+def test_interleaved_requests_return_first_bits_again():
+    a_bits = gaussian_increments(8, "A", 3, 4, 2, 0.25).tobytes()
+    misses = increment_memo.misses
+    b = gaussian_increments(8, "B", 3, 4, 2, 0.25)
+    assert increment_memo.block is b  # only the latest block is held
+    again = gaussian_increments(8, "A", 3, 4, 2, 0.25)
+    assert again.tobytes() == a_bits
+    assert increment_memo.misses == misses + 2
 
 
 def test_ensemble_csv_round_trip(tmp_path):

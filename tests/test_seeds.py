@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjblab.seeds import derive_seed, stream
+from hjblab.seeds import derive_seed, path_streams, stream
 
 
 def test_derive_seed_is_pure():
@@ -56,6 +56,16 @@ def test_stream_is_counter_based():
     a = np.concatenate([g1.standard_normal(5), g1.standard_normal(5)])
     b = stream(11, "x", 0).standard_normal(10)
     assert np.array_equal(a, b)
+
+
+def test_path_streams_replay_fresh_streams():
+    # an odd count of float32 draws leaves half a word buffered; re-keying
+    # must start the next path from an empty buffer
+    for k, gen in enumerate(path_streams(2**40 + 1, "paths", 5)):
+        ref = stream(2**40 + 1, "paths", k)
+        assert gen.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
+        assert gen.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
+    assert k == 4
 
 
 def test_negative_like_inputs_rejected_by_int_cast():
