@@ -9,8 +9,10 @@ with explicit Monte Carlo slack. Each report says which of those it did.
 Value-based scans speak to evaluators with the (t, x, seed) -> samples
 contract from the value layer; the same seed is passed to every evaluation
 inside one statistic, so differences of value estimates are paired and their
-noise largely cancels. Trajectory checks couple all variants on one shared
-noise stream for the same reason.
+noise largely cancels. Trajectory checks couple all variants for the same
+reason: each variant asks the engine for the same increment block (seed,
+stream label, path and step counts), with no block passed around. Paired
+means and standard errors all come from value.MCEstimate.from_samples.
 
 Verdicts are three-way: a scan whose extreme statistic is smaller than its
 own noise reports inconclusive rather than pass.
@@ -27,6 +29,7 @@ from .engine import gaussian_increments, simulate_coupled_ensemble
 from .hilbert import semigroup_matrix, space_norm
 from .report import PASS, FAIL, INCONCLUSIVE, DiagnosticReport
 from .seeds import stream
+from .value import MCEstimate
 
 __all__ = [
     "ScanConfig",
@@ -45,13 +48,6 @@ __all__ = [
 
 def _samples(evaluator, t, x, seed):
     return np.asarray(evaluator(t, x, seed), dtype=float).ravel()
-
-
-def _mean_se(samples):
-    n = samples.shape[0]
-    m = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return m, se
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +89,8 @@ def lipschitz_estimate(
             continue
         diff = _samples(value_evaluator, t, x, seed) - _samples(
             value_evaluator, t, y, seed)
-        m, se = _mean_se(diff)
-        kept.append((i, (abs(m) / d, se / d)))
+        est = MCEstimate.from_samples(diff)
+        kept.append((i, (abs(est.mean) / d, est.std_error / d)))
     skipped = len(pairs) - len(kept)
     if not kept:
         return DiagnosticReport(
@@ -206,9 +202,9 @@ def _scan_triples(evaluator, t, space, cfg, norm_tag, b_op, seed):
         q0 = float(norm(x - xp)) ** 2
         for lam in cfg.lambdas:
             d = _defect_samples(evaluator, t, x, xp, lam, seed)
-            m, se = _mean_se(d)
+            est = MCEstimate.from_samples(d)
             q = lam * (1.0 - lam) * q0
-            rows.append((m / q, m, se, q, i, lam))
+            rows.append((est.mean / q, est.mean, est.std_error, q, i, lam))
     return cloud, rows
 
 
@@ -638,11 +634,13 @@ def midpoint_trajectory_check(
             seed=seed, n_paths=n_paths, n_steps=n_steps,
             stream_label="midpoint")
         interp = pr.lam * runs[1].states + (1.0 - pr.lam) * runs[0].states
-        num, se = _mean_se(_sup_norm_gap(interp, runs[2].states, norm))
+        est = MCEstimate.from_samples(
+            _sup_norm_gap(interp, runs[2].states, norm))
+        num = est.mean
         dist2 = float(norm(np.asarray(pr.x1, float)
                            - np.asarray(pr.x0, float))) ** 2
         q = pr.lam * (1.0 - pr.lam) * dist2
-        rows.append((num, se, q))
+        rows.append((num, est.std_error, q))
         if pr.lam in (0.0, 1.0):
             if num != 0.0 and endpoint_bad is None:
                 endpoint_bad = {"probe_index": k, "lambda": pr.lam,

@@ -10,11 +10,14 @@ semigroup matrix is computed once per (operator, dt) and cached.
 Noise is generated per path from counter-derived streams, so path k's
 increments depend only on (master_seed, stream_label, k) and never on how
 many paths run alongside it or in what order. One Philox generator is
-re-keyed for each path rather than built anew. Paired evaluations ask for the
-same block again and again, so the last block made is kept and a repeat of
-the same request gets that array back; blocks are handed out read-only, so no
-caller can change what the next one receives. Ensembles are advanced as one
-(n_paths, dim) batch; a path is a view into the batch.
+re-keyed for each path rather than built anew. The step loop asks for its
+increments itself and takes no block from its caller: contestants share noise
+by making the same request (seed, stream_label, n_paths, n_steps) and so get
+the same bits. The last block made is kept and a repeat of the same request
+gets that array back; blocks are handed out read-only, so no caller can
+change what the next one receives. The memo only decides how often a block
+is built, never what it holds. Ensembles are advanced as one (n_paths, dim)
+batch; a path is a view into the batch.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
@@ -23,7 +26,7 @@ drift, which matters when cost values are compared against closed forms.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -180,7 +183,6 @@ def _run(
     stream_label,
     *,
     t_end=None,
-    dw=None,
     record_states=False,
     record_controls=False,
     accumulate_costs=False,
@@ -209,11 +211,8 @@ def _run(
     kind, ctl = _prepare_control(problem, control, step_times, n_paths)
     box = problem.control_spec.box
 
-    if dw is None:
-        dw = gaussian_increments(master_seed, stream_label, n_paths, n_steps,
-                                 problem.noise_dim, dt)
-    elif dw.shape != (n_paths, n_steps, problem.noise_dim):
-        raise ValueError("supplied increments have the wrong shape")
+    dw = gaussian_increments(master_seed, stream_label, n_paths, n_steps,
+                             problem.noise_dim, dt)
 
     E = semigroup_matrix(problem.op, dt)
     sigma_const = problem.noise if problem.additive_noise else None
@@ -292,12 +291,11 @@ def simulate_ensemble(
     n_steps=200,
     seed=42,
     stream_label="paths",
-    dw=None,
 ) -> PathEnsemble:
     """Simulate n_paths trajectories with full state recording."""
     out = _run(
         problem, t, x, control, n_paths, n_steps, seed, stream_label,
-        dw=dw, record_states=True, record_controls=hasattr(control, "feedback"),
+        record_states=True, record_controls=hasattr(control, "feedback"),
     )
     traces = out["traces"]
     if traces is None:
@@ -322,17 +320,15 @@ def simulate_coupled_ensemble(
     problem, t, inits, controls, seed=42, n_paths=1, n_steps=200,
     stream_label="coupled",
 ) -> list:
-    """Runs over a list of (init, control) variants driven by one shared
-    noise realization per path index. Differences between the returned
-    ensembles are purely drift/initial-condition effects."""
+    """Runs over a list of (init, control) variants, each making the same
+    increment request, so all share one noise realization per path index.
+    Differences between the returned ensembles are purely
+    drift/initial-condition effects."""
     if len(inits) != len(controls):
         raise ValueError("need one control per initial state")
-    dt = (problem.horizon - t) / n_steps
-    dw = gaussian_increments(seed, stream_label, n_paths, n_steps,
-                             problem.noise_dim, dt)
     return [
         simulate_ensemble(problem, t, x0, c, n_paths, n_steps, seed,
-                          stream_label, dw=dw)
+                          stream_label)
         for x0, c in zip(inits, controls)
     ]
 
@@ -346,7 +342,6 @@ def simulate_costs(
     n_steps=200,
     seed=42,
     stream_label="paths",
-    dw=None,
     t_end=None,
     include_terminal=True,
     record_controls=False,
@@ -358,7 +353,7 @@ def simulate_costs(
     """
     out = _run(
         problem, t, x, control, n_paths, n_steps, seed, stream_label,
-        t_end=t_end, dw=dw, accumulate_costs=True,
+        t_end=t_end, accumulate_costs=True,
         include_terminal=include_terminal, record_controls=record_controls,
     )
     return CostRun(

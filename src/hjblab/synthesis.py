@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controls import clip_box, control_norm, project_ball
-from .engine import gaussian_increments, simulate_costs
+from .engine import simulate_costs
 from .report import PASS, FAIL, DiagnosticReport
 from .seeds import stream
 from .value import MCEstimate, ControlFamily, cost_samples
@@ -278,22 +278,22 @@ def verify_optimality(
     """Paired tournament: the policy against random open-loop signals and
     scaled variants of itself.
 
-    Every contestant runs on the same Brownian increments, so each margin
-    mean(J_challenger - J_policy) carries the standard error of a paired
-    difference. Pass iff no challenger wins by more than se_mult of its own
+    Every contestant asks for the same Brownian increments (seed, stream
+    "verify", n_paths, n_steps), so each margin mean(J_challenger - J_policy)
+    carries the standard error of a paired difference. Pass iff no challenger wins by more than se_mult of its own
     margin error. The minimum margin and its challenger are reported either
     way; a corrupted policy fails here because its unscaled parent is among
     the challengers.
     """
+    if n_paths < 2:
+        raise ValueError("verify_optimality needs n_paths >= 2: a margin's "
+                         "standard error is undefined on one path")
     if family is None:
         family = ControlFamily()
-    dt = (problem.horizon - t) / n_steps
-    dw = gaussian_increments(seed, "verify", n_paths, n_steps,
-                             problem.noise_dim, dt)
 
     def run(control):
         return cost_samples(problem, t, x, control, n_paths, n_steps, seed,
-                            dw=dw, stream_label="verify")
+                            stream_label="verify")
 
     base = run(policy)
 
@@ -307,13 +307,9 @@ def verify_optimality(
             f *= 1.0 + 0.05 * (j // len(_PERTURB_FACTORS))
         challengers.append((f"scaled_{f:g}", scale_policy(policy, f)))
 
-    margins, ses = [], []
-    for _, challenger in challengers:
-        d = run(challenger) - base
-        margins.append(float(d.mean()))
-        ses.append(float(d.std(ddof=1) / math.sqrt(n_paths)))
-    margins = np.array(margins)
-    ses = np.array(ses)
+    diffs = [MCEstimate.from_samples(run(c) - base) for _, c in challengers]
+    margins = np.array([e.mean for e in diffs])
+    ses = np.array([e.std_error for e in diffs])
     losses = margins < -se_mult * ses
     worst = int(np.argmin(margins))
     ok = not bool(np.any(losses))

@@ -9,7 +9,9 @@ control, so a family without feedback candidates stalls above the value.
 
 All candidates at one point are evaluated on the same Brownian increments
 (common random numbers), which makes candidate comparisons paired and lets
-ties break deterministically toward the lowest index.
+ties break deterministically toward the lowest index. There is no increment
+argument to pass: each candidate asks the engine with the same seed and
+stream label, and the same request always yields the same block.
 """
 
 import math
@@ -26,7 +28,7 @@ from .controls import (
     project_ball,
     zero_signal,
 )
-from .engine import gaussian_increments, simulate_costs
+from .engine import simulate_costs
 from .report import PASS, FAIL, DiagnosticReport
 from .seeds import stream
 
@@ -163,17 +165,21 @@ class FamilyValue:
 
 
 def cost_samples(problem, t, x, control, n_paths, n_steps=200, seed=42,
-                 dw=None, stream_label="paths"):
-    """Per-path total costs J_k; the raw material under every estimate."""
+                 stream_label="paths"):
+    """Per-path total costs J_k; the raw material under every estimate.
+
+    Calls with equal (seed, stream_label, n_paths, n_steps) run on the same
+    Brownian increments, which is how contestants are paired.
+    """
     run = simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
-                         stream_label, dw=dw)
+                         stream_label)
     return run.costs
 
 
 def evaluate_cost(problem, t, x, control, n_paths, n_steps=200, seed=42,
-                  dw=None, stream_label="paths") -> MCEstimate:
+                  stream_label="paths") -> MCEstimate:
     return MCEstimate.from_samples(
-        cost_samples(problem, t, x, control, n_paths, n_steps, seed, dw,
+        cost_samples(problem, t, x, control, n_paths, n_steps, seed,
                      stream_label)
     )
 
@@ -194,13 +200,10 @@ def estimate_value_family(
     the reported mean is nonincreasing in n_candidates by construction.
     Ties go to the lowest candidate index (np.argmin semantics).
     """
-    dt = (problem.horizon - t) / n_steps
-    dw = gaussian_increments(seed, "family_paths", paths_per_candidate,
-                             n_steps, problem.noise_dim, dt)
     pairs = family.candidates(problem, t, n_candidates, seed)
     all_samples = [
         cost_samples(problem, t, x, control, paths_per_candidate, n_steps,
-                     seed, dw=dw, stream_label="family_paths")
+                     seed, stream_label="family_paths")
         for _, control in pairs
     ]
     estimates = [MCEstimate.from_samples(s) for s in all_samples]
@@ -265,9 +268,6 @@ def truncation_scan(
     else:
         family = replace(family, m_truncation=float(m_arr[-1]))
 
-    dt = (problem.horizon - t) / n_steps
-    dw = gaussian_increments(seed, "family_paths", paths_per_candidate,
-                             n_steps, problem.noise_dim, dt)
     raw = family.candidates(problem, t, n_candidates, seed, m=float(m_arr[-1]))
     weights = problem.control_spec.weights
 
@@ -278,7 +278,7 @@ def truncation_scan(
             c_m = _truncate_candidate(cand, float(m), weights)
             est = MCEstimate.from_samples(
                 cost_samples(problem, t, x, c_m, paths_per_candidate, n_steps,
-                             seed, dw=dw, stream_label="family_paths")
+                             seed, stream_label="family_paths")
             )
             if est.mean < best_mean:
                 best_mean, best_se = est.mean, est.std_error
@@ -343,12 +343,9 @@ def gradient_fd(value_evaluator, t, x, h=None, seed=0, weights=None):
         e[i] = h
         plus = np.asarray(value_evaluator(t, x + e, seed), dtype=float)
         minus = np.asarray(value_evaluator(t, x - e, seed), dtype=float)
-        diff = (plus - minus) / (2.0 * h)
-        n = diff.shape[0]
-        slope = float(diff.mean())
-        se = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        grad[i] = slope / w[i]
-        ses[i] = se / w[i]
+        est = MCEstimate.from_samples((plus - minus) / (2.0 * h))
+        grad[i] = est.mean / w[i]
+        ses[i] = est.std_error / w[i]
     noisy = np.abs(ses) > np.abs(grad)
     if np.any(noisy):
         warnings.warn(

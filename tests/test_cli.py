@@ -253,6 +253,52 @@ def test_replay_is_bitwise(tmp_path):
     assert digest_dir() == first
 
 
+# sha256 of the artifacts that hold no output path, at fast_cfg budgets with
+# the scans below; a change that moves any byte of any stage shows up here
+PINNED_SCANS = ("structural", "lipschitz", "stability", "midpoint", "dpp")
+PINNED_DIGESTS = {
+    "lq": {
+        "feedback_gain.csv": "6d33f84af9031ee9ffb93f0dd0aff3364d3f8bfb5a62dd0282997b124c5e1ff5",
+        "reports.csv": "22e4f69245293cc46d7aeaf766371d41e580323304ae235ef24824e1815dd14d",
+        "reports.json": "80ab7d5e771c4cd5a3450db9fab842429b3f9817b550050e23b9ae8170dbcdf8",
+        "sample_paths.csv": "09f5da388e8e5614a17f6ebf3a7748daa91ad69ad0602b60cbaf2504d0979551",
+        "value_family.csv": "b2b528831998c9cb88a41e805dfe50a49a8490c45fabefa8365c221a3f2c96c7",
+        "value_gradient.csv": "b0a3c92e98131b2f3043be0281266bfba547f4da8b71612e2fc655d8b083aeb6",
+    },
+    "reaction_diffusion": {
+        "reports.csv": "e8b1e58c8c3614dbf2dc189e0a76e2087f4bfba18ba4921f9f463946f769af52",
+        "reports.json": "cb84094b765cd26eaab7f5f3128b51b60086bafc1570f24fdcf36a28972be616",
+        "sample_paths.csv": "20b504ad730f7c53fd6ac5dfa6d98d209072572419edc7912b51fba330884d8c",
+        "value_family.csv": "3e64de4f4a463b12817dcc1dbb1c5f73df951520008eaab3f92203fb61b225f3",
+        "value_gradient.csv": "1300317b65dce87a07a22407bbc75958bbe353545d7f175949c4a92888131f3f",
+    },
+    "sdde": {
+        "reports.csv": "33fce85ecca3d5107f806177d939d72cf3247781d5fd679c4c0513a5a734d062",
+        "reports.json": "a5c2d934d827b01b9fd6f01be5f6782315715b23a402e1519ded4e83c78bc09a",
+        "sample_paths.csv": "9afebead496b9637dd3f95059719c4cac56c07a4a8915cb51a9c62c586f3a04f",
+        "value_family.csv": "baaa5a64e8ea0d01b404a2773a7a7d7aa2d1472fbb03c35db16d60ab50f17a20",
+        "value_gradient.csv": "bb1e148e7cdd4ace6911c0e6fcb7cb66cf45d76f51ee83ad730a23ef49a51359",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DIGESTS))
+def test_artifacts_match_pinned_digests(tmp_path, kind):
+    # test_replay_is_bitwise compares a version with itself; this pins the
+    # bytes across versions. config_resolved.ini and manifest.json record the
+    # output directory, so they are left out.
+    out = tmp_path / kind
+    cfg = fast_cfg(out, kind=kind)
+    cfg.diagnostics.update(scans=PINNED_SCANS)
+    assert run_experiment(cfg, echo=lambda *_: None) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(out))
+        if name == "reports.json" or name.endswith(".csv")
+    }
+    assert digests == PINNED_DIGESTS[kind]
+
+
 # --- entry point -------------------------------------------------------------
 
 

@@ -260,6 +260,27 @@ def test_verify_reports_minimum_margin():
     assert np.isfinite(rep.constants["min_margin"])
 
 
+def test_verify_policy_value_equals_direct_evaluation():
+    # the tournament's base run is the "verify" block a direct call receives
+    problem, oracle, sol = lq_setup()
+    policy = make_riccati_policy(problem, sol)
+    rep = verify_optimality(problem, policy, 0.0, np.array([1.0]),
+                            n_challengers=2, n_paths=300, n_steps=60, seed=13)
+    direct = evaluate_cost(problem, 0.0, np.array([1.0]), policy, n_paths=300,
+                           n_steps=60, seed=13, stream_label="verify")
+    assert rep.constants["policy_value"] == direct.mean
+
+
+def test_verify_rejects_single_path():
+    # one path has no paired standard error, and a NaN one would make every
+    # loss test false: even a 3x gain would pass
+    problem, oracle, sol = lq_setup()
+    policy = scale_policy(make_riccati_policy(problem, sol), 3.0)
+    with pytest.raises(ValueError, match="n_paths"):
+        verify_optimality(problem, policy, 0.0, np.array([1.5]),
+                          n_challengers=4, n_paths=1, n_steps=50, seed=3)
+
+
 # --- dynamic programming consistency ------------------------------------------------
 
 

@@ -7,8 +7,15 @@ scheme bias is not negligible.
 import numpy as np
 import pytest
 
-from hjblab.controls import ConstantSignal, PiecewiseConstantSignal, zero_signal
+from hjblab.controls import (
+    ConstantSignal,
+    PiecewiseConstantSignal,
+    project_ball,
+    zero_signal,
+)
+from hjblab.engine import gaussian_increments, increment_memo, simulate_coupled_ensemble
 from hjblab.models import build_lq_benchmark, riccati_solve
+from hjblab.synthesis import verify_optimality, zero_policy
 from hjblab.value import (
     ControlFamily,
     MCEstimate,
@@ -215,6 +222,27 @@ def test_truncation_scan_fails_when_still_improving():
     assert values[0] - values[-1] > 1.0
 
 
+def test_single_candidate_scan_equals_direct_evaluation_per_level():
+    # each level's projection is evaluated on the "family_paths" block that a
+    # direct call with the same seed and label receives
+    problem, _ = build_lq_benchmark()
+    sig = ConstantSignal(np.array([1.5]))
+    fam = ControlFamily(base_candidates=(sig,), include_zero=False)
+    m_list = [0.5, 1.0, 2.0]
+    report = truncation_scan(problem, 0.0, np.array([1.0]), m_list=m_list,
+                             family=fam, n_candidates=0,
+                             paths_per_candidate=300, n_steps=60, seed=9)
+    direct = [
+        evaluate_cost(problem, 0.0, np.array([1.0]),
+                      ConstantSignal(project_ball(sig.value, m,
+                                                  problem.control_spec.weights)),
+                      n_paths=300, n_steps=60, seed=9,
+                      stream_label="family_paths").mean
+        for m in m_list
+    ]
+    assert report.constants["level_values"] == direct
+
+
 def test_truncation_scan_validates_radii():
     problem, _ = build_lq_benchmark()
     with pytest.raises(ValueError):
@@ -365,3 +393,40 @@ def test_policy_iteration_validates_times():
     problem, _ = build_lq_benchmark()
     with pytest.raises(ValueError):
         policy_iteration(problem, np.array([0.0, 1.0]), np.array([1.0]))
+
+
+# --- shared increments -------------------------------------------------------------
+
+# Contestants are paired by asking the engine for the same increment block,
+# so one contestant loop must generate exactly one block; every later
+# contestant gets the held one back.
+
+def _family_loop(problem, x):
+    estimate_value_family(problem, 0.0, x, ControlFamily(), n_candidates=3,
+                          paths_per_candidate=50, n_steps=20, seed=901)
+
+
+def _truncation_loop(problem, x):
+    truncation_scan(problem, 0.0, x, m_list=[0.5, 1.0, 2.0], n_candidates=2,
+                    paths_per_candidate=50, n_steps=20, seed=902)
+
+
+def _tournament_loop(problem, x):
+    verify_optimality(problem, zero_policy(problem), 0.0, x, n_challengers=2,
+                      n_paths=50, n_steps=20, seed=903)
+
+
+def _coupled_loop(problem, x):
+    simulate_coupled_ensemble(problem, 0.0, [x, 2.0 * x, -x],
+                              [zero_signal(1)] * 3, seed=904, n_paths=50,
+                              n_steps=20)
+
+
+@pytest.mark.parametrize("loop", [_family_loop, _truncation_loop,
+                                  _tournament_loop, _coupled_loop])
+def test_contestant_loop_generates_one_block(loop):
+    problem, _ = build_lq_benchmark()
+    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # a fresh request next
+    misses = increment_memo.misses
+    loop(problem, np.array([1.0]))
+    assert increment_memo.misses == misses + 1
