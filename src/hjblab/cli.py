@@ -212,11 +212,14 @@ def _validate(cfg: ExperimentConfig):
         if sim[key] < 1:
             raise ValueError(f"key '{key}' in [simulation] must be positive")
     trunc = cfg.value["truncation_list"]
-    if len(trunc) < 1 or any(b <= a for a, b in zip(trunc, trunc[1:])):
-        raise ValueError("key 'truncation_list' in [value] must be strictly "
-                         "increasing")
+    if (len(trunc) < 3 or trunc[0] <= 0
+            or any(b <= a for a, b in zip(trunc, trunc[1:]))):
+        raise ValueError("key 'truncation_list' in [value] must hold at least "
+                         "three strictly increasing positive radii")
     if cfg.value["family_size"] < 1:
         raise ValueError("key 'family_size' in [value] must be positive")
+    if cfg.diagnostics["n_pairs"] < 2:
+        raise ValueError("key 'n_pairs' in [diagnostics] must be at least 2")
     for scan in cfg.diagnostics["scans"]:
         if scan not in SCAN_NAMES:
             raise ValueError(

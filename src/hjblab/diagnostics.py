@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .controls import convex_combination, zero_signal
-from .engine import gaussian_increments, simulate_coupled_ensemble
+from .engine import gaussian_increments, simulate_ensemble
 from .hilbert import semigroup_matrix, space_norm
 from .report import PASS, FAIL, INCONCLUSIVE, DiagnosticReport
 from .seeds import stream
@@ -501,10 +501,9 @@ def trajectory_stability_check(
             inits = [x0] * (len(eps) + 1)
             controls = [a0] + [convex_combination(a0, a1, float(e)) for e in eps]
             degenerate = a0 is a1
-        runs = simulate_coupled_ensemble(problem, t, inits, controls,
-                                         seed=seed, n_paths=n_paths,
-                                         n_steps=n_steps,
-                                         stream_label="stability")
+        runs = [simulate_ensemble(problem, t, x_init, c, n_paths, n_steps,
+                                  seed, "stability")
+                for x_init, c in zip(inits, controls)]
         base = runs[0].states
         gaps = np.array([
             float(np.mean(_sup_norm_gap(r.states, base, norm) ** 2))
@@ -627,12 +626,11 @@ def midpoint_trajectory_check(
     endpoint_bad = None
     rows = []
     for k, pr in enumerate(probes):
-        runs = simulate_coupled_ensemble(
-            problem, t, [np.asarray(pr.x0, float), np.asarray(pr.x1, float),
-                         pr.x_mid],
-            [pr.a0, pr.a1, pr.a_mid],
-            seed=seed, n_paths=n_paths, n_steps=n_steps,
-            stream_label="midpoint")
+        runs = [simulate_ensemble(problem, t, x_init, c, n_paths, n_steps,
+                                  seed, "midpoint")
+                for x_init, c in ((np.asarray(pr.x0, float), pr.a0),
+                                  (np.asarray(pr.x1, float), pr.a1),
+                                  (pr.x_mid, pr.a_mid))]
         interp = pr.lam * runs[1].states + (1.0 - pr.lam) * runs[0].states
         est = MCEstimate.from_samples(
             _sup_norm_gap(interp, runs[2].states, norm))

@@ -19,6 +19,13 @@ change what the next one receives. The memo only decides how often a block
 is built, never what it holds. Ensembles are advanced as one (n_paths, dim)
 batch; a path is a view into the batch.
 
+One loop, `_run`, advances every ensemble and returns one record,
+`PathEnsemble`: the time grid, terminal states and clip fraction always, and
+states, per-path costs, control traces or sup norms when they were asked
+for. `simulate_ensemble` (states) and `simulate_costs` (costs, optionally
+controls) hand that record back unchanged; a single path is path 0 of a
+one-path ensemble.
+
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
 l(X_{k+1}, a_k)]. For smooth integrands this is second-order along the
@@ -31,22 +38,18 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import TraceSignal, signal_values
+from .controls import signal_values
 from .hilbert import h_norm, semigroup_matrix
 from .report import PASS, FAIL, DiagnosticReport
 from .seeds import derive_seed, path_streams
 
 __all__ = [
-    "Trajectory",
     "PathEnsemble",
     "SimulationDivergenceError",
     "gaussian_increments",
     "increment_memo",
-    "simulate_path",
     "simulate_ensemble",
-    "simulate_coupled_ensemble",
     "simulate_costs",
-    "CostRun",
     "moment_bound_check",
     "write_ensemble_csv",
 ]
@@ -67,60 +70,20 @@ class SimulationDivergenceError(RuntimeError):
         self.magnitude = magnitude
 
 
-@dataclass
-class Trajectory:
-    time_grid: np.ndarray        # (M+1,)
-    states: np.ndarray           # (M+1, N)
-    control_trace: np.ndarray    # (M, q), controls on step left-endpoints
-    seed_path: dict              # provenance: master seed, stream label, index
-    clip_fraction: float = 0.0   # share of steps whose control hit the box
-
-    @property
-    def n_steps(self):
-        return len(self.time_grid) - 1
-
-    def as_trace_signal(self) -> TraceSignal:
-        return TraceSignal(self.time_grid[:-1], self.control_trace)
-
-
-@dataclass
+@dataclass(frozen=True)
 class PathEnsemble:
-    time_grid: np.ndarray        # (M+1,)
-    states: np.ndarray           # (P, M+1, N)
-    control_traces: np.ndarray   # (M, q) shared or (P, M, q) per path
-    master_seed: int
-    stream_label: str
-    clip_fraction: float = 0.0
+    """The run record: what one pass of the step loop produced.
 
-    @property
-    def n_paths(self):
-        return self.states.shape[0]
+    The last four fields are None unless the run was asked for them.
+    """
 
-    def trajectory(self, k) -> Trajectory:
-        tr = self.control_traces if self.control_traces.ndim == 2 else self.control_traces[k]
-        return Trajectory(
-            time_grid=self.time_grid,
-            states=self.states[k],
-            control_trace=tr,
-            seed_path={
-                "master_seed": self.master_seed,
-                "stream_label": self.stream_label,
-                "path_index": int(k),
-                "child_seed": derive_seed(self.master_seed, self.stream_label, k),
-            },
-            clip_fraction=self.clip_fraction,
-        )
-
-
-@dataclass
-class CostRun:
-    """Per-path cost data from a costs-only sweep."""
-
-    costs: np.ndarray             # (P,) accumulated (running [+ terminal]) cost
-    terminal_states: np.ndarray   # (P, N) state at the end of the sweep
-    control_traces: Optional[np.ndarray] = None
-    clip_fraction: float = 0.0
-    time_grid: Optional[np.ndarray] = None
+    time_grid: np.ndarray                        # (M+1,)
+    terminal_states: np.ndarray                  # (P, N)
+    clip_fraction: float                         # feedback path-steps at the box
+    states: Optional[np.ndarray] = None          # (P, M+1, N)
+    costs: Optional[np.ndarray] = None           # (P,) running [+ terminal]
+    control_traces: Optional[np.ndarray] = None  # (P, M, q), step left-endpoints
+    sup_norm: Optional[np.ndarray] = None        # (P,) max over steps of ||X||_H
 
 
 class _LastBlock:
@@ -271,15 +234,15 @@ def _run(
         costs += problem.terminal_cost(X)
 
     clip_fraction = clip_events / (n_paths * n_steps) if kind == "policy" else 0.0
-    return {
-        "grid": grid,
-        "states": states,
-        "terminal": X,
-        "costs": costs,
-        "traces": traces,
-        "sup_norm": sup_norm,
-        "clip_fraction": clip_fraction,
-    }
+    return PathEnsemble(
+        time_grid=grid,
+        terminal_states=X,
+        clip_fraction=clip_fraction,
+        states=states,
+        costs=costs,
+        control_traces=traces,
+        sup_norm=sup_norm,
+    )
 
 
 def simulate_ensemble(
@@ -292,45 +255,14 @@ def simulate_ensemble(
     seed=42,
     stream_label="paths",
 ) -> PathEnsemble:
-    """Simulate n_paths trajectories with full state recording."""
-    out = _run(
-        problem, t, x, control, n_paths, n_steps, seed, stream_label,
-        record_states=True, record_controls=hasattr(control, "feedback"),
-    )
-    traces = out["traces"]
-    if traces is None:
-        _, vals = _prepare_control(problem, control, out["grid"][:-1], n_paths)
-        traces = vals
-    return PathEnsemble(
-        time_grid=out["grid"],
-        states=out["states"],
-        control_traces=traces,
-        master_seed=seed,
-        stream_label=stream_label,
-        clip_fraction=out["clip_fraction"],
-    )
+    """Simulate n_paths trajectories with full state recording.
 
-
-def simulate_path(problem, t, x, control, seed=42, n_steps=200) -> Trajectory:
-    """One trajectory; bitwise equal to path 0 of the same-seed ensemble."""
-    return simulate_ensemble(problem, t, x, control, 1, n_steps, seed).trajectory(0)
-
-
-def simulate_coupled_ensemble(
-    problem, t, inits, controls, seed=42, n_paths=1, n_steps=200,
-    stream_label="coupled",
-) -> list:
-    """Runs over a list of (init, control) variants, each making the same
-    increment request, so all share one noise realization per path index.
-    Differences between the returned ensembles are purely
-    drift/initial-condition effects."""
-    if len(inits) != len(controls):
-        raise ValueError("need one control per initial state")
-    return [
-        simulate_ensemble(problem, t, x0, c, n_paths, n_steps, seed,
-                          stream_label)
-        for x0, c in zip(inits, controls)
-    ]
+    Runs that make the same (seed, stream_label, n_paths, n_steps) request
+    share one noise realization per path index, so differences between them
+    are purely drift and initial-condition effects.
+    """
+    return _run(problem, t, x, control, n_paths, n_steps, seed, stream_label,
+                record_states=True)
 
 
 def simulate_costs(
@@ -345,23 +277,16 @@ def simulate_costs(
     t_end=None,
     include_terminal=True,
     record_controls=False,
-) -> CostRun:
+) -> PathEnsemble:
     """Per-path accumulated costs without storing intermediate states.
 
     t_end cuts the sweep short (terminal cost is then usually excluded);
     the dynamic-programming audit stitches two such sweeps together.
     """
-    out = _run(
+    return _run(
         problem, t, x, control, n_paths, n_steps, seed, stream_label,
         t_end=t_end, accumulate_costs=True,
         include_terminal=include_terminal, record_controls=record_controls,
-    )
-    return CostRun(
-        costs=out["costs"],
-        terminal_states=out["terminal"],
-        control_traces=out["traces"],
-        clip_fraction=out["clip_fraction"],
-        time_grid=out["grid"],
     )
 
 
@@ -387,11 +312,14 @@ def moment_bound_check(
         raise ValueError("moment order p must exceed 2")
 
     def sweep(master):
-        out = _run(problem, t, x, control, n_paths, n_steps, master, "paths",
+        run = _run(problem, t, x, control, n_paths, n_steps, master, "paths",
                    record_controls=True, track_sup_norm=True)
-        est = float(np.mean(out["sup_norm"] ** p))
-        w = problem.control_spec.weights
-        a_norm_p = np.sum(w * out["traces"] ** 2, axis=-1) ** (p / 2.0)
+        est = float(np.mean(run.sup_norm ** p))
+        # ||a||^2 in place: the (P, M, q) trace is the audit's largest array
+        tr = run.control_traces
+        np.square(tr, out=tr)
+        np.multiply(tr, problem.control_spec.weights, out=tr)
+        a_norm_p = np.sum(tr, axis=-1) ** (p / 2.0)
         dt = (problem.horizon - t) / n_steps
         ctl_term = float(np.mean(np.sum(a_norm_p, axis=-1) * dt))
         denom = 1.0 + h_norm(problem.space, np.asarray(x, dtype=float)) ** p + ctl_term
@@ -430,10 +358,9 @@ def _write_rows(fh, path_id, grid, states):
         fh.write(f"{path_id},{step},{float(grid[step])!r},{comps}\n")
 
 
-def write_ensemble_csv(path, ensemble: PathEnsemble, max_paths=None):
+def write_ensemble_csv(path, ensemble: PathEnsemble):
     n = ensemble.states.shape[2]
-    count = ensemble.n_paths if max_paths is None else min(max_paths, ensemble.n_paths)
     with open(path, "w") as fh:
         fh.write("path_id,step,time," + ",".join(f"x{i}" for i in range(n)) + "\n")
-        for k in range(count):
-            _write_rows(fh, k, ensemble.time_grid, ensemble.states[k])
+        for k, states in enumerate(ensemble.states):
+            _write_rows(fh, k, ensemble.time_grid, states)

@@ -345,9 +345,6 @@ def build_lq_benchmark(
     def drift(x, a):
         return a_lin * x + alpha * a
 
-    def running_cost(x, a):
-        return q_state * x[..., 0] ** 2 + r_control * a[..., 0] ** 2
-
     def terminal_cost(x):
         return q_terminal * x[..., 0] ** 2
 
@@ -367,7 +364,7 @@ def build_lq_benchmark(
         drift=drift,
         noise=np.array([[sigma0]]),
         noise_dim=1,
-        running_cost=running_cost,
+        running_cost=lambda x, a: cost.l1(x) + cost.l2(a),
         terminal_cost=terminal_cost,
         control_spec=ControlSpec(dim=1, box=box),
         horizon=horizon,
@@ -503,9 +500,6 @@ def build_reaction_diffusion(
     def drift(x, a):
         return fn(x) - a
 
-    def running_cost(x, a):
-        return np.sum(w * l1_fn(x), axis=-1) + nu * np.sum(w * a * a, axis=-1)
-
     def terminal_cost(x):
         return np.sum(w * g_fn(x), axis=-1)
 
@@ -525,7 +519,7 @@ def build_reaction_diffusion(
         drift=drift,
         noise=sigma,
         noise_dim=sigma.shape[1],
-        running_cost=running_cost,
+        running_cost=lambda x, a: cost.l1(x) + cost.l2(a),
         terminal_cost=terminal_cost,
         control_spec=ControlSpec(dim=n_grid, box=box, weights=w),
         horizon=horizon,
@@ -625,9 +619,6 @@ def build_sdde_lift(
     sigma = np.zeros((dim, 1))
     sigma[0, 0] = sigma0
 
-    def running_cost(x, a):
-        return q0 * x[..., 0] ** 2 + nu * a[..., 0] ** 2
-
     def terminal_cost(x):
         return q_terminal * x[..., 0] ** 2
 
@@ -651,7 +642,7 @@ def build_sdde_lift(
         drift=drift,
         noise=sigma,
         noise_dim=1,
-        running_cost=running_cost,
+        running_cost=lambda x, a: cost.l1(x) + cost.l2(a),
         terminal_cost=terminal_cost,
         control_spec=ControlSpec(dim=1, box=box),
         horizon=horizon,

@@ -12,6 +12,10 @@ All candidates at one point are evaluated on the same Brownian increments
 ties break deterministically toward the lowest index. There is no increment
 argument to pass: each candidate asks the engine with the same seed and
 stream label, and the same request always yields the same block.
+
+cost_samples reads the per-path costs off one engine run and is the only
+way this layer runs the engine; the estimate for a single control is
+synthesis.feynman_kac_value.
 """
 
 import math
@@ -37,7 +41,6 @@ __all__ = [
     "ValueField",
     "ControlFamily",
     "FamilyValue",
-    "evaluate_cost",
     "cost_samples",
     "estimate_value_family",
     "truncation_scan",
@@ -171,17 +174,8 @@ def cost_samples(problem, t, x, control, n_paths, n_steps=200, seed=42,
     Calls with equal (seed, stream_label, n_paths, n_steps) run on the same
     Brownian increments, which is how contestants are paired.
     """
-    run = simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
-                         stream_label)
-    return run.costs
-
-
-def evaluate_cost(problem, t, x, control, n_paths, n_steps=200, seed=42,
-                  stream_label="paths") -> MCEstimate:
-    return MCEstimate.from_samples(
-        cost_samples(problem, t, x, control, n_paths, n_steps, seed,
-                     stream_label)
-    )
+    return simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
+                          stream_label).costs
 
 
 def estimate_value_family(

@@ -47,7 +47,6 @@ from hjblab.value import (
     ControlFamily,
     PolicyIterationConfig,
     estimate_value_family,
-    evaluate_cost,
     gradient_fd,
     make_policy_evaluator,
     policy_iteration,
@@ -194,8 +193,8 @@ def test_c3_feynman_kac_and_dpp():
     probe = 0.3 * np.sin(np.pi * np.arange(1, 9) / 9.0)
     fk = feynman_kac_value(rd, zp, 0.0, probe, n_paths=6000, n_steps=200,
                            seed=41)
-    pt = evaluate_cost(rd, 0.0, probe, zp, n_paths=6000, n_steps=200,
-                       seed=77, stream_label="family_paths")
+    pt = feynman_kac_value(rd, zp, 0.0, probe, n_paths=6000, n_steps=200,
+                           seed=77, stream_label="family_paths")
     comb = np.hypot(fk.std_error, pt.std_error)
     checks.append(abs(fk.mean - pt.mean) <= 3 * comb)
 

@@ -112,6 +112,20 @@ def test_config_validation_rules(tmp_path):
         parse_config(p)
 
 
+@pytest.mark.parametrize("section, line, key", [
+    ("value", "truncation_list = 2, 4", "truncation_list"),
+    ("value", "truncation_list = 0, 2, 4", "truncation_list"),
+    ("diagnostics", "n_pairs = 1", "n_pairs"),
+])
+def test_config_rejects_what_a_stage_rejects(tmp_path, section, line, key):
+    # the truncation scan needs three positive radii and the defect scans
+    # two pairs; a config without them would fail mid-run
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[{section}]\n{line}\n")
+    with pytest.raises(ValueError, match=key):
+        parse_config(p)
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         parse_config(tmp_path / "nope.ini")
@@ -121,7 +135,7 @@ def test_round_trip_identity(tmp_path):
     cfg = default_config("sdde")
     cfg.problem.update(n_past=8, c_nl=0.4, control_bound=2.0)
     cfg.simulation.update(n_paths=1234, master_seed=7)
-    cfg.value.update(truncation_list=(1.0, 3.0), fd_step=1e-4)
+    cfg.value.update(truncation_list=(1.0, 3.0, 5.0), fd_step=1e-4)
     cfg.diagnostics.update(scans=("structural", "dpp"))
     cfg.output.update(directory="some/dir", formats=("json",))
     path = emit_config(cfg, tmp_path / "emitted.ini")

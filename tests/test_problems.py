@@ -297,13 +297,14 @@ def test_sdde_present_channel_odes_correctly():
     # with beta_z = 0 the present channel is a scalar linear ODE; the +y
     # compensation in the drift must cancel the stencil's own -y term
     problem = build_sdde_lift(beta_y=-0.7, beta_z=0.0, sigma0=0.0, n_past=40)
-    from hjblab.engine import simulate_path
+    from hjblab.engine import simulate_ensemble
     from hjblab.controls import zero_signal
 
     x0 = np.zeros(problem.dim)
     x0[0] = 1.0
-    traj = simulate_path(problem, 0.0, x0, zero_signal(1), seed=1, n_steps=400)
-    assert abs(traj.states[-1, 0] - np.exp(-0.7)) < 5e-3
+    run = simulate_ensemble(problem, 0.0, x0, zero_signal(1), 1, n_steps=400,
+                            seed=1)
+    assert abs(run.states[0, -1, 0] - np.exp(-0.7)) < 5e-3
 
 
 def test_sdde_weak_norm_dominates_present_value():

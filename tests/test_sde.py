@@ -7,6 +7,7 @@ and then pinned.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,7 @@ from hjblab.engine import (
     increment_memo,
     moment_bound_check,
     simulate_costs,
-    simulate_coupled_ensemble,
     simulate_ensemble,
-    simulate_path,
     write_ensemble_csv,
 )
 from hjblab.hilbert import (
@@ -66,35 +65,53 @@ def scalar_problem(drift, sigma0, horizon=1.0, generator=None, control_dim=1):
 def test_initial_state_is_stored_exactly():
     problem = scalar_problem(lambda x, a: -x, 0.5)
     x0 = np.array([0.123456789123456789])
-    traj = simulate_path(problem, 0.0, x0, zero_signal(1), seed=3, n_steps=7)
-    assert traj.states[0, 0] == x0[0]
-    assert traj.time_grid[0] == 0.0
-    assert abs(traj.time_grid[-1] - 1.0) < 1e-12
-    assert len(traj.time_grid) == 8
+    run = simulate_ensemble(problem, 0.0, x0, zero_signal(1), 1, n_steps=7,
+                            seed=3)
+    assert run.states[0, 0, 0] == x0[0]
+    assert run.time_grid[0] == 0.0
+    assert abs(run.time_grid[-1] - 1.0) < 1e-12
+    assert len(run.time_grid) == 8
 
 
 def test_constant_drift_integrates_exactly():
     problem = scalar_problem(lambda x, a: np.full_like(x, 0.75), 0.0)
-    traj = simulate_path(problem, 0.0, np.array([1.0]), zero_signal(1),
-                         seed=0, n_steps=160)
-    assert abs(traj.states[-1, 0] - 1.75) < 1e-13
+    run = simulate_ensemble(problem, 0.0, np.array([1.0]), zero_signal(1), 1,
+                            n_steps=160, seed=0)
+    assert abs(run.states[0, -1, 0] - 1.75) < 1e-13
 
 
 def test_zero_noise_runs_are_seed_independent():
     problem = scalar_problem(lambda x, a: np.sin(x), 0.0)
-    a = simulate_path(problem, 0.0, np.array([0.3]), zero_signal(1), seed=1)
-    b = simulate_path(problem, 0.0, np.array([0.3]), zero_signal(1), seed=2)
+    a = simulate_ensemble(problem, 0.0, np.array([0.3]), zero_signal(1), 1,
+                          seed=1)
+    b = simulate_ensemble(problem, 0.0, np.array([0.3]), zero_signal(1), 1,
+                          seed=2)
     np.testing.assert_array_equal(a.states, b.states)
 
 
 def test_single_path_equals_ensemble_member_bitwise():
     problem = scalar_problem(lambda x, a: -x + a, 0.4)
     sig = ConstantSignal(np.array([0.2]))
-    solo = simulate_path(problem, 0.0, np.array([1.0]), sig, seed=11, n_steps=50)
+    solo = simulate_ensemble(problem, 0.0, np.array([1.0]), sig, 1,
+                             n_steps=50, seed=11)
     ens = simulate_ensemble(problem, 0.0, np.array([1.0]), sig, n_paths=4,
                             n_steps=50, seed=11)
-    np.testing.assert_array_equal(solo.states, ens.states[0])
-    assert ens.trajectory(2).seed_path["path_index"] == 2
+    np.testing.assert_array_equal(solo.states[0], ens.states[0])
+
+
+def test_costs_and_states_come_back_in_one_record():
+    # both entry points run the one loop and return its record unchanged
+    problem = scalar_problem(lambda x, a: -x + a, 0.4)
+    sig = ConstantSignal(np.array([0.2]))
+    ens = simulate_ensemble(problem, 0.0, np.array([1.0]), sig, n_paths=5,
+                            n_steps=30, seed=12)
+    run = simulate_costs(problem, 0.0, np.array([1.0]), sig, n_paths=5,
+                         n_steps=30, seed=12)
+    assert type(run) is type(ens)
+    assert run.terminal_states.tobytes() == ens.states[:, -1].tobytes()
+    np.testing.assert_array_equal(run.time_grid, ens.time_grid)
+    assert ens.costs is None and run.states is None
+    assert run.control_traces is None and run.sup_norm is None
 
 
 def test_paths_do_not_depend_on_ensemble_size():
@@ -110,10 +127,12 @@ def test_refinement_is_first_order_on_smooth_deterministic_instance():
     problem = build_reaction_diffusion(n_grid=10, noise_amp=0.0, reaction="tanh")
     x0 = np.sin(np.pi * np.arange(1, 11) / 11)
     sig = zero_signal(10)
-    ref = simulate_path(problem, 0.0, x0, sig, seed=0, n_steps=1600).states[-1]
+    ref = simulate_ensemble(problem, 0.0, x0, sig, 1, n_steps=1600,
+                            seed=0).states[0, -1]
     errs = []
     for m in (100, 200, 400):
-        xm = simulate_path(problem, 0.0, x0, sig, seed=0, n_steps=m).states[-1]
+        xm = simulate_ensemble(problem, 0.0, x0, sig, 1, n_steps=m,
+                               seed=0).states[0, -1]
         errs.append(h_norm(problem.space, xm - ref))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 0.9)
@@ -158,20 +177,22 @@ def test_ou_drift_form_matches_generator_form_in_law():
 def test_coupled_identical_inputs_are_bitwise_identical():
     problem = scalar_problem(lambda x, a: -x + a, 0.6)
     sig = ConstantSignal(np.array([0.1]))
-    t1, t2 = (e.trajectory(0) for e in simulate_coupled_ensemble(
-        problem, 0.0, [np.array([1.0])] * 2, [sig, sig], seed=9, n_paths=1,
-        n_steps=30))
+    t1, t2 = (simulate_ensemble(problem, 0.0, np.array([1.0]), c, 1,
+                                n_steps=30, seed=9, stream_label="coupled")
+              for c in (sig, sig))
     np.testing.assert_array_equal(t1.states, t2.states)
 
 
 def test_coupled_zero_noise_matches_independent_runs():
     problem = scalar_problem(lambda x, a: np.cos(x), 0.0)
     sig = zero_signal(1)
-    t1, t2 = (e.trajectory(0) for e in simulate_coupled_ensemble(
-        problem, 0.0, [np.array([0.2]), np.array([0.9])], [sig, sig], seed=1,
-        n_paths=1, n_steps=25))
-    s1 = simulate_path(problem, 0.0, np.array([0.2]), sig, seed=77, n_steps=25)
-    s2 = simulate_path(problem, 0.0, np.array([0.9]), sig, seed=78, n_steps=25)
+    t1, t2 = (simulate_ensemble(problem, 0.0, x0, sig, 1, n_steps=25, seed=1,
+                                stream_label="coupled")
+              for x0 in (np.array([0.2]), np.array([0.9])))
+    s1 = simulate_ensemble(problem, 0.0, np.array([0.2]), sig, 1, n_steps=25,
+                           seed=77)
+    s2 = simulate_ensemble(problem, 0.0, np.array([0.9]), sig, 1, n_steps=25,
+                           seed=78)
     np.testing.assert_array_equal(t1.states, s1.states)
     np.testing.assert_array_equal(t2.states, s2.states)
 
@@ -185,10 +206,9 @@ def test_coupled_gap_scales_linearly_with_initial_offset():
     sig = zero_signal(8)
     gaps = []
     for e in eps:
-        ens = simulate_coupled_ensemble(
-            problem, 0.0, [base, base + e * direction], [sig, sig],
-            seed=3, n_paths=200, n_steps=60,
-        )
+        ens = [simulate_ensemble(problem, 0.0, x0, sig, 200, n_steps=60,
+                                 seed=3, stream_label="coupled")
+               for x0 in (base, base + e * direction)]
         diff = ens[1].states - ens[0].states
         sup = np.max(h_norm(problem.space, diff), axis=1)
         gaps.append(np.mean(sup**2))
@@ -205,12 +225,15 @@ def test_piecewise_signal_is_applied_on_the_right_steps():
         knots=np.array([0.0, 0.5, 1.0]),
         values=np.array([[1.0], [-1.0]]),
     )
-    traj = simulate_path(problem, 0.0, np.array([0.0]), sig, seed=0, n_steps=100)
+    run = simulate_ensemble(problem, 0.0, np.array([0.0]), sig, 1,
+                            n_steps=100, seed=0)
     # integral of the signal is 0.5 - 0.5 = 0
-    assert abs(traj.states[-1, 0]) < 1e-12
-    assert abs(traj.states[50, 0] - 0.5) < 1e-12
-    np.testing.assert_array_equal(traj.control_trace[:50], 1.0)
-    np.testing.assert_array_equal(traj.control_trace[50:], -1.0)
+    assert abs(run.states[0, -1, 0]) < 1e-12
+    assert abs(run.states[0, 50, 0] - 0.5) < 1e-12
+    trace = simulate_costs(problem, 0.0, np.array([0.0]), sig, 1, n_steps=100,
+                           seed=0, record_controls=True).control_traces[0]
+    np.testing.assert_array_equal(trace[:50], 1.0)
+    np.testing.assert_array_equal(trace[50:], -1.0)
 
 
 def test_trace_replay_reproduces_costs_bitwise():
@@ -229,7 +252,8 @@ def test_trace_replay_reproduces_costs_bitwise():
 def test_control_dimension_mismatch_rejected():
     problem = scalar_problem(lambda x, a: a, 0.0)
     with pytest.raises(ValueError):
-        simulate_path(problem, 0.0, np.array([0.0]), zero_signal(2), seed=0)
+        simulate_ensemble(problem, 0.0, np.array([0.0]), zero_signal(2), 1,
+                          seed=0)
 
 
 def test_per_path_trace_path_count_must_match():
@@ -274,8 +298,8 @@ def test_partial_cost_sweep_excludes_terminal():
 def test_divergence_error_names_the_step():
     problem = scalar_problem(lambda x, a: 5.0 * x, 0.0)
     with pytest.raises(SimulationDivergenceError) as info:
-        simulate_path(problem, 0.0, np.array([1e7]), zero_signal(1),
-                      seed=0, n_steps=100)
+        simulate_ensemble(problem, 0.0, np.array([1e7]), zero_signal(1), 1,
+                          n_steps=100, seed=0)
     assert info.value.step > 0
     assert "step" in str(info.value)
 
@@ -283,7 +307,8 @@ def test_divergence_error_names_the_step():
 def test_time_window_validation():
     problem = scalar_problem(lambda x, a: x, 0.0)
     with pytest.raises(ValueError):
-        simulate_path(problem, 1.0, np.array([0.0]), zero_signal(1), seed=0)
+        simulate_ensemble(problem, 1.0, np.array([0.0]), zero_signal(1), 1,
+                          seed=0)
     with pytest.raises(ValueError):
         simulate_costs(problem, 0.5, np.array([0.0]), zero_signal(1),
                        n_paths=1, seed=0, t_end=0.4)
@@ -336,6 +361,23 @@ def test_moment_bound_frozen_constant_holds_across_seeds():
                                  p=4.0, n_paths=2000, n_steps=100, seed=s,
                                  c_p=c_frozen)
         assert rep.passed, rep.constants
+
+
+def test_moment_audit_reduces_the_control_trace_in_place():
+    # the (P, M, q) trace is the audit's largest array; squaring and
+    # weighting it must not allocate further arrays of its size
+    problem = build_reaction_diffusion()
+    q = problem.control_spec.dim
+    trace_bytes = 2000 * 100 * q * 8
+    x0 = 0.3 * np.sin(np.pi * np.arange(1, q + 1) / (q + 1))
+    tracemalloc.start()
+    try:
+        moment_bound_check(problem, 0.0, x0, ConstantSignal(np.full(q, 0.5)),
+                           n_paths=2000, n_steps=100, seed=6, c_p=10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * trace_bytes, peak / trace_bytes
 
 
 def test_moment_bound_rejects_small_p():

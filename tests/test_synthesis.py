@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hjblab.controls import zero_signal
-from hjblab.engine import simulate_path
+from hjblab.engine import simulate_costs, simulate_ensemble
 from hjblab.models import build_lq_benchmark, build_reaction_diffusion, riccati_solve
 from hjblab.seeds import stream
 from hjblab.synthesis import (
@@ -22,7 +22,7 @@ from hjblab.synthesis import (
     verify_optimality,
     zero_policy,
 )
-from hjblab.value import MCEstimate, evaluate_cost
+from hjblab.value import MCEstimate
 
 
 # --- oracles ---------------------------------------------------------------
@@ -173,16 +173,15 @@ def test_policy_provenance_validated():
 def test_zero_policy_matches_zero_signal_bitwise():
     problem, _, _ = lq_setup()
     pol = zero_policy(problem)
-    a = simulate_path(problem, 0.0, np.array([1.0]), pol, seed=5, n_steps=60)
-    b = simulate_path(problem, 0.0, np.array([1.0]), zero_signal(1), seed=5,
-                      n_steps=60)
+    a = simulate_ensemble(problem, 0.0, np.array([1.0]), pol, 1, n_steps=60,
+                          seed=5)
+    b = simulate_ensemble(problem, 0.0, np.array([1.0]), zero_signal(1), 1,
+                          n_steps=60, seed=5)
     np.testing.assert_array_equal(a.states, b.states)
     assert a.clip_fraction == 0.0
 
 
 def test_closed_loop_mean_matches_gain_ode():
-    from hjblab.engine import simulate_ensemble
-
     problem, oracle, sol = lq_setup()
     policy = make_riccati_policy(problem, sol)
     ens = simulate_ensemble(problem, 0.0, np.array([1.5]), policy,
@@ -198,10 +197,10 @@ def test_clip_fraction_reported_under_tight_box():
     sol = riccati_solve(oracle, np.linspace(0, 1, 801))
     policy = make_riccati_policy(problem, sol)
     # the raw feedback at |x| ~ 1.5 wants |u| ~ 1.2, far beyond the box
-    traj = simulate_path(problem, 0.0, np.array([1.5]), policy, seed=3,
-                         n_steps=80)
-    assert traj.clip_fraction > 0.3
-    assert np.all(np.abs(traj.control_trace) <= 0.2 + 1e-12)
+    run = simulate_costs(problem, 0.0, np.array([1.5]), policy, 1,
+                         n_steps=80, seed=3, record_controls=True)
+    assert run.clip_fraction > 0.3
+    assert np.all(np.abs(run.control_traces) <= 0.2 + 1e-12)
 
 
 def test_feynman_kac_matches_riccati_value():
@@ -216,15 +215,14 @@ def test_feynman_kac_matches_riccati_value():
 
 def test_feynman_kac_trace_replay_is_bitwise():
     from hjblab.controls import TraceSignal
-    from hjblab.engine import simulate_costs
 
     problem, oracle, sol = lq_setup()
     policy = make_riccati_policy(problem, sol)
     run = simulate_costs(problem, 0.0, np.array([1.0]), policy, n_paths=64,
                          n_steps=50, seed=19, record_controls=True)
     replay = TraceSignal(run.time_grid[:-1], run.control_traces)
-    est = evaluate_cost(problem, 0.0, np.array([1.0]), replay, n_paths=64,
-                        n_steps=50, seed=19)
+    est = feynman_kac_value(problem, replay, 0.0, np.array([1.0]), n_paths=64,
+                            n_steps=50, seed=19)
     assert est == MCEstimate.from_samples(run.costs)
 
 
@@ -266,8 +264,9 @@ def test_verify_policy_value_equals_direct_evaluation():
     policy = make_riccati_policy(problem, sol)
     rep = verify_optimality(problem, policy, 0.0, np.array([1.0]),
                             n_challengers=2, n_paths=300, n_steps=60, seed=13)
-    direct = evaluate_cost(problem, 0.0, np.array([1.0]), policy, n_paths=300,
-                           n_steps=60, seed=13, stream_label="verify")
+    direct = feynman_kac_value(problem, policy, 0.0, np.array([1.0]),
+                               n_paths=300, n_steps=60, seed=13,
+                               stream_label="verify")
     assert rep.constants["policy_value"] == direct.mean
 
 

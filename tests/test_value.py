@@ -13,16 +13,20 @@ from hjblab.controls import (
     project_ball,
     zero_signal,
 )
-from hjblab.engine import gaussian_increments, increment_memo, simulate_coupled_ensemble
+from hjblab.diagnostics import (
+    MidpointProbe,
+    midpoint_trajectory_check,
+    trajectory_stability_check,
+)
+from hjblab.engine import gaussian_increments, increment_memo
 from hjblab.models import build_lq_benchmark, riccati_solve
-from hjblab.synthesis import verify_optimality, zero_policy
+from hjblab.synthesis import feynman_kac_value, verify_optimality, zero_policy
 from hjblab.value import (
     ControlFamily,
     MCEstimate,
     PolicyIterationConfig,
     ValueField,
     estimate_value_family,
-    evaluate_cost,
     gradient_fd,
     make_exact_evaluator,
     make_policy_evaluator,
@@ -84,7 +88,7 @@ def test_mc_estimate_single_sample():
     assert est.std_error == 0.0
 
 
-# --- evaluate_cost ---------------------------------------------------------------
+# --- feynman_kac_value -----------------------------------------------------------
 
 
 def test_deterministic_piecewise_cost_matches_exact_integration():
@@ -96,8 +100,8 @@ def test_deterministic_piecewise_cost_matches_exact_integration():
     knots = np.linspace(0.0, 1.0, 5)
     values = np.array([[1.0], [-0.5], [0.25], [2.0]])
     sig = PiecewiseConstantSignal(knots, values)
-    est = evaluate_cost(problem, 0.0, np.array([0.7]), sig, n_paths=1,
-                        n_steps=4000, seed=0)
+    est = feynman_kac_value(problem, sig, 0.0, np.array([0.7]), n_paths=1,
+                            n_steps=4000, seed=0)
     exact = piecewise_linear_lq_cost(0.7, knots, values, 1.0, 0.5, 2.0, 1.0)
     assert est.std_error == 0.0
     assert abs(est.mean - exact) < 1e-6
@@ -106,9 +110,9 @@ def test_deterministic_piecewise_cost_matches_exact_integration():
 def test_stochastic_constant_control_cost_within_three_se():
     problem, oracle = build_lq_benchmark()
     u = 0.3
-    est = evaluate_cost(problem, 0.0, np.array([1.0]),
-                        ConstantSignal(np.array([u])), n_paths=10_000,
-                        n_steps=400, seed=17)
+    est = feynman_kac_value(problem, ConstantSignal(np.array([u])), 0.0,
+                            np.array([1.0]), n_paths=10_000, n_steps=400,
+                            seed=17)
     exact = lq_constant_control_cost(oracle, 0.0, 1.0, u)
     # 0.02 covers the O(dt) scheme bias at 400 steps
     assert abs(est.mean - exact) < 3 * est.std_error + 0.02
@@ -123,8 +127,9 @@ def test_singleton_family_equals_direct_evaluation():
     fam = ControlFamily(base_candidates=(sig,), include_zero=False)
     fv = estimate_value_family(problem, 0.0, np.array([1.0]), fam,
                                n_candidates=0, paths_per_candidate=500, seed=9)
-    direct = evaluate_cost(problem, 0.0, np.array([1.0]), sig, n_paths=500,
-                           n_steps=200, seed=9, stream_label="family_paths")
+    direct = feynman_kac_value(problem, sig, 0.0, np.array([1.0]),
+                               n_paths=500, n_steps=200, seed=9,
+                               stream_label="family_paths")
     assert fv.estimate == direct
     assert fv.argmin_label == "base0"
 
@@ -233,11 +238,11 @@ def test_single_candidate_scan_equals_direct_evaluation_per_level():
                              family=fam, n_candidates=0,
                              paths_per_candidate=300, n_steps=60, seed=9)
     direct = [
-        evaluate_cost(problem, 0.0, np.array([1.0]),
-                      ConstantSignal(project_ball(sig.value, m,
-                                                  problem.control_spec.weights)),
-                      n_paths=300, n_steps=60, seed=9,
-                      stream_label="family_paths").mean
+        feynman_kac_value(problem,
+                          ConstantSignal(project_ball(
+                              sig.value, m, problem.control_spec.weights)),
+                          0.0, np.array([1.0]), n_paths=300, n_steps=60,
+                          seed=9, stream_label="family_paths").mean
         for m in m_list
     ]
     assert report.constants["level_values"] == direct
@@ -417,13 +422,22 @@ def _tournament_loop(problem, x):
 
 
 def _coupled_loop(problem, x):
-    simulate_coupled_ensemble(problem, 0.0, [x, 2.0 * x, -x],
-                              [zero_signal(1)] * 3, seed=904, n_paths=50,
-                              n_steps=20)
+    # one pair: its base leg and five perturbed legs
+    trajectory_stability_check(problem, 0.0, [(x, 2.0 * x)], n_paths=50,
+                               n_steps=20, seed=904)
+
+
+def _midpoint_loop(problem, x):
+    # one probe: both endpoint legs and the midpoint leg
+    zero = zero_signal(1)
+    midpoint_trajectory_check(
+        problem, 0.0, [MidpointProbe(x, -x, 0.5, zero, zero)],
+        n_paths=50, n_steps=20, seed=905)
 
 
 @pytest.mark.parametrize("loop", [_family_loop, _truncation_loop,
-                                  _tournament_loop, _coupled_loop])
+                                  _tournament_loop, _coupled_loop,
+                                  _midpoint_loop])
 def test_contestant_loop_generates_one_block(loop):
     problem, _ = build_lq_benchmark()
     gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # a fresh request next
