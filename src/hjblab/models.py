@@ -143,6 +143,11 @@ class ControlProblem:
     control batches (..., q) and returns (..., N). noise is a constant
     (N, n_w) matrix (additive) or a callable state -> (..., N, n_w).
     running_cost and terminal_cost map batches to scalars per row.
+
+    With a cost_structure, running_cost may be left out and is then derived
+    as l1(x) + l2(a); the engine integrates cost_structure directly whenever
+    one is set, so running_cost serves problems without one and callers
+    that evaluate l(x, a) themselves.
     """
 
     name: str
@@ -152,11 +157,11 @@ class ControlProblem:
     drift: Callable
     noise: object
     noise_dim: int
-    running_cost: Callable
     terminal_cost: Callable
     control_spec: ControlSpec
     horizon: float
     cost_structure: Optional[CostStructure] = None
+    running_cost: Optional[Callable] = None
     drift_lipschitz: Optional[float] = None
     reaction: Optional[ReactionSpec] = None
     meta: dict = field(default_factory=dict)
@@ -169,6 +174,19 @@ class ControlProblem:
         if isinstance(self.noise, np.ndarray):
             if self.noise.shape != (self.space.dim, self.noise_dim):
                 raise ValueError("constant noise matrix must be (state_dim, noise_dim)")
+        cost = self.cost_structure
+        if cost is not None:
+            want = (self.space.dim, self.control_spec.dim)
+            if cost.control_matrix.shape != want:
+                raise ValueError(
+                    f"control_matrix has shape {cost.control_matrix.shape}, "
+                    f"need (state_dim, control_dim) = {want}"
+                )
+        if self.running_cost is None:
+            if cost is None:
+                raise ValueError("need running_cost or cost_structure")
+            object.__setattr__(self, "running_cost",
+                               lambda x, a: cost.l1(x) + cost.l2(a))
 
     @property
     def dim(self):
@@ -364,7 +382,6 @@ def build_lq_benchmark(
         drift=drift,
         noise=np.array([[sigma0]]),
         noise_dim=1,
-        running_cost=lambda x, a: cost.l1(x) + cost.l2(a),
         terminal_cost=terminal_cost,
         control_spec=ControlSpec(dim=1, box=box),
         horizon=horizon,
@@ -519,7 +536,6 @@ def build_reaction_diffusion(
         drift=drift,
         noise=sigma,
         noise_dim=sigma.shape[1],
-        running_cost=lambda x, a: cost.l1(x) + cost.l2(a),
         terminal_cost=terminal_cost,
         control_spec=ControlSpec(dim=n_grid, box=box, weights=w),
         horizon=horizon,
@@ -642,7 +658,6 @@ def build_sdde_lift(
         drift=drift,
         noise=sigma,
         noise_dim=1,
-        running_cost=lambda x, a: cost.l1(x) + cost.l2(a),
         terminal_cost=terminal_cost,
         control_spec=ControlSpec(dim=1, box=box),
         horizon=horizon,

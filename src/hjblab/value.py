@@ -231,6 +231,17 @@ def _truncate_candidate(candidate, m, weights):
     raise TypeError("truncation supports constant or piecewise signals and policies")
 
 
+def _signal_bytes(control):
+    """The bits that fix a projected signal's run; None for feedback policies,
+    whose output cannot be compared without running them."""
+    if isinstance(control, PiecewiseConstantSignal):
+        return (control.knots.tobytes(), control.values.shape,
+                control.values.tobytes())
+    if isinstance(control, ConstantSignal):
+        return (control.value.shape, control.value.tobytes())
+    return None
+
+
 def truncation_scan(
     problem,
     t,
@@ -253,6 +264,10 @@ def truncation_scan(
     standard errors of everything after it. The scan fails if that never
     happens before the second-to-last level, i.e. the curve is still moving
     at the edge of the scanned range.
+
+    A signal candidate whose projection is bitwise the previous level's keeps
+    that level's estimate instead of rerunning it; feedback candidates rerun
+    at every level.
     """
     m_arr = np.asarray(m_list, dtype=float)
     if len(m_arr) < 3 or np.any(np.diff(m_arr) <= 0) or m_arr[0] <= 0:
@@ -265,15 +280,22 @@ def truncation_scan(
     raw = family.candidates(problem, t, n_candidates, seed, m=float(m_arr[-1]))
     weights = problem.control_spec.weights
 
+    # every level runs on the same increments, so a candidate whose
+    # projection did not change would repeat the previous level's bits
+    previous = [(None, None)] * len(raw)
     level_values, level_ses = [], []
     for m in m_arr:
         best_mean, best_se = np.inf, np.inf
-        for _, cand in raw:
+        for i, (_, cand) in enumerate(raw):
             c_m = _truncate_candidate(cand, float(m), weights)
-            est = MCEstimate.from_samples(
-                cost_samples(problem, t, x, c_m, paths_per_candidate, n_steps,
-                             seed, stream_label="family_paths")
-            )
+            key = _signal_bytes(c_m)
+            prev_key, est = previous[i]
+            if key is None or key != prev_key:
+                est = MCEstimate.from_samples(
+                    cost_samples(problem, t, x, c_m, paths_per_candidate,
+                                 n_steps, seed, stream_label="family_paths")
+                )
+                previous[i] = (key, est)
             if est.mean < best_mean:
                 best_mean, best_se = est.mean, est.std_error
         level_values.append(best_mean)

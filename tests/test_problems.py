@@ -4,6 +4,8 @@ Closed-form oracles live at the top; numbers derived from them are frozen
 into the assertions below.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,25 @@ def test_cost_structure_rejects_bad_matrix():
             l1=lambda x: x, l2=lambda a: a, dl2=lambda a: a,
             dl2_inverse=lambda v: v, control_matrix=np.ones(3),
         )
+
+
+def test_control_matrix_shape_must_match_problem():
+    problem = build_reaction_diffusion(n_grid=16)
+    wide = dataclasses.replace(problem.cost_structure,
+                               control_matrix=np.ones((16, 3)))
+    with pytest.raises(ValueError, match=r"\(16, 3\).*\(16, 16\)"):
+        dataclasses.replace(problem, cost_structure=wide)
+
+
+def test_running_cost_is_derived_from_cost_structure():
+    problem = build_reaction_diffusion(n_grid=8)
+    derived = dataclasses.replace(problem, running_cost=None)
+    x = stream(3, "derived", 0).normal(size=(5, 8))
+    a = stream(3, "derived", 1).normal(size=(5, 8))
+    cs = problem.cost_structure
+    assert derived.running_cost(x, a).tobytes() == (cs.l1(x) + cs.l2(a)).tobytes()
+    with pytest.raises(ValueError, match="running_cost or cost_structure"):
+        dataclasses.replace(problem, running_cost=None, cost_structure=None)
 
 
 def test_control_spec_validation():

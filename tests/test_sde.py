@@ -5,6 +5,7 @@ produced by the calibration path of moment_bound_check on the stated seeds
 and then pinned.
 """
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -29,8 +30,17 @@ from hjblab.hilbert import (
     make_custom_operator,
     make_zero_operator,
 )
-from hjblab.models import ControlProblem, ControlSpec, build_reaction_diffusion
+from hjblab.models import (
+    ControlProblem,
+    ControlSpec,
+    CostStructure,
+    build_lq_benchmark,
+    build_reaction_diffusion,
+    build_sdde_lift,
+)
 from hjblab.seeds import stream
+from hjblab.synthesis import make_gamma_policy
+from hjblab.value import ControlFamily
 
 
 # --- oracles ---------------------------------------------------------------
@@ -290,6 +300,60 @@ def test_partial_cost_sweep_excludes_terminal():
     # running cost over [0, 0.5] only: int e^{-2s} = (1 - e^{-1})/2
     assert abs(full.costs[0] - (1 - np.exp(-1)) / 2) < 5e-3
     assert abs(full.terminal_states[0, 0] - np.exp(-0.5)) < 5e-3
+
+
+class _Counted:
+    """A callback that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("n_steps", [1, 7])
+def test_separated_cost_evaluates_l1_per_state_and_l2_per_step(n_steps):
+    l1 = _Counted(lambda x: x[..., 0] ** 2)
+    l2 = _Counted(lambda a: a[..., 0] ** 2)
+    cost = CostStructure(l1=l1, l2=l2, dl2=lambda a: 2.0 * a,
+                         dl2_inverse=lambda v: v / 2.0,
+                         control_matrix=np.eye(1))
+    problem = dataclasses.replace(scalar_problem(lambda x, a: a, 0.3),
+                                  cost_structure=cost)
+    simulate_costs(problem, 0.0, np.array([1.0]), ConstantSignal(np.array([0.5])),
+                   n_paths=5, n_steps=n_steps, seed=1)
+    assert (l1.calls, l2.calls) == (n_steps + 1, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [1, 7])
+def test_unseparated_cost_evaluates_running_cost_twice_per_step(n_steps):
+    running = _Counted(lambda x, a: x[..., 0] ** 2 + a[..., 0] ** 2)
+    problem = dataclasses.replace(scalar_problem(lambda x, a: a, 0.3),
+                                  running_cost=running)
+    simulate_costs(problem, 0.0, np.array([1.0]), ConstantSignal(np.array([0.5])),
+                   n_paths=5, n_steps=n_steps, seed=1)
+    assert running.calls == 2 * n_steps
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: build_lq_benchmark()[0],
+    build_reaction_diffusion,
+    build_sdde_lift,
+])
+def test_separated_cost_path_matches_running_cost_path_bitwise(builder):
+    # the separated path sums l1 and l2 exactly as running_cost does, so
+    # dropping the structure must not move a bit of any path's cost
+    problem = builder()
+    plain = dataclasses.replace(problem, cost_structure=None)
+    x = np.full(problem.dim, 0.7)
+    signal = ControlFamily(draw_scale=1.0).sampled(problem, 0.0, 0, seed=5)
+    policy = make_gamma_policy(problem, lambda s, xb: xb)
+    for control in (signal, policy):
+        runs = [simulate_costs(p, 0.0, x, control, n_paths=64, n_steps=30,
+                               seed=11).costs for p in (problem, plain)]
+        assert runs[0].tobytes() == runs[1].tobytes()
 
 
 # --- guards -------------------------------------------------------------------

@@ -4,6 +4,8 @@ iteration. Closed-form oracles sit at the top; Monte Carlo assertions use
 scheme bias is not negligible.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,82 @@ def test_single_candidate_scan_equals_direct_evaluation_per_level():
         for m in m_list
     ]
     assert report.constants["level_values"] == direct
+
+
+def _engine_runs():
+    return increment_memo.hits + increment_memo.misses
+
+
+def test_truncation_scan_runs_unchanged_projections_once():
+    # every draw and base lies inside the smallest ball, so no projection
+    # moves after the first level and each candidate runs exactly once
+    problem, _ = build_lq_benchmark()
+    fam = ControlFamily(draw_scale=1e-3,
+                        base_candidates=(ConstantSignal(np.array([0.2])),))
+    raw = fam.candidates(problem, 0.0, 3, 902, m=2.0)
+    before = _engine_runs()
+    truncation_scan(problem, 0.0, np.array([1.0]), m_list=[0.5, 1.0, 2.0],
+                    family=fam, n_candidates=3, paths_per_candidate=50,
+                    n_steps=20, seed=902)
+    assert _engine_runs() - before == len(raw)
+
+
+def test_truncation_scan_reruns_feedback_candidates_every_level():
+    problem, _ = build_lq_benchmark()
+    fam = ControlFamily(base_candidates=(zero_policy(problem),),
+                        include_zero=False)
+    m_list = [0.5, 1.0, 2.0, 4.0]
+    before = _engine_runs()
+    truncation_scan(problem, 0.0, np.array([1.0]), m_list=m_list, family=fam,
+                    n_candidates=0, paths_per_candidate=50, n_steps=20,
+                    seed=903)
+    assert _engine_runs() - before == len(m_list)
+
+
+def test_truncation_scan_with_reuse_equals_direct_evaluation_per_level():
+    from hjblab.synthesis import make_riccati_policy
+
+    problem, oracle = build_lq_benchmark()
+    policy = make_riccati_policy(problem,
+                                 riccati_solve(oracle, np.linspace(0, 1, 201)))
+    fam = ControlFamily(draw_scale=0.6, base_candidates=(policy,))
+    m_list = [0.3, 0.8, 1.5, 3.0]
+    x = np.array([1.2])
+    kwargs = dict(paths_per_candidate=200, n_steps=40, seed=904)
+    before = _engine_runs()
+    report = truncation_scan(problem, 0.0, x, m_list=m_list, family=fam,
+                             n_candidates=6, **kwargs)
+    runs = _engine_runs() - before
+
+    raw = fam.candidates(problem, 0.0, 6, 904, m=m_list[-1])
+    assert runs < len(raw) * len(m_list)  # some level was reused
+    w = problem.control_spec.weights
+    level_values, level_ses = [], []
+    for m in m_list:
+        ests = []
+        for _, cand in raw:
+            if hasattr(cand, "feedback"):
+                c_m = dataclasses.replace(
+                    cand, feedback=lambda s, xb, f=cand.feedback, m=m:
+                    project_ball(f(s, xb), m, w))
+            elif isinstance(cand, ConstantSignal):
+                c_m = ConstantSignal(project_ball(cand.value, m, w))
+            else:
+                c_m = PiecewiseConstantSignal(cand.knots,
+                                              project_ball(cand.values, m, w))
+            ests.append(feynman_kac_value(
+                problem, c_m, 0.0, x, n_paths=kwargs["paths_per_candidate"],
+                n_steps=kwargs["n_steps"], seed=kwargs["seed"],
+                stream_label="family_paths"))
+        best = int(np.argmin([e.mean for e in ests]))
+        level_values.append(ests[best].mean)
+        level_ses.append(ests[best].std_error)
+    assert report.constants["level_values"] == level_values
+    running = np.minimum.accumulate(level_values)
+    assert report.constants["values"] == running.tolist()
+    # the running minimum keeps the SE of the level that first reached it
+    ses = [level_ses[level_values.index(v)] for v in running]
+    assert report.constants["std_errors"] == ses
 
 
 def test_truncation_scan_validates_radii():
