@@ -16,8 +16,24 @@ by making the same request (seed, stream_label, n_paths, n_steps) and so get
 the same bits. The last block made is kept and a repeat of the same request
 gets that array back; blocks are handed out read-only, so no caller can
 change what the next one receives. The memo only decides how often a block
-is built, never what it holds. Ensembles are advanced as one (n_paths, dim)
-batch; a path is a view into the batch.
+is built, never what it holds.
+
+Large ensembles are advanced in path tiles that fit in cache: the budget is
+256 KB for one tile's (rows, dim) float64 state, so 1536 rows on the 21-dim
+delay lift and 2048 on the 16-point reaction-diffusion grid. The tiles run
+one after another, each through every step, and write their slices of the
+run's outputs; a run that fits in one tile is one pass, as before. Every
+tile but the last is a multiple of 64 rows, and the tiles are balanced. The
+result carries the same bits as one pass because every callback acts on
+each path's row alone, path k's noise depends only on k, and every row keeps
+its place modulo 64 in each matrix product. That last part matters: OpenBLAS
+0.3.31 (Haswell kernel) can give the trailing m mod 4 rows of an m-row
+product, (m, 21) @ (21, 1) for instance, other bits than the same rows
+inside a larger product, so a one-path run need not equal path 0 of a
+larger one; 64 rows leave room for kernels with wider row blocks. The
+noise block is requested once per run and sliced per tile. A divergence in
+any tile reruns the request as one pass, so the error names the earliest
+step over all paths and the magnitude over all of them at that step.
 
 One loop, `_run`, advances every ensemble and returns one record,
 `PathEnsemble`: the time grid, terminal states and clip fraction always, and
@@ -61,6 +77,10 @@ __all__ = [
 ]
 
 _DIVERGENCE_LIMIT = 1e8
+# byte budget of one tile's (rows, N) float64 state, and the row multiple every
+# tile but the last keeps; the module docstring says why
+_TILE_BYTES = 256 * 1024
+_TILE_ALIGN = 64
 
 
 class SimulationDivergenceError(RuntimeError):
@@ -141,6 +161,17 @@ def _prepare_control(problem, control, step_times, n_paths):
     return "values", vals
 
 
+def _tile_bounds(n_paths, n):
+    """(lo, hi) row ranges of the path tiles for an n-dimensional state."""
+    max_rows = max(_TILE_ALIGN, _TILE_BYTES // (8 * n) // _TILE_ALIGN * _TILE_ALIGN)
+    if n_paths <= max_rows:
+        return [(0, n_paths)]
+    # balanced, so no small tail tile pays for a whole step loop
+    n_tiles = -(-n_paths // max_rows)
+    rows = _TILE_ALIGN * -(-n_paths // (n_tiles * _TILE_ALIGN))
+    return [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
+
+
 def _run(
     problem,
     t,
@@ -170,15 +201,12 @@ def _run(
 
     n = problem.dim
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        X = np.tile(x, (n_paths, 1))
-    elif x.shape == (n_paths, n):
-        X = x.copy()
-    else:
+    if not (x.ndim == 1 or x.shape == (n_paths, n)):
         raise ValueError(f"initial state must be ({n},) or ({n_paths}, {n})")
 
     kind, ctl = _prepare_control(problem, control, step_times, n_paths)
     box = problem.control_spec.box
+    q = problem.control_spec.dim
 
     dw = gaussian_increments(master_seed, stream_label, n_paths, n_steps,
                              problem.noise_dim, dt)
@@ -186,77 +214,103 @@ def _run(
     E = semigroup_matrix(problem.op, dt)
     sigma_const = problem.noise if problem.additive_noise else None
 
-    states = None
-    if record_states:
-        states = np.empty((n_paths, n_steps + 1, n))
-        states[:, 0] = X
-    traces = None
-    if record_controls:
-        traces = np.empty((n_paths, n_steps, problem.control_spec.dim))
-    costs = np.zeros(n_paths) if accumulate_costs else None
+    states = np.empty((n_paths, n_steps + 1, n)) if record_states else None
+    traces = np.empty((n_paths, n_steps, q)) if record_controls else None
+    costs = np.empty(n_paths) if accumulate_costs else None
     separated = problem.cost_structure if accumulate_costs else None
-    if separated is not None:
-        # l1 and l2 outlive the calls that make them, so they are copied into
-        # arrays made once, as costs is: a fresh array kept across steps
-        # fragments the heap under the step's (P, N) temporaries (7x the
-        # page faults of a 20000-path delay-lift run)
-        c1, c2 = np.empty((2, n_paths))
-        c1[...] = separated.l1(X)
-    sup_norm = h_norm(problem.space, X) if track_sup_norm else None
-    clip_events = 0
+    sup_norm = np.empty(n_paths) if track_sup_norm else None
 
-    for k in range(n_steps):
-        s = grid[k]
-        if kind == "policy":
-            a = np.asarray(ctl.feedback(s, X), dtype=float)
-            if a.shape != (n_paths, problem.control_spec.dim):
-                a = np.broadcast_to(a, (n_paths, problem.control_spec.dim))
-            if box is not None:
-                a = np.clip(a, box[0], box[1])
-                # feedback maps often clip internally, so count saturation
-                # by boundary contact rather than by values moved
-                at_edge = (a <= box[0]) | (a >= box[1])
-                clip_events += int(np.sum(np.any(at_edge, axis=-1)))
-        else:
-            ak = ctl[:, k] if ctl.ndim == 3 else ctl[k]
-            a = np.broadcast_to(ak, (n_paths, problem.control_spec.dim))
-        if record_controls:
-            traces[:, k] = a
-
-        bX = problem.drift(X, a)
-        if separated is not None:
-            c2[...] = separated.l2(a)
-            l_left = c1 + c2
-        elif accumulate_costs:
-            l_left = problem.running_cost(X, a)
-        sig = sigma_const if sigma_const is not None else problem.noise_at(X)
-        if sig.ndim == 2:
-            noise_term = dw[:, k] @ sig.T
-        else:
-            noise_term = np.einsum("pnq,pq->pn", sig, dw[:, k])
-        X = (X + dt * bX + noise_term) @ E.T
-
-        worst = float(np.max(np.abs(X))) if X.size else 0.0
-        if not np.isfinite(worst) or worst > _DIVERGENCE_LIMIT:
-            raise SimulationDivergenceError(k + 1, grid[k + 1], worst)
-
-        if separated is not None:
-            c1[...] = separated.l1(X)
-            costs += 0.5 * dt * (l_left + (c1 + c2))
-        elif accumulate_costs:
-            costs += 0.5 * dt * (l_left + problem.running_cost(X, a))
+    def advance(lo, hi):
+        """Run every step on paths lo:hi; return their terminal states and
+        the number of their path-steps with the control at the box."""
+        rows = hi - lo
+        X = np.tile(x, (rows, 1)) if x.ndim == 1 else x[lo:hi].copy()
+        ctl_rows = ctl[lo:hi] if kind == "values" and ctl.ndim == 3 else ctl
+        dw_rows = dw[lo:hi]
+        if accumulate_costs:
+            cost_rows = costs[lo:hi]
+            cost_rows[...] = 0.0
         if record_states:
-            states[:, k + 1] = X
+            states[lo:hi, 0] = X
+        if separated is not None:
+            # l1 and l2 outlive the calls that make them, so they are copied
+            # into arrays made once per tile: a fresh array kept across steps
+            # fragments the heap under the step's (P, N) temporaries (7x the
+            # page faults of a 20000-path delay-lift run)
+            c1, c2 = np.empty((2, rows))
+            c1[...] = separated.l1(X)
         if track_sup_norm:
-            np.maximum(sup_norm, h_norm(problem.space, X), out=sup_norm)
+            norm_rows = sup_norm[lo:hi]
+            norm_rows[...] = h_norm(problem.space, X)
+        clip_events = 0
 
-    if accumulate_costs and include_terminal:
-        costs += problem.terminal_cost(X)
+        for k in range(n_steps):
+            s = grid[k]
+            if kind == "policy":
+                a = np.asarray(ctl.feedback(s, X), dtype=float)
+                if a.shape != (rows, q):
+                    a = np.broadcast_to(a, (rows, q))
+                if box is not None:
+                    a = np.clip(a, box[0], box[1])
+                    # feedback maps often clip internally, so count saturation
+                    # by boundary contact rather than by values moved
+                    at_edge = (a <= box[0]) | (a >= box[1])
+                    clip_events += int(np.sum(np.any(at_edge, axis=-1)))
+            else:
+                ak = ctl_rows[:, k] if ctl_rows.ndim == 3 else ctl_rows[k]
+                a = np.broadcast_to(ak, (rows, q))
+            if record_controls:
+                traces[lo:hi, k] = a
+
+            bX = problem.drift(X, a)
+            if separated is not None:
+                c2[...] = separated.l2(a)
+                l_left = c1 + c2
+            elif accumulate_costs:
+                l_left = problem.running_cost(X, a)
+            sig = sigma_const if sigma_const is not None else problem.noise_at(X)
+            if sig.ndim == 2:
+                noise_term = dw_rows[:, k] @ sig.T
+            else:
+                noise_term = np.einsum("pnq,pq->pn", sig, dw_rows[:, k])
+            X = (X + dt * bX + noise_term) @ E.T
+
+            worst = float(np.max(np.abs(X))) if X.size else 0.0
+            if not np.isfinite(worst) or worst > _DIVERGENCE_LIMIT:
+                raise SimulationDivergenceError(k + 1, grid[k + 1], worst)
+
+            if separated is not None:
+                c1[...] = separated.l1(X)
+                cost_rows += 0.5 * dt * (l_left + (c1 + c2))
+            elif accumulate_costs:
+                cost_rows += 0.5 * dt * (l_left + problem.running_cost(X, a))
+            if record_states:
+                states[lo:hi, k + 1] = X
+            if track_sup_norm:
+                np.maximum(norm_rows, h_norm(problem.space, X), out=norm_rows)
+
+        if accumulate_costs and include_terminal:
+            cost_rows += problem.terminal_cost(X)
+        return X, clip_events
+
+    tiles = _tile_bounds(n_paths, n)
+    if len(tiles) > 1:
+        terminal, clip_events = np.empty((n_paths, n)), 0
+        try:
+            for lo, hi in tiles:
+                terminal[lo:hi], clips = advance(lo, hi)
+                clip_events += clips
+        except SimulationDivergenceError:
+            # the error names the earliest step over all paths and the largest
+            # magnitude at that step, which only a pass over every path sees
+            tiles = [(0, n_paths)]
+    if len(tiles) == 1:
+        terminal, clip_events = advance(0, n_paths)
 
     clip_fraction = clip_events / (n_paths * n_steps) if kind == "policy" else 0.0
     return PathEnsemble(
         time_grid=grid,
-        terminal_states=X,
+        terminal_states=terminal,
         clip_fraction=clip_fraction,
         states=states,
         costs=costs,
@@ -379,6 +433,9 @@ def _write_rows(fh, path_id, grid, states):
 
 
 def write_ensemble_csv(path, ensemble: PathEnsemble):
+    if ensemble.states is None:
+        raise ValueError("the run record has no states: write_ensemble_csv "
+                         "needs a simulate_ensemble record")
     n = ensemble.states.shape[2]
     with open(path, "w") as fh:
         fh.write("path_id,step,time," + ",".join(f"x{i}" for i in range(n)) + "\n")

@@ -143,6 +143,10 @@ class ControlProblem:
     control batches (..., q) and returns (..., N). noise is a constant
     (N, n_w) matrix (additive) or a callable state -> (..., N, n_w).
     running_cost and terminal_cost map batches to scalars per row.
+    Every callback here and in cost_structure is row-wise: row k of its
+    result depends on row k of its arguments alone, with the same bits
+    whatever rows share the batch (for batches cut at multiples of 64 rows,
+    see engine), since the engine advances large ensembles in path tiles.
 
     With a cost_structure, running_cost may be left out and is then derived
     as l1(x) + l2(a); the engine integrates cost_structure directly whenever

@@ -50,7 +50,12 @@ _PROVENANCES = ("closed_form_gamma", "policy_iteration", "oracle")
 
 @dataclass(frozen=True)
 class Policy:
-    """Feedback map (s, state batch) -> control batch, with provenance."""
+    """Feedback map (s, state batch) -> control batch, with provenance.
+
+    feedback is row-wise: row k of the control batch depends on s and state
+    row k alone, with the same bits whatever rows share the batch (cut at
+    multiples of 64 rows), since the engine calls it once per path tile.
+    """
 
     feedback: Callable
     provenance: str
@@ -210,11 +215,10 @@ def make_gamma_policy(problem, gradient_fn, provenance="closed_form_gamma",
     gradient_fn(t, x_batch) must return the spatial gradient (in the
     weighted inner product) at each state row.
     """
-    box = problem.control_spec.box
 
     def feedback(s, x_batch):
         xb = np.atleast_2d(np.asarray(x_batch, dtype=float))
-        return clip_box(gamma_separated(problem, gradient_fn(s, xb), x=xb), box)
+        return gamma_separated(problem, gradient_fn(s, xb), x=xb)
 
     return Policy(feedback=feedback, provenance=provenance,
                   gradient_source=gradient_fn, label=label)

@@ -13,7 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hjblab.controls import ConstantSignal, PiecewiseConstantSignal, zero_signal
+from hjblab import engine
+from hjblab.controls import (
+    ConstantSignal,
+    PiecewiseConstantSignal,
+    TraceSignal,
+    zero_signal,
+)
 from hjblab.engine import (
     SimulationDivergenceError,
     gaussian_increments,
@@ -37,10 +43,16 @@ from hjblab.models import (
     build_lq_benchmark,
     build_reaction_diffusion,
     build_sdde_lift,
+    riccati_solve,
 )
 from hjblab.seeds import stream
-from hjblab.synthesis import make_gamma_policy
-from hjblab.value import ControlFamily
+from hjblab.synthesis import (
+    make_gamma_policy,
+    make_riccati_policy,
+    scale_policy,
+    zero_policy,
+)
+from hjblab.value import ControlFamily, PolicyIterationConfig, policy_iteration
 
 
 # --- oracles ---------------------------------------------------------------
@@ -356,6 +368,185 @@ def test_separated_cost_path_matches_running_cost_path_bitwise(builder):
         assert runs[0].tobytes() == runs[1].tobytes()
 
 
+# --- path tiles -----------------------------------------------------------------
+
+TILE_PATHS = 997
+TILE_STEPS = 25
+
+
+def tile_budget(problem, rows):
+    """A tile byte budget that gives `problem` tiles of at most `rows` rows."""
+    return 8 * problem.dim * rows
+
+
+def run_all_outputs(problem, x, control, seed=17):
+    """One run asked for every output, with its increment-memo counts."""
+    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+    hits, misses = increment_memo.hits, increment_memo.misses
+    run = engine._run(problem, 0.0, x, control, TILE_PATHS, TILE_STEPS, seed,
+                      "paths", record_states=True, record_controls=True,
+                      accumulate_costs=True, track_sup_norm=True)
+    assert (increment_memo.hits, increment_memo.misses) == (hits, misses + 1)
+    return run
+
+
+def tile_controls(problem, case):
+    """(initial state, control) for one tiling case."""
+    rng = np.random.default_rng(23)
+    q, n = problem.control_spec.dim, problem.dim
+    x = np.full(n, 0.7)
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    if case == "gamma_box":
+        return x, gamma
+    if case == "per_path_states":
+        return rng.normal(0.0, 0.5, (TILE_PATHS, n)), gamma
+    if case == "piecewise":
+        knots = np.linspace(0.0, problem.horizon, 5)
+        return x, PiecewiseConstantSignal(knots, rng.normal(0.0, 1.0, (4, q)))
+    step_times = (problem.horizon / TILE_STEPS) * np.arange(TILE_STEPS)
+    values = rng.normal(0.0, 1.0, (TILE_PATHS, TILE_STEPS, q))
+    return x, TraceSignal(step_times, values)
+
+
+def multiplicative_reaction_diffusion():
+    """reaction_diffusion with state-dependent noise, so noise_at is a callback."""
+    problem = build_reaction_diffusion()
+    sigma = problem.noise
+    return dataclasses.replace(
+        problem, noise=lambda x: sigma * (1.0 + 0.1 * np.tanh(x))[..., :, None])
+
+
+@pytest.mark.parametrize("case", ["gamma_box", "per_path_states", "piecewise",
+                                  "per_path_trace"])
+@pytest.mark.parametrize("builder", [
+    lambda: build_lq_benchmark(control_bound=0.6)[0],
+    build_reaction_diffusion,
+    multiplicative_reaction_diffusion,
+    lambda: build_sdde_lift(control_bound=0.4),
+], ids=["lq", "reaction_diffusion", "rd_multiplicative", "sdde"])
+def test_tiled_run_matches_one_pass_bitwise(monkeypatch, builder, case):
+    problem = builder()
+    x, control = tile_controls(problem, case)
+    assert len(engine._tile_bounds(TILE_PATHS, problem.dim)) == 1
+    one_pass = run_all_outputs(problem, x, control)
+    monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 256))
+    bounds = engine._tile_bounds(TILE_PATHS, problem.dim)
+    assert [lo for lo, _ in bounds] == [0, 256, 512, 768]
+    tiled = run_all_outputs(problem, x, control)
+    for field in ("costs", "terminal_states", "states", "control_traces",
+                  "sup_norm"):
+        assert getattr(tiled, field).tobytes() == getattr(one_pass, field).tobytes()
+    assert tiled.clip_fraction == one_pass.clip_fraction
+    if case == "gamma_box":
+        assert tiled.clip_fraction > 0.0
+
+
+@pytest.mark.parametrize("n_paths, max_rows, sizes", [
+    (997, 256, [256, 256, 256, 229]),
+    (1025, 1024, [576, 449]),      # balanced: no 1-row tail tile
+    (200, 64, [64, 64, 64, 8]),
+    (1536, 1536, [1536]),
+])
+def test_tiles_are_balanced_multiples_of_64(monkeypatch, n_paths, max_rows, sizes):
+    monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 3 * max_rows)
+    bounds = engine._tile_bounds(n_paths, 3)
+    assert [hi - lo for lo, hi in bounds] == sizes
+    assert bounds[0][0] == 0 and bounds[-1][1] == n_paths
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+def test_tile_budget_gives_the_documented_rows():
+    assert len(engine._tile_bounds(1536, build_sdde_lift().dim)) == 1
+    assert len(engine._tile_bounds(1537, build_sdde_lift().dim)) == 2
+    assert len(engine._tile_bounds(2048, build_reaction_diffusion().dim)) == 1
+    assert len(engine._tile_bounds(2049, build_reaction_diffusion().dim)) == 2
+
+
+@pytest.mark.parametrize("blowup", ["overflow", "nan"])
+def test_tiled_divergence_reports_the_one_pass_error(monkeypatch, blowup):
+    # tile 0 diverges late; a path in the last tile diverges much earlier,
+    # and the error must name that step and the magnitude over all paths
+    if blowup == "overflow":
+        drift, early, late = (lambda x, a: 5.0 * x), 1e7, 1e6
+    else:
+        def drift(x, a):
+            return np.where(np.abs(x) > 1e3, np.nan, 5.0 * x)
+        early, late = 500.0, 20.0
+    problem = scalar_problem(drift, 0.0)
+    x = np.full((TILE_PATHS, 1), late)
+    x[-3] = early
+    errors = []
+    for budget in (engine._TILE_BYTES, tile_budget(problem, 256)):
+        monkeypatch.setattr(engine, "_TILE_BYTES", budget)
+        with pytest.raises(SimulationDivergenceError) as info:
+            simulate_costs(problem, 0.0, x, zero_signal(1), TILE_PATHS,
+                           n_steps=100, seed=0)
+        errors.append(info.value)
+    one_pass, tiled = errors
+    assert 0 < tiled.step < 60
+    assert (tiled.step, tiled.time) == (one_pass.step, one_pass.time)
+    if blowup == "nan":
+        assert math.isnan(tiled.magnitude) and math.isnan(one_pass.magnitude)
+    else:
+        assert tiled.magnitude == one_pass.magnitude
+
+
+# --- the row-wise contract ------------------------------------------------------
+
+
+ROW_CUTS = [0, 64, 320, 512, 997]  # 64-row-aligned slices of a 997-row batch
+
+
+def pipeline_policies(kind, problem):
+    """The policies the pipeline makes for a problem kind, by name."""
+    if kind == "lq":
+        _, oracle = build_lq_benchmark()
+        sol = riccati_solve(oracle, np.linspace(0.0, problem.horizon, 801))
+        base = make_riccati_policy(problem, sol)
+        x_grid = np.array([[-1.0], [0.5], [1.5]])
+    else:
+        base = make_gamma_policy(problem, lambda s, xb: 8.0 * xb)
+        x_grid = np.stack([np.full(problem.dim, 0.2), np.full(problem.dim, -0.4)])
+    iterated = policy_iteration(
+        problem, (0.0, 0.2), x_grid, n_rounds=1, seed=4,
+        cfg=PolicyIterationConfig(paths_per_point=40, n_steps=8)).policy
+    return {"riccati_or_gamma": base, "zero": zero_policy(problem),
+            "scaled": scale_policy(base, 0.5), "policy_iteration": iterated}
+
+
+@pytest.mark.parametrize("kind, builder", [
+    ("lq", lambda: build_lq_benchmark(control_bound=0.6)[0]),
+    ("reaction_diffusion", build_reaction_diffusion),
+    ("reaction_diffusion", multiplicative_reaction_diffusion),
+    ("sdde", lambda: build_sdde_lift(control_bound=0.4)),
+], ids=["lq", "reaction_diffusion", "rd_multiplicative", "sdde"])
+def test_callbacks_are_row_wise_on_aligned_slices(kind, builder):
+    # the engine advances large ensembles in 64-row-aligned path tiles, which
+    # is exact only if each callback gives a row the same bits in any batch
+    problem = builder()
+    rng = np.random.default_rng(31)
+    x = rng.normal(0.0, 0.8, (ROW_CUTS[-1], problem.dim))
+    a = rng.normal(0.0, 2.0, (ROW_CUTS[-1], problem.control_spec.dim))
+    cost = problem.cost_structure
+    calls = {
+        "drift": lambda lo, hi: problem.drift(x[lo:hi], a[lo:hi]),
+        "l1": lambda lo, hi: cost.l1(x[lo:hi]),
+        "l2": lambda lo, hi: cost.l2(a[lo:hi]),
+        "terminal_cost": lambda lo, hi: problem.terminal_cost(x[lo:hi]),
+    }
+    if not problem.additive_noise:
+        calls["noise_at"] = lambda lo, hi: problem.noise_at(x[lo:hi])
+    for name, policy in pipeline_policies(kind, problem).items():
+        calls[name] = (lambda lo, hi, f=policy.feedback:
+                       np.asarray(f(0.1, x[lo:hi]), dtype=float))
+    for name, call in calls.items():
+        whole = call(0, ROW_CUTS[-1])
+        pieces = np.concatenate([call(lo, hi)
+                                 for lo, hi in zip(ROW_CUTS, ROW_CUTS[1:])])
+        assert whole.shape[0] == ROW_CUTS[-1], name
+        assert pieces.tobytes() == whole.tobytes(), name
+
+
 # --- guards -------------------------------------------------------------------
 
 
@@ -522,6 +713,14 @@ def test_interleaved_requests_return_first_bits_again():
     again = gaussian_increments(8, "A", 3, 4, 2, 0.25)
     assert again.tobytes() == a_bits
     assert increment_memo.misses == misses + 2
+
+
+def test_ensemble_csv_needs_a_record_with_states(tmp_path):
+    problem = scalar_problem(lambda x, a: -x, 0.3)
+    run = simulate_costs(problem, 0.0, np.array([1.0]), zero_signal(1),
+                         n_paths=3, n_steps=5, seed=21)
+    with pytest.raises(ValueError, match="no states"):
+        write_ensemble_csv(tmp_path / "paths.csv", run)
 
 
 def test_ensemble_csv_round_trip(tmp_path):
