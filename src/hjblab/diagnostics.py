@@ -6,13 +6,14 @@ scaling exponents from log-log regressions, finiteness and stability of
 estimated constants under sample growth, and per-triple convexity defects
 with explicit Monte Carlo slack. Each report says which of those it did.
 
-Value-based scans speak to evaluators with the (t, x, seed) -> samples
-contract from the value layer; the same seed is passed to every evaluation
-inside one statistic, so differences of value estimates are paired and their
-noise largely cancels. Trajectory checks couple all variants for the same
-reason: each variant asks the engine for the same increment block (seed,
-stream label, path and step counts), with no block passed around. Paired
-means and standard errors all come from value.MCEstimate.from_samples.
+Value-based scans speak to evaluators with the (t, xs (K, N), seed) ->
+samples (K, P) contract from the value layer: the points of one statistic
+(a pair, or a triple and its midpoint) go in one call on one seed, so
+differences of value estimates are paired and their noise largely cancels.
+Trajectory checks couple all variants for the same reason: the legs of one
+pair or probe are contestants of one engine call, on one increment block
+(seed, stream label, path and step counts), with no block passed around.
+Paired means and standard errors all come from value.MCEstimate.from_samples.
 
 Verdicts are three-way: a scan whose extreme statistic is smaller than its
 own noise reports inconclusive rather than pass.
@@ -46,8 +47,14 @@ __all__ = [
 ]
 
 
-def _samples(evaluator, t, x, seed):
-    return np.asarray(evaluator(t, x, seed), dtype=float).ravel()
+def _samples(evaluator, t, xs, seed):
+    """(K, P) samples at the K points xs, evaluated in one call."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.asarray(evaluator(t, xs, seed), dtype=float)
+    if out.ndim != 2 or out.shape[0] != xs.shape[0]:
+        raise ValueError(f"evaluator gave samples of shape {out.shape} for "
+                         f"{xs.shape[0]} points; need one row per point")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +94,8 @@ def lipschitz_estimate(
         d = float(norm(np.asarray(x, float) - np.asarray(y, float)))
         if d == 0.0:
             continue
-        diff = _samples(value_evaluator, t, x, seed) - _samples(
-            value_evaluator, t, y, seed)
-        est = MCEstimate.from_samples(diff)
+        vx, vy = _samples(value_evaluator, t, [x, y], seed)
+        est = MCEstimate.from_samples(vx - vy)
         kept.append((i, (abs(est.mean) / d, est.std_error / d)))
     skipped = len(pairs) - len(kept)
     if not kept:
@@ -144,12 +150,9 @@ def lipschitz_estimate(
 
 
 def _defect_samples(evaluator, t, x, x_prime, lam, seed):
-    vx = _samples(evaluator, t, x, seed)
-    vp = _samples(evaluator, t, x_prime, seed)
-    mid = lam * np.asarray(x, float) + (1.0 - lam) * np.asarray(x_prime, float)
-    vm = _samples(evaluator, t, mid, seed)
-    if not (vx.shape == vp.shape == vm.shape):
-        raise ValueError("evaluator returned mismatched sample counts")
+    x, x_prime = np.asarray(x, float), np.asarray(x_prime, float)
+    mid = lam * x + (1.0 - lam) * x_prime
+    vx, vp, vm = _samples(evaluator, t, [x, x_prime, mid], seed)
     return lam * vx + (1.0 - lam) * vp - vm
 
 
@@ -501,9 +504,8 @@ def trajectory_stability_check(
             inits = [x0] * (len(eps) + 1)
             controls = [a0] + [convex_combination(a0, a1, float(e)) for e in eps]
             degenerate = a0 is a1
-        runs = [simulate_ensemble(problem, t, x_init, c, n_paths, n_steps,
-                                  seed, "stability")
-                for x_init, c in zip(inits, controls)]
+        runs = simulate_ensemble(problem, t, inits, controls, n_paths,
+                                 n_steps, seed, "stability")
         base = runs[0].states
         gaps = np.array([
             float(np.mean(_sup_norm_gap(r.states, base, norm) ** 2))
@@ -626,11 +628,10 @@ def midpoint_trajectory_check(
     endpoint_bad = None
     rows = []
     for k, pr in enumerate(probes):
-        runs = [simulate_ensemble(problem, t, x_init, c, n_paths, n_steps,
-                                  seed, "midpoint")
-                for x_init, c in ((np.asarray(pr.x0, float), pr.a0),
-                                  (np.asarray(pr.x1, float), pr.a1),
-                                  (pr.x_mid, pr.a_mid))]
+        runs = simulate_ensemble(
+            problem, t, [np.asarray(pr.x0, float), np.asarray(pr.x1, float),
+                         pr.x_mid], [pr.a0, pr.a1, pr.a_mid],
+            n_paths, n_steps, seed, "midpoint")
         interp = pr.lam * runs[1].states + (1.0 - pr.lam) * runs[0].states
         est = MCEstimate.from_samples(
             _sup_norm_gap(interp, runs[2].states, norm))

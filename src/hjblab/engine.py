@@ -12,11 +12,11 @@ increments depend only on (master_seed, stream_label, k) and never on how
 many paths run alongside it or in what order. One Philox generator is
 re-keyed for each path rather than built anew. The step loop asks for its
 increments itself and takes no block from its caller: contestants share noise
-by making the same request (seed, stream_label, n_paths, n_steps) and so get
-the same bits. The last block made is kept and a repeat of the same request
-gets that array back; blocks are handed out read-only, so no caller can
-change what the next one receives. The memo only decides how often a block
-is built, never what it holds.
+by making the same request (seed, stream_label, n_paths, n_steps), in one
+call or several, and so get the same bits. The last block made is kept and
+a repeat of the same request gets that array back; blocks are handed out
+read-only, so no caller can change what the next one receives. The memo
+only decides how often a block is built, never what it holds.
 
 Large ensembles are advanced in path tiles that fit in cache: the budget is
 256 KB for one tile's (rows, dim) float64 state, so 1536 rows on the 21-dim
@@ -35,12 +35,29 @@ noise block is requested once per run and sliced per tile. A divergence in
 any tile reruns the request as one pass, so the error names the earliest
 step over all paths and the magnitude over all of them at that step.
 
-One loop, `_run`, advances every ensemble and returns one record,
-`PathEnsemble`: the time grid, terminal states and clip fraction always, and
-states, per-path costs, control traces or sup norms when they were asked
-for. `simulate_ensemble` (states) and `simulate_costs` (costs, optionally
-controls) hand that record back unchanged; a single path is path 0 of a
-one-path ensemble.
+A run takes a list of contestants, each a starting state and a control, on
+one noise request: the candidates of a value family, the legs of a finite
+difference, the challengers of a tournament. They advance in groups, as one
+stacked (C, P, N) state, which pays each step's fixed numpy overhead once
+per group rather than once per contestant. A group holds whole contestants
+whose state fits in half the tile budget, 128 KB, so 6 reaction-diffusion
+contestants at 150 paths and a lone one at 1000; a contestant larger than a
+tile runs alone, in tiles. Per step an additive noise term is formed once
+on P rows and shared; drift, costs and noise_at are called once on the
+stacked rows, which is exact because they are row-wise at any row offset;
+each feedback map is called on its own contestant's (P, N) block, so it
+keeps the aligned batches above; and the stacked product with E is one gemm
+per contestant block, so every row keeps its place. Each contestant thus gets the bits of
+its own run. If a group diverges, its contestants rerun one at a time, in
+order, so the error raised is the one that contestant's own run raises.
+
+One loop, `_run`, advances every run, a single contestant being the C = 1
+case, and returns one record per contestant, `PathEnsemble`: the time grid,
+terminal states and clip fraction always, and states, per-path costs,
+control traces or sup norms when they were asked for. `simulate_ensemble`
+(states) and `simulate_costs` (costs, optionally controls) hand those
+records back unchanged, one for one contestant or a list for lists of
+states and controls; a single path is path 0 of a one-path ensemble.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
@@ -172,11 +189,19 @@ def _tile_bounds(n_paths, n):
     return [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
 
 
+def _group_bounds(n_contestants, n_paths, n):
+    """(first, stop) contestant ranges of the groups for an n-dimensional state."""
+    per_group = max(1, _TILE_BYTES // 2 // max(1, 8 * n_paths * n))
+    # balanced, like the tiles
+    n_groups = -(-n_contestants // per_group)
+    return [(n_contestants * i // n_groups, n_contestants * (i + 1) // n_groups)
+            for i in range(n_groups)]
+
+
 def _run(
     problem,
     t,
-    x,
-    control,
+    contestants,
     n_paths,
     n_steps,
     master_seed,
@@ -189,7 +214,8 @@ def _run(
     include_terminal=True,
     track_sup_norm=False,
 ):
-    """Advance an ensemble; the single loop behind every public entry point."""
+    """Advance (x, control) contestants on one noise request; the single loop
+    behind every public entry point. One record per contestant, in order."""
     horizon = problem.horizon if t_end is None else t_end
     if not (0.0 <= t < horizon <= problem.horizon + 1e-12):
         raise ValueError(f"need 0 <= t < t_end <= horizon, got t={t}, t_end={horizon}")
@@ -200,11 +226,13 @@ def _run(
     step_times = grid[:-1]
 
     n = problem.dim
-    x = np.asarray(x, dtype=float)
-    if not (x.ndim == 1 or x.shape == (n_paths, n)):
-        raise ValueError(f"initial state must be ({n},) or ({n_paths}, {n})")
-
-    kind, ctl = _prepare_control(problem, control, step_times, n_paths)
+    inits, controls = [], []
+    for x, control in contestants:
+        x = np.asarray(x, dtype=float)
+        if not (x.ndim == 1 or x.shape == (n_paths, n)):
+            raise ValueError(f"initial state must be ({n},) or ({n_paths}, {n})")
+        inits.append(x)
+        controls.append(_prepare_control(problem, control, step_times, n_paths))
     box = problem.control_spec.box
     q = problem.control_spec.dim
 
@@ -214,109 +242,153 @@ def _run(
     E = semigroup_matrix(problem.op, dt)
     sigma_const = problem.noise if problem.additive_noise else None
 
-    states = np.empty((n_paths, n_steps + 1, n)) if record_states else None
-    traces = np.empty((n_paths, n_steps, q)) if record_controls else None
-    costs = np.empty(n_paths) if accumulate_costs else None
+    # outputs for every contestant; each record holds its own slice
+    lead = (len(contestants), n_paths)
+    terminal = np.empty(lead + (n,))
+    clip_events = np.zeros(len(contestants), dtype=np.int64)
+    states = np.empty(lead + (n_steps + 1, n)) if record_states else None
+    traces = np.empty(lead + (n_steps, q)) if record_controls else None
+    costs = np.empty(lead) if accumulate_costs else None
     separated = problem.cost_structure if accumulate_costs else None
-    sup_norm = np.empty(n_paths) if track_sup_norm else None
+    sup_norm = np.empty(lead) if track_sup_norm else None
 
-    def advance(lo, hi):
-        """Run every step on paths lo:hi; return their terminal states and
-        the number of their path-steps with the control at the box."""
-        rows = hi - lo
-        X = np.tile(x, (rows, 1)) if x.ndim == 1 else x[lo:hi].copy()
-        ctl_rows = ctl[lo:hi] if kind == "values" and ctl.ndim == 3 else ctl
+    def advance(g0, g1, lo, hi):
+        """Run every step on paths lo:hi of contestants g0:g1, stacked as one
+        (C, rows, N) state; write their outputs and return the number of
+        each one's path-steps with the control at the box."""
+        n_c, rows = g1 - g0, hi - lo
+        X = np.empty((n_c, rows, n))
+        for c in range(n_c):
+            x = inits[g0 + c]
+            X[c] = x if x.ndim == 1 else x[lo:hi]
+        # controls fill their blocks of one array: feedback maps on their own
+        # block, shared signals in one assignment, per-path traces by rows
+        A = np.empty((n_c, rows, q))
+        policies, shared, per_path = [], [], []
+        for c, (kind, ctl) in enumerate(controls[g0:g1]):
+            if kind == "policy":
+                policies.append((c, ctl, A[c]))
+            elif ctl.ndim == 2:
+                shared.append((c, ctl))
+            else:
+                per_path.append((c, ctl[lo:hi]))
+        if shared:
+            shared_at = [c for c, _ in shared]
+            shared_vals = np.stack([v for _, v in shared])[:, :, None]
+        Af = A.reshape(n_c * rows, q)
         dw_rows = dw[lo:hi]
         if accumulate_costs:
-            cost_rows = costs[lo:hi]
-            cost_rows[...] = 0.0
+            acc = np.zeros(n_c * rows)
         if record_states:
-            states[lo:hi, 0] = X
+            states[g0:g1, lo:hi, 0] = X
         if separated is not None:
             # l1 and l2 outlive the calls that make them, so they are copied
             # into arrays made once per tile: a fresh array kept across steps
             # fragments the heap under the step's (P, N) temporaries (7x the
             # page faults of a 20000-path delay-lift run)
-            c1, c2 = np.empty((2, rows))
-            c1[...] = separated.l1(X)
+            c1, c2 = np.empty((2, n_c * rows))
+            c1[...] = separated.l1(X.reshape(n_c * rows, n))
         if track_sup_norm:
-            norm_rows = sup_norm[lo:hi]
-            norm_rows[...] = h_norm(problem.space, X)
-        clip_events = 0
+            norm = h_norm(problem.space, X)
+        clips = np.zeros(n_c, dtype=np.int64)
 
         for k in range(n_steps):
             s = grid[k]
-            if kind == "policy":
-                a = np.asarray(ctl.feedback(s, X), dtype=float)
-                if a.shape != (rows, q):
-                    a = np.broadcast_to(a, (rows, q))
+            for c, ctl, a in policies:
+                a[...] = ctl.feedback(s, X[c])
                 if box is not None:
-                    a = np.clip(a, box[0], box[1])
+                    np.clip(a, box[0], box[1], out=a)
                     # feedback maps often clip internally, so count saturation
                     # by boundary contact rather than by values moved
                     at_edge = (a <= box[0]) | (a >= box[1])
-                    clip_events += int(np.sum(np.any(at_edge, axis=-1)))
-            else:
-                ak = ctl_rows[:, k] if ctl_rows.ndim == 3 else ctl_rows[k]
-                a = np.broadcast_to(ak, (rows, q))
+                    clips[c] += int(np.sum(np.any(at_edge, axis=-1)))
+            if shared:
+                A[shared_at] = shared_vals[:, k]
+            for c, vals in per_path:
+                A[c] = vals[:, k]
             if record_controls:
-                traces[lo:hi, k] = a
+                traces[g0:g1, lo:hi, k] = A
 
-            bX = problem.drift(X, a)
+            Xf = X.reshape(n_c * rows, n)
+            bX = problem.drift(Xf, Af).reshape(n_c, rows, n)
             if separated is not None:
-                c2[...] = separated.l2(a)
+                c2[...] = separated.l2(Af)
                 l_left = c1 + c2
             elif accumulate_costs:
-                l_left = problem.running_cost(X, a)
-            sig = sigma_const if sigma_const is not None else problem.noise_at(X)
-            if sig.ndim == 2:
-                noise_term = dw_rows[:, k] @ sig.T
+                l_left = problem.running_cost(Xf, Af)
+            # an additive noise term is formed once and shared by every
+            # contestant; state-dependent noise is contracted per contestant
+            # block, the same einsum call as in that contestant's own run
+            if sigma_const is not None:
+                noise_term = dw_rows[:, k] @ sigma_const.T
             else:
-                noise_term = np.einsum("pnq,pq->pn", sig, dw_rows[:, k])
+                sig = problem.noise_at(Xf).reshape(n_c, rows, n, -1)
+                noise_term = np.empty((n_c, rows, n))
+                for c in range(n_c):
+                    noise_term[c] = np.einsum("pnq,pq->pn", sig[c], dw_rows[:, k])
+            # a stacked product is one gemm per contestant block, so each row
+            # keeps its place modulo 64 (see the module docstring)
             X = (X + dt * bX + noise_term) @ E.T
 
             worst = float(np.max(np.abs(X))) if X.size else 0.0
             if not np.isfinite(worst) or worst > _DIVERGENCE_LIMIT:
                 raise SimulationDivergenceError(k + 1, grid[k + 1], worst)
 
+            Xf = X.reshape(n_c * rows, n)
             if separated is not None:
-                c1[...] = separated.l1(X)
-                cost_rows += 0.5 * dt * (l_left + (c1 + c2))
+                c1[...] = separated.l1(Xf)
+                acc += 0.5 * dt * (l_left + (c1 + c2))
             elif accumulate_costs:
-                cost_rows += 0.5 * dt * (l_left + problem.running_cost(X, a))
+                acc += 0.5 * dt * (l_left + problem.running_cost(Xf, Af))
             if record_states:
-                states[lo:hi, k + 1] = X
+                states[g0:g1, lo:hi, k + 1] = X
             if track_sup_norm:
-                np.maximum(norm_rows, h_norm(problem.space, X), out=norm_rows)
+                np.maximum(norm, h_norm(problem.space, X), out=norm)
 
-        if accumulate_costs and include_terminal:
-            cost_rows += problem.terminal_cost(X)
-        return X, clip_events
+        if accumulate_costs:
+            if include_terminal:
+                acc += problem.terminal_cost(X.reshape(n_c * rows, n))
+            costs[g0:g1, lo:hi] = acc.reshape(n_c, rows)
+        if track_sup_norm:
+            sup_norm[g0:g1, lo:hi] = norm
+        terminal[g0:g1, lo:hi] = X
+        return clips
 
-    tiles = _tile_bounds(n_paths, n)
-    if len(tiles) > 1:
-        terminal, clip_events = np.empty((n_paths, n)), 0
+    for g0, g1 in _group_bounds(len(contestants), n_paths, n):
+        tiles = _tile_bounds(n_paths, n)
         try:
-            for lo, hi in tiles:
-                terminal[lo:hi], clips = advance(lo, hi)
-                clip_events += clips
+            clip_events[g0:g1] = sum(advance(g0, g1, lo, hi) for lo, hi in tiles)
         except SimulationDivergenceError:
-            # the error names the earliest step over all paths and the largest
-            # magnitude at that step, which only a pass over every path sees
-            tiles = [(0, n_paths)]
-    if len(tiles) == 1:
-        terminal, clip_events = advance(0, n_paths)
+            if g1 - g0 == 1 and len(tiles) == 1:
+                raise
+            # each contestant's own run, one pass over all its paths: the
+            # first to diverge raises the error its own run raises, naming the
+            # earliest step over its paths and the largest magnitude there
+            for c in range(g0, g1):
+                clip_events[c] = advance(c, c + 1, 0, n_paths)[0]
 
-    clip_fraction = clip_events / (n_paths * n_steps) if kind == "policy" else 0.0
-    return PathEnsemble(
-        time_grid=grid,
-        terminal_states=terminal,
-        clip_fraction=clip_fraction,
-        states=states,
-        costs=costs,
-        control_traces=traces,
-        sup_norm=sup_norm,
-    )
+    return [
+        PathEnsemble(
+            time_grid=grid,
+            terminal_states=terminal[c],
+            clip_fraction=(int(clip_events[c]) / (n_paths * n_steps)
+                           if controls[c][0] == "policy" else 0.0),
+            states=None if states is None else states[c],
+            costs=None if costs is None else costs[c],
+            control_traces=None if traces is None else traces[c],
+            sup_norm=None if sup_norm is None else sup_norm[c],
+        )
+        for c in range(len(contestants))
+    ]
+
+
+def _contestants(x, control):
+    """[(x, control)] for one contestant, or the pairs of two equal lists."""
+    if not isinstance(control, list):
+        return [(x, control)]
+    if not isinstance(x, list) or len(x) != len(control):
+        raise ValueError("contestants need a list of initial states, one per control")
+    return list(zip(x, control))
 
 
 def simulate_ensemble(
@@ -328,15 +400,18 @@ def simulate_ensemble(
     n_steps=200,
     seed=42,
     stream_label="paths",
-) -> PathEnsemble:
+):
     """Simulate n_paths trajectories with full state recording.
 
     Runs that make the same (seed, stream_label, n_paths, n_steps) request
     share one noise realization per path index, so differences between them
-    are purely drift and initial-condition effects.
+    are purely drift and initial-condition effects. Lists of initial states
+    and controls, x[i] with control[i], are contestants on one such request:
+    they advance together and a list of records comes back, in their order.
     """
-    return _run(problem, t, x, control, n_paths, n_steps, seed, stream_label,
-                record_states=True)
+    runs = _run(problem, t, _contestants(x, control), n_paths, n_steps, seed,
+                stream_label, record_states=True)
+    return runs if isinstance(control, list) else runs[0]
 
 
 def simulate_costs(
@@ -351,17 +426,19 @@ def simulate_costs(
     t_end=None,
     include_terminal=True,
     record_controls=False,
-) -> PathEnsemble:
+):
     """Per-path accumulated costs without storing intermediate states.
 
     t_end cuts the sweep short (terminal cost is then usually excluded);
-    the dynamic-programming audit stitches two such sweeps together.
+    the dynamic-programming audit stitches two such sweeps together. Lists
+    of initial states and controls are contestants, as in simulate_ensemble.
     """
-    return _run(
-        problem, t, x, control, n_paths, n_steps, seed, stream_label,
-        t_end=t_end, accumulate_costs=True,
+    runs = _run(
+        problem, t, _contestants(x, control), n_paths, n_steps, seed,
+        stream_label, t_end=t_end, accumulate_costs=True,
         include_terminal=include_terminal, record_controls=record_controls,
     )
+    return runs if isinstance(control, list) else runs[0]
 
 
 def moment_bound_check(
@@ -386,8 +463,8 @@ def moment_bound_check(
         raise ValueError("moment order p must exceed 2")
 
     def sweep(master):
-        run = _run(problem, t, x, control, n_paths, n_steps, master, "paths",
-                   record_controls=True, track_sup_norm=True)
+        run, = _run(problem, t, [(x, control)], n_paths, n_steps, master,
+                    "paths", record_controls=True, track_sup_norm=True)
         est = float(np.mean(run.sup_norm ** p))
         # ||a||^2 in place: the (P, M, q) trace is the audit's largest array
         tr = run.control_traces

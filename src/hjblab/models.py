@@ -145,8 +145,10 @@ class ControlProblem:
     running_cost and terminal_cost map batches to scalars per row.
     Every callback here and in cost_structure is row-wise: row k of its
     result depends on row k of its arguments alone, with the same bits
-    whatever rows share the batch (for batches cut at multiples of 64 rows,
-    see engine), since the engine advances large ensembles in path tiles.
+    whatever rows share the batch and at whatever offset row k sits, since
+    the engine advances large ensembles in path tiles and calls these once
+    on contestants stacked at row offsets c * P (see engine). Feedback maps
+    only need that on batches cut at multiples of 64 rows.
 
     With a cost_structure, running_cost may be left out and is then derived
     as l1(x) + l2(a); the engine integrates cost_structure directly whenever

@@ -54,7 +54,8 @@ class Policy:
 
     feedback is row-wise: row k of the control batch depends on s and state
     row k alone, with the same bits whatever rows share the batch (cut at
-    multiples of 64 rows), since the engine calls it once per path tile.
+    multiples of 64 rows), since the engine calls it once per path tile on
+    each contestant's own block of rows.
     """
 
     feedback: Callable
@@ -282,9 +283,10 @@ def verify_optimality(
     """Paired tournament: the policy against random open-loop signals and
     scaled variants of itself.
 
-    Every contestant asks for the same Brownian increments (seed, stream
-    "verify", n_paths, n_steps), so each margin mean(J_challenger - J_policy)
-    carries the standard error of a paired difference. Pass iff no challenger wins by more than se_mult of its own
+    Every contestant runs in one engine call on the same Brownian increments
+    (seed, stream "verify", n_paths, n_steps), so each margin
+    mean(J_challenger - J_policy) carries the standard error of a paired
+    difference. Pass iff no challenger wins by more than se_mult of its own
     margin error. The minimum margin and its challenger are reported either
     way; a corrupted policy fails here because its unscaled parent is among
     the challengers.
@@ -294,12 +296,6 @@ def verify_optimality(
                          "standard error is undefined on one path")
     if family is None:
         family = ControlFamily()
-
-    def run(control):
-        return cost_samples(problem, t, x, control, n_paths, n_steps, seed,
-                            stream_label="verify")
-
-    base = run(policy)
 
     challengers = []
     for j in range(n_challengers):
@@ -311,7 +307,10 @@ def verify_optimality(
             f *= 1.0 + 0.05 * (j // len(_PERTURB_FACTORS))
         challengers.append((f"scaled_{f:g}", scale_policy(policy, f)))
 
-    diffs = [MCEstimate.from_samples(run(c) - base) for _, c in challengers]
+    base, *runs = cost_samples(problem, t, [x] * (len(challengers) + 1),
+                               [policy] + [c for _, c in challengers],
+                               n_paths, n_steps, seed, stream_label="verify")
+    diffs = [MCEstimate.from_samples(r - base) for r in runs]
     margins = np.array([e.mean for e in diffs])
     ses = np.array([e.std_error for e in diffs])
     losses = margins < -se_mult * ses

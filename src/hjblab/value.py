@@ -10,12 +10,19 @@ control, so a family without feedback candidates stalls above the value.
 All candidates at one point are evaluated on the same Brownian increments
 (common random numbers), which makes candidate comparisons paired and lets
 ties break deterministically toward the lowest index. There is no increment
-argument to pass: each candidate asks the engine with the same seed and
-stream label, and the same request always yields the same block.
+argument to pass: the candidates go to the engine as the contestants of one
+call, which makes one request (seed, stream label, paths, steps) and
+advances them together; the same request always yields the same block.
 
 cost_samples reads the per-path costs off one engine run and is the only
 way this layer runs the engine; the estimate for a single control is
 synthesis.feynman_kac_value.
+
+Evaluators price a batch of points: evaluator(t, xs (K, N), seed) returns
+per-path samples (K, P), one row per point, all on one seed. A policy
+evaluator runs the K points as contestants of one engine call, so the legs
+of a finite difference, the points of a defect triple or a policy-iteration
+point with its legs cost one noise request.
 """
 
 import math
@@ -172,10 +179,15 @@ def cost_samples(problem, t, x, control, n_paths, n_steps=200, seed=42,
     """Per-path total costs J_k; the raw material under every estimate.
 
     Calls with equal (seed, stream_label, n_paths, n_steps) run on the same
-    Brownian increments, which is how contestants are paired.
+    Brownian increments, which is how contestants are paired. Lists of
+    initial states and controls run as contestants in one engine call and
+    give a list of cost arrays, in their order.
     """
-    return simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
-                          stream_label).costs
+    runs = simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
+                          stream_label)
+    if isinstance(control, list):
+        return [run.costs for run in runs]
+    return runs.costs
 
 
 def estimate_value_family(
@@ -195,11 +207,10 @@ def estimate_value_family(
     Ties go to the lowest candidate index (np.argmin semantics).
     """
     pairs = family.candidates(problem, t, n_candidates, seed)
-    all_samples = [
-        cost_samples(problem, t, x, control, paths_per_candidate, n_steps,
-                     seed, stream_label="family_paths")
-        for _, control in pairs
-    ]
+    all_samples = cost_samples(problem, t, [x] * len(pairs),
+                               [control for _, control in pairs],
+                               paths_per_candidate, n_steps, seed,
+                               stream_label="family_paths")
     estimates = [MCEstimate.from_samples(s) for s in all_samples]
     means = np.array([e.mean for e in estimates])
     best = int(np.argmin(means))
@@ -285,17 +296,21 @@ def truncation_scan(
     previous = [(None, None)] * len(raw)
     level_values, level_ses = [], []
     for m in m_arr:
-        best_mean, best_se = np.inf, np.inf
+        rerun = {}
         for i, (_, cand) in enumerate(raw):
             c_m = _truncate_candidate(cand, float(m), weights)
             key = _signal_bytes(c_m)
-            prev_key, est = previous[i]
-            if key is None or key != prev_key:
-                est = MCEstimate.from_samples(
-                    cost_samples(problem, t, x, c_m, paths_per_candidate,
-                                 n_steps, seed, stream_label="family_paths")
-                )
-                previous[i] = (key, est)
+            if key is None or key != previous[i][0]:
+                rerun[i] = (key, c_m)
+        if rerun:
+            samples = cost_samples(problem, t, [x] * len(rerun),
+                                   [c_m for _, c_m in rerun.values()],
+                                   paths_per_candidate, n_steps, seed,
+                                   stream_label="family_paths")
+            for (i, (key, _)), s in zip(rerun.items(), samples):
+                previous[i] = (key, MCEstimate.from_samples(s))
+        best_mean, best_se = np.inf, np.inf
+        for _, est in previous:
             if est.mean < best_mean:
                 best_mean, best_se = est.mean, est.std_error
         level_values.append(best_mean)
@@ -336,32 +351,43 @@ def truncation_scan(
     )
 
 
+def _central_differences(x, h, w):
+    """The step and the 2N difference points: x + h e_i, then x - h e_i."""
+    if h is None:
+        h = 1e-3 * (1.0 + float(np.sqrt(np.sum(w * x * x))))
+    step = np.diag(np.full(x.shape[0], h))
+    return h, np.concatenate([x + step, x - step])
+
+
+def _slopes(samples, h, w):
+    """Gradient and its standard errors from the 2N points' samples."""
+    n = w.shape[0]
+    grad = np.empty(n)
+    ses = np.empty(n)
+    for i in range(n):
+        est = MCEstimate.from_samples((samples[i] - samples[n + i]) / (2.0 * h))
+        grad[i] = est.mean / w[i]
+        ses[i] = est.std_error / w[i]
+    return grad, ses
+
+
 def gradient_fd(value_evaluator, t, x, h=None, seed=0, weights=None):
     """Central-difference spatial gradient of an estimated value field.
 
-    value_evaluator(t, x, seed) returns per-path cost samples; both sides
-    of every difference run on the same seed, so the difference samples are
-    paired and the reported standard errors are of the differences, not of
-    the values. The returned gradient is taken in the weighted inner
-    product: coordinate slopes divided by the weights.
+    The 2N points x +- h e_i go to value_evaluator in one call on one seed,
+    so the difference samples are paired and the reported standard errors
+    are of the differences, not of the values. The returned gradient is
+    taken in the weighted inner product: coordinate slopes divided by the
+    weights.
 
     Warns when any component's standard error exceeds the component itself;
     at that point the sign of the slope is statistically unresolved.
     """
     x = np.asarray(x, dtype=float)
     w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
-    if h is None:
-        h = 1e-3 * (1.0 + float(np.sqrt(np.sum(w * x * x))))
-    grad = np.empty_like(x)
-    ses = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        plus = np.asarray(value_evaluator(t, x + e, seed), dtype=float)
-        minus = np.asarray(value_evaluator(t, x - e, seed), dtype=float)
-        est = MCEstimate.from_samples((plus - minus) / (2.0 * h))
-        grad[i] = est.mean / w[i]
-        ses[i] = est.std_error / w[i]
+    h, points = _central_differences(x, h, w)
+    grad, ses = _slopes(np.asarray(value_evaluator(t, points, seed), dtype=float),
+                        h, w)
     noisy = np.abs(ses) > np.abs(grad)
     if np.any(noisy):
         warnings.warn(
@@ -373,22 +399,26 @@ def gradient_fd(value_evaluator, t, x, h=None, seed=0, weights=None):
 
 
 # ---------------------------------------------------------------------------
-# evaluators: the uniform (t, x, seed) -> samples contract
+# evaluators: the uniform (t, xs (K, N), seed) -> samples (K, P) contract
 # ---------------------------------------------------------------------------
 
 
 def make_policy_evaluator(problem, policy, n_paths=2000, n_steps=150,
                           stream_label="paths"):
-    def evaluator(t, x, seed):
-        return cost_samples(problem, t, x, policy, n_paths, n_steps, seed,
-                            stream_label=stream_label)
+    """The policy's per-path costs from each of the points xs, which run as
+    contestants of one engine call on one noise request."""
+    def evaluator(t, xs, seed):
+        xs = np.asarray(xs, dtype=float)
+        return np.stack(cost_samples(problem, t, list(xs), [policy] * len(xs),
+                                     n_paths, n_steps, seed,
+                                     stream_label=stream_label))
     return evaluator
 
 
 def make_exact_evaluator(fn):
     """Wrap a closed-form value function as a zero-noise evaluator."""
-    def evaluator(t, x, seed):
-        return np.array([float(fn(t, np.asarray(x, dtype=float)))])
+    def evaluator(t, xs, seed):
+        return np.array([[float(fn(t, x))] for x in np.asarray(xs, dtype=float)])
     return evaluator
 
 
@@ -485,6 +515,7 @@ def policy_iteration(
         gradient_source="zero_start",
     )
 
+    w = np.asarray(problem.space.weights, dtype=float)
     round_values, round_changes = [], []
     prev_vals = None
     est_grid, grad_grid = None, None
@@ -501,12 +532,11 @@ def policy_iteration(
             for j in range(x_arr.shape[0]):
                 t_i, x_j = float(t_arr[i]), x_arr[j]
                 s = (seed * 1000003 + i * 1009 + j) & 0x7FFFFFFF
-                est_grid[i][j] = MCEstimate.from_samples(evaluator(t_i, x_j, s))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    grad_grid[i, j], _ = gradient_fd(
-                        evaluator, t_i, x_j, h=cfg.fd_step, seed=s,
-                        weights=problem.space.weights)
+                # the point and its difference legs in one call
+                h, legs = _central_differences(x_j, cfg.fd_step, w)
+                samples = evaluator(t_i, np.concatenate([x_j[None], legs]), s)
+                est_grid[i][j] = MCEstimate.from_samples(samples[0])
+                grad_grid[i, j], _ = _slopes(samples[1:], h, w)
         vals = np.array([[e.mean for e in row] for row in est_grid])
         round_values.append(vals)
 

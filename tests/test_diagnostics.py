@@ -188,9 +188,10 @@ def test_semiconcavity_inconclusive_when_noise_swamps():
     # defect has mean exactly zero but positive spread
     pool = stream(0, "pool", 0).normal(size=300)
 
-    def noisy(t, x, seed):
-        key = f"p{float(np.sum(x)):.9f}"
-        return pool[stream(seed, key, 0).permutation(300)]
+    def noisy(t, xs, seed):
+        return np.stack([
+            pool[stream(seed, f"p{float(np.sum(x)):.9f}", 0).permutation(300)]
+            for x in xs])
 
     rep = dg.semiconcavity_scan(noisy, 0.0, SP3, dg.ScanConfig(n_pairs=4),
                                 seed=2)

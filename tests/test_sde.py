@@ -383,9 +383,9 @@ def run_all_outputs(problem, x, control, seed=17):
     """One run asked for every output, with its increment-memo counts."""
     gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
     hits, misses = increment_memo.hits, increment_memo.misses
-    run = engine._run(problem, 0.0, x, control, TILE_PATHS, TILE_STEPS, seed,
-                      "paths", record_states=True, record_controls=True,
-                      accumulate_costs=True, track_sup_norm=True)
+    run, = engine._run(problem, 0.0, [(x, control)], TILE_PATHS, TILE_STEPS,
+                       seed, "paths", record_states=True, record_controls=True,
+                       accumulate_costs=True, track_sup_norm=True)
     assert (increment_memo.hits, increment_memo.misses) == (hits, misses + 1)
     return run
 
@@ -491,10 +491,136 @@ def test_tiled_divergence_reports_the_one_pass_error(monkeypatch, blowup):
         assert tiled.magnitude == one_pass.magnitude
 
 
+# --- contestant groups ----------------------------------------------------------
+
+
+def group_contestants(problem, n_paths):
+    """(initial state, control) contestants of every kind for one request."""
+    rng = np.random.default_rng(29)
+    q, n = problem.control_spec.dim, problem.dim
+    x = np.full(n, 0.7)
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    knots = np.linspace(0.0, problem.horizon, 5)
+    step_times = (problem.horizon / TILE_STEPS) * np.arange(TILE_STEPS)
+    trace = rng.normal(0.0, 1.0, (n_paths, TILE_STEPS, q))
+    return [
+        (x, gamma),
+        (x, zero_signal(q)),
+        (-x, PiecewiseConstantSignal(knots, rng.normal(0.0, 1.0, (4, q)))),
+        (x, TraceSignal(step_times, trace)),
+        (rng.normal(0.0, 0.5, (n_paths, n)), scale_policy(gamma, 0.5)),
+    ]
+
+
+def run_contestants(problem, contestants, n_paths):
+    return engine._run(problem, 0.0, contestants, n_paths, TILE_STEPS, 17,
+                       "paths", record_states=True, record_controls=True,
+                       accumulate_costs=True, track_sup_norm=True)
+
+
+GROUP_SIZES = {
+    "default": None,
+    "pairs": [1, 2, 2],   # a group holds two contestants
+    "tiled": [1] * 5,     # each contestant alone, in 64-row tiles
+}
+
+
+@pytest.mark.parametrize("budget", list(GROUP_SIZES))
+@pytest.mark.parametrize("n_paths", [150, 997])
+@pytest.mark.parametrize("builder", [
+    lambda: build_lq_benchmark(control_bound=0.6)[0],
+    build_reaction_diffusion,
+    multiplicative_reaction_diffusion,
+    lambda: build_sdde_lift(control_bound=0.4),
+], ids=["lq", "reaction_diffusion", "rd_multiplicative", "sdde"])
+def test_grouped_contestants_match_their_own_runs_bitwise(
+        monkeypatch, builder, n_paths, budget):
+    problem = builder()
+    contestants = group_contestants(problem, n_paths)
+    alone = [run_contestants(problem, [c], n_paths)[0] for c in contestants]
+    state_bytes = 8 * problem.dim * n_paths
+    if budget == "pairs":
+        monkeypatch.setattr(engine, "_TILE_BYTES", 4 * state_bytes)
+    elif budget == "tiled":
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 64))
+        assert len(engine._tile_bounds(n_paths, problem.dim)) > 1
+    groups = engine._group_bounds(len(contestants), n_paths, problem.dim)
+    if GROUP_SIZES[budget] is not None:
+        assert [g1 - g0 for g0, g1 in groups] == GROUP_SIZES[budget]
+    elif n_paths == 150:
+        assert groups == [(0, len(contestants))]
+    together = run_contestants(problem, contestants, n_paths)
+    assert len(together) == len(contestants)
+    for one, mine in zip(alone, together):
+        for field in ("costs", "terminal_states", "states", "control_traces",
+                      "sup_norm"):
+            assert getattr(mine, field).tobytes() == getattr(one, field).tobytes()
+        assert mine.clip_fraction == one.clip_fraction
+    assert together[0].clip_fraction > 0.0
+
+
+@pytest.mark.parametrize("n_contestants, per_group, sizes", [
+    (13, 27, [13]),
+    (12, 6, [6, 6]),
+    (7, 6, [3, 4]),            # balanced: no lone tail contestant
+    (3, 1, [1, 1, 1]),
+    (0, 4, []),
+])
+def test_groups_are_balanced_within_half_a_tile(monkeypatch, n_contestants,
+                                                per_group, sizes):
+    n_paths, n = 100, 2
+    monkeypatch.setattr(engine, "_TILE_BYTES", 2 * 8 * n * n_paths * per_group)
+    groups = engine._group_bounds(n_contestants, n_paths, n)
+    assert [g1 - g0 for g0, g1 in groups] == sizes
+    # contiguous ranges from 0 to n_contestants
+    assert [0] + [g1 for _, g1 in groups] == [g0 for g0, _ in groups] + [n_contestants]
+
+
+@pytest.mark.parametrize("blowup", ["overflow", "nan"])
+def test_grouped_divergence_reports_that_contestants_own_error(blowup):
+    # contestant 2 of 4 diverges; contestant 4 diverges earlier, but the
+    # error must be contestant 2's, as in a run of each contestant in turn
+    if blowup == "overflow":
+        drift, starts = (lambda x, a: 5.0 * x), (1.0, 1e7, 1.0, 5e7)
+    else:
+        def drift(x, a):
+            return np.where(np.abs(x) > 1e3, np.nan, 5.0 * x)
+        starts = (1.0, 20.0, 1.0, 500.0)
+    problem = scalar_problem(drift, 0.0)
+    contestants = [(np.array([s]), zero_signal(1)) for s in starts]
+    assert engine._group_bounds(4, 150, 1) == [(0, 4)]
+
+    def error_of(group):
+        with pytest.raises(SimulationDivergenceError) as info:
+            engine._run(problem, 0.0, group, 150, 100, 0, "paths",
+                        accumulate_costs=True)
+        return info.value
+
+    own, grouped, first = (error_of([contestants[1]]), error_of(contestants),
+                           error_of([contestants[3]]))
+    assert first.step < own.step
+    assert (grouped.step, grouped.time) == (own.step, own.time)
+    if blowup == "nan":
+        assert math.isnan(grouped.magnitude) and math.isnan(own.magnitude)
+    else:
+        assert grouped.magnitude == own.magnitude
+
+
+def test_contestant_lists_must_pair_states_with_controls():
+    problem = scalar_problem(lambda x, a: -x, 0.1)
+    with pytest.raises(ValueError, match="one per control"):
+        simulate_costs(problem, 0.0, np.array([1.0]), [zero_signal(1)] * 2,
+                       n_paths=3, n_steps=5, seed=0)
+    with pytest.raises(ValueError, match="one per control"):
+        simulate_ensemble(problem, 0.0, [np.array([1.0])], [zero_signal(1)] * 2,
+                          n_paths=3, n_steps=5, seed=0)
+
+
 # --- the row-wise contract ------------------------------------------------------
 
 
 ROW_CUTS = [0, 64, 320, 512, 997]  # 64-row-aligned slices of a 997-row batch
+ANY_CUTS = [0, 1, 37, 600, 997]    # slices at offsets off the 64-row grid
 
 
 def pipeline_policies(kind, problem):
@@ -522,29 +648,34 @@ def pipeline_policies(kind, problem):
 ], ids=["lq", "reaction_diffusion", "rd_multiplicative", "sdde"])
 def test_callbacks_are_row_wise_on_aligned_slices(kind, builder):
     # the engine advances large ensembles in 64-row-aligned path tiles, which
-    # is exact only if each callback gives a row the same bits in any batch
+    # is exact only if each callback gives a row the same bits in any batch;
+    # model callbacks also see contestants stacked at row offsets c * P, so
+    # they must be row-wise at any offset, feedback maps only at aligned ones
     problem = builder()
     rng = np.random.default_rng(31)
     x = rng.normal(0.0, 0.8, (ROW_CUTS[-1], problem.dim))
     a = rng.normal(0.0, 2.0, (ROW_CUTS[-1], problem.control_spec.dim))
     cost = problem.cost_structure
-    calls = {
+    model_calls = {
         "drift": lambda lo, hi: problem.drift(x[lo:hi], a[lo:hi]),
         "l1": lambda lo, hi: cost.l1(x[lo:hi]),
         "l2": lambda lo, hi: cost.l2(a[lo:hi]),
         "terminal_cost": lambda lo, hi: problem.terminal_cost(x[lo:hi]),
     }
     if not problem.additive_noise:
-        calls["noise_at"] = lambda lo, hi: problem.noise_at(x[lo:hi])
-    for name, policy in pipeline_policies(kind, problem).items():
-        calls[name] = (lambda lo, hi, f=policy.feedback:
-                       np.asarray(f(0.1, x[lo:hi]), dtype=float))
-    for name, call in calls.items():
-        whole = call(0, ROW_CUTS[-1])
-        pieces = np.concatenate([call(lo, hi)
-                                 for lo, hi in zip(ROW_CUTS, ROW_CUTS[1:])])
-        assert whole.shape[0] == ROW_CUTS[-1], name
-        assert pieces.tobytes() == whole.tobytes(), name
+        model_calls["noise_at"] = lambda lo, hi: problem.noise_at(x[lo:hi])
+    feedback_calls = {
+        name: (lambda lo, hi, f=policy.feedback:
+               np.asarray(f(0.1, x[lo:hi]), dtype=float))
+        for name, policy in pipeline_policies(kind, problem).items()}
+    for calls, cuts in ((model_calls, ROW_CUTS), (model_calls, ANY_CUTS),
+                        (feedback_calls, ROW_CUTS)):
+        for name, call in calls.items():
+            whole = call(0, cuts[-1])
+            pieces = np.concatenate([call(lo, hi)
+                                     for lo, hi in zip(cuts, cuts[1:])])
+            assert whole.shape[0] == cuts[-1], name
+            assert pieces.tobytes() == whole.tobytes(), (name, cuts)
 
 
 # --- guards -------------------------------------------------------------------

@@ -5,6 +5,7 @@ scheme bias is not negligible.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,13 @@ from hjblab.diagnostics import (
     midpoint_trajectory_check,
     trajectory_stability_check,
 )
+from hjblab import engine
 from hjblab.engine import gaussian_increments, increment_memo
-from hjblab.models import build_lq_benchmark, riccati_solve
+from hjblab.models import (
+    build_lq_benchmark,
+    build_reaction_diffusion,
+    riccati_solve,
+)
 from hjblab.synthesis import feynman_kac_value, verify_optimality, zero_policy
 from hjblab.value import (
     ControlFamily,
@@ -250,37 +256,46 @@ def test_single_candidate_scan_equals_direct_evaluation_per_level():
     assert report.constants["level_values"] == direct
 
 
-def _engine_runs():
-    return increment_memo.hits + increment_memo.misses
+@pytest.fixture
+def contestants_run(monkeypatch):
+    """The number of contestants of each engine run made while it is live."""
+    counts = []
+
+    def counted(problem, t, contestants, *args, **kwargs):
+        counts.append(len(contestants))
+        return run(problem, t, contestants, *args, **kwargs)
+
+    run = engine._run
+    monkeypatch.setattr(engine, "_run", counted)
+    return counts
 
 
-def test_truncation_scan_runs_unchanged_projections_once():
+def test_truncation_scan_runs_unchanged_projections_once(contestants_run):
     # every draw and base lies inside the smallest ball, so no projection
     # moves after the first level and each candidate runs exactly once
     problem, _ = build_lq_benchmark()
     fam = ControlFamily(draw_scale=1e-3,
                         base_candidates=(ConstantSignal(np.array([0.2])),))
     raw = fam.candidates(problem, 0.0, 3, 902, m=2.0)
-    before = _engine_runs()
     truncation_scan(problem, 0.0, np.array([1.0]), m_list=[0.5, 1.0, 2.0],
                     family=fam, n_candidates=3, paths_per_candidate=50,
                     n_steps=20, seed=902)
-    assert _engine_runs() - before == len(raw)
+    assert sum(contestants_run) == len(raw)
 
 
-def test_truncation_scan_reruns_feedback_candidates_every_level():
+def test_truncation_scan_reruns_feedback_candidates_every_level(contestants_run):
     problem, _ = build_lq_benchmark()
     fam = ControlFamily(base_candidates=(zero_policy(problem),),
                         include_zero=False)
     m_list = [0.5, 1.0, 2.0, 4.0]
-    before = _engine_runs()
     truncation_scan(problem, 0.0, np.array([1.0]), m_list=m_list, family=fam,
                     n_candidates=0, paths_per_candidate=50, n_steps=20,
                     seed=903)
-    assert _engine_runs() - before == len(m_list)
+    assert sum(contestants_run) == len(m_list)
 
 
-def test_truncation_scan_with_reuse_equals_direct_evaluation_per_level():
+def test_truncation_scan_with_reuse_equals_direct_evaluation_per_level(
+        contestants_run):
     from hjblab.synthesis import make_riccati_policy
 
     problem, oracle = build_lq_benchmark()
@@ -290,10 +305,9 @@ def test_truncation_scan_with_reuse_equals_direct_evaluation_per_level():
     m_list = [0.3, 0.8, 1.5, 3.0]
     x = np.array([1.2])
     kwargs = dict(paths_per_candidate=200, n_steps=40, seed=904)
-    before = _engine_runs()
     report = truncation_scan(problem, 0.0, x, m_list=m_list, family=fam,
                              n_candidates=6, **kwargs)
-    runs = _engine_runs() - before
+    runs = sum(contestants_run)
 
     raw = fam.candidates(problem, 0.0, 6, 904, m=m_list[-1])
     assert runs < len(raw) * len(m_list)  # some level was reused
@@ -383,9 +397,10 @@ def test_gradient_fd_warns_when_noise_dominates():
     # so the difference has mean exactly zero but positive spread
     base = stream(3, "noise", 0).normal(size=400)
 
-    def noisy(t, x, seed):
-        perm = stream(seed, f"perm{float(x[0]):.9f}", 0).permutation(400)
-        return base[perm]
+    def noisy(t, xs, seed):
+        return np.stack([
+            base[stream(seed, f"perm{float(x[0]):.9f}", 0).permutation(400)]
+            for x in xs])
 
     with pytest.warns(UserWarning, match="noise floor"):
         gradient_fd(noisy, 0.0, np.array([1.0]), seed=3)
@@ -480,9 +495,8 @@ def test_policy_iteration_validates_times():
 
 # --- shared increments -------------------------------------------------------------
 
-# Contestants are paired by asking the engine for the same increment block,
-# so one contestant loop must generate exactly one block; every later
-# contestant gets the held one back.
+# Contestants are paired by running on the same increment block, so one
+# contestant loop must generate exactly one block, whatever it runs.
 
 def _family_loop(problem, x):
     estimate_value_family(problem, 0.0, x, ControlFamily(), n_candidates=3,
@@ -513,12 +527,65 @@ def _midpoint_loop(problem, x):
         n_paths=50, n_steps=20, seed=905)
 
 
+# contestants each loop runs: zero and 3 draws; the truncation scan's zero
+# and 2 draws, then the 2 draws again at each later level, since their
+# projections move; the policy and 2 + 2 challengers; 6 legs; 3 legs
+LOOP_CONTESTANTS = {"_family_loop": 4, "_truncation_loop": 7,
+                    "_tournament_loop": 5, "_coupled_loop": 6,
+                    "_midpoint_loop": 3}
+
+
 @pytest.mark.parametrize("loop", [_family_loop, _truncation_loop,
                                   _tournament_loop, _coupled_loop,
                                   _midpoint_loop])
-def test_contestant_loop_generates_one_block(loop):
+def test_contestant_loop_generates_one_block(loop, contestants_run):
     problem, _ = build_lq_benchmark()
     gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # a fresh request next
     misses = increment_memo.misses
     loop(problem, np.array([1.0]))
     assert increment_memo.misses == misses + 1
+    assert sum(contestants_run) == LOOP_CONTESTANTS[loop.__name__]
+
+
+# Contestants that share a request advance together in one engine call, so a
+# shared-noise group asks for its block once, not once per contestant.
+
+def _family_of_14():
+    problem, _ = build_lq_benchmark()
+    estimate_value_family(problem, 0.0, np.array([1.0]), ControlFamily(),
+                          n_candidates=13, paths_per_candidate=50,
+                          n_steps=20, seed=911)
+    return 1
+
+
+def _full_tournament():
+    problem, _ = build_lq_benchmark()
+    verify_optimality(problem, zero_policy(problem), 0.0, np.array([1.0]),
+                      n_paths=50, n_steps=20, seed=912)
+    return 1
+
+
+def _gradient_in_16_dimensions():
+    rd = build_reaction_diffusion()
+    ev = make_policy_evaluator(rd, zero_policy(rd), n_paths=150, n_steps=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gradient_fd(ev, 0.0, np.full(rd.dim, 0.3), seed=913)
+    return 1
+
+
+def _policy_iteration_round():
+    problem, _ = build_lq_benchmark()
+    t_grid, x_grid = (0.0, 0.4), np.array([[-1.0], [0.5]])
+    policy_iteration(problem, t_grid, x_grid, n_rounds=1, seed=914,
+                     cfg=PolicyIterationConfig(paths_per_point=50, n_steps=20))
+    return len(t_grid) * len(x_grid)
+
+
+@pytest.mark.parametrize("group", [_family_of_14, _full_tournament,
+                                   _gradient_in_16_dimensions,
+                                   _policy_iteration_round])
+def test_shared_noise_group_makes_one_request(group):
+    requests = increment_memo.hits + increment_memo.misses
+    expected = group()
+    assert increment_memo.hits + increment_memo.misses - requests == expected
