@@ -8,8 +8,9 @@ with explicit Monte Carlo slack. Each report says which of those it did.
 
 Value-based scans speak to evaluators with the (t, xs (K, N), seed) ->
 samples (K, P) contract from the value layer: the points of one statistic
-(a pair, or a triple and its midpoint) go in one call on one seed, so
-differences of value estimates are paired and their noise largely cancels.
+(a pair, or a scan pair with the midpoints of its whole lambda grid) go in
+one call on one seed, so differences of value estimates are paired and their
+noise largely cancels.
 Trajectory checks couple all variants for the same reason: the legs of one
 pair or probe are contestants of one engine call, on one increment block
 (seed, stream label, path and step counts), with no block passed around.
@@ -149,11 +150,14 @@ def lipschitz_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _defect_samples(evaluator, t, x, x_prime, lam, seed):
+def _defect_samples(evaluator, t, x, x_prime, lams, seed):
+    """(L, P) defect samples, one row per lambda, from one evaluator call on
+    x, x' and the L midpoints."""
     x, x_prime = np.asarray(x, float), np.asarray(x_prime, float)
-    mid = lam * x + (1.0 - lam) * x_prime
-    vx, vp, vm = _samples(evaluator, t, [x, x_prime, mid], seed)
-    return lam * vx + (1.0 - lam) * vp - vm
+    mids = [lam * x + (1.0 - lam) * x_prime for lam in lams]
+    vx, vp, *vms = _samples(evaluator, t, [x, x_prime, *mids], seed)
+    return np.stack([lam * vx + (1.0 - lam) * vp - vm
+                     for lam, vm in zip(lams, vms)])
 
 
 def three_point_defect(value_evaluator, t, x, x_prime, lam, seed=0) -> float:
@@ -166,7 +170,7 @@ def three_point_defect(value_evaluator, t, x, x_prime, lam, seed=0) -> float:
         raise ValueError("lambda must lie in [0, 1]")
     if lam == 0.0 or lam == 1.0:
         return 0.0
-    d = _defect_samples(value_evaluator, t, x, x_prime, lam, seed)
+    d, = _defect_samples(value_evaluator, t, x, x_prime, [lam], seed)
     return float(d.mean())
 
 
@@ -203,8 +207,8 @@ def _scan_triples(evaluator, t, space, cfg, norm_tag, b_op, seed):
     for i in range(cfg.n_pairs):
         x, xp = cloud[i, 0], cloud[i, 1]
         q0 = float(norm(x - xp)) ** 2
-        for lam in cfg.lambdas:
-            d = _defect_samples(evaluator, t, x, xp, lam, seed)
+        defects = _defect_samples(evaluator, t, x, xp, cfg.lambdas, seed)
+        for lam, d in zip(cfg.lambdas, defects):
             est = MCEstimate.from_samples(d)
             q = lam * (1.0 - lam) * q0
             rows.append((est.mean / q, est.mean, est.std_error, q, i, lam))

@@ -18,22 +18,27 @@ a repeat of the same request gets that array back; blocks are handed out
 read-only, so no caller can change what the next one receives. The memo
 only decides how often a block is built, never what it holds.
 
+Every callback, model and feedback alike, is row-wise: row k of its output
+depends on row k of its input alone, with the same bits at any row offset
+in a batch of any size. Path tiles and contestant groups both rest on it.
+
 Large ensembles are advanced in path tiles that fit in cache: the budget is
 256 KB for one tile's (rows, dim) float64 state, so 1536 rows on the 21-dim
 delay lift and 2048 on the 16-point reaction-diffusion grid. The tiles run
 one after another, each through every step, and write their slices of the
 run's outputs; a run that fits in one tile is one pass, as before. Every
 tile but the last is a multiple of 64 rows, and the tiles are balanced. The
-result carries the same bits as one pass because every callback acts on
-each path's row alone, path k's noise depends only on k, and every row keeps
-its place modulo 64 in each matrix product. That last part matters: OpenBLAS
-0.3.31 (Haswell kernel) can give the trailing m mod 4 rows of an m-row
-product, (m, 21) @ (21, 1) for instance, other bits than the same rows
-inside a larger product, so a one-path run need not equal path 0 of a
-larger one; 64 rows leave room for kernels with wider row blocks. The
-noise block is requested once per run and sliced per tile. A divergence in
-any tile reruns the request as one pass, so the error names the earliest
-step over all paths and the magnitude over all of them at that step.
+result carries the same bits as one pass because every callback is
+row-wise, path k's noise depends only on k, and every row keeps its place
+modulo 64 in each matrix product. That last part matters: OpenBLAS 0.3.31
+(Haswell kernel) can give the trailing m mod 4 rows of an m-row product,
+(m, 21) @ (21, 1) for instance, other bits than the same rows inside a
+larger product, so a one-path run need not equal path 0 of a larger one;
+64 rows leave room for kernels with wider row blocks. Only the tiles and the
+semigroup product below keep that alignment. The noise block is requested
+once per run and sliced per tile. A divergence in any tile reruns the
+request as one pass, so the error names the earliest step over all paths
+and the magnitude over all of them at that step.
 
 A run takes a list of contestants, each a starting state and a control, on
 one noise request: the candidates of a value family, the legs of a finite
@@ -44,12 +49,14 @@ whose state fits in half the tile budget, 128 KB, so 6 reaction-diffusion
 contestants at 150 paths and a lone one at 1000; a contestant larger than a
 tile runs alone, in tiles. Per step an additive noise term is formed once
 on P rows and shared; drift, costs and noise_at are called once on the
-stacked rows, which is exact because they are row-wise at any row offset;
-each feedback map is called on its own contestant's (P, N) block, so it
-keeps the aligned batches above; and the stacked product with E is one gemm
-per contestant block, so every row keeps its place. Each contestant thus gets the bits of
-its own run. If a group diverges, its contestants rerun one at a time, in
-order, so the error raised is the one that contestant's own run raises.
+stacked rows; adjacent contestants that share one policy object get one
+feedback call on their stacked rows, and other policies one call on their
+own block; the stacked product with E is one gemm per contestant block, so
+every row keeps its place. When E_dt is exactly the identity (a zero
+generator), the product is skipped; that is decided once per run. Each
+contestant thus gets the bits of its own run. If a group diverges, its
+contestants rerun one at a time, in order, so the error raised is the one
+that contestant's own run raises.
 
 One loop, `_run`, advances every run, a single contestant being the C = 1
 case, and returns one record per contestant, `PathEnsemble`: the time grid,
@@ -240,6 +247,7 @@ def _run(
                              problem.noise_dim, dt)
 
     E = semigroup_matrix(problem.op, dt)
+    e_is_identity = np.array_equal(E, np.eye(n))
     sigma_const = problem.noise if problem.additive_noise else None
 
     # outputs for every contestant; each record holds its own slice
@@ -261,13 +269,18 @@ def _run(
         for c in range(n_c):
             x = inits[g0 + c]
             X[c] = x if x.ndim == 1 else x[lo:hi]
-        # controls fill their blocks of one array: feedback maps on their own
-        # block, shared signals in one assignment, per-path traces by rows
+        # controls fill their blocks of one array: a feedback map on the block
+        # of the adjacent contestants that share it, shared signals in one
+        # assignment, per-path traces by rows
         A = np.empty((n_c, rows, q))
         policies, shared, per_path = [], [], []
         for c, (kind, ctl) in enumerate(controls[g0:g1]):
             if kind == "policy":
-                policies.append((c, ctl, A[c]))
+                # adjacent contestants under one policy object share its call
+                if policies and policies[-1][2] is ctl and policies[-1][1] == c:
+                    policies[-1][1] = c + 1
+                else:
+                    policies.append([c, c + 1, ctl])
             elif ctl.ndim == 2:
                 shared.append((c, ctl))
             else:
@@ -294,14 +307,16 @@ def _run(
 
         for k in range(n_steps):
             s = grid[k]
-            for c, ctl, a in policies:
-                a[...] = ctl.feedback(s, X[c])
+            for first, stop, ctl in policies:
+                a = A[first:stop]
+                a.reshape(-1, q)[...] = ctl.feedback(
+                    s, X[first:stop].reshape(-1, n))
                 if box is not None:
                     np.clip(a, box[0], box[1], out=a)
                     # feedback maps often clip internally, so count saturation
                     # by boundary contact rather than by values moved
                     at_edge = (a <= box[0]) | (a >= box[1])
-                    clips[c] += int(np.sum(np.any(at_edge, axis=-1)))
+                    clips[first:stop] += np.sum(np.any(at_edge, axis=-1), axis=-1)
             if shared:
                 A[shared_at] = shared_vals[:, k]
             for c, vals in per_path:
@@ -327,8 +342,11 @@ def _run(
                 for c in range(n_c):
                     noise_term[c] = np.einsum("pnq,pq->pn", sig[c], dw_rows[:, k])
             # a stacked product is one gemm per contestant block, so each row
-            # keeps its place modulo 64 (see the module docstring)
-            X = (X + dt * bX + noise_term) @ E.T
+            # keeps its place modulo 64 (see the module docstring); a zero
+            # generator's E is the identity and needs no product
+            X = X + dt * bX + noise_term
+            if not e_is_identity:
+                X = X @ E.T
 
             worst = float(np.max(np.abs(X))) if X.size else 0.0
             if not np.isfinite(worst) or worst > _DIVERGENCE_LIMIT:

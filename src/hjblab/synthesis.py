@@ -53,9 +53,9 @@ class Policy:
     """Feedback map (s, state batch) -> control batch, with provenance.
 
     feedback is row-wise: row k of the control batch depends on s and state
-    row k alone, with the same bits whatever rows share the batch (cut at
-    multiples of 64 rows), since the engine calls it once per path tile on
-    each contestant's own block of rows.
+    row k alone, with the same bits whatever rows share the batch and at
+    whatever offset, since the engine calls it once per path tile on the
+    stacked rows of the adjacent contestants that share this policy.
     """
 
     feedback: Callable

@@ -21,8 +21,9 @@ synthesis.feynman_kac_value.
 Evaluators price a batch of points: evaluator(t, xs (K, N), seed) returns
 per-path samples (K, P), one row per point, all on one seed. A policy
 evaluator runs the K points as contestants of one engine call, so the legs
-of a finite difference, the points of a defect triple or a policy-iteration
-point with its legs cost one noise request.
+of a finite difference or a defect-scan pair with its midpoints cost one
+noise request. Policy iteration goes one step further and prices a whole
+time row of its grid in one engine call, each grid point on its own paths.
 """
 
 import math
@@ -435,6 +436,12 @@ class PolicyIterationConfig:
     tol_abs: float = 0.02
     tol_rel: float = 0.01
 
+    def __post_init__(self):
+        # one path gives a zero standard error, which no tolerance can fail
+        if self.paths_per_point < 2:
+            raise ValueError("paths_per_point must be >= 2, got "
+                             f"{self.paths_per_point}")
+
 
 @dataclass
 class PolicyIterationResult:
@@ -485,15 +492,24 @@ def policy_iteration(
 ) -> PolicyIterationResult:
     """Evaluate-then-improve on a (t, x) grid.
 
-    Each round evaluates the current policy's cost at every grid point (same
-    derived seed per point across rounds, so round-to-round comparisons are
-    paired), differentiates the field in x, and feeds the interpolated
-    gradient through the pointwise selector to get the next policy. Stops
-    early once the value field moves less than tol_abs + tol_rel * |V|
-    between rounds; otherwise reports non-convergence along with the whole
-    change sequence rather than pretending.
+    Each round evaluates the current policy's cost at every grid point,
+    differentiates the field in x, and feeds the interpolated gradient
+    through the pointwise selector to get the next policy. Stops early once
+    the value field moves less than tol_abs + tol_rel * |V| between rounds;
+    otherwise reports non-convergence along with the whole change sequence
+    rather than pretending.
+
+    A time row t_i is priced in one engine call: one noise request of J * P
+    paths on a seed derived from (seed, i), where grid point j owns paths
+    [j P, (j+1) P). The contestants are the points and their 2N difference
+    legs, each a per-path (J P, N) starting state, so every point's estimate
+    and slopes come from its own disjoint paths and its legs share them.
+    Every round makes the same request per row, so round-to-round
+    comparisons are paired.
     """
     cfg = cfg or PolicyIterationConfig()
+    if n_rounds < 1:
+        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     t_arr = np.asarray(t_grid, dtype=float)
     x_arr = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if x_arr.shape[0] == 1 and x_arr.shape[1] != problem.dim:
@@ -516,27 +532,29 @@ def policy_iteration(
     )
 
     w = np.asarray(problem.space.weights, dtype=float)
+    n_points, n_paths = x_arr.shape[0], cfg.paths_per_point
+    # per point its step and 2N legs; per contestant its (J P, N) start
+    steps, legs = zip(*(_central_differences(x_j, cfg.fd_step, w)
+                        for x_j in x_arr))
+    starts = np.concatenate([x_arr[None], np.stack(legs, axis=1)])
+    starts = list(np.repeat(starts, n_paths, axis=1))
     round_values, round_changes = [], []
     prev_vals = None
-    est_grid, grad_grid = None, None
     rounds_run = 0
     converged = False
     for rnd in range(n_rounds):
         rounds_run = rnd + 1
-        evaluator = make_policy_evaluator(problem, policy, cfg.paths_per_point,
-                                          cfg.n_steps)
-
-        est_grid = [[None] * x_arr.shape[0] for _ in t_arr]
-        grad_grid = np.empty((len(t_arr), x_arr.shape[0], problem.dim))
+        est_grid = [[None] * n_points for _ in t_arr]
+        grad_grid = np.empty((len(t_arr), n_points, problem.dim))
         for i in range(len(t_arr)):
-            for j in range(x_arr.shape[0]):
-                t_i, x_j = float(t_arr[i]), x_arr[j]
-                s = (seed * 1000003 + i * 1009 + j) & 0x7FFFFFFF
-                # the point and its difference legs in one call
-                h, legs = _central_differences(x_j, cfg.fd_step, w)
-                samples = evaluator(t_i, np.concatenate([x_j[None], legs]), s)
-                est_grid[i][j] = MCEstimate.from_samples(samples[0])
-                grad_grid[i, j], _ = _slopes(samples[1:], h, w)
+            s = (seed * 1000003 + i * 1009) & 0x7FFFFFFF
+            samples = np.stack(cost_samples(
+                problem, float(t_arr[i]), starts, [policy] * len(starts),
+                n_points * n_paths, cfg.n_steps, s))
+            for j in range(n_points):
+                rows = slice(j * n_paths, (j + 1) * n_paths)
+                est_grid[i][j] = MCEstimate.from_samples(samples[0, rows])
+                grad_grid[i, j], _ = _slopes(samples[1:, rows], steps[j], w)
         vals = np.array([[e.mean for e in row] for row in est_grid])
         round_values.append(vals)
 

@@ -494,12 +494,18 @@ def test_tiled_divergence_reports_the_one_pass_error(monkeypatch, blowup):
 # --- contestant groups ----------------------------------------------------------
 
 
-def group_contestants(problem, n_paths):
-    """(initial state, control) contestants of every kind for one request."""
+def group_contestants(problem, n_paths, controls="mixed"):
+    """(initial state, control) contestants of every kind for one request;
+    with controls="shared", one policy object drives four of the five, three
+    of them adjacent, from different starting states."""
     rng = np.random.default_rng(29)
     q, n = problem.control_spec.dim, problem.dim
     x = np.full(n, 0.7)
     gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    per_path = rng.normal(0.0, 0.5, (n_paths, n))
+    if controls == "shared":
+        return [(x, gamma), (-x, gamma), (per_path, gamma),
+                (0.3 * x, scale_policy(gamma, 0.5)), (0.5 * x, gamma)]
     knots = np.linspace(0.0, problem.horizon, 5)
     step_times = (problem.horizon / TILE_STEPS) * np.arange(TILE_STEPS)
     trace = rng.normal(0.0, 1.0, (n_paths, TILE_STEPS, q))
@@ -508,7 +514,7 @@ def group_contestants(problem, n_paths):
         (x, zero_signal(q)),
         (-x, PiecewiseConstantSignal(knots, rng.normal(0.0, 1.0, (4, q)))),
         (x, TraceSignal(step_times, trace)),
-        (rng.normal(0.0, 0.5, (n_paths, n)), scale_policy(gamma, 0.5)),
+        (per_path, scale_policy(gamma, 0.5)),
     ]
 
 
@@ -523,9 +529,11 @@ GROUP_SIZES = {
     "pairs": [1, 2, 2],   # a group holds two contestants
     "tiled": [1] * 5,     # each contestant alone, in 64-row tiles
 }
+# the shared-policy contestants at two of those budgets
+SHARED_BUDGETS = {"shared_default": "default", "shared_tiled": "tiled"}
 
 
-@pytest.mark.parametrize("budget", list(GROUP_SIZES))
+@pytest.mark.parametrize("budget", list(GROUP_SIZES) + list(SHARED_BUDGETS))
 @pytest.mark.parametrize("n_paths", [150, 997])
 @pytest.mark.parametrize("builder", [
     lambda: build_lq_benchmark(control_bound=0.6)[0],
@@ -536,7 +544,9 @@ GROUP_SIZES = {
 def test_grouped_contestants_match_their_own_runs_bitwise(
         monkeypatch, builder, n_paths, budget):
     problem = builder()
-    contestants = group_contestants(problem, n_paths)
+    controls = "shared" if budget in SHARED_BUDGETS else "mixed"
+    budget = SHARED_BUDGETS.get(budget, budget)
+    contestants = group_contestants(problem, n_paths, controls)
     alone = [run_contestants(problem, [c], n_paths)[0] for c in contestants]
     state_bytes = 8 * problem.dim * n_paths
     if budget == "pairs":
@@ -574,6 +584,47 @@ def test_groups_are_balanced_within_half_a_tile(monkeypatch, n_contestants,
     assert [g1 - g0 for g0, g1 in groups] == sizes
     # contiguous ranges from 0 to n_contestants
     assert [0] + [g1 for _, g1 in groups] == [g0 for g0, _ in groups] + [n_contestants]
+
+
+class _CountingPolicy:
+    """A zero feedback map that records the rows of each call."""
+
+    def __init__(self):
+        self.rows = []
+
+    def feedback(self, s, x_batch):
+        self.rows.append(x_batch.shape[0])
+        return np.zeros((x_batch.shape[0], 1))
+
+
+@pytest.mark.parametrize("n_paths, tile_rows, groups, tiles", [
+    (150, None, [4], 1),
+    (150, 600, [2, 2], 1),
+    (997, 256, [1] * 4, 4),     # each contestant alone
+], ids=["one_group", "two_groups", "four_tiles"])
+def test_shared_policy_is_called_once_per_step_per_group_and_tile(
+        monkeypatch, n_paths, tile_rows, groups, tiles):
+    problem = build_lq_benchmark(control_bound=0.6)[0]
+    if tile_rows is not None:
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, tile_rows))
+    assert [g1 - g0 for g0, g1 in engine._group_bounds(4, n_paths, 1)] == groups
+    assert len(engine._tile_bounds(n_paths, 1)) == tiles
+    policy = _CountingPolicy()
+    starts = [np.array([s]) for s in (-1.0, 0.0, 0.5, 2.0)]
+    engine._run(problem, 0.0, [(x, policy) for x in starts], n_paths,
+                TILE_STEPS, 3, "paths", accumulate_costs=True)
+    assert len(policy.rows) == len(groups) * tiles * TILE_STEPS
+    assert sum(policy.rows) == 4 * n_paths * TILE_STEPS
+
+
+def test_shared_policy_call_spans_adjacent_contestants_only():
+    problem = build_lq_benchmark(control_bound=0.6)[0]
+    policy = _CountingPolicy()
+    x = np.array([1.0])
+    contestants = [(x, policy), (x, policy), (x, zero_signal(1)), (x, policy)]
+    engine._run(problem, 0.0, contestants, 150, TILE_STEPS, 3, "paths",
+                accumulate_costs=True)
+    assert policy.rows == [300, 150] * TILE_STEPS
 
 
 @pytest.mark.parametrize("blowup", ["overflow", "nan"])
@@ -649,8 +700,9 @@ def pipeline_policies(kind, problem):
 def test_callbacks_are_row_wise_on_aligned_slices(kind, builder):
     # the engine advances large ensembles in 64-row-aligned path tiles, which
     # is exact only if each callback gives a row the same bits in any batch;
-    # model callbacks also see contestants stacked at row offsets c * P, so
-    # they must be row-wise at any offset, feedback maps only at aligned ones
+    # model callbacks see contestants stacked at row offsets c * P, and so
+    # does a feedback map that several contestants share, so every callback
+    # must be row-wise at any offset
     problem = builder()
     rng = np.random.default_rng(31)
     x = rng.normal(0.0, 0.8, (ROW_CUTS[-1], problem.dim))
@@ -669,7 +721,7 @@ def test_callbacks_are_row_wise_on_aligned_slices(kind, builder):
                np.asarray(f(0.1, x[lo:hi]), dtype=float))
         for name, policy in pipeline_policies(kind, problem).items()}
     for calls, cuts in ((model_calls, ROW_CUTS), (model_calls, ANY_CUTS),
-                        (feedback_calls, ROW_CUTS)):
+                        (feedback_calls, ROW_CUTS), (feedback_calls, ANY_CUTS)):
         for name, call in calls.items():
             whole = call(0, cuts[-1])
             pieces = np.concatenate([call(lo, hi)

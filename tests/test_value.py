@@ -21,7 +21,7 @@ from hjblab.diagnostics import (
     midpoint_trajectory_check,
     trajectory_stability_check,
 )
-from hjblab import engine
+from hjblab import engine, value
 from hjblab.engine import gaussian_increments, increment_memo
 from hjblab.models import (
     build_lq_benchmark,
@@ -34,6 +34,7 @@ from hjblab.value import (
     MCEstimate,
     PolicyIterationConfig,
     ValueField,
+    cost_samples,
     estimate_value_family,
     gradient_fd,
     make_exact_evaluator,
@@ -458,8 +459,8 @@ def test_policy_iteration_rounds_improve_within_noise():
     res = policy_iteration(problem, np.array([0.0, 0.4]),
                            np.array([-2.0, 1.0, 2.5]), n_rounds=3, cfg=cfg,
                            seed=12)
-    # same per-point seeds each round make these paired comparisons; allow
-    # a small slack for residual fd noise
+    # every round makes the same noise request per time row, so these are
+    # paired comparisons; allow a small slack for residual fd noise
     for k in range(len(res.round_values) - 1):
         assert np.all(res.round_values[k + 1] <= res.round_values[k] + 0.15)
 
@@ -491,6 +492,46 @@ def test_policy_iteration_validates_times():
     problem, _ = build_lq_benchmark()
     with pytest.raises(ValueError):
         policy_iteration(problem, np.array([0.0, 1.0]), np.array([1.0]))
+
+
+def test_policy_iteration_rejects_zero_rounds(contestants_run):
+    problem, _ = build_lq_benchmark()
+    with pytest.raises(ValueError, match="n_rounds"):
+        policy_iteration(problem, np.array([0.0]), np.array([1.0]), n_rounds=0)
+    assert contestants_run == []
+
+
+def test_policy_iteration_rejects_a_single_path_per_point():
+    # one path gives std_error 0.0, which would pass any SE-based check
+    with pytest.raises(ValueError, match="paths_per_point"):
+        PolicyIterationConfig(paths_per_point=1)
+
+
+def test_policy_iteration_points_own_disjoint_rows_of_one_row_request(
+        monkeypatch):
+    # round 1 runs the zero policy; point j's paths must be rows
+    # [j P, (j+1) P) of its time row's one request
+    requests = []
+
+    def spy(problem, t, x, control, n_paths, n_steps, seed, stream_label="paths"):
+        requests.append((t, n_paths, n_steps, seed, stream_label))
+        return cost_samples(problem, t, x, control, n_paths, n_steps, seed,
+                            stream_label)
+
+    monkeypatch.setattr(value, "cost_samples", spy)
+    problem, _ = build_lq_benchmark()
+    n_paths, x_grid = 60, np.array([[-1.0], [0.5]])
+    res = policy_iteration(problem, (0.3,), x_grid, n_rounds=1, seed=5,
+                           cfg=PolicyIterationConfig(paths_per_point=n_paths,
+                                                     n_steps=20))
+    (t, n_all, n_steps, seed, label), = requests
+    assert (t, n_all) == (0.3, 2 * n_paths)
+    assert seed == (5 * 1000003) & 0x7FFFFFFF
+    for j, x in enumerate(x_grid):
+        direct = cost_samples(problem, t, x, zero_policy(problem), n_all,
+                              n_steps, seed, label)
+        rows = direct[j * n_paths:(j + 1) * n_paths]
+        assert res.value_field.estimates[j] == MCEstimate.from_samples(rows)
 
 
 # --- shared increments -------------------------------------------------------------
@@ -579,7 +620,8 @@ def _policy_iteration_round():
     t_grid, x_grid = (0.0, 0.4), np.array([[-1.0], [0.5]])
     policy_iteration(problem, t_grid, x_grid, n_rounds=1, seed=914,
                      cfg=PolicyIterationConfig(paths_per_point=50, n_steps=20))
-    return len(t_grid) * len(x_grid)
+    # one request per time row: its grid points own disjoint paths of it
+    return len(t_grid)
 
 
 @pytest.mark.parametrize("group", [_family_of_14, _full_tournament,
