@@ -218,8 +218,11 @@ def _validate(cfg: ExperimentConfig):
                          "three strictly increasing positive radii")
     if cfg.value["family_size"] < 1:
         raise ValueError("key 'family_size' in [value] must be positive")
-    if cfg.diagnostics["n_pairs"] < 2:
-        raise ValueError("key 'n_pairs' in [diagnostics] must be at least 2")
+    # the prefix check needs two pairs; evaluations and probes need two
+    # paths, since one gives a zero standard error and a vacuous pass
+    for key in ("n_pairs", "eval_paths", "probe_paths"):
+        if cfg.diagnostics[key] < 2:
+            raise ValueError(f"key '{key}' in [diagnostics] must be at least 2")
     for scan in cfg.diagnostics["scans"]:
         if scan not in SCAN_NAMES:
             raise ValueError(

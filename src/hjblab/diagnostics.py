@@ -12,8 +12,9 @@ samples (K, P) contract from the value layer: the points of one statistic
 one call on one seed, so differences of value estimates are paired and their
 noise largely cancels.
 Trajectory checks couple all variants for the same reason: the legs of one
-pair or probe are contestants of one engine call, on one increment block
-(seed, stream label, path and step counts), with no block passed around.
+pair or probe, or the two ordered inputs of the comparison check, are
+contestants of one engine call, on one increment block (seed, stream label,
+path and step counts), with no block passed around.
 Paired means and standard errors all come from value.MCEstimate.from_samples.
 
 Verdicts are three-way: a scan whose extreme statistic is smaller than its
@@ -26,21 +27,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controls import convex_combination, zero_signal
-from .engine import gaussian_increments, simulate_ensemble
-from .hilbert import semigroup_matrix, space_norm
+from .controls import ConstantSignal, convex_combination, zero_signal
+from .engine import simulate_ensemble
+from .hilbert import space_norm
 from .report import PASS, FAIL, INCONCLUSIVE, DiagnosticReport
-from .seeds import stream
+from .seeds import derive_seed, stream
 from .value import MCEstimate
 
 __all__ = [
     "ScanConfig",
     "MidpointProbe",
     "lipschitz_estimate",
-    "three_point_defect",
     "semiconcavity_scan",
     "semiconvexity_scan",
-    "nu_threshold_scan",
     "c11_modulus",
     "trajectory_stability_check",
     "midpoint_trajectory_check",
@@ -160,20 +159,6 @@ def _defect_samples(evaluator, t, x, x_prime, lams, seed):
                      for lam, vm in zip(lams, vms)])
 
 
-def three_point_defect(value_evaluator, t, x, x_prime, lam, seed=0) -> float:
-    """lam*v(x) + (1-lam)*v(x') - v(lam*x + (1-lam)*x'), positive for convex v.
-
-    The endpoints lam in {0, 1} are algebraic identities and return 0.0
-    without touching the evaluator.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    if lam == 0.0 or lam == 1.0:
-        return 0.0
-    d, = _defect_samples(value_evaluator, t, x, x_prime, [lam], seed)
-    return float(d.mean())
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Point cloud and lambda grid for the defect scans."""
@@ -215,11 +200,6 @@ def _scan_triples(evaluator, t, space, cfg, norm_tag, b_op, seed):
     return cloud, rows
 
 
-def _prefix_max(values, n_pairs, per_pair):
-    half = (n_pairs // 2) * per_pair
-    return max(values[:half])
-
-
 def semiconcavity_scan(value_evaluator, t, space, cfg=None, norm_tag="H",
                        b_op=None, seed=0) -> DiagnosticReport:
     """Estimate the semiconcavity constant as the largest defect ratio.
@@ -235,7 +215,8 @@ def semiconcavity_scan(value_evaluator, t, space, cfg=None, norm_tag="H",
     ratios = [r[0] for r in rows]
     top = int(np.argmax(ratios))
     c_hat = float(ratios[top])
-    c_half = float(_prefix_max(ratios, cfg.n_pairs, len(cfg.lambdas)))
+    # rows are pair-major, so the first half of the pairs is a prefix
+    c_half = float(max(ratios[:(cfg.n_pairs // 2) * len(cfg.lambdas)]))
     rel = abs(c_hat - c_half) / max(abs(c_hat), abs(c_half), 1e-12)
     _, defect, se, q, pair_i, lam = rows[top]
 
@@ -301,45 +282,6 @@ def semiconvexity_scan(value_evaluator, t, space, cfg=None, norm_tag="H",
         },
         tolerance=float(c_bound),
         notes="per-triple bound with Monte Carlo slack",
-    )
-
-
-def nu_threshold_scan(make_evaluator, nu_list, t, space, cfg=None,
-                      norm_tag="H", b_op=None, seed=0,
-                      c_bound=0.0) -> DiagnosticReport:
-    """Semiconvexity threshold in the control-cost weight.
-
-    make_evaluator(nu) must return a value evaluator for the problem whose
-    quadratic control cost carries weight nu. The same point cloud and seed
-    are reused for every nu, so the reported per-nu worst margins are
-    directly comparable. nu_star is the smallest nu whose worst margin is
-    nonpositive; the scan fails when no nu in the list qualifies.
-    """
-    nus = [float(v) for v in nu_list]
-    if len(nus) < 2 or any(b <= a for a, b in zip(nus, nus[1:])):
-        raise ValueError("nu_list must be increasing with at least two entries")
-    cfg = cfg or ScanConfig()
-    worst_per_nu = []
-    for nu in nus:
-        rep = semiconvexity_scan(make_evaluator(nu), t, space, cfg=cfg,
-                                 norm_tag=norm_tag, b_op=b_op, seed=seed,
-                                 c_bound=c_bound)
-        worst_per_nu.append(float(rep.constants["worst_margin"]))
-    passing = [nu for nu, w in zip(nus, worst_per_nu) if w <= 0.0]
-    nu_star = min(passing) if passing else None
-    return DiagnosticReport(
-        name=f"nu_threshold_{norm_tag}",
-        verdict=PASS if nu_star is not None else FAIL,
-        samples_used=len(nus) * cfg.n_pairs * len(cfg.lambdas),
-        constants={
-            "nu_list": nus,
-            "worst_margin_per_nu": worst_per_nu,
-            "nu_star": nu_star,
-            "c_bound": float(c_bound),
-        },
-        witness=None if nu_star is not None else {"seed": seed},
-        tolerance=float(c_bound),
-        notes="shared cloud and seed across the nu sweep",
     )
 
 
@@ -730,21 +672,9 @@ def midpoint_trajectory_check(
 # ---------------------------------------------------------------------------
 
 
-def _as_forcing(f, dim):
-    if f is None:
-        z = np.zeros(dim)
-        return lambda s: z
-    if callable(f):
-        return lambda s: np.asarray(f(s), dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"forcing must have shape ({dim},)")
-    return lambda s: arr
-
-
-def _is_metzler(matrix, tol=1e-12):
-    off = matrix - np.diag(np.diag(matrix))
-    return float(off.min()) >= -tol
+# byte budget of both contestants' recorded states in one comparison run; the
+# paths run in chunks of that size, each its own noise request
+_COMPARISON_CHUNK_BYTES = 16 * 2**20
 
 
 def comparison_check(
@@ -762,75 +692,71 @@ def comparison_check(
 ) -> DiagnosticReport:
     """Pathwise ordering audit: larger start and forcing keep the state larger.
 
-    Simulates dX = [A X + r(X) + f_i(s)] ds + sigma dW for the two inputs on
-    one noise realization, where A is the problem's operator, r its scalar
-    reaction (may be absent) and sigma its additive noise. The control plays
-    no role here; the forcings take its place. Internally the loop advances
-    Y(s) = e^{C(s-t)} X(s) with C the reaction's Lipschitz constant, which
-    makes the per-step reaction map nondecreasing regardless of step size;
-    ordering can then only be broken by rounding or a genuinely
-    order-breaking operator. Pass iff the minimum of X1 - X2 over paths,
-    steps and components stays above -tol_scale * scale.
+    Runs dX = [A X + r(X) + f_i] ds + sigma dW from the two inputs as two
+    contestants of one engine call, on one noise realization; the drift is
+    r(x) - a, so the constant forcing f_i (an array, or None for zero) enters
+    as the control a = -f_i. The explicit step keeps order when E_dt >= 0
+    entrywise (a Metzler generator) and x + dt r(x) is nondecreasing, which
+    dt L <= 1 gives for the reaction's slope bound L. Pass iff the minimum of
+    X1 - X2 over paths, steps and components stays above -tol_scale * sup |X|.
+    Paths run in chunks whose recorded states fit _COMPARISON_CHUNK_BYTES,
+    chunk j on seed derive_seed(seed, "comparison", j).
 
     strict=True enforces the hypotheses (ordered inputs, Metzler operator,
-    additive noise) and raises on violation; strict=False runs anyway, which
-    is how a broken hypothesis is demonstrated to break the conclusion.
+    a declared reaction with a control channel of -I, dt L <= 1) and raises
+    on violation; strict=False runs anyway, which is how a broken hypothesis
+    is demonstrated to break the conclusion.
     """
     dim = problem.dim
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    g1 = _as_forcing(f1, dim)
-    g2 = _as_forcing(f2, dim)
-    grid = np.linspace(t, problem.horizon, n_steps + 1)
-    dt = float(grid[1] - grid[0])
+    f1, f2 = (np.zeros(dim) if f is None else np.asarray(f, dtype=float)
+              for f in (f1, f2))
+    dt = (problem.horizon - t) / n_steps
+    lip = float(problem.reaction.lipschitz) if problem.reaction else 0.0
 
     if not problem.additive_noise:
         raise ValueError("comparison needs additive noise")
+    if n_paths < 1:
+        raise ValueError("comparison needs at least one path")
     if strict:
         if not np.all(x1 >= x2):
             raise ValueError("initial states are not ordered: need x1 >= x2")
-        if not all(np.all(g1(s) >= g2(s)) for s in grid[:-1]):
+        if not np.all(f1 >= f2):
             raise ValueError("forcings are not ordered: need f1 >= f2")
-        if not _is_metzler(problem.op.matrix):
+        if problem.op.matrix[~np.eye(dim, dtype=bool)].min(initial=0.0) < -1e-12:
             raise ValueError("operator is not order preserving (off-diagonal "
                              "entries must be nonnegative)")
+        cost = problem.cost_structure
+        if (problem.reaction is None or cost is None
+                or not np.array_equal(cost.control_matrix, -np.eye(dim))):
+            raise ValueError("drift is not of the form r(x) - a: need a "
+                             "declared reaction and a control channel of -I")
+        if dt * lip > 1.0:
+            raise ValueError(f"explicit step is not order preserving: dt * L "
+                             f"= {dt * lip:.3g} exceeds 1")
 
-    c_lip = float(problem.reaction.lipschitz) if problem.reaction else 0.0
-    r_fn = problem.reaction.fn if problem.reaction else None
-    sigma = np.asarray(problem.noise, dtype=float)
-    eA = semigroup_matrix(problem.op, dt)
-    dw = gaussian_increments(seed, "comparison", n_paths, n_steps,
-                             problem.noise_dim, dt)
-
-    y1 = np.tile(x1, (n_paths, 1))
-    y2 = np.tile(x2, (n_paths, 1))
-    min_margin = float(np.min(x1 - x2))
-    witness = {"step": 0, "time": float(t), "path": 0,
-               "component": int(np.argmin(x1 - x2)), "seed": seed}
-    sup_scale = max(float(np.max(np.abs(x1))), float(np.max(np.abs(x2))), 1.0)
-
-    for k in range(n_steps):
-        s = float(grid[k])
-        scale = math.exp(c_lip * (s - t))
-        noise = dw[:, k] @ sigma.T
-        for y, g in ((y1, g1), (y2, g2)):
-            drift = c_lip * y + scale * g(s)
-            if r_fn is not None:
-                drift = drift + scale * r_fn(y / scale)
-            y += dt * drift + scale * noise
-        y1 = y1 @ eA.T
-        y2 = y2 @ eA.T
-        scale_next = math.exp(c_lip * (grid[k + 1] - t))
-        gap = (y1 - y2) / scale_next
-        step_min = float(gap.min())
-        if step_min < min_margin:
-            flat = int(np.argmin(gap))
-            witness = {"step": k + 1, "time": float(grid[k + 1]),
-                       "path": flat // dim, "component": flat % dim,
+    controls = [ConstantSignal(-f1), ConstantSignal(-f2)]
+    max_rows = max(1, _COMPARISON_CHUNK_BYTES // (2 * (n_steps + 1) * dim * 8))
+    n_chunks = -(-n_paths // max_rows)
+    bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
+    min_margin, witness, sup_scale = math.inf, None, 1.0
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        run1, run2 = simulate_ensemble(problem, t, [x1, x2], controls, hi - lo,
+                                       n_steps, derive_seed(seed, "comparison", j),
+                                       "comparison")
+        for run in (run1, run2):
+            sup_scale = max(sup_scale, float(run.states.max()),
+                            -float(run.states.min()))
+        # the gap overwrites run1's states: no third record-sized array
+        gap = np.subtract(run1.states, run2.states, out=run1.states)
+        flat = int(np.argmin(gap))
+        if gap.flat[flat] < min_margin:
+            path, step, component = np.unravel_index(flat, gap.shape)
+            min_margin = float(gap.flat[flat])
+            witness = {"step": int(step), "time": float(run1.time_grid[step]),
+                       "path": lo + int(path), "component": int(component),
                        "seed": seed}
-            min_margin = step_min
-        sup_scale = max(sup_scale, float(np.max(np.abs(y1))) / scale_next,
-                        float(np.max(np.abs(y2))) / scale_next)
 
     tol = tol_scale * sup_scale
     ok = min_margin >= -tol
@@ -840,10 +766,10 @@ def comparison_check(
         samples_used=n_paths * (n_steps + 1),
         constants={
             "min_margin": min_margin, "tol": tol, "sup_scale": sup_scale,
-            "reaction_lipschitz": c_lip,
+            "reaction_lipschitz": lip, "dt_lipschitz": dt * lip,
         },
         witness=witness,
         tolerance=tol,
-        notes="exponential transform loop"
+        notes="two contestants of the engine's step loop"
         + ("" if strict else "; hypotheses not enforced"),
     )

@@ -223,6 +223,7 @@ def make_zero_operator(dim: int) -> DiscreteOperator:
 
 
 def make_custom_operator(matrix) -> DiscreteOperator:
+    """Operator from a given matrix: kept public to build user-defined generators."""
     return DiscreteOperator(np.asarray(matrix, dtype=float), kind="custom")
 
 

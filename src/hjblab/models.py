@@ -120,8 +120,9 @@ class ReactionSpec:
 
     fn must be a scalar ufunc-style callable; lipschitz bounds |fn'| on the
     relevant range and is taken on trust here (the builder spot-checks it on
-    samples). The comparison audit uses it as the transform rate, so a wrong
-    bound shows up there as an order violation.
+    samples). The comparison audit's strict mode requires dt * lipschitz <= 1,
+    under which the explicit step keeps order, so a bound that is too small
+    shows up there as an order violation.
     """
 
     fn: Callable
@@ -148,7 +149,7 @@ class ControlProblem:
     whatever rows share the batch and at whatever offset row k sits, since
     the engine advances large ensembles in path tiles and calls these once
     on contestants stacked at row offsets c * P (see engine). Feedback maps
-    only need that on batches cut at multiples of 64 rows.
+    are held to the same contract (see synthesis.Policy).
 
     With a cost_structure, running_cost may be left out and is then derived
     as l1(x) + l2(a); the engine integrates cost_structure directly whenever

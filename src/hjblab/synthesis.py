@@ -151,6 +151,7 @@ def hamiltonian_min(problem, x, p, m, cfg: Optional[HamiltonianConfig] = None
     Starts are deterministic: the origin, the separated closed form when
     available, then fixed-seed random points. Ties within 1e-9 of the best
     value keep the first argmin found and are noted on the probe.
+    Kept public as the reference that tests check gamma_separated against.
     """
     cfg = cfg or HamiltonianConfig()
     x = np.asarray(x, dtype=float)
@@ -254,7 +255,8 @@ def zero_policy(problem, provenance="closed_form_gamma") -> Policy:
 def feynman_kac_value(problem, policy, t, x, n_paths=2000, n_steps=200,
                       seed=42, stream_label="paths") -> MCEstimate:
     """Expected cost along the closed loop: the probabilistic reading of the
-    value the policy actually achieves."""
+    value the policy actually achieves. Kept public for acceptance test c3
+    and the oneshot_sdde benchmark."""
     return MCEstimate.from_samples(
         cost_samples(problem, t, x, policy, n_paths, n_steps, seed,
                      stream_label=stream_label)

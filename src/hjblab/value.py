@@ -93,20 +93,6 @@ class ValueField:
     def values(self):
         return np.array([e.mean for e in self.estimates])
 
-    def to_csv(self, path):
-        dim = len(np.atleast_1d(self.points[0][1]))
-        cols = ["t"] + [f"x{i}" for i in range(dim)] + ["value", "std_error", "n_paths"]
-        if self.gradients is not None:
-            cols += [f"dv{i}" for i in range(dim)]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i, ((t, x), est) in enumerate(zip(self.points, self.estimates)):
-                row = [repr(float(t))] + [repr(float(v)) for v in np.atleast_1d(x)]
-                row += [repr(est.mean), repr(est.std_error), str(est.n_paths)]
-                if self.gradients is not None:
-                    row += [repr(float(g)) for g in np.atleast_1d(self.gradients[i])]
-                fh.write(",".join(row) + "\n")
-
 
 @dataclass(frozen=True)
 class ControlFamily:
@@ -417,7 +403,7 @@ def make_policy_evaluator(problem, policy, n_paths=2000, n_steps=150,
 
 
 def make_exact_evaluator(fn):
-    """Wrap a closed-form value function as a zero-noise evaluator."""
+    """Wrap a closed-form value function as a zero-noise evaluator (a test fake)."""
     def evaluator(t, xs, seed):
         return np.array([[float(fn(t, x))] for x in np.asarray(xs, dtype=float)])
     return evaluator
@@ -505,7 +491,8 @@ def policy_iteration(
     legs, each a per-path (J P, N) starting state, so every point's estimate
     and slopes come from its own disjoint paths and its legs share them.
     Every round makes the same request per row, so round-to-round
-    comparisons are paired.
+    comparisons are paired. Kept public for acceptance test c1 and the
+    oracle_lq benchmark.
     """
     cfg = cfg or PolicyIterationConfig()
     if n_rounds < 1:

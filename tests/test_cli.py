@@ -116,10 +116,14 @@ def test_config_validation_rules(tmp_path):
     ("value", "truncation_list = 2, 4", "truncation_list"),
     ("value", "truncation_list = 0, 2, 4", "truncation_list"),
     ("diagnostics", "n_pairs = 1", "n_pairs"),
+    ("diagnostics", "eval_paths = 1", "eval_paths"),
+    ("diagnostics", "probe_paths = 1", "probe_paths"),
 ])
 def test_config_rejects_what_a_stage_rejects(tmp_path, section, line, key):
     # the truncation scan needs three positive radii and the defect scans
-    # two pairs; a config without them would fail mid-run
+    # two pairs; a config without them would fail mid-run. One evaluation or
+    # probe path makes every standard error zero, and run-all would pass on
+    # no evidence
     p = tmp_path / "bad.ini"
     p.write_text(f"[{section}]\n{line}\n")
     with pytest.raises(ValueError, match=key):
@@ -280,8 +284,8 @@ PINNED_DIGESTS = {
         "value_gradient.csv": "b0a3c92e98131b2f3043be0281266bfba547f4da8b71612e2fc655d8b083aeb6",
     },
     "reaction_diffusion": {
-        "reports.csv": "e8b1e58c8c3614dbf2dc189e0a76e2087f4bfba18ba4921f9f463946f769af52",
-        "reports.json": "cb84094b765cd26eaab7f5f3128b51b60086bafc1570f24fdcf36a28972be616",
+        "reports.csv": "1baefbf90fe794ae12e59c9db3b5490b516c32974ea2eca6b50b939349ddc30b",
+        "reports.json": "776510d3320a7d6ff3e0ae2d95b2dc406ef15c4c8e8ffd4582514ba8058853fd",
         "sample_paths.csv": "20b504ad730f7c53fd6ac5dfa6d98d209072572419edc7912b51fba330884d8c",
         "value_family.csv": "3e64de4f4a463b12817dcc1dbb1c5f73df951520008eaab3f92203fb61b225f3",
         "value_gradient.csv": "1300317b65dce87a07a22407bbc75958bbe353545d7f175949c4a92888131f3f",

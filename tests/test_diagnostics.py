@@ -1,5 +1,6 @@
 """Regularity scans, coupled-trajectory audits, order preservation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -125,24 +126,17 @@ def test_lipschitz_delay_model_reported_in_both_norms():
     assert rep_h.constants["c_hat"] != rep_w.constants["c_hat"]
 
 
-# --- three-point defect ------------------------------------------------------
-
-
-def test_defect_endpoints_skip_evaluation():
-    def explode(t, x, seed):
-        raise AssertionError("endpoint defect must not evaluate")
-
-    assert dg.three_point_defect(explode, 0.0, np.ones(2), np.zeros(2), 0.0) == 0.0
-    assert dg.three_point_defect(explode, 0.0, np.ones(2), np.zeros(2), 1.0) == 0.0
+# --- convexity defects ------------------------------------------------------
 
 
 def test_defect_quadratic_identity():
     ev = quad_evaluator(SP3, np.ones(3))
     x, xp = np.array([1.0, -0.5, 2.0]), np.array([0.0, 1.5, -1.0])
-    lam = 0.3
-    d = dg.three_point_defect(ev, 0.0, x, xp, lam)
-    q = lam * (1 - lam) * float(h_norm(SP3, x - xp)) ** 2
-    assert abs(d - q) < 1e-12
+    lams = (0.3, 0.5, 0.9)
+    defects = dg._defect_samples(ev, 0.0, x, xp, lams, seed=0)
+    for lam, d in zip(lams, defects):
+        q = lam * (1 - lam) * float(h_norm(SP3, x - xp)) ** 2
+        assert abs(float(d.mean()) - q) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,15 +146,9 @@ def test_defect_sign_symmetry(lam, seed):
     x, xp = rng.normal(size=3), rng.normal(size=3)
     ev_pos = quad_evaluator(SP3, np.array([1.0, -2.0, 0.5]))
     ev_neg = quad_evaluator(SP3, np.array([-1.0, 2.0, -0.5]))
-    d_pos = dg.three_point_defect(ev_pos, 0.0, x, xp, lam, seed=seed)
-    d_neg = dg.three_point_defect(ev_neg, 0.0, x, xp, lam, seed=seed)
-    assert d_pos == -d_neg
-
-
-def test_defect_rejects_bad_lambda():
-    ev = quad_evaluator(SP3, np.ones(3))
-    with pytest.raises(ValueError):
-        dg.three_point_defect(ev, 0.0, np.ones(3), np.zeros(3), 1.2)
+    d_pos = dg._defect_samples(ev_pos, 0.0, x, xp, [lam], seed)
+    d_neg = dg._defect_samples(ev_neg, 0.0, x, xp, [lam], seed)
+    np.testing.assert_array_equal(d_pos, -d_neg)
 
 
 # --- semiconcavity -----------------------------------------------------------
@@ -263,58 +251,6 @@ def test_two_sided_constants_bound_gradient_modulus():
     assert rep.passed
     assert abs(rep.constants["c_hat"] - 2.0) < 1e-9
     assert rep.constants["two_sided_bound"] >= rep.constants["c_hat"]
-
-
-def test_nu_threshold_scan_finds_smallest_passing_weight():
-    sp1 = interval_space(1, 1.0)
-    w0 = float(sp1.weights[0])
-
-    def make_ev(nu):
-        # one-step quadratic family: shifting the state costs nu a^2, so
-        # small nu puts concave kinks of the min inside the sampled cloud
-        def v(t, x):
-            shifts = np.array([-1.0, 0.0, 1.0])
-            return float(np.min(nu * shifts**2 + w0 * (x[0] + shifts) ** 2))
-
-        return make_exact_evaluator(v)
-
-    cfg = dg.ScanConfig(n_pairs=25, radius=0.5)
-    rep = dg.nu_threshold_scan(make_ev, [0.1, 0.5, 1.0, 2.0, 4.0], 0.0, sp1,
-                               cfg=cfg, seed=0)
-    assert rep.passed
-    assert rep.constants["nu_star"] == 1.0
-    margins = rep.constants["worst_margin_per_nu"]
-    assert margins[0] > 0  # genuinely nonconvex at the cheap end
-    # threshold structure: once passing, larger nu keeps passing
-    crossed = [m <= 0 for m in margins]
-    assert crossed == sorted(crossed)
-
-
-def test_nu_threshold_scan_fails_when_no_weight_passes():
-    sp1 = interval_space(1, 1.0)
-    w0 = float(sp1.weights[0])
-
-    def make_ev(nu):
-        def v(t, x):
-            shifts = np.array([-1.0, 0.0, 1.0])
-            return float(np.min(nu * shifts**2 + w0 * (x[0] + shifts) ** 2))
-
-        return make_exact_evaluator(v)
-
-    rep = dg.nu_threshold_scan(make_ev, [0.01, 0.05], 0.0, sp1,
-                               cfg=dg.ScanConfig(n_pairs=25, radius=0.5),
-                               seed=0)
-    assert not rep.passed
-    assert rep.constants["nu_star"] is None
-
-
-def test_nu_threshold_scan_validates_list():
-    sp1 = interval_space(1, 1.0)
-    mk = lambda nu: make_exact_evaluator(lambda t, x: 0.0)
-    with pytest.raises(ValueError):
-        dg.nu_threshold_scan(mk, [1.0], 0.0, sp1)
-    with pytest.raises(ValueError):
-        dg.nu_threshold_scan(mk, [2.0, 1.0], 0.0, sp1)
 
 
 # --- gradient modulus --------------------------------------------------------
@@ -576,6 +512,36 @@ def test_comparison_strict_mode_rejects_bad_hypotheses():
     with pytest.raises(ValueError, match="not ordered"):
         dg.comparison_check(heat, 0.1 * np.ones(6), np.zeros(6),
                             None, 0.5 * np.ones(6))
+    # a control channel of -2I: the forcing would not enter as a = -f
+    cost = dataclasses.replace(heat.cost_structure,
+                               control_matrix=-2.0 * np.eye(6))
+    doubled = dataclasses.replace(
+        heat, cost_structure=cost, drift=lambda x, a: heat.reaction.fn(x) - 2.0 * a)
+    with pytest.raises(ValueError, match="control channel of -I"):
+        dg.comparison_check(doubled, 0.1 * np.ones(6), np.zeros(6), None, None)
+    # no path would leave no margin to test, in either mode
+    with pytest.raises(ValueError, match="at least one path"):
+        dg.comparison_check(heat, 0.1 * np.ones(6), np.zeros(6), None, None,
+                            n_paths=0, strict=False)
+
+
+def test_comparison_step_beyond_slope_bound_breaks_order():
+    # dt * L = 0.05 * 60 = 3: x + dt r(x) decreases wherever r' < -1/dt, so
+    # the larger start overshoots below the smaller one in a single step
+    hot = build_reaction_diffusion(n_grid=8, reaction_gain=60)
+    x1, x2 = np.zeros(8), np.zeros(8)
+    x1[2:5] = 0.2
+    bad = dg.comparison_check(hot, x1, x2, None, None, n_paths=200,
+                              n_steps=10, seed=3, strict=False)
+    assert not bad.passed
+    assert bad.constants["dt_lipschitz"] == pytest.approx(3.0)
+    assert bad.constants["min_margin"] < -0.05
+    good = dg.comparison_check(hot, x1, x2, None, None, n_paths=200,
+                               n_steps=40, seed=3)
+    assert good.passed
+    assert good.constants["dt_lipschitz"] == pytest.approx(0.75)
+    with pytest.raises(ValueError, match="dt \\* L = 3 exceeds 1"):
+        dg.comparison_check(hot, x1, x2, None, None, n_paths=200, n_steps=10)
 
 
 # --- report plumbing ---------------------------------------------------------

@@ -410,7 +410,7 @@ def test_gradient_fd_warns_when_noise_dominates():
 # --- value field -------------------------------------------------------------------
 
 
-def test_value_field_validation_and_csv(tmp_path):
+def test_value_field_validation():
     with pytest.raises(ValueError):
         ValueField(points=[(0.0, np.array([1.0]))], estimates=[], method_tag="family_inf")
     with pytest.raises(ValueError):
@@ -421,11 +421,6 @@ def test_value_field_validation_and_csv(tmp_path):
         method_tag="family_inf",
         gradients=[np.array([0.3]), np.array([0.7])],
     )
-    out = tmp_path / "field.csv"
-    vf.to_csv(out)
-    data = np.genfromtxt(out, delimiter=",", names=True)
-    np.testing.assert_array_equal(data["value"], [1.5, 2.5])
-    np.testing.assert_array_equal(data["dv0"], [0.3, 0.7])
     np.testing.assert_array_equal(vf.values(), [1.5, 2.5])
 
 
