@@ -7,6 +7,17 @@ One step of the scheme from state X with control a and increment dW:
 i.e. explicit Euler on the nonlinearity, exact flow of the generator. The
 semigroup matrix is computed once per (operator, dt) and cached.
 
+b and sigma vanish off the problem's channel (models.ControlProblem), so
+the step adds them in place on that block of coordinates alone:
+X_J += dt * b_J, then X_J += dW sigma_J^T, the same floating-point
+operations in the same order as X + dt*b + sigma dW, and with one temporary
+fewer than that expression even when the channel is every coordinate. On
+the 21-dimensional delay lift the channel is the present value, so drift,
+noise and update touch one column, not 21; the generator alone moves the
+past segment. The one bit this can change is the sign of a zero: an entry
+off the channel that is exactly -0.0 stays -0.0, where -0.0 + 0.0 made it
++0.0.
+
 Noise is generated per path from counter-derived streams, so path k's
 increments depend only on (master_seed, stream_label, k) and never on how
 many paths run alongside it or in what order. One Philox generator is
@@ -48,12 +59,12 @@ per group rather than once per contestant. A group holds whole contestants
 whose state fits in half the tile budget, 128 KB, so 6 reaction-diffusion
 contestants at 150 paths and a lone one at 1000; a contestant larger than a
 tile runs alone, in tiles. Per step an additive noise term is formed once
-on P rows and shared; drift, costs and noise_at are called once on the
-stacked rows; adjacent contestants that share one policy object get one
-feedback call on their stacked rows, and other policies one call on their
-own block; the stacked product with E is one gemm per contestant block, so
-every row keeps its place. When E_dt is exactly the identity (a zero
-generator), the product is skipped; that is decided once per run. Each
+on P rows of the channel and shared; drift, costs and noise_at are called
+once on the stacked rows; adjacent contestants that share one policy object
+get one feedback call on their stacked rows, and other policies one call on
+their own block; the stacked product with E is one gemm per contestant
+block, so every row keeps its place. When E_dt is exactly the identity (a
+zero generator), the product is skipped; that is decided once per run. Each
 contestant thus gets the bits of its own run. If a group diverges, its
 contestants rerun one at a time, in order, so the error raised is the one
 that contestant's own run raises.
@@ -228,6 +239,8 @@ def _run(
         raise ValueError(f"need 0 <= t < t_end <= horizon, got t={t}, t_end={horizon}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     dt = (horizon - t) / n_steps
     grid = t + dt * np.arange(n_steps + 1)
     step_times = grid[:-1]
@@ -248,7 +261,9 @@ def _run(
 
     E = semigroup_matrix(problem.op, dt)
     e_is_identity = np.array_equal(E, np.eye(n))
-    sigma_const = problem.noise if problem.additive_noise else None
+    J = problem.block
+    width = J.stop - J.start
+    sigma_t = problem.noise[J].T if problem.additive_noise else None
 
     # outputs for every contestant; each record holds its own slice
     lead = (len(contestants), n_paths)
@@ -325,26 +340,32 @@ def _run(
                 traces[g0:g1, lo:hi, k] = A
 
             Xf = X.reshape(n_c * rows, n)
-            bX = problem.drift(Xf, Af).reshape(n_c, rows, n)
+            bJ = problem.drift(Xf, Af).reshape(n_c, rows, width)
             if separated is not None:
                 c2[...] = separated.l2(Af)
                 l_left = c1 + c2
             elif accumulate_costs:
-                l_left = problem.running_cost(Xf, Af)
-            # an additive noise term is formed once and shared by every
-            # contestant; state-dependent noise is contracted per contestant
-            # block, the same einsum call as in that contestant's own run
-            if sigma_const is not None:
-                noise_term = dw_rows[:, k] @ sigma_const.T
+                # a copy, since X is updated in place below
+                l_left = np.array(problem.running_cost(Xf, Af))
+            # an additive noise term is formed on the channel, once, and
+            # shared by every contestant; state-dependent noise (full
+            # channel) is contracted per contestant block before X changes,
+            # the same einsum call as in that contestant's own run
+            if sigma_t is not None:
+                noise_term = None
             else:
                 sig = problem.noise_at(Xf).reshape(n_c, rows, n, -1)
                 noise_term = np.empty((n_c, rows, n))
                 for c in range(n_c):
                     noise_term[c] = np.einsum("pnq,pq->pn", sig[c], dw_rows[:, k])
+            # X + dt*b + sigma dW on the channel, in place, in that order;
+            # off it b and sigma are zero and the generator alone moves X
+            XJ = X[..., J]
+            XJ += dt * bJ
+            XJ += dw_rows[:, k] @ sigma_t if noise_term is None else noise_term
             # a stacked product is one gemm per contestant block, so each row
             # keeps its place modulo 64 (see the module docstring); a zero
             # generator's E is the identity and needs no product
-            X = X + dt * bX + noise_term
             if not e_is_identity:
                 X = X @ E.T
 

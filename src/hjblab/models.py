@@ -12,8 +12,9 @@ builders construct the three instance families used throughout:
     come with a declared derivative bound; that bound is what the order-
     comparison audit consumes.
   * build_sdde_lift: scalar delay equation rewritten as a first-order system
-    for (present value, past segment). Noise and control act on the present
-    channel only, and the natural estimates hold in the weak norm induced by
+    for (present value, past segment). Drift, noise and control act on the
+    present channel only, which the problem declares as its channel, and
+    the natural estimates hold in the weak norm induced by
     B = (A^{-1})* A^{-1}.
 
 Costs are kept in separated form l(x, a) = l1(x) + l2(a) with strictly
@@ -140,10 +141,17 @@ class ReactionSpec:
 class ControlProblem:
     """Controlled SDE dX = [A X + b(X, a)] ds + sigma dW plus cost data.
 
-    drift is the non-generator part b; it takes state batches (..., N) and
-    control batches (..., q) and returns (..., N). noise is a constant
-    (N, n_w) matrix (additive) or a callable state -> (..., N, n_w).
-    running_cost and terminal_cost map batches to scalars per row.
+    channel is the block of coordinates that drift, noise and control act
+    on, a slice with unit step; None means every coordinate. drift is the
+    non-generator part b on that block: it takes state batches (..., N) and
+    control batches (..., q) and returns (..., width), width being the
+    block's length. noise is a constant (N, n_w) matrix (additive) or a
+    callable state -> (..., N, n_w). Off the block b is zero, and validation
+    checks the rest: the rows of a constant noise matrix and of
+    cost_structure.control_matrix off the block must be zero, and a
+    callable noise needs the full block. The generator alone moves the
+    other coordinates, so the engine steps and synthesis pairs the block
+    only. running_cost and terminal_cost map batches to scalars per row.
     Every callback here and in cost_structure is row-wise: row k of its
     result depends on row k of its arguments alone, with the same bits
     whatever rows share the batch and at whatever offset row k sits, since
@@ -171,6 +179,7 @@ class ControlProblem:
     running_cost: Optional[Callable] = None
     drift_lipschitz: Optional[float] = None
     reaction: Optional[ReactionSpec] = None
+    channel: Optional[slice] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -189,15 +198,45 @@ class ControlProblem:
                     f"control_matrix has shape {cost.control_matrix.shape}, "
                     f"need (state_dim, control_dim) = {want}"
                 )
+        if self.channel is not None:
+            self._check_channel()
         if self.running_cost is None:
             if cost is None:
                 raise ValueError("need running_cost or cost_structure")
             object.__setattr__(self, "running_cost",
                                lambda x, a: cost.l1(x) + cost.l2(a))
 
+    def _check_channel(self):
+        ch, n = self.channel, self.space.dim
+        if not isinstance(ch, slice) or ch.step not in (None, 1):
+            raise ValueError("channel must be a slice with unit step")
+        lo = 0 if ch.start is None else ch.start
+        hi = n if ch.stop is None else ch.stop
+        if not 0 <= lo < hi <= n:
+            raise ValueError(
+                f"channel {ch} must be a nonempty block of [0, {n})")
+        off = np.ones(n, dtype=bool)
+        off[lo:hi] = False
+        if not self.additive_noise:
+            if (lo, hi) != (0, n):
+                raise ValueError("a callable noise needs the full channel")
+        elif np.any(self.noise[off] != 0):
+            raise ValueError("noise has a nonzero row off the channel")
+        cost = self.cost_structure
+        if cost is not None and np.any(cost.control_matrix[off] != 0):
+            raise ValueError("control_matrix has a nonzero row off the channel")
+
     @property
     def dim(self):
         return self.space.dim
+
+    @property
+    def block(self):
+        """The channel as slice(lo, hi): every coordinate when it is None."""
+        ch = self.channel
+        if ch is None:
+            return slice(0, self.dim)
+        return slice(*ch.indices(self.dim)[:2])
 
     @property
     def additive_noise(self):
@@ -595,7 +634,10 @@ def build_sdde_lift(
     + sigma0 dW with z = integral of kernel * past segment. The transport
     of the past segment lives entirely in the generator; the drift returned
     here adds back the present value that the generator's stencil subtracts,
-    so the present channel carries no artificial damping.
+    so the present channel carries no artificial damping. Drift, noise and
+    control act on the present value alone, so the problem's channel is
+    slice(0, 1) and drift returns that row, with shape (..., 1); the engine
+    adds drift and noise to it and leaves the past segment to the generator.
 
     The kernel must vanish at -d (within 1e-12 of its own scale); that
     endpoint condition is what makes the memory functional bounded by the
@@ -632,12 +674,11 @@ def build_sdde_lift(
         return np.sum(kq * x[..., 1:], axis=-1)
 
     def drift(x, a):
+        # the present row alone: the channel is slice(0, 1)
         y = x[..., 0]
         z = memory(x)
-        out = np.zeros_like(x)
         # +y cancels the -y the stencil's present row contributes
-        out[..., 0] = beta_y * y + beta_z * z + c_nl * np.tanh(y) - a[..., 0] + y
-        return out
+        return (beta_y * y + beta_z * z + c_nl * np.tanh(y) - a[..., 0] + y)[..., None]
 
     sigma = np.zeros((dim, 1))
     sigma[0, 0] = sigma0
@@ -670,6 +711,7 @@ def build_sdde_lift(
         horizon=horizon,
         cost_structure=cost,
         drift_lipschitz=lip,
+        channel=slice(0, 1),
         meta={
             "kind": "sdde_lift",
             "delay": delay,

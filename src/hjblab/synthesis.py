@@ -92,21 +92,29 @@ class HamiltonianConfig:
 
 
 def hamiltonian_value(problem, x, p, a):
-    """F(x, p, a) = <p, b(x, a)>_H + l(x, a) for a batch of controls."""
+    """F(x, p, a) = <p, b(x, a)>_H + l(x, a) for a batch of controls.
+
+    b vanishes off the problem's channel, so the pairing sums the channel.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     x_b = np.broadcast_to(np.asarray(x, dtype=float), (a.shape[0], problem.dim))
-    w = problem.space.weights
+    J = problem.block
+    w = problem.space.weights[J]
     drift = problem.drift(x_b, a)
-    pairing = np.sum(w * drift * np.asarray(p, dtype=float), axis=-1)
+    pairing = np.sum(w * drift * np.asarray(p, dtype=float)[..., J], axis=-1)
     return pairing + problem.running_cost(x_b, a)
 
 
 def _control_adjoint_times(problem, p):
-    """G* p = W_control^{-1} G^T W_state p, batched over the last axis of p."""
-    g = problem.cost_structure.control_matrix
-    wh = problem.space.weights
+    """G* p = W_control^{-1} G^T W_state p, batched over the last axis of p.
+
+    G's rows vanish off the problem's channel, so only the channel enters.
+    """
+    J = problem.block
+    g = problem.cost_structure.control_matrix[J]
+    wh = problem.space.weights[J]
     wl = problem.control_spec.weights
-    return (np.asarray(p, dtype=float) * wh) @ g / wl
+    return (np.asarray(p, dtype=float)[..., J] * wh) @ g / wl
 
 
 def gamma_separated(problem, p, x=None):
@@ -346,6 +354,14 @@ class DppConfig:
     n_inner: int = 24            # continuations per first-leg path
     n_steps: int = 150
     se_mult: float = 3.0
+
+    def __post_init__(self):
+        # one path or one first leg gives a zero standard error, which no
+        # tolerance can fail; no inner continuation leaves nothing to average
+        for name, least in (("n_paths", 2), ("n_outer", 2), ("n_inner", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def dpp_check(problem, policy, t, x, s_mid, cfg: Optional[DppConfig] = None,

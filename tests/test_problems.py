@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hjblab.cli import _BUILDERS
 from hjblab.hilbert import b_norm, check_b_condition, h_norm
 from hjblab.models import (
     ControlSpec,
@@ -214,6 +215,50 @@ def test_control_matrix_shape_must_match_problem():
         dataclasses.replace(problem, cost_structure=wide)
 
 
+# a (replace fields, message) per invalid channel on the 21-dim delay lift
+BAD_CHANNELS = {
+    "empty": (lambda p: {"channel": slice(0, 0)}, "nonempty block"),
+    "past_dim": (lambda p: {"channel": slice(20, 22)}, "nonempty block"),
+    "negative": (lambda p: {"channel": slice(-1, 1)}, "nonempty block"),
+    "stepped": (lambda p: {"channel": slice(0, 4, 2)}, "unit step"),
+    "noise_off_channel": (
+        lambda p: {"noise": np.where(np.arange(p.dim)[:, None] == 3, 0.1, p.noise)},
+        "noise has a nonzero row"),
+    "control_off_channel": (
+        lambda p: {"cost_structure": dataclasses.replace(
+            p.cost_structure,
+            control_matrix=np.where(np.arange(p.dim)[:, None] == 2, 1.0,
+                                    p.cost_structure.control_matrix))},
+        "control_matrix has a nonzero row"),
+    "callable_noise": (
+        lambda p: {"noise": lambda x: np.zeros(x.shape + (1,))},
+        "callable noise needs the full channel"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CHANNELS))
+def test_problem_rejects_an_invalid_channel(case):
+    problem = build_sdde_lift()
+    fields, message = BAD_CHANNELS[case]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(problem, **fields(problem))
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_channel_covers_noise_and_control_rows_and_drift_is_its_width(kind):
+    built = _BUILDERS[kind]()
+    problem = built[0] if isinstance(built, tuple) else built
+    block = problem.block
+    off = np.ones(problem.dim, dtype=bool)
+    off[block] = False
+    assert not np.any(problem.noise[off])
+    assert not np.any(problem.cost_structure.control_matrix[off])
+    x = stream(4, "x", 0).normal(size=(5, problem.dim))
+    a = stream(4, "a", 0).normal(size=(5, problem.control_spec.dim))
+    assert problem.drift(x, a).shape == (5, block.stop - block.start)
+    assert (kind == "sdde") == (problem.channel == slice(0, 1))
+
+
 def test_running_cost_is_derived_from_cost_structure():
     problem = build_reaction_diffusion(n_grid=8)
     derived = dataclasses.replace(problem, running_cost=None)
@@ -375,13 +420,20 @@ def test_sdde_drift_lipschitz_declared_bound_holds_in_h_norm():
     lip = problem.drift_lipschitz
     rng = stream(21, "lip", 0)
     a = np.zeros((1, 1))
+
+    def full_drift(x):
+        # drift returns the channel; embed it in the full space, zero off it
+        out = np.zeros_like(x)
+        out[..., problem.block] = problem.drift(x, a)
+        return out
+
     worst = 0.0
     for _ in range(300):
         x = rng.normal(size=(1, problem.dim)) * 2
         y = rng.normal(size=(1, problem.dim)) * 2
         # compare the genuine drift difference, net of the +y compensation
         # term that belongs to the generator split
-        dx = problem.drift(x, a) - problem.drift(y, a)
+        dx = full_drift(x) - full_drift(y)
         dx[..., 0] -= x[0, 0] - y[0, 0]
         num = h_norm(problem.space, dx[0])
         den = h_norm(problem.space, (x - y)[0])

@@ -18,6 +18,7 @@ from hjblab.controls import (
     ConstantSignal,
     PiecewiseConstantSignal,
     TraceSignal,
+    signal_values,
     zero_signal,
 )
 from hjblab.engine import (
@@ -35,6 +36,7 @@ from hjblab.hilbert import (
     h_norm,
     make_custom_operator,
     make_zero_operator,
+    semigroup_matrix,
 )
 from hjblab.models import (
     ControlProblem,
@@ -665,6 +667,79 @@ def test_contestant_lists_must_pair_states_with_controls():
     with pytest.raises(ValueError, match="one per control"):
         simulate_ensemble(problem, 0.0, [np.array([1.0])], [zero_signal(1)] * 2,
                           n_paths=3, n_steps=5, seed=0)
+
+
+# --- the step on the channel ----------------------------------------------------
+
+
+def full_width_run(problem, x, control, n_paths, seed=17):
+    """A reference step loop on the full state for one contestant, one pass:
+    the channel drift embedded in zeros(N), the full noise product, then
+    X + dt*b + sigma dW and the semigroup. Returns costs, terminal states,
+    states and control traces."""
+    n, q = problem.dim, problem.control_spec.dim
+    cost = problem.cost_structure
+    lo, hi = problem.control_spec.box
+    dt = problem.horizon / TILE_STEPS
+    grid = dt * np.arange(TILE_STEPS + 1)
+    dw = gaussian_increments(seed, "paths", n_paths, TILE_STEPS,
+                             problem.noise_dim, dt)
+    E = semigroup_matrix(problem.op, dt)
+    values = (None if hasattr(control, "feedback")
+              else signal_values(control, grid[:-1]))
+    X = np.empty((n_paths, n))
+    X[...] = x
+    states, traces = [X], []
+    c1, acc = cost.l1(X), np.zeros(n_paths)
+    for k in range(TILE_STEPS):
+        if values is None:
+            a = np.clip(control.feedback(grid[k], X), lo, hi)
+        else:
+            a = np.broadcast_to(values[..., k, :], (n_paths, q))
+        b = np.zeros((n_paths, n))
+        b[:, problem.block] = problem.drift(X, a)
+        c2 = cost.l2(a)
+        l_left = c1 + c2
+        X = (X + dt * b + dw[:, k] @ problem.noise.T) @ E.T
+        c1 = cost.l1(X)
+        acc += 0.5 * dt * (l_left + (c1 + c2))
+        states.append(X)
+        traces.append(a)
+    acc += problem.terminal_cost(X)
+    return {"costs": acc, "terminal_states": X,
+            "states": np.stack(states, axis=1),
+            "control_traces": np.stack(traces, axis=1)}
+
+
+@pytest.mark.parametrize("layout, n_paths", [
+    ("one_tile", 997), ("four_tiles", 997), ("grouped", 150)])
+def test_channel_step_matches_a_full_width_reference_bitwise(
+        monkeypatch, layout, n_paths):
+    # the delay lift steps its present channel alone; off it the drift and
+    # noise are zero, so the full-width step gives the same bits
+    problem = build_sdde_lift(control_bound=0.4, c_nl=0.3)
+    assert problem.channel == slice(0, 1)
+    contestants = group_contestants(problem, n_paths)
+    if layout == "four_tiles":
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 256))
+    tiles = engine._tile_bounds(n_paths, problem.dim)
+    groups = engine._group_bounds(len(contestants), n_paths, problem.dim)
+    assert len(tiles) == (4 if layout == "four_tiles" else 1)
+    assert (len(groups) < len(contestants)) == (layout == "grouped")
+    runs = run_contestants(problem, contestants, n_paths)
+    for (x, control), run in zip(contestants, runs):
+        reference = full_width_run(problem, x, control, n_paths)
+        for field, want in reference.items():
+            assert getattr(run, field).tobytes() == want.tobytes(), field
+
+
+def test_run_rejects_fewer_than_one_path():
+    problem = build_sdde_lift()
+    x = np.zeros(problem.dim)
+    for n_paths in (0, -1):
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_costs(problem, 0.0, x, zero_policy(problem), n_paths,
+                           n_steps=10)
 
 
 # --- the row-wise contract ------------------------------------------------------

@@ -283,6 +283,15 @@ def test_verify_rejects_single_path():
 # --- dynamic programming consistency ------------------------------------------------
 
 
+@pytest.mark.parametrize("field, value", [("n_paths", 1), ("n_outer", 1),
+                                          ("n_inner", 0)])
+def test_dpp_config_rejects_degenerate_sizes(field, value):
+    # one path or one first leg gives a zero standard error, no inner
+    # continuation leaves the nested side empty
+    with pytest.raises(ValueError, match=field):
+        DppConfig(**{field: value})
+
+
 def test_dpp_degenerate_split_is_exact():
     problem, oracle, sol = lq_setup()
     policy = make_riccati_policy(problem, sol)
