@@ -410,7 +410,8 @@ def stage_value(st: RunState):
         n_steps=min(sim["n_steps"], 120), seed=st.seed("truncation"))
     st.reports.append(rep)
     grad, grad_se = gradient_fd(st.evaluator(), 0.0, st.probe,
-                                h=val["fd_step"], seed=st.seed("gradient"))
+                                h=val["fd_step"], seed=st.seed("gradient"),
+                                weights=st.problem.space.weights)
     if st.wants("csv"):
         rows = list(zip(range(len(grad)), grad, grad_se))
         write_csv(st.path("value_gradient.csv"),
@@ -462,8 +463,8 @@ def stage_diagnose(st: RunState):
             c_bound=d["c_bound"]))
     if "c11" in scans:
         def gev(t, x, seed):
-            return gradient_fd(st.evaluator(), t, x,
-                               h=st.cfg.value["fd_step"], seed=seed)
+            return gradient_fd(st.evaluator(), t, x, h=st.cfg.value["fd_step"],
+                               seed=seed, weights=space.weights)
 
         st.reports.append(dg.c11_modulus(
             st.evaluator(), gev, pairs, space, seed=st.seed("c11"),
@@ -500,10 +501,11 @@ def stage_compare(st: RunState):
         )
     sim = st.cfg.simulation
     dim = st.problem.dim
-    bump = np.zeros(dim)
-    bump[dim // 3:max(dim // 3 + 1, (2 * dim) // 3)] = 0.2
+    x1 = 0.05 * np.sin(np.pi * np.arange(1, dim + 1) / (dim + 1))
+    x1[dim // 3:max(dim // 3 + 1, (2 * dim) // 3)] += 0.2
+    # x1 > 0 in every component, so the margin is the ordering's, not a tie
     st.reports.append(dg.comparison_check(
-        st.problem, bump, np.zeros(dim), None, None,
+        st.problem, x1, np.zeros(dim), None, None,
         n_paths=min(sim["n_paths"], 1000), n_steps=sim["n_steps"],
         seed=st.seed("comparison")))
 

@@ -70,12 +70,14 @@ contestants rerun one at a time, in order, so the error raised is the one
 that contestant's own run raises.
 
 One loop, `_run`, advances every run, a single contestant being the C = 1
-case, and returns one record per contestant, `PathEnsemble`: the time grid,
-terminal states and clip fraction always, and states, per-path costs,
-control traces or sup norms when they were asked for. `simulate_ensemble`
-(states) and `simulate_costs` (costs, optionally controls) hand those
-records back unchanged, one for one contestant or a list for lists of
-states and controls; a single path is path 0 of a one-path ensemble.
+case, over its problem's window [t, horizon] in n_steps equal steps; a
+shorter window is a run of the problem with a shorter horizon. It returns
+one record per contestant, `PathEnsemble`: the time grid and terminal
+states always, and states, per-path costs, control traces or sup norms when
+they were asked for. `simulate_ensemble` (states) and `simulate_costs`
+(costs, optionally controls) hand those records back unchanged, one for one
+contestant or a list for lists of states and controls; a single path is
+path 0 of a one-path ensemble.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
@@ -135,14 +137,14 @@ class SimulationDivergenceError(RuntimeError):
 class PathEnsemble:
     """The run record: what one pass of the step loop produced.
 
-    The last four fields are None unless the run was asked for them.
+    The last four fields are None unless the run was asked for them. Traces
+    are clipped into the box, so they show how often a feedback sat on it.
     """
 
     time_grid: np.ndarray                        # (M+1,)
     terminal_states: np.ndarray                  # (P, N)
-    clip_fraction: float                         # feedback path-steps at the box
     states: Optional[np.ndarray] = None          # (P, M+1, N)
-    costs: Optional[np.ndarray] = None           # (P,) running [+ terminal]
+    costs: Optional[np.ndarray] = None           # (P,) running + terminal
     control_traces: Optional[np.ndarray] = None  # (P, M, q), step left-endpoints
     sup_norm: Optional[np.ndarray] = None        # (P,) max over steps of ||X||_H
 
@@ -225,23 +227,22 @@ def _run(
     master_seed,
     stream_label,
     *,
-    t_end=None,
     record_states=False,
     record_controls=False,
     accumulate_costs=False,
-    include_terminal=True,
     track_sup_norm=False,
 ):
-    """Advance (x, control) contestants on one noise request; the single loop
-    behind every public entry point. One record per contestant, in order."""
-    horizon = problem.horizon if t_end is None else t_end
-    if not (0.0 <= t < horizon <= problem.horizon + 1e-12):
-        raise ValueError(f"need 0 <= t < t_end <= horizon, got t={t}, t_end={horizon}")
+    """Advance (x, control) contestants on one noise request over [t, horizon];
+    the single loop behind every public entry point. One record per
+    contestant, in order."""
+    if not (0.0 <= t < problem.horizon):
+        raise ValueError(f"need 0 <= t < horizon, got t={t}, "
+                         f"horizon={problem.horizon}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    dt = (horizon - t) / n_steps
+    dt = (problem.horizon - t) / n_steps
     grid = t + dt * np.arange(n_steps + 1)
     step_times = grid[:-1]
 
@@ -268,7 +269,6 @@ def _run(
     # outputs for every contestant; each record holds its own slice
     lead = (len(contestants), n_paths)
     terminal = np.empty(lead + (n,))
-    clip_events = np.zeros(len(contestants), dtype=np.int64)
     states = np.empty(lead + (n_steps + 1, n)) if record_states else None
     traces = np.empty(lead + (n_steps, q)) if record_controls else None
     costs = np.empty(lead) if accumulate_costs else None
@@ -277,8 +277,7 @@ def _run(
 
     def advance(g0, g1, lo, hi):
         """Run every step on paths lo:hi of contestants g0:g1, stacked as one
-        (C, rows, N) state; write their outputs and return the number of
-        each one's path-steps with the control at the box."""
+        (C, rows, N) state, and write their outputs."""
         n_c, rows = g1 - g0, hi - lo
         X = np.empty((n_c, rows, n))
         for c in range(n_c):
@@ -318,7 +317,6 @@ def _run(
             c1[...] = separated.l1(X.reshape(n_c * rows, n))
         if track_sup_norm:
             norm = h_norm(problem.space, X)
-        clips = np.zeros(n_c, dtype=np.int64)
 
         for k in range(n_steps):
             s = grid[k]
@@ -328,10 +326,6 @@ def _run(
                     s, X[first:stop].reshape(-1, n))
                 if box is not None:
                     np.clip(a, box[0], box[1], out=a)
-                    # feedback maps often clip internally, so count saturation
-                    # by boundary contact rather than by values moved
-                    at_edge = (a <= box[0]) | (a >= box[1])
-                    clips[first:stop] += np.sum(np.any(at_edge, axis=-1), axis=-1)
             if shared:
                 A[shared_at] = shared_vals[:, k]
             for c, vals in per_path:
@@ -385,18 +379,17 @@ def _run(
                 np.maximum(norm, h_norm(problem.space, X), out=norm)
 
         if accumulate_costs:
-            if include_terminal:
-                acc += problem.terminal_cost(X.reshape(n_c * rows, n))
+            acc += problem.terminal_cost(X.reshape(n_c * rows, n))
             costs[g0:g1, lo:hi] = acc.reshape(n_c, rows)
         if track_sup_norm:
             sup_norm[g0:g1, lo:hi] = norm
         terminal[g0:g1, lo:hi] = X
-        return clips
 
     for g0, g1 in _group_bounds(len(contestants), n_paths, n):
         tiles = _tile_bounds(n_paths, n)
         try:
-            clip_events[g0:g1] = sum(advance(g0, g1, lo, hi) for lo, hi in tiles)
+            for lo, hi in tiles:
+                advance(g0, g1, lo, hi)
         except SimulationDivergenceError:
             if g1 - g0 == 1 and len(tiles) == 1:
                 raise
@@ -404,14 +397,12 @@ def _run(
             # first to diverge raises the error its own run raises, naming the
             # earliest step over its paths and the largest magnitude there
             for c in range(g0, g1):
-                clip_events[c] = advance(c, c + 1, 0, n_paths)[0]
+                advance(c, c + 1, 0, n_paths)
 
     return [
         PathEnsemble(
             time_grid=grid,
             terminal_states=terminal[c],
-            clip_fraction=(int(clip_events[c]) / (n_paths * n_steps)
-                           if controls[c][0] == "policy" else 0.0),
             states=None if states is None else states[c],
             costs=None if costs is None else costs[c],
             control_traces=None if traces is None else traces[c],
@@ -462,20 +453,19 @@ def simulate_costs(
     n_steps=200,
     seed=42,
     stream_label="paths",
-    t_end=None,
-    include_terminal=True,
     record_controls=False,
 ):
-    """Per-path accumulated costs without storing intermediate states.
+    """Per-path running plus terminal costs over [t, horizon], without
+    storing intermediate states.
 
-    t_end cuts the sweep short (terminal cost is then usually excluded);
-    the dynamic-programming audit stitches two such sweeps together. Lists
-    of initial states and controls are contestants, as in simulate_ensemble.
+    A shorter sweep is a run of the problem cut at that time: the
+    dynamic-programming audit stitches one on a problem with horizon s and a
+    zero terminal cost to a second from s. Lists of initial states and
+    controls are contestants, as in simulate_ensemble.
     """
     runs = _run(
         problem, t, _contestants(x, control), n_paths, n_steps, seed,
-        stream_label, t_end=t_end, accumulate_costs=True,
-        include_terminal=include_terminal, record_controls=record_controls,
+        stream_label, accumulate_costs=True, record_controls=record_controls,
     )
     return runs if isinstance(control, list) else runs[0]
 

@@ -79,11 +79,10 @@ def _frozen_array(a, dtype=float):
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Weighted R^dim with optional named contiguous blocks."""
+    """Weighted R^dim; the block a problem's dynamics act on is its channel."""
 
     dim: int
     weights: np.ndarray
-    block_layout: tuple = ()
 
     def __post_init__(self):
         w = _frozen_array(self.weights)
@@ -92,18 +91,6 @@ class SpaceSpec:
         if not np.all(w > 0):
             raise ValueError("quadrature weights must be positive")
         object.__setattr__(self, "weights", w)
-        blocks = tuple((str(name), int(size)) for name, size in self.block_layout)
-        if blocks and sum(size for _, size in blocks) != self.dim:
-            raise ValueError("block sizes must sum to dim")
-        object.__setattr__(self, "block_layout", blocks)
-
-    def block(self, name: str) -> slice:
-        start = 0
-        for bname, size in self.block_layout:
-            if bname == name:
-                return slice(start, start + size)
-            start += size
-        raise KeyError(f"no block named {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +182,7 @@ def delay_space(n: int, delay: float, n_past: int) -> SpaceSpec:
     """
     h = float(delay) / n_past
     weights = np.concatenate([np.ones(n), np.full(n * n_past, h)])
-    layout = (("present", n), ("past", n * n_past))
-    return SpaceSpec(n * (1 + n_past), weights, layout)
+    return SpaceSpec(n * (1 + n_past), weights)
 
 
 def make_delay_generator(n: int, delay: float, n_past: int) -> DiscreteOperator:

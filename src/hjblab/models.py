@@ -23,7 +23,7 @@ which is what feedback synthesis inverts.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,6 +163,8 @@ class ControlProblem:
     as l1(x) + l2(a); the engine integrates cost_structure directly whenever
     one is set, so running_cost serves problems without one and callers
     that evaluate l(x, a) themselves.
+    A problem carries no free-form metadata: what a builder knows beyond
+    these fields (the LQ oracle) it returns beside the problem.
     """
 
     name: str
@@ -180,7 +182,6 @@ class ControlProblem:
     drift_lipschitz: Optional[float] = None
     reaction: Optional[ReactionSpec] = None
     channel: Optional[slice] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -433,7 +434,6 @@ def build_lq_benchmark(
         horizon=horizon,
         cost_structure=cost,
         drift_lipschitz=abs(a_lin),
-        meta={"kind": "lq", "oracle": oracle},
     )
     return problem, oracle
 
@@ -588,16 +588,6 @@ def build_reaction_diffusion(
         cost_structure=cost,
         drift_lipschitz=spec.lipschitz,
         reaction=spec,
-        meta={
-            "kind": "reaction_diffusion",
-            "nu": nu,
-            "l1": l1 if isinstance(l1, str) else "custom",
-            "l1_coeff": l1_coeff,
-            "g": g if isinstance(g, str) else "custom",
-            "g_coeff": g_coeff,
-            "length": length,
-            "diffusivity": diffusivity,
-        },
     )
     return problem
 
@@ -712,16 +702,5 @@ def build_sdde_lift(
         cost_structure=cost,
         drift_lipschitz=lip,
         channel=slice(0, 1),
-        meta={
-            "kind": "sdde_lift",
-            "delay": delay,
-            "n_past": n_past,
-            "kernel_values": kvals,
-            "kernel_quadrature": kq,
-            "kernel_l2": kernel_l2,
-            "beta_y": beta_y,
-            "beta_z": beta_z,
-            "c_nl": c_nl,
-        },
     )
     return problem

@@ -17,7 +17,7 @@ challenger by more than Monte Carlo noise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,7 +50,8 @@ _PROVENANCES = ("closed_form_gamma", "policy_iteration", "oracle")
 
 @dataclass(frozen=True)
 class Policy:
-    """Feedback map (s, state batch) -> control batch, with provenance.
+    """Feedback map (s, state batch) -> control batch, with provenance and a
+    report label; a gamma policy's gradient field lives in its closure.
 
     feedback is row-wise: row k of the control batch depends on s and state
     row k alone, with the same bits whatever rows share the batch and at
@@ -60,7 +61,6 @@ class Policy:
 
     feedback: Callable
     provenance: str
-    gradient_source: object = None
     label: str = ""
 
     def __post_init__(self):
@@ -74,7 +74,6 @@ class Policy:
 class HamiltonianProbe:
     x: np.ndarray
     p: np.ndarray
-    m: float
     argmin: np.ndarray
     value: float
     n_starts: int = 0
@@ -117,12 +116,10 @@ def _control_adjoint_times(problem, p):
     return (np.asarray(p, dtype=float)[..., J] * wh) @ g / wl
 
 
-def gamma_separated(problem, p, x=None):
+def gamma_separated(problem, p):
     """Pointwise minimizer dl2_inverse(-G* p), clipped into the box.
 
-    x is accepted for signature symmetry with state-dependent selectors and
-    ignored here: with separated costs the minimizer depends on the
-    gradient alone.
+    With separated costs the minimizer depends on the gradient alone.
     """
     if problem.cost_structure is None:
         raise ValueError("gamma_separated needs a separated cost structure")
@@ -207,7 +204,7 @@ def hamiltonian_min(problem, x, p, m, cfg: Optional[HamiltonianConfig] = None
             if control_norm(a - best_a, weights) > 1e-6:
                 notes.append("tie: first argmin kept")
     return HamiltonianProbe(
-        x=x, p=p, m=float(m), argmin=best_a, value=best_v,
+        x=x, p=p, argmin=best_a, value=best_v,
         n_starts=len(starts), converged=converged,
         notes="; ".join(sorted(set(notes))),
     )
@@ -228,10 +225,9 @@ def make_gamma_policy(problem, gradient_fn, provenance="closed_form_gamma",
 
     def feedback(s, x_batch):
         xb = np.atleast_2d(np.asarray(x_batch, dtype=float))
-        return gamma_separated(problem, gradient_fn(s, xb), x=xb)
+        return gamma_separated(problem, gradient_fn(s, xb))
 
-    return Policy(feedback=feedback, provenance=provenance,
-                  gradient_source=gradient_fn, label=label)
+    return Policy(feedback=feedback, provenance=provenance, label=label)
 
 
 def make_riccati_policy(problem, solution, label="riccati") -> Policy:
@@ -246,7 +242,6 @@ def scale_policy(policy: Policy, factor: float, label=None) -> Policy:
     return Policy(
         feedback=lambda s, xb: factor * inner(s, xb),
         provenance=policy.provenance,
-        gradient_source=policy.gradient_source,
         label=label if label is not None else f"{policy.label}*{factor:g}",
     )
 
@@ -369,10 +364,11 @@ def dpp_check(problem, policy, t, x, s_mid, cfg: Optional[DppConfig] = None,
     """Two-stage consistency: cost-to-go now vs cost to s_mid plus cost-to-go
     from the reached states.
 
-    The nested side stitches a first leg on [t, s_mid] to fresh inner
-    ensembles started at each reached state (inner streams are derived, not
-    reused, so the identity is tested rather than replayed). Degenerate
-    s_mid = t compares the estimate to itself and passes exactly.
+    The nested side stitches a first leg on [t, s_mid], a run of the problem
+    cut at s_mid with a zero terminal cost, to fresh inner ensembles started
+    at each reached state (inner streams are derived, not reused, so the
+    identity is tested rather than replayed). Degenerate s_mid = t compares
+    the estimate to itself and passes exactly.
     """
     cfg = cfg or DppConfig()
     if not (t <= s_mid < problem.horizon):
@@ -388,9 +384,11 @@ def dpp_check(problem, policy, t, x, s_mid, cfg: Optional[DppConfig] = None,
         frac = (s_mid - t) / (problem.horizon - t)
         n1 = max(1, int(round(cfg.n_steps * frac)))
         n2 = max(1, cfg.n_steps - n1)
-        leg = simulate_costs(problem, t, x, policy, cfg.n_outer, n1, seed,
-                             stream_label="dpp_leg1", t_end=s_mid,
-                             include_terminal=False)
+        # adding the zero terminal cost keeps the running costs' bits
+        cut = replace(problem, horizon=s_mid,
+                      terminal_cost=lambda xb: np.zeros(xb.shape[:-1]))
+        leg = simulate_costs(cut, t, x, policy, cfg.n_outer, n1, seed,
+                             stream_label="dpp_leg1")
         mids = np.repeat(leg.terminal_states, cfg.n_inner, axis=0)
         inner = simulate_costs(problem, s_mid, mids,
                                policy, cfg.n_outer * cfg.n_inner, n2,

@@ -24,6 +24,9 @@ evaluator runs the K points as contestants of one engine call, so the legs
 of a finite difference or a defect-scan pair with its midpoints cost one
 noise request. Policy iteration goes one step further and prices a whole
 time row of its grid in one engine call, each grid point on its own paths.
+
+The records hold estimates, not what made them: a FamilyValue names its best
+candidate by index and label, and a ValueField pairs points with estimates.
 """
 
 import math
@@ -77,16 +80,12 @@ class MCEstimate:
 
 @dataclass
 class ValueField:
-    """Value estimates (and optionally gradients) on a set of (t, x) points."""
+    """Value estimates on a set of (t, x) points."""
 
     points: list          # [(t, x array), ...]
     estimates: list       # [MCEstimate, ...]
-    method_tag: str       # family_inf | policy_iteration
-    gradients: Optional[list] = None
 
     def __post_init__(self):
-        if self.method_tag not in ("family_inf", "policy_iteration"):
-            raise ValueError(f"unknown method_tag '{self.method_tag}'")
         if len(self.points) != len(self.estimates):
             raise ValueError("one estimate per point required")
 
@@ -150,15 +149,13 @@ class ControlFamily:
 
 @dataclass
 class FamilyValue:
-    """Best-candidate estimate plus the bookkeeping around it."""
+    """Best-candidate estimate plus every candidate's, by label."""
 
     estimate: MCEstimate
     argmin_index: int
     argmin_label: str
-    argmin_control: object
     candidate_estimates: list
     candidate_labels: list
-    argmin_samples: Optional[np.ndarray] = None
 
 
 def cost_samples(problem, t, x, control, n_paths, n_steps=200, seed=42,
@@ -205,10 +202,8 @@ def estimate_value_family(
         estimate=estimates[best],
         argmin_index=best,
         argmin_label=pairs[best][0],
-        argmin_control=pairs[best][1],
         candidate_estimates=estimates,
         candidate_labels=[p[0] for p in pairs],
-        argmin_samples=all_samples[best],
     )
 
 
@@ -507,7 +502,7 @@ def policy_iteration(
         from .synthesis import gamma_separated
 
         def gamma_selector(pb, x_batch, p_batch):
-            return gamma_separated(pb, p_batch, x=x_batch)
+            return gamma_separated(pb, p_batch)
 
     from .synthesis import Policy
 
@@ -515,7 +510,6 @@ def policy_iteration(
         feedback=lambda s, xb: np.zeros((np.atleast_2d(xb).shape[0],
                                          problem.control_spec.dim)),
         provenance="policy_iteration",
-        gradient_source="zero_start",
     )
 
     w = np.asarray(problem.space.weights, dtype=float)
@@ -560,19 +554,16 @@ def policy_iteration(
             a = gamma_selector(problem, xb, _field(s, xb))
             return clip_box(a, box)
 
-        policy = Policy(feedback=feedback, provenance="policy_iteration",
-                        gradient_source=field)
+        policy = Policy(feedback=feedback, provenance="policy_iteration")
         if converged:
             break
 
-    points, estimates, grads = [], [], []
+    points, estimates = [], []
     for i in range(len(t_arr)):
         for j in range(x_arr.shape[0]):
             points.append((float(t_arr[i]), x_arr[j].copy()))
             estimates.append(est_grid[i][j])
-            grads.append(grad_grid[i, j].copy())
-    vf = ValueField(points=points, estimates=estimates,
-                    method_tag="policy_iteration", gradients=grads)
+    vf = ValueField(points=points, estimates=estimates)
     return PolicyIterationResult(
         value_field=vf,
         policy=policy,

@@ -1,9 +1,11 @@
 """Config schema, pipeline orchestration, artifact and replay contracts."""
 
+import csv
 import dataclasses
 import hashlib
 import json
 import os
+import warnings
 
 import pytest
 
@@ -18,6 +20,7 @@ from hjblab.cli import (
     run_experiment,
     stage_simulate,
 )
+from hjblab.value import gradient_fd
 
 
 def fast_cfg(out_dir, kind="lq", **problem_overrides):
@@ -243,6 +246,37 @@ def test_run_all_includes_compare_only_for_reaction_kind(tmp_path):
     assert "order_preservation" in names
 
 
+def test_compare_stage_margin_is_the_orderings(tmp_path):
+    # strictly ordered inputs: the smallest gap is a positive margin met
+    # after the start, not the tie of equal components at step 0
+    out = tmp_path / "cmp"
+    cfg = fast_cfg(out, kind="reaction_diffusion")
+    run_experiment(cfg, stages=["compare"], echo=lambda *_: None)
+    report, = json.loads((out / "reports.json").read_text())
+    assert report["verdict"] == "pass"
+    assert report["constants"]["min_margin"] > 0.0
+    assert report["witness"]["step"] >= 1
+
+
+@pytest.mark.parametrize("kind", ["reaction_diffusion", "sdde"])
+def test_value_gradient_csv_is_the_weighted_gradient(tmp_path, kind):
+    # DV in the space's inner product: on these spaces the weights are not
+    # all one, so coordinate slopes would differ from it
+    out = tmp_path / kind
+    cfg = fast_cfg(out, kind=kind)
+    run_experiment(cfg, stages=["value"], echo=lambda *_: None)
+    with open(out / "value_gradient.csv", newline="") as fh:
+        _, *rows = csv.reader(fh)
+    st = RunState(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the noise-floor warning
+        grad, se = gradient_fd(st.evaluator(), 0.0, st.probe,
+                               h=cfg.value["fd_step"], seed=st.seed("gradient"),
+                               weights=st.problem.space.weights)
+    assert [float(r[1]) for r in rows] == grad.tolist()
+    assert [float(r[2]) for r in rows] == se.tolist()
+
+
 def test_formats_limit_artifacts(tmp_path):
     out = tmp_path / "lean"
     cfg = fast_cfg(out)
@@ -284,18 +318,18 @@ PINNED_DIGESTS = {
         "value_gradient.csv": "b0a3c92e98131b2f3043be0281266bfba547f4da8b71612e2fc655d8b083aeb6",
     },
     "reaction_diffusion": {
-        "reports.csv": "1baefbf90fe794ae12e59c9db3b5490b516c32974ea2eca6b50b939349ddc30b",
-        "reports.json": "776510d3320a7d6ff3e0ae2d95b2dc406ef15c4c8e8ffd4582514ba8058853fd",
+        "reports.csv": "c563a46bd9ecad9b4dee414593369393ba8c85401b350b81b61c1dc61d683316",
+        "reports.json": "5a0921b16f483fc06801c91f71e0ff65a16d453723eff3f0d4474792ed4c96e0",
         "sample_paths.csv": "20b504ad730f7c53fd6ac5dfa6d98d209072572419edc7912b51fba330884d8c",
         "value_family.csv": "3e64de4f4a463b12817dcc1dbb1c5f73df951520008eaab3f92203fb61b225f3",
-        "value_gradient.csv": "1300317b65dce87a07a22407bbc75958bbe353545d7f175949c4a92888131f3f",
+        "value_gradient.csv": "7ebda00b049c1e9708b62cfbfcc81cb18bdbd13f630acda6dccbc981ae7f3192",
     },
     "sdde": {
         "reports.csv": "33fce85ecca3d5107f806177d939d72cf3247781d5fd679c4c0513a5a734d062",
         "reports.json": "a5c2d934d827b01b9fd6f01be5f6782315715b23a402e1519ded4e83c78bc09a",
         "sample_paths.csv": "9afebead496b9637dd3f95059719c4cac56c07a4a8915cb51a9c62c586f3a04f",
         "value_family.csv": "baaa5a64e8ea0d01b404a2773a7a7d7aa2d1472fbb03c35db16d60ab50f17a20",
-        "value_gradient.csv": "bb1e148e7cdd4ace6911c0e6fcb7cb66cf45d76f51ee83ad730a23ef49a51359",
+        "value_gradient.csv": "45a1b786bd256fcb84a59a4d04cdcf370dc85a4eacf5327847a7d32c71918140",
     },
 }
 

@@ -70,14 +70,6 @@ def test_interval_space_weights():
     assert np.allclose(sp2.weights, 0.1)
 
 
-def test_block_lookup():
-    sp = delay_space(2, 1.0, 3)
-    assert sp.block("present") == slice(0, 2)
-    assert sp.block("past") == slice(2, 8)
-    with pytest.raises(KeyError):
-        sp.block("future")
-
-
 def test_h_norm_quadrature():
     # sum_j sin^2(j pi / (n+1)) = (n+1)/2 exactly, so the rectangle rule
     # reproduces ||sin(pi .)||_{L^2(0,1)} = sqrt(1/2) at every resolution

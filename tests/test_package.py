@@ -1,6 +1,6 @@
-"""Package structure: every public export resolves and has a caller, no
-module imports a name it does not use, and one place asks for Brownian
-increments."""
+"""Package structure: every public export resolves and has a caller, every
+record field has a reader, no module imports a name it does not use, and
+one place asks for Brownian increments."""
 
 import ast
 import importlib
@@ -13,6 +13,7 @@ import hjblab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hjblab.__path__))
 SOURCES = {name: Path(hjblab.__path__[0], f"{name}.py") for name in MODULES}
+BENCH_SOURCES = sorted(Path(__file__).resolve().parents[1].glob("perfbench/*.py"))
 
 
 def _tree(name):
@@ -126,3 +127,63 @@ def test_public_names_have_a_caller():
         "public names with no caller and no stated reason"
     assert set(UNREACHED_EXPORTS) - unreached == set(), \
         "listed exceptions that are exported and used, or not exported at all"
+
+
+# record fields that no reader in the package or the benchmark reads, each
+# with the reason it stays
+UNREAD_FIELDS = {
+    ("report", "DiagnosticReport", "witness"):
+        "to_dict serializes the whole report",
+    ("value", "FamilyValue", "argmin_index"): "a result that tests inspect",
+    ("value", "FamilyValue", "argmin_label"): "a result that tests inspect",
+    ("value", "PolicyIterationResult", "rounds_run"):
+        "a result that acceptance test c1 and tests inspect",
+    ("value", "PolicyIterationResult", "round_changes"):
+        "a result that acceptance test c1 and tests inspect",
+    ("value", "PolicyIterationResult", "round_values"):
+        "a result that acceptance test c1 and tests inspect",
+    ("models", "ControlProblem", "drift_lipschitz"):
+        "a declared hypothesis that test_problems audits",
+    ("synthesis", "HamiltonianProbe", "x"): "read by test_synthesis",
+}
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        f = deco.func if isinstance(deco, ast.Call) else deco
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(tree):
+    """Attribute names the tree loads, outside __post_init__ (validation)."""
+    reads = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def test_record_fields_have_a_reader():
+    # a field is read when the package or the benchmark loads an attribute
+    # of its name; writing it, validating it or a test reading it does not
+    # count
+    fields = {(name, node.name, stmt.target.id)
+              for name in MODULES for node in ast.walk(_tree(name))
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    trees = [_tree(name) for name in MODULES]
+    trees += [ast.parse(p.read_text(), filename=str(p)) for p in BENCH_SOURCES]
+    read = set().union(*(_attribute_reads(t) for t in trees))
+    unread = {f for f in fields if f[2] not in read}
+    assert unread - set(UNREAD_FIELDS) == set(), \
+        "record fields that nothing reads and no stated reason keeps"
+    assert set(UNREAD_FIELDS) - unread == set(), \
+        "listed exceptions that are read, or are no field at all"

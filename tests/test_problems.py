@@ -20,6 +20,7 @@ from hjblab.models import (
     build_lq_benchmark,
     build_reaction_diffusion,
     build_sdde_lift,
+    default_delay_kernel,
     riccati_solve,
 )
 from hjblab.seeds import stream
@@ -393,7 +394,8 @@ def test_sdde_memory_functional_bounded_by_weak_norm():
     # weak norm; the constant is estimated on one sample cloud and must keep
     # working on a fresh one
     problem = build_sdde_lift(n_past=20)
-    kq = problem.meta["kernel_quadrature"]
+    h = 1.0 / 20  # default delay 1 over n_past nodes at -1, ..., -h
+    kq = h * default_delay_kernel(1.0)(-1.0 + h * np.arange(20))
 
     def ratios(label, n):
         x = stream(13, label, 0).normal(size=(n, problem.dim)) * 2

@@ -412,14 +412,10 @@ def test_gradient_fd_warns_when_noise_dominates():
 
 def test_value_field_validation():
     with pytest.raises(ValueError):
-        ValueField(points=[(0.0, np.array([1.0]))], estimates=[], method_tag="family_inf")
-    with pytest.raises(ValueError):
-        ValueField(points=[], estimates=[], method_tag="nope")
+        ValueField(points=[(0.0, np.array([1.0]))], estimates=[])
     vf = ValueField(
         points=[(0.0, np.array([1.0])), (0.5, np.array([2.0]))],
         estimates=[MCEstimate(1.5, 0.1, 100), MCEstimate(2.5, 0.2, 100)],
-        method_tag="family_inf",
-        gradients=[np.array([0.3]), np.array([0.7])],
     )
     np.testing.assert_array_equal(vf.values(), [1.5, 2.5])
 
@@ -443,7 +439,6 @@ def test_policy_iteration_reaches_riccati_value_on_lq():
     est = res.value_field.estimates[idx]
     target = sol.value(0.0, np.array([1.0]))
     assert abs(est.mean - target) <= max(0.05 * abs(target), 3 * est.std_error)
-    assert res.value_field.method_tag == "policy_iteration"
     assert res.policy.provenance == "policy_iteration"
 
 
