@@ -44,6 +44,7 @@ from .synthesis import (
 )
 from .value import (
     ControlFamily,
+    below_noise_floor,
     estimate_value_family,
     gradient_fd,
     make_policy_evaluator,
@@ -413,9 +414,11 @@ def stage_value(st: RunState):
                                 h=val["fd_step"], seed=st.seed("gradient"),
                                 weights=st.problem.space.weights)
     if st.wants("csv"):
-        rows = list(zip(range(len(grad)), grad, grad_se))
+        floor = below_noise_floor(grad, grad_se).astype(int)
+        rows = list(zip(range(len(grad)), grad, grad_se, floor))
         write_csv(st.path("value_gradient.csv"),
-                  ("component", "gradient", "std_error"), rows)
+                  ("component", "gradient", "std_error", "below_noise_floor"),
+                  rows)
 
 
 def stage_synthesize(st: RunState):

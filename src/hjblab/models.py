@@ -119,11 +119,13 @@ class CostStructure:
 class ReactionSpec:
     """Pointwise reaction term with a declared slope bound.
 
-    fn must be a scalar ufunc-style callable; lipschitz bounds |fn'| on the
-    relevant range and is taken on trust here (the builder spot-checks it on
-    samples). The comparison audit's strict mode requires dt * lipschitz <= 1,
-    under which the explicit step keeps order, so a bound that is too small
-    shows up there as an order violation.
+    fn must be a scalar ufunc-style callable that returns a new array, never
+    a view of its argument: the drift subtracts the control from fn's result
+    in place. lipschitz bounds |fn'| on the relevant range and is taken on
+    trust here (the builder spot-checks it on samples). The comparison
+    audit's strict mode requires dt * lipschitz <= 1, under which the
+    explicit step keeps order, so a bound that is too small shows up there
+    as an order violation.
     """
 
     fn: Callable
@@ -157,7 +159,11 @@ class ControlProblem:
     whatever rows share the batch and at whatever offset row k sits, since
     the engine advances large ensembles in path tiles and calls these once
     on contestants stacked at row offsets c * P (see engine). Feedback maps
-    are held to the same contract (see synthesis.Policy).
+    are held to the same contract (see synthesis.Policy). A callback sums
+    over the state axis with a ufunc reduce or np.einsum, never with @ or
+    np.dot to a vector: OpenBLAS gemv gives rows of a batch other bits than
+    the same rows computed alone (with x[..., 1:] @ kq as the delay lift's
+    memory term, 24 of 997 drift rows moved).
 
     With a cost_structure, running_cost may be left out and is then derived
     as l1(x) + l2(a); the engine integrates cost_structure directly whenever
@@ -442,14 +448,24 @@ def build_lq_benchmark(
 # reaction-diffusion on an interval
 # ---------------------------------------------------------------------------
 
+def _softplus_dec(r):
+    """-log(1 + e^r) in the stable form -(log1p(e^-|r|) + max(r, 0)), in one
+    buffer. Negation is exact, so these are the bits of
+    -log1p(exp(-|r|)) - max(r, 0)."""
+    out = np.abs(r, out=np.empty(np.shape(r)))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(r, 0.0)
+    return np.negative(out, out=out)
+
+
 REACTIONS = {
     # slope of -log(1+e^r) is -e^r/(1+e^r), pinned to (-1, 0)
-    "softplus_dec": ReactionSpec(
-        fn=lambda r: -np.log1p(np.exp(-np.abs(r))) - np.maximum(r, 0.0),
-        lipschitz=1.0,
-        name="softplus_dec",
-    ),
-    "linear": ReactionSpec(fn=lambda r: r, lipschitz=1.0, name="linear"),
+    "softplus_dec": ReactionSpec(fn=_softplus_dec, lipschitz=1.0,
+                                 name="softplus_dec"),
+    # np.positive, not the identity: fn must return a new array
+    "linear": ReactionSpec(fn=np.positive, lipschitz=1.0, name="linear"),
     "tanh": ReactionSpec(fn=np.tanh, lipschitz=1.0, name="tanh"),
     "zero": ReactionSpec(fn=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                          lipschitz=0.0, name="zero"),
@@ -561,15 +577,17 @@ def build_reaction_diffusion(
     fn = spec.fn
 
     def drift(x, a):
-        return fn(x) - a
+        b = fn(x)
+        b -= a
+        return b
 
     def terminal_cost(x):
-        return np.sum(w * g_fn(x), axis=-1)
+        return np.einsum("...j,j->...", g_fn(x), w)
 
     box = None if control_bound is None else (-control_bound, control_bound)
     cost = CostStructure(
-        l1=lambda x: np.sum(w * l1_fn(x), axis=-1),
-        l2=lambda a: nu * np.sum(w * a * a, axis=-1),
+        l1=lambda x: np.einsum("...j,j->...", l1_fn(x), w),
+        l2=lambda a: nu * np.einsum("...j,...j,j->...", a, a, w),
         dl2=lambda a: 2.0 * nu * a,
         dl2_inverse=lambda v: v / (2.0 * nu),
         control_matrix=-np.eye(n_grid),
@@ -661,7 +679,7 @@ def build_sdde_lift(
     dim = 1 + n_past
 
     def memory(x):
-        return np.sum(kq * x[..., 1:], axis=-1)
+        return np.einsum("...j,j->...", x[..., 1:], kq)
 
     def drift(x, a):
         # the present row alone: the channel is slice(0, 1)

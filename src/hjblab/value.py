@@ -56,6 +56,7 @@ __all__ = [
     "estimate_value_family",
     "truncation_scan",
     "gradient_fd",
+    "below_noise_floor",
     "PolicyIterationConfig",
     "PolicyIterationResult",
     "policy_iteration",
@@ -88,9 +89,6 @@ class ValueField:
     def __post_init__(self):
         if len(self.points) != len(self.estimates):
             raise ValueError("one estimate per point required")
-
-    def values(self):
-        return np.array([e.mean for e in self.estimates])
 
 
 @dataclass(frozen=True)
@@ -362,15 +360,15 @@ def gradient_fd(value_evaluator, t, x, h=None, seed=0, weights=None):
     taken in the weighted inner product: coordinate slopes divided by the
     weights.
 
-    Warns when any component's standard error exceeds the component itself;
-    at that point the sign of the slope is statistically unresolved.
+    Warns when any component is below the Monte Carlo noise floor (see
+    below_noise_floor).
     """
     x = np.asarray(x, dtype=float)
     w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
     h, points = _central_differences(x, h, w)
     grad, ses = _slopes(np.asarray(value_evaluator(t, points, seed), dtype=float),
                         h, w)
-    noisy = np.abs(ses) > np.abs(grad)
+    noisy = below_noise_floor(grad, ses)
     if np.any(noisy):
         warnings.warn(
             f"gradient components {np.flatnonzero(noisy).tolist()} are below "
@@ -378,6 +376,12 @@ def gradient_fd(value_evaluator, t, x, h=None, seed=0, weights=None):
             stacklevel=2,
         )
     return grad, ses
+
+
+def below_noise_floor(grad, ses):
+    """Components whose standard error exceeds the component itself: there
+    the sign of the slope is statistically unresolved."""
+    return np.abs(ses) > np.abs(grad)
 
 
 # ---------------------------------------------------------------------------

@@ -258,23 +258,37 @@ def test_compare_stage_margin_is_the_orderings(tmp_path):
     assert report["witness"]["step"] >= 1
 
 
-@pytest.mark.parametrize("kind", ["reaction_diffusion", "sdde"])
-def test_value_gradient_csv_is_the_weighted_gradient(tmp_path, kind):
+@pytest.mark.parametrize("kind, overrides", [
+    ("reaction_diffusion", {}), ("sdde", {}),
+    # a coarse short instance whose gradient has components below the floor
+    ("reaction_diffusion", dict(n_grid=6, noise_modes=1, horizon=0.3)),
+], ids=["reaction_diffusion", "sdde", "rd_below_noise_floor"])
+def test_value_gradient_csv_is_the_weighted_gradient(tmp_path, kind, overrides):
     # DV in the space's inner product: on these spaces the weights are not
     # all one, so coordinate slopes would differ from it
     out = tmp_path / kind
-    cfg = fast_cfg(out, kind=kind)
+    cfg = fast_cfg(out, kind=kind, **overrides)
     run_experiment(cfg, stages=["value"], echo=lambda *_: None)
     with open(out / "value_gradient.csv", newline="") as fh:
-        _, *rows = csv.reader(fh)
+        header, *rows = csv.reader(fh)
     st = RunState(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the noise-floor warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         grad, se = gradient_fd(st.evaluator(), 0.0, st.probe,
                                h=cfg.value["fd_step"], seed=st.seed("gradient"),
                                weights=st.problem.space.weights)
+    assert header == ["component", "gradient", "std_error", "below_noise_floor"]
     assert [float(r[1]) for r in rows] == grad.tolist()
     assert [float(r[2]) for r in rows] == se.tolist()
+    # the artifact flags the components that the noise-floor warning names
+    flagged = [int(r[0]) for r in rows if r[3] == "1"]
+    assert all(r[3] in ("0", "1") for r in rows)
+    assert flagged == [i for i in range(len(grad)) if abs(se[i]) > abs(grad[i])]
+    assert bool(flagged) == bool(overrides)
+    named = [str(w.message) for w in caught if "noise floor" in str(w.message)]
+    assert named == ([f"gradient components {flagged} are below the Monte "
+                      "Carlo noise floor; increase paths or the step"]
+                     if flagged else [])
 
 
 def test_formats_limit_artifacts(tmp_path):
@@ -315,21 +329,21 @@ PINNED_DIGESTS = {
         "reports.json": "80ab7d5e771c4cd5a3450db9fab842429b3f9817b550050e23b9ae8170dbcdf8",
         "sample_paths.csv": "09f5da388e8e5614a17f6ebf3a7748daa91ad69ad0602b60cbaf2504d0979551",
         "value_family.csv": "b2b528831998c9cb88a41e805dfe50a49a8490c45fabefa8365c221a3f2c96c7",
-        "value_gradient.csv": "b0a3c92e98131b2f3043be0281266bfba547f4da8b71612e2fc655d8b083aeb6",
+        "value_gradient.csv": "9f7a5d78ce3c27fb691befac85f6a27be05404d22c798a76f5fc1e024eff2460",
     },
     "reaction_diffusion": {
-        "reports.csv": "c563a46bd9ecad9b4dee414593369393ba8c85401b350b81b61c1dc61d683316",
-        "reports.json": "5a0921b16f483fc06801c91f71e0ff65a16d453723eff3f0d4474792ed4c96e0",
+        "reports.csv": "137194fecba92a928f11a82b8137220f19123a7dbe577512581137e2219b3026",
+        "reports.json": "50d925147f53b3605cca77f53c931fd8062948b186ca201e9c9b53398112e09a",
         "sample_paths.csv": "20b504ad730f7c53fd6ac5dfa6d98d209072572419edc7912b51fba330884d8c",
-        "value_family.csv": "3e64de4f4a463b12817dcc1dbb1c5f73df951520008eaab3f92203fb61b225f3",
-        "value_gradient.csv": "7ebda00b049c1e9708b62cfbfcc81cb18bdbd13f630acda6dccbc981ae7f3192",
+        "value_family.csv": "8a58794c46df7c757789e0b3556946bdca42a44e1943cfd6fb4fe78e6746a93c",
+        "value_gradient.csv": "d5cf1b77f0ade2ec4c4c2d7339ea8b7b7bf79de2a6fd46db17410e368e21d309",
     },
     "sdde": {
-        "reports.csv": "33fce85ecca3d5107f806177d939d72cf3247781d5fd679c4c0513a5a734d062",
-        "reports.json": "a5c2d934d827b01b9fd6f01be5f6782315715b23a402e1519ded4e83c78bc09a",
+        "reports.csv": "e635d9269ed626ee061ac187933e1e9d18c3589d03f7af3e50d61fe84b20ce4f",
+        "reports.json": "6a0470f7c56c2e831563bb5f0285e5453822dcb59d299683a3c9709378140df5",
         "sample_paths.csv": "9afebead496b9637dd3f95059719c4cac56c07a4a8915cb51a9c62c586f3a04f",
-        "value_family.csv": "baaa5a64e8ea0d01b404a2773a7a7d7aa2d1472fbb03c35db16d60ab50f17a20",
-        "value_gradient.csv": "45a1b786bd256fcb84a59a4d04cdcf370dc85a4eacf5327847a7d32c71918140",
+        "value_family.csv": "1c5728e5dcf93e0179effb3084b219e929eac21dfbff9d9a1dc781527893ab1b",
+        "value_gradient.csv": "20f3b597e91cc0b71ebe911fb260a63b6c91aa61be33cb79ade01362402080e2",
     },
 }
 

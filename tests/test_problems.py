@@ -12,6 +12,8 @@ import pytest
 from hjblab.cli import _BUILDERS
 from hjblab.hilbert import b_norm, check_b_condition, h_norm
 from hjblab.models import (
+    REACTIONS,
+    SCALAR_COSTS,
     ControlSpec,
     CostStructure,
     ReactionSpec,
@@ -331,6 +333,70 @@ def test_rd_drift_and_costs_shapes():
     np.testing.assert_allclose(
         h_norm(problem.space, problem.noise[:, 0]), 0.05, rtol=1e-12
     )
+
+
+def old_softplus_dec(r):
+    """The softplus reaction as one expression: the reference for its bits."""
+    return -np.log1p(np.exp(-np.abs(r))) - np.maximum(r, 0.0)
+
+
+def test_softplus_reaction_has_the_bits_of_its_expression():
+    # the reaction works in one buffer; negation is exact, so it must keep
+    # the bits of the expression, at the edges of exp and log1p too
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0])
+    rng = stream(8, "softplus", 0)
+    r = np.concatenate([edges, rng.normal(0.0, 3.0, 50_000),
+                        rng.uniform(-750.0, 750.0, 50_000)])
+    assert REACTIONS["softplus_dec"].fn(r).tobytes() == old_softplus_dec(r).tobytes()
+
+
+@pytest.mark.parametrize("reaction", sorted(REACTIONS))
+def test_rd_drift_leaves_the_state_alone(reaction):
+    # the drift subtracts the control from the reaction's result in place,
+    # which must be a new array and not the state itself
+    problem = build_reaction_diffusion(reaction=reaction)
+    rng = stream(6, "drift", 0)
+    x = rng.normal(0.0, 2.0, (997, problem.dim))
+    x[:6, 0] = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0]
+    a = rng.normal(0.0, 2.0, (997, problem.dim))
+    before = x.copy()
+    fn = old_softplus_dec if reaction == "softplus_dec" else problem.reaction.fn
+    want = fn(before) - a
+    assert problem.drift(x, a).tobytes() == want.tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+def _rounding_only(got, terms, coeff=1.0):
+    # einsum sums in another order than np.sum: allow rounding relative to
+    # the sum of the terms' magnitudes, which bounds a reordering's error
+    want = coeff * np.sum(terms, axis=-1)
+    scale = abs(coeff) * np.sum(np.abs(terms), axis=-1)
+    return bool(np.all(np.abs(got - want) <= 1e-13 * scale))
+
+
+@pytest.mark.parametrize("integrand", sorted(SCALAR_COSTS))
+def test_rd_cost_contractions_round_like_the_weighted_sums(integrand):
+    problem = build_reaction_diffusion(l1=integrand, g=integrand, nu=0.7)
+    w, f = problem.space.weights, SCALAR_COSTS[integrand]
+    rng = stream(7, "contract", 0)
+    x = rng.normal(0.0, 2.0, (997, problem.dim))
+    a = rng.normal(0.0, 3.0, (997, problem.dim))
+    cost = problem.cost_structure
+    assert _rounding_only(cost.l1(x), w * f(x))
+    assert _rounding_only(problem.terminal_cost(x), w * f(x))
+    assert _rounding_only(cost.l2(a), w * a * a, coeff=0.7)
+
+
+def test_sdde_memory_contraction_rounds_like_the_weighted_sum():
+    # with beta_y = c_nl = 0, a zero present value and a zero control the
+    # drift is the memory term beta_z * z exactly
+    problem = build_sdde_lift(beta_y=0.0, beta_z=1.0, c_nl=0.0)
+    h = 1.0 / 20
+    kq = h * default_delay_kernel(1.0)(-1.0 + h * np.arange(20))
+    x = stream(7, "memory", 0).normal(0.0, 2.0, (997, problem.dim))
+    x[:, 0] = 0.0
+    z = problem.drift(x, np.zeros((997, 1)))[:, 0]
+    assert _rounding_only(z, kq * x[:, 1:])
 
 
 def test_rd_strong_b_condition_holds():

@@ -7,6 +7,7 @@ and then pinned.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -753,6 +754,8 @@ def test_run_rejects_fewer_than_one_path():
 
 ROW_CUTS = [0, 64, 320, 512, 997]  # 64-row-aligned slices of a 997-row batch
 ANY_CUTS = [0, 1, 37, 600, 997]    # slices at offsets off the 64-row grid
+GROUP_CUTS = [*range(0, 997, 150), 997]  # 150-path contestants, stacked
+ALONE_CUTS = list(range(998))      # every row a batch of its own
 
 
 def pipeline_policies(kind, problem):
@@ -783,7 +786,9 @@ def test_callbacks_are_row_wise_on_aligned_slices(kind, builder):
     # is exact only if each callback gives a row the same bits in any batch;
     # model callbacks see contestants stacked at row offsets c * P, and so
     # does a feedback map that several contestants share, so every callback
-    # must be row-wise at any offset
+    # must be row-wise at any offset. A gemv reduction (x @ v) gives some
+    # rows other bits in a batch than alone, which the contestant and
+    # one-row cuts catch where the others may not
     problem = builder()
     rng = np.random.default_rng(31)
     x = rng.normal(0.0, 0.8, (ROW_CUTS[-1], problem.dim))
@@ -801,8 +806,9 @@ def test_callbacks_are_row_wise_on_aligned_slices(kind, builder):
         name: (lambda lo, hi, f=policy.feedback:
                np.asarray(f(0.1, x[lo:hi]), dtype=float))
         for name, policy in pipeline_policies(kind, problem).items()}
-    for calls, cuts in ((model_calls, ROW_CUTS), (model_calls, ANY_CUTS),
-                        (feedback_calls, ROW_CUTS), (feedback_calls, ANY_CUTS)):
+    for calls, cuts in itertools.product(
+            (model_calls, feedback_calls),
+            (ROW_CUTS, ANY_CUTS, GROUP_CUTS, ALONE_CUTS)):
         for name, call in calls.items():
             whole = call(0, cuts[-1])
             pieces = np.concatenate([call(lo, hi)

@@ -417,7 +417,7 @@ def test_value_field_validation():
         points=[(0.0, np.array([1.0])), (0.5, np.array([2.0]))],
         estimates=[MCEstimate(1.5, 0.1, 100), MCEstimate(2.5, 0.2, 100)],
     )
-    np.testing.assert_array_equal(vf.values(), [1.5, 2.5])
+    assert [e.mean for e in vf.estimates] == [1.5, 2.5]
 
 
 # --- policy iteration ---------------------------------------------------------------
