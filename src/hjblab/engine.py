@@ -21,13 +21,20 @@ off the channel that is exactly -0.0 stays -0.0, where -0.0 + 0.0 made it
 Noise is generated per path from counter-derived streams, so path k's
 increments depend only on (master_seed, stream_label, k) and never on how
 many paths run alongside it or in what order. One Philox generator is
-re-keyed for each path rather than built anew. The step loop asks for its
-increments itself and takes no block from its caller: contestants share noise
-by making the same request (seed, stream_label, n_paths, n_steps), in one
-call or several, and so get the same bits. The last block made is kept and
-a repeat of the same request gets that array back; blocks are handed out
-read-only, so no caller can change what the next one receives. The memo
-only decides how often a block is built, never what it holds.
+re-keyed for each path rather than built anew (seeds.path_streams). The step
+loop asks for its increments itself and takes no block from its caller:
+contestants share noise by making the same request (seed, stream_label,
+n_paths, n_steps), in one call or several, and so get the same bits. The
+last block made is kept and a repeat of the same request gets that array
+back; blocks are handed out read-only, so no caller can change what the next
+one receives. Only one block is held: a second would cost as much memory as
+the first. A block that has to be built again costs its draws alone: the
+per-path keys of the last few (seed, stream_label, n_paths) requests are
+held too (seeds.path_keys), so a request that differs from an earlier one
+only in n_steps, n_w or dt, or comes back after another, derives no key. The
+memo and the key cache only decide how often a block or its keys are
+built, never what they hold; increment_memo and seeds.path_key_cache count
+their hits and misses.
 
 Every callback, model and feedback alike, is row-wise: row k of its output
 depends on row k of its input alone, with the same bits at any row offset
@@ -165,7 +172,8 @@ increment_memo = _LastBlock()
 def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.ndarray:
     """Brownian increments (P, M, n_w), read-only; path k comes from its own stream.
 
-    A repeat of the previous request returns the same array again.
+    A repeat of the previous request returns the same array again; a block
+    built anew takes its path keys from seeds.path_keys.
     """
     memo = increment_memo
     request = (master_seed, label, n_paths, n_steps, n_w, dt)

@@ -108,12 +108,14 @@ def _control_adjoint_times(problem, p):
     """G* p = W_control^{-1} G^T W_state p, batched over the last axis of p.
 
     G's rows vanish off the problem's channel, so only the channel enters.
+    The sum over the channel is an einsum, not @, so that it is row-wise
+    (see models.ControlProblem).
     """
     J = problem.block
     g = problem.cost_structure.control_matrix[J]
     wh = problem.space.weights[J]
     wl = problem.control_spec.weights
-    return (np.asarray(p, dtype=float)[..., J] * wh) @ g / wl
+    return np.einsum("...j,jc->...c", np.asarray(p, dtype=float)[..., J] * wh, g) / wl
 
 
 def gamma_separated(problem, p):

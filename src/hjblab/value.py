@@ -490,8 +490,12 @@ def policy_iteration(
     legs, each a per-path (J P, N) starting state, so every point's estimate
     and slopes come from its own disjoint paths and its legs share them.
     Every round makes the same request per row, so round-to-round
-    comparisons are paired. Kept public for acceptance test c1 and the
-    oracle_lq benchmark.
+    comparisons are paired. Rounds walk the rows in alternating order, so
+    each round after the first starts on the row the last one ended with,
+    whose block the engine still holds: T + (T - 1)(R - 1) blocks are built
+    over R rounds of T rows, not T R. The rows of a round share one policy
+    and nothing else, so their order changes no output bit. Kept public for
+    acceptance test c1 and the oracle_lq benchmark.
     """
     cfg = cfg or PolicyIterationConfig()
     if n_rounds < 1:
@@ -531,7 +535,10 @@ def policy_iteration(
         rounds_run = rnd + 1
         est_grid = [[None] * n_points for _ in t_arr]
         grad_grid = np.empty((len(t_arr), n_points, problem.dim))
-        for i in range(len(t_arr)):
+        # odd rounds walk the rows backwards, so each round after the first
+        # starts on the row whose block the increment memo still holds
+        order = range(len(t_arr))
+        for i in (order[::-1] if rnd % 2 else order):
             s = (seed * 1000003 + i * 1009) & 0x7FFFFFFF
             samples = np.stack(cost_samples(
                 problem, float(t_arr[i]), starts, [policy] * len(starts),

@@ -1,11 +1,19 @@
 """Hamiltonian minimization, gamma feedback, closed loops, verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hjblab.controls import zero_signal
 from hjblab.engine import simulate_costs, simulate_ensemble
-from hjblab.models import build_lq_benchmark, build_reaction_diffusion, riccati_solve
+from hjblab.models import (
+    ControlSpec,
+    CostStructure,
+    build_lq_benchmark,
+    build_reaction_diffusion,
+    riccati_solve,
+)
 from hjblab.seeds import stream
 from hjblab.synthesis import (
     DppConfig,
@@ -153,6 +161,41 @@ def test_gamma_lipschitz_constant():
                                   - gamma_separated(problem, p2)) ** 2))
         den = np.sqrt(np.sum(w * (p1 - p2) ** 2))
         assert num <= den / (2 * nu) + 1e-9
+
+
+def dense_channel_problem():
+    """An 8-point state whose 3 weighted controls enter coordinates 2..6
+    through a dense, non-diagonal G; noise acts on that channel alone."""
+    base = build_reaction_diffusion(n_grid=8, noise_modes=1)
+    block = slice(2, 7)
+    g = np.zeros((8, 3))
+    g[block] = stream(6, "dense_g", 0).normal(size=(5, 3))
+    noise = np.zeros_like(base.noise)
+    noise[block] = base.noise[block]
+    w = np.array([0.5, 1.0, 2.0])
+    cost = CostStructure(
+        l1=base.cost_structure.l1,
+        l2=lambda a: 0.5 * np.einsum("...j,...j,j->...", a, a, w),
+        dl2=lambda a: a,
+        dl2_inverse=lambda v: v,
+        control_matrix=g,
+    )
+    return dataclasses.replace(
+        base, channel=block, noise=noise, cost_structure=cost,
+        control_spec=ControlSpec(dim=3, box=(-2.0, 2.0), weights=w),
+        running_cost=None)
+
+
+def test_gamma_map_is_row_wise_on_a_dense_channel_matrix():
+    # each row computed alone has the bits of its row in a large batch,
+    # whatever its offset: the contract every callback keeps
+    problem = dense_channel_problem()
+    p = stream(6, "dense_p", 0).normal(size=(997, 8)) * 2
+    batch = gamma_separated(problem, p)
+    assert np.any(np.abs(batch) < 2.0) and np.any(np.abs(batch) == 2.0)
+    for k in range(len(p)):
+        assert gamma_separated(problem, p[k:k + 1]).tobytes() == batch[k:k + 1].tobytes()
+        assert gamma_separated(problem, p[k]).tobytes() == batch[k].tobytes()
 
 
 def test_gamma_requires_cost_structure():

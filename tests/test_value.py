@@ -5,6 +5,7 @@ scheme bias is not negligible.
 """
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -522,6 +523,46 @@ def test_policy_iteration_points_own_disjoint_rows_of_one_row_request(
                               n_steps, seed, label)
         rows = direct[j * n_paths:(j + 1) * n_paths]
         assert res.value_field.estimates[j] == MCEstimate.from_samples(rows)
+
+
+PI_BITS_T = (0.0, 0.3, 0.6)
+PI_BITS_ROUNDS = 3
+
+
+def _pi_three_rows():
+    problem, _ = build_lq_benchmark()
+    cfg = PolicyIterationConfig(paths_per_point=40, n_steps=20,
+                                tol_abs=0.0, tol_rel=0.0)
+    return policy_iteration(problem, PI_BITS_T, np.array([[-1.0], [0.5], [1.5]]),
+                            n_rounds=PI_BITS_ROUNDS, cfg=cfg, seed=23)
+
+
+def test_policy_iteration_output_bits_are_pinned():
+    # pinned so that a change of the order PI prices its rows in, or of how
+    # it gets their noise, that moves any output bit breaks loudly
+    res = _pi_three_rows()
+    assert res.rounds_run == PI_BITS_ROUNDS
+    h = hashlib.sha256()
+    for vals in res.round_values:
+        h.update(np.ascontiguousarray(vals, dtype=float).tobytes())
+    for est in res.value_field.estimates:
+        h.update(np.array([est.mean, est.std_error]).tobytes())
+    xb = np.linspace(-2.0, 2.0, 9)[:, None]
+    for t in PI_BITS_T:
+        h.update(np.ascontiguousarray(res.policy.feedback(t, xb)).tobytes())
+    assert h.hexdigest() == (
+        "77f1f18aaafbfade9f11ee949e4483e32122d6a671f5019d474a420e6d2f796f"
+    )
+
+
+def test_policy_iteration_rounds_start_on_the_held_block():
+    # rows alternate direction each round, so every round after the first
+    # begins on the row the last one ended with and reuses its block
+    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+    misses = increment_memo.misses
+    res = _pi_three_rows()
+    n_rows = len(PI_BITS_T)
+    assert increment_memo.misses - misses == n_rows + (n_rows - 1) * (res.rounds_run - 1)
 
 
 # --- shared increments -------------------------------------------------------------
