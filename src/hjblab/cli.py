@@ -191,20 +191,10 @@ class ExperimentConfig:
 
 
 def default_config(kind="lq"):
-    if kind not in _BUILDERS:
-        raise ValueError(
-            f"unknown problem kind {kind!r}; expected one of "
-            f"{', '.join(sorted(_BUILDERS))}"
-        )
-    sections = {}
-    for name, schema in (("problem", _problem_schema(kind)),
-                         ("simulation", SIMULATION_SCHEMA),
-                         ("value", VALUE_SCHEMA),
-                         ("diagnostics", DIAGNOSTICS_SCHEMA),
-                         ("output", OUTPUT_SCHEMA)):
-        sections[name] = {k: d for k, (tag, d) in schema.items()}
-    sections["problem"]["kind"] = kind
-    return ExperimentConfig(**sections)
+    """The config of a kind with every other key at its default."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict({"problem": {"kind": kind}})
+    return _config_from(cp)
 
 
 def _validate(cfg: ExperimentConfig):
@@ -243,6 +233,11 @@ def parse_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None)
     if not cp.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
+    return _config_from(cp)
+
+
+def _config_from(cp) -> ExperimentConfig:
+    """The validated config that a ConfigParser holds, defaults filled in."""
     for section in cp.sections():
         if section not in SECTIONS:
             raise ValueError(
@@ -250,7 +245,7 @@ def parse_config(path) -> ExperimentConfig:
                 f"{', '.join(SECTIONS)}"
             )
     kind = "lq"
-    if cp.has_section("problem") and cp.has_option("problem", "kind"):
+    if cp.has_option("problem", "kind"):
         kind = cp.get("problem", "kind").strip()
     if kind not in _BUILDERS:
         raise ValueError(
@@ -323,8 +318,8 @@ class RunState:
         self.files = []
         self._evaluator = None
 
-    def seed(self, label, index=0):
-        return derive_seed(self.cfg.master_seed, f"cli_{label}", index)
+    def seed(self, label):
+        return derive_seed(self.cfg.master_seed, f"cli_{label}", 0)
 
     def path(self, relname):
         self.files.append(relname)

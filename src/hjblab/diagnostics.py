@@ -29,7 +29,7 @@ import numpy as np
 
 from .controls import ConstantSignal, convex_combination, zero_signal
 from .engine import simulate_ensemble
-from .hilbert import space_norm
+from .hilbert import h_norm, space_norm
 from .report import PASS, FAIL, INCONCLUSIVE, DiagnosticReport
 from .seeds import derive_seed, stream
 from .value import MCEstimate
@@ -45,6 +45,17 @@ __all__ = [
     "midpoint_trajectory_check",
     "comparison_check",
 ]
+
+
+def _pair_time(point_pairs):
+    """The pairs (t, x, y) as a list, and the one t they share."""
+    pairs = list(point_pairs)
+    if not pairs:
+        raise ValueError("need at least one point pair")
+    ts = {float(p[0]) for p in pairs}
+    if len(ts) != 1:
+        raise ValueError("all pairs must share the same t")
+    return pairs, ts.pop()
 
 
 def _samples(evaluator, t, xs, seed):
@@ -80,13 +91,7 @@ def lipschitz_estimate(
     verdict tests every ratio against bound + se_mult * se; without it the
     scan is an estimate and passes on finiteness alone.
     """
-    pairs = list(point_pairs)
-    if not pairs:
-        raise ValueError("need at least one point pair")
-    ts = {float(p[0]) for p in pairs}
-    if len(ts) != 1:
-        raise ValueError("all pairs must share the same t")
-    t = ts.pop()
+    pairs, t = _pair_time(point_pairs)
     norm = space_norm(space, b_op, norm_tag)
 
     kept = []
@@ -159,13 +164,16 @@ def _defect_samples(evaluator, t, x, x_prime, lams, seed):
                      for lam, vm in zip(lams, vms)])
 
 
+# the mixing weights of every scan pair's midpoints
+_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
-    """Point cloud and lambda grid for the defect scans."""
+    """Point cloud for the defect scans."""
 
     n_pairs: int = 30
     radius: float = 1.0
-    lambdas: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     center: Optional[np.ndarray] = None
     se_mult: float = 3.0
     stability_tol: float = 0.2
@@ -173,8 +181,6 @@ class ScanConfig:
     def __post_init__(self):
         if self.n_pairs < 2:
             raise ValueError("need at least two pairs for the prefix check")
-        if not all(0.0 < l < 1.0 for l in self.lambdas):
-            raise ValueError("lambda grid must lie strictly inside (0, 1)")
 
 
 def _scan_cloud(cfg, dim, seed):
@@ -183,40 +189,40 @@ def _scan_cloud(cfg, dim, seed):
     return center + cfg.radius * rng.normal(size=(cfg.n_pairs, 2, dim))
 
 
-def _scan_triples(evaluator, t, space, cfg, norm_tag, b_op, seed):
-    """Per-triple (ratio, defect, se, q) rows in pair-major order."""
-    norm = space_norm(space, b_op, norm_tag)
+def _scan_triples(evaluator, t, space, cfg, seed):
+    """Per-triple (ratio, defect, se, q) rows in pair-major order; q is in the
+    space's norm."""
     cloud = _scan_cloud(cfg, space.dim, seed)
 
     rows = []
     for i in range(cfg.n_pairs):
         x, xp = cloud[i, 0], cloud[i, 1]
-        q0 = float(norm(x - xp)) ** 2
-        defects = _defect_samples(evaluator, t, x, xp, cfg.lambdas, seed)
-        for lam, d in zip(cfg.lambdas, defects):
+        q0 = float(h_norm(space, x - xp)) ** 2
+        defects = _defect_samples(evaluator, t, x, xp, _LAMBDAS, seed)
+        for lam, d in zip(_LAMBDAS, defects):
             est = MCEstimate.from_samples(d)
             q = lam * (1.0 - lam) * q0
             rows.append((est.mean / q, est.mean, est.std_error, q, i, lam))
     return cloud, rows
 
 
-def semiconcavity_scan(value_evaluator, t, space, cfg=None, norm_tag="H",
-                       b_op=None, seed=0) -> DiagnosticReport:
+def semiconcavity_scan(value_evaluator, t, space, cfg=None,
+                       seed=0) -> DiagnosticReport:
     """Estimate the semiconcavity constant as the largest defect ratio.
 
-    C_hat = max over sampled triples of defect / (lam (1-lam) ||x - x'||^2).
+    C_hat = max over sampled triples of defect / (lam (1-lam) ||x - x'||^2),
+    in the space's norm.
     The theorem's constant is unknowable, so the verdict tests form:
     C_hat must be finite and move by less than cfg.stability_tol when the
     sample is cut to its first half (prefix doubling read backwards).
     """
     cfg = cfg or ScanConfig()
-    cloud, rows = _scan_triples(value_evaluator, t, space, cfg, norm_tag,
-                                b_op, seed)
+    cloud, rows = _scan_triples(value_evaluator, t, space, cfg, seed)
     ratios = [r[0] for r in rows]
     top = int(np.argmax(ratios))
     c_hat = float(ratios[top])
     # rows are pair-major, so the first half of the pairs is a prefix
-    c_half = float(max(ratios[:(cfg.n_pairs // 2) * len(cfg.lambdas)]))
+    c_half = float(max(ratios[:(cfg.n_pairs // 2) * len(_LAMBDAS)]))
     rel = abs(c_hat - c_half) / max(abs(c_hat), abs(c_half), 1e-12)
     _, defect, se, q, pair_i, lam = rows[top]
 
@@ -228,7 +234,7 @@ def semiconcavity_scan(value_evaluator, t, space, cfg=None, norm_tag="H",
     else:
         verdict = FAIL
     return DiagnosticReport(
-        name=f"semiconcavity_{norm_tag}",
+        name="semiconcavity_H",
         verdict=verdict,
         samples_used=len(rows),
         constants={
@@ -244,18 +250,18 @@ def semiconcavity_scan(value_evaluator, t, space, cfg=None, norm_tag="H",
     )
 
 
-def semiconvexity_scan(value_evaluator, t, space, cfg=None, norm_tag="H",
-                       b_op=None, seed=0, c_bound=0.0) -> DiagnosticReport:
+def semiconvexity_scan(value_evaluator, t, space, cfg=None, seed=0,
+                       c_bound=0.0) -> DiagnosticReport:
     """Sign-flipped defect scan against an explicit constant.
 
     Every sampled triple must satisfy -defect <= c_bound * q + slack where
-    q = lam (1-lam) ||x - x'||^2 and the slack is se_mult standard errors of
-    the defect. c_bound = 0 is a convexity audit; a positive c_bound tests
-    semiconvexity with that constant. The worst offender is the witness.
+    q = lam (1-lam) ||x - x'||^2 in the space's norm and the slack is
+    se_mult standard errors of the defect. c_bound = 0 is a convexity audit;
+    a positive c_bound tests semiconvexity with that constant. The worst
+    offender is the witness.
     """
     cfg = cfg or ScanConfig()
-    cloud, rows = _scan_triples(value_evaluator, t, space, cfg, norm_tag,
-                                b_op, seed)
+    cloud, rows = _scan_triples(value_evaluator, t, space, cfg, seed)
     margins = []
     for ratio, defect, se, q, i, lam in rows:
         slack = cfg.se_mult * se + 1e-10 * (1.0 + abs(c_bound) * q)
@@ -267,7 +273,7 @@ def semiconvexity_scan(value_evaluator, t, space, cfg=None, norm_tag="H",
 
     verdict = FAIL if worst > 0.0 else PASS
     return DiagnosticReport(
-        name=f"semiconvexity_{norm_tag}",
+        name="semiconvexity_H",
         verdict=verdict,
         samples_used=len(rows),
         constants={
@@ -295,22 +301,21 @@ def c11_modulus(
     gradient_evaluator,
     point_pairs,
     space,
-    norm_tag="H",
-    b_op=None,
     seed=0,
     c_semiconcave=None,
     c_semiconvex=None,
     se_mult=3.0,
-    rel_slack=0.1,
 ) -> DiagnosticReport:
-    """Largest sampled gradient-difference ratio ||DV(x) - DV(y)|| / ||x - y||.
+    """Largest sampled gradient-difference ratio ||DV(x) - DV(y)|| / ||x - y||
+    in the space's norm.
 
     gradient_evaluator(t, x, seed) returns (gradient, se_vector); pass None
     to derive both from value_evaluator by paired central differences.
     When the two one-sided defect constants are supplied the verdict tests
     the two-sided bound 2 max(c_sc, 0) + 2 max(c_sv, 0) (defect ratios are
-    half the quadratic coefficient, hence the factor). Without them the
-    check is finiteness only. Identical pairs are skipped and counted.
+    half the quadratic coefficient, hence the factor) with 10% slack on the
+    bound. Without them the check is finiteness only. Identical pairs are
+    skipped and counted.
     """
     if gradient_evaluator is None:
         from .value import gradient_fd
@@ -319,34 +324,27 @@ def c11_modulus(
             return gradient_fd(value_evaluator, gt, gx, seed=gseed,
                                weights=space.weights)
 
-    pairs = list(point_pairs)
-    if not pairs:
-        raise ValueError("need at least one point pair")
-    ts = {float(p[0]) for p in pairs}
-    if len(ts) != 1:
-        raise ValueError("all pairs must share the same t")
-    t = ts.pop()
-    norm = space_norm(space, b_op, norm_tag)
+    pairs, t = _pair_time(point_pairs)
 
     ratios, ses, kept_idx = [], [], []
     skipped = 0
     for i, (_, x, y) in enumerate(pairs):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        d = float(norm(x - y))
+        d = float(h_norm(space, x - y))
         if d == 0.0:
             skipped += 1
             continue
         gx, sx = gradient_evaluator(t, x, seed)
         gy, sy = gradient_evaluator(t, y, seed)
-        ratios.append(float(norm(np.asarray(gx) - np.asarray(gy))) / d)
-        ses.append(float(norm(np.sqrt(np.asarray(sx) ** 2
-                                      + np.asarray(sy) ** 2))) / d)
+        ratios.append(float(h_norm(space, np.asarray(gx) - np.asarray(gy))) / d)
+        ses.append(float(h_norm(space, np.sqrt(np.asarray(sx) ** 2
+                                               + np.asarray(sy) ** 2))) / d)
         kept_idx.append(i)
 
     if not ratios:
         return DiagnosticReport(
-            name=f"c11_modulus_{norm_tag}", verdict=INCONCLUSIVE,
+            name="c11_modulus_H", verdict=INCONCLUSIVE,
             samples_used=0,
             constants={"n_pairs": 0, "skipped_pairs": skipped},
             witness=None, tolerance=None, notes="every pair was degenerate",
@@ -360,16 +358,16 @@ def c11_modulus(
     if c_semiconcave is not None and c_semiconvex is not None:
         bound = 2.0 * max(float(c_semiconcave), 0.0) \
             + 2.0 * max(float(c_semiconvex), 0.0)
-        bad = ratios - se_mult * ses > bound * (1.0 + rel_slack)
+        bad = ratios - se_mult * ses > bound * 1.1
         verdict = FAIL if bool(np.any(bad)) else PASS
-        note = f"two-sided bound {bound:g} with {rel_slack:.0%} slack"
+        note = f"two-sided bound {bound:g} with 10% slack"
     else:
         verdict = PASS if np.all(np.isfinite(ratios)) else FAIL
         note = "finiteness only (no one-sided constants supplied)"
 
     worst = pairs[kept_idx[top]]
     return DiagnosticReport(
-        name=f"c11_modulus_{norm_tag}",
+        name="c11_modulus_H",
         verdict=verdict,
         samples_used=len(ratios),
         constants={
@@ -397,28 +395,32 @@ def _sup_norm_gap(states_a, states_b, norm):
     return np.max(norm(states_a - states_b), axis=-1)
 
 
+# the input magnitudes eps of the stability regression, and the band its
+# slope must fall in
+_STABILITY_EPS = (1.0, 0.5, 0.25, 0.125, 0.0625)
+_STABILITY_SLOPE_BAND = (0.9, 1.1)
+
+
 def trajectory_stability_check(
     problem,
     t,
     pairs,
-    exponent_grid=None,
     variant="state",
-    control=None,
     n_paths=200,
     n_steps=100,
     seed=0,
     norm_tag="H",
-    slope_band=(0.9, 1.1),
 ) -> DiagnosticReport:
     """Scaling audit for E[sup ||X_1 - X_0||^2] against the input gap.
 
     variant "state": pairs are (x0, x1); the perturbed leg starts at
-    x0 + eps (x1 - x0) and shares the control. variant "control": pairs are
-    (x0, a0, a1); both legs start at x0 and the perturbed leg runs
+    x0 + eps (x1 - x0) and both legs run the zero signal. variant "control":
+    pairs are (x0, a0, a1); both legs start at x0 and the perturbed leg runs
     a0 + eps (a1 - a0). Either way the regression of log mean-square sup gap
-    on log eps^2 must have slope one: the bound is quadratic in its input
-    with a finite prefactor (the intercept), and that form is what is
-    testable when the constants are not.
+    on log eps^2 over _STABILITY_EPS must have slope one, within
+    _STABILITY_SLOPE_BAND: the bound is quadratic in its input with a finite
+    prefactor (the intercept), and that form is what is testable when the
+    constants are not.
 
     All legs of all magnitudes ride one shared noise stream, so a degenerate
     pair (zero difference) reproduces the base leg bitwise; those pairs are
@@ -426,14 +428,9 @@ def trajectory_stability_check(
     """
     if variant not in ("state", "control"):
         raise ValueError("variant must be 'state' or 'control'")
-    eps = np.asarray(
-        exponent_grid if exponent_grid is not None
-        else (1.0, 0.5, 0.25, 0.125, 0.0625), dtype=float)
-    if len(eps) < 4:
-        raise ValueError("need at least four magnitudes to regress")
+    eps = np.asarray(_STABILITY_EPS)
     norm = space_norm(problem.space, problem.b_op, norm_tag)
-    base_control = control if control is not None \
-        else zero_signal(problem.control_spec.dim)
+    base_control = zero_signal(problem.control_spec.dim)
 
     slopes, intercepts, exact_zero = [], [], 0
     for item in pairs:
@@ -471,13 +468,14 @@ def trajectory_stability_check(
             name=f"trajectory_stability_{variant}_{norm_tag}",
             verdict=INCONCLUSIVE, samples_used=exact_zero,
             constants={"exact_zero_pairs": exact_zero},
-            witness=None, tolerance=slope_band,
+            witness=None, tolerance=_STABILITY_SLOPE_BAND,
             notes="every pair was degenerate (differences identically zero)",
         )
     slopes_arr = np.array(slopes)
     devs = np.abs(slopes_arr - 1.0)
     worst = int(np.argmax(np.where(np.isnan(devs), np.inf, devs)))
-    in_band = np.all((slopes_arr >= slope_band[0]) & (slopes_arr <= slope_band[1]))
+    lo, hi = _STABILITY_SLOPE_BAND
+    in_band = np.all((slopes_arr >= lo) & (slopes_arr <= hi))
     ok = bool(in_band) and np.all(np.isfinite(intercepts))
     return DiagnosticReport(
         name=f"trajectory_stability_{variant}_{norm_tag}",
@@ -492,7 +490,7 @@ def trajectory_stability_check(
         witness=None if ok else {"pair_index": worst,
                                  "slope": float(slopes_arr[worst]),
                                  "seed": seed},
-        tolerance=slope_band,
+        tolerance=_STABILITY_SLOPE_BAND,
         notes=f"variant '{variant}', slope of log gap vs log eps^2",
     )
 
@@ -548,7 +546,6 @@ def midpoint_trajectory_check(
     seed=0,
     norm_tag="H",
     stability_tol=0.2,
-    slope_band=(1.8, 2.2),
     se_mult=3.0,
 ) -> DiagnosticReport:
     """Audit of the interpolated-trajectory gap E[sup ||X^lam - X_lam||].
@@ -559,8 +556,8 @@ def midpoint_trajectory_check(
     K_hat = max E[sup gap] / (lam (1-lam) ||x1 - x0||^2); the verdict needs
     endpoint probes (lam 0 or 1) to produce a gap of exactly zero, K_hat to
     be prefix-stable, and collinear probe groups (three or more probes along
-    one direction through one center) to regress with slope two in
-    log ||x1 - x0||. Affine dynamics collapse the numerator to rounding
+    one direction through one center) to regress with a slope in [1.8, 2.2]
+    in log ||x1 - x0||. Affine dynamics collapse the numerator to rounding
     noise; that shows up as K_hat at the floor and is a pass with a note.
     """
     probes = list(probes)
@@ -641,7 +638,7 @@ def midpoint_trajectory_check(
     elif rel >= stability_tol:
         verdict = FAIL
         note = "constant unstable under prefix halving"
-    elif any(not (slope_band[0] <= s <= slope_band[1]) for s in slopes):
+    elif any(not (1.8 <= s <= 2.2) for s in slopes):
         verdict = FAIL
         note = "collinear group slope outside the quadratic band"
     else:
@@ -675,6 +672,8 @@ def midpoint_trajectory_check(
 # byte budget of both contestants' recorded states in one comparison run; the
 # paths run in chunks of that size, each its own noise request
 _COMPARISON_CHUNK_BYTES = 16 * 2**20
+# the ordering tolerance, relative to the largest state magnitude
+_COMPARISON_TOL_SCALE = 1e-8
 
 
 def comparison_check(
@@ -686,21 +685,20 @@ def comparison_check(
     n_paths=1000,
     n_steps=200,
     seed=0,
-    t=0.0,
     strict=True,
-    tol_scale=1e-8,
 ) -> DiagnosticReport:
     """Pathwise ordering audit: larger start and forcing keep the state larger.
 
-    Runs dX = [A X + r(X) + f_i] ds + sigma dW from the two inputs as two
-    contestants of one engine call, on one noise realization; the drift is
-    r(x) - a, so the constant forcing f_i (an array, or None for zero) enters
-    as the control a = -f_i. The explicit step keeps order when E_dt >= 0
-    entrywise (a Metzler generator) and x + dt r(x) is nondecreasing, which
-    dt L <= 1 gives for the reaction's slope bound L. Pass iff the minimum of
-    X1 - X2 over paths, steps and components stays above -tol_scale * sup |X|.
-    Paths run in chunks whose recorded states fit _COMPARISON_CHUNK_BYTES,
-    chunk j on seed derive_seed(seed, "comparison", j).
+    Runs dX = [A X + r(X) + f_i] ds + sigma dW on [0, T] from the two inputs
+    as two contestants of one engine call, on one noise realization; the
+    drift is r(x) - a, so the constant forcing f_i (an array, or None for
+    zero) enters as the control a = -f_i. The explicit step keeps order when
+    E_dt >= 0 entrywise (a Metzler generator) and x + dt r(x) is
+    nondecreasing, which dt L <= 1 gives for the reaction's slope bound L.
+    Pass iff the minimum of X1 - X2 over paths, steps and components stays
+    above -_COMPARISON_TOL_SCALE * sup |X|. Paths run in chunks whose
+    recorded states fit _COMPARISON_CHUNK_BYTES, chunk j on seed
+    derive_seed(seed, "comparison", j).
 
     strict=True enforces the hypotheses (ordered inputs, Metzler operator,
     a declared reaction with a control channel of -I, dt L <= 1) and raises
@@ -712,7 +710,7 @@ def comparison_check(
     x2 = np.asarray(x2, dtype=float)
     f1, f2 = (np.zeros(dim) if f is None else np.asarray(f, dtype=float)
               for f in (f1, f2))
-    dt = (problem.horizon - t) / n_steps
+    dt = problem.horizon / n_steps
     lip = float(problem.reaction.lipschitz) if problem.reaction else 0.0
 
     if not problem.additive_noise:
@@ -742,7 +740,7 @@ def comparison_check(
     bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
     min_margin, witness, sup_scale = math.inf, None, 1.0
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        run1, run2 = simulate_ensemble(problem, t, [x1, x2], controls, hi - lo,
+        run1, run2 = simulate_ensemble(problem, 0.0, [x1, x2], controls, hi - lo,
                                        n_steps, derive_seed(seed, "comparison", j),
                                        "comparison")
         for run in (run1, run2):
@@ -758,7 +756,7 @@ def comparison_check(
                        "path": lo + int(path), "component": int(component),
                        "seed": seed}
 
-    tol = tol_scale * sup_scale
+    tol = _COMPARISON_TOL_SCALE * sup_scale
     ok = min_margin >= -tol
     return DiagnosticReport(
         name="order_preservation",

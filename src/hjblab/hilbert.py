@@ -71,8 +71,8 @@ OPERATOR_KINDS = ("dirichlet_laplacian_fd", "delay_generator", "zero", "custom")
 B_MODES = ("strong", "weak")
 
 
-def _frozen_array(a, dtype=float):
-    out = np.array(a, dtype=dtype)
+def _frozen_array(a):
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -275,13 +275,13 @@ def space_norm(space: SpaceSpec, b: BOperatorSpec | None, tag: str):
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
-def check_b_condition(op: DiscreteOperator, b: BOperatorSpec,
-                      tol: float = 1e-8) -> DiagnosticReport:
+def check_b_condition(op: DiscreteOperator, b: BOperatorSpec) -> DiagnosticReport:
     """Audit -A*B + c0 B >= 0 (weak) or >= I (strong) as quadratic forms.
 
     The reported constant is the smallest eigenvalue of the symmetrized form
-    relative to the weight matrix; pass iff it is >= -tol.
+    relative to the weight matrix; pass iff it is >= -1e-8.
     """
+    tol = 1e-8
     if op.dim != b.dim:
         raise ValueError("operator and B dimensions differ")
     w = b.space.weights
@@ -306,10 +306,11 @@ def check_b_condition(op: DiscreteOperator, b: BOperatorSpec,
 
 
 def check_positivity_preserving(op: DiscreteOperator, dts,
-                                n_samples: int = 100, seed: int = 0,
-                                tol: float = 1e-10) -> DiagnosticReport:
-    """Check that exp(dt A) maps nonnegative vectors to (numerically)
-    nonnegative vectors for every dt in dts."""
+                                n_samples: int = 100, seed: int = 0
+                                ) -> DiagnosticReport:
+    """Check that exp(dt A) maps nonnegative vectors to nonnegative vectors
+    for every dt in dts, down to -1e-10 times each sample's largest entry."""
+    tol = 1e-10
     rng = stream(seed, "positivity")
     worst = {"value": np.inf}
     for dt in dts:

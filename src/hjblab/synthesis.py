@@ -31,7 +31,6 @@ from .value import MCEstimate, ControlFamily, cost_samples
 __all__ = [
     "Policy",
     "HamiltonianProbe",
-    "HamiltonianConfig",
     "hamiltonian_value",
     "hamiltonian_min",
     "gamma_separated",
@@ -76,18 +75,8 @@ class HamiltonianProbe:
     p: np.ndarray
     argmin: np.ndarray
     value: float
-    n_starts: int = 0
     converged: bool = True
     notes: str = ""
-
-
-@dataclass(frozen=True)
-class HamiltonianConfig:
-    n_starts: int = 6
-    max_iter: int = 400
-    step_init: float = 1.0
-    tol: float = 1e-10
-    seed: int = 0
 
 
 def hamiltonian_value(problem, x, p, a):
@@ -151,16 +140,16 @@ def _hamiltonian_gradient(problem, x, p, a, weights):
     return g
 
 
-def hamiltonian_min(problem, x, p, m, cfg: Optional[HamiltonianConfig] = None
-                    ) -> HamiltonianProbe:
+def hamiltonian_min(problem, x, p, m) -> HamiltonianProbe:
     """Constrained Hamiltonian minimum by multi-start projected descent.
 
-    Starts are deterministic: the origin, the separated closed form when
-    available, then fixed-seed random points. Ties within 1e-9 of the best
-    value keep the first argmin found and are noted on the probe.
+    Six starts, all deterministic: the origin, the separated closed form when
+    available, then random points on seed 0. Each descent takes at most 400
+    steps from a unit step length and stops once a step is shorter than
+    1e-10. Ties within 1e-9 of the best value keep the first argmin found and
+    are noted on the probe.
     Kept public as the reference that tests check gamma_separated against.
     """
-    cfg = cfg or HamiltonianConfig()
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     spec = problem.control_spec
@@ -169,8 +158,8 @@ def hamiltonian_min(problem, x, p, m, cfg: Optional[HamiltonianConfig] = None
     starts = [np.zeros(spec.dim)]
     if problem.cost_structure is not None:
         starts.append(_project_feasible(gamma_separated(problem, p), m, box, weights))
-    for k in range(max(0, cfg.n_starts - len(starts))):
-        draw = stream(cfg.seed, "hmin_starts", k).normal(size=spec.dim) * (m / 2.0)
+    for k in range(max(0, 6 - len(starts))):
+        draw = stream(0, "hmin_starts", k).normal(size=spec.dim) * (m / 2.0)
         starts.append(_project_feasible(draw, m, box, weights))
 
     def objective(a):
@@ -182,9 +171,9 @@ def hamiltonian_min(problem, x, p, m, cfg: Optional[HamiltonianConfig] = None
     for a0 in starts:
         a = a0.copy()
         v = objective(a)
-        for _ in range(cfg.max_iter):
+        for _ in range(400):
             g = _hamiltonian_gradient(problem, x, p, a, weights)
-            eta = cfg.step_init
+            eta = 1.0
             moved = False
             while eta > 1e-14:
                 trial = _project_feasible(a - eta * g, m, box, weights)
@@ -196,7 +185,7 @@ def hamiltonian_min(problem, x, p, m, cfg: Optional[HamiltonianConfig] = None
                     moved = True
                     break
                 eta *= 0.5
-            if not moved or step_len < cfg.tol:
+            if not moved or step_len < 1e-10:
                 break
         else:
             converged = False
@@ -206,8 +195,7 @@ def hamiltonian_min(problem, x, p, m, cfg: Optional[HamiltonianConfig] = None
             if control_norm(a - best_a, weights) > 1e-6:
                 notes.append("tie: first argmin kept")
     return HamiltonianProbe(
-        x=x, p=p, argmin=best_a, value=best_v,
-        n_starts=len(starts), converged=converged,
+        x=x, p=p, argmin=best_a, value=best_v, converged=converged,
         notes="; ".join(sorted(set(notes))),
     )
 
@@ -232,10 +220,10 @@ def make_gamma_policy(problem, gradient_fn, provenance="closed_form_gamma",
     return Policy(feedback=feedback, provenance=provenance, label=label)
 
 
-def make_riccati_policy(problem, solution, label="riccati") -> Policy:
+def make_riccati_policy(problem, solution) -> Policy:
     return make_gamma_policy(
         problem, lambda s, xb: solution.gradient(s, xb),
-        provenance="oracle", label=label,
+        provenance="oracle", label="riccati",
     )
 
 
@@ -248,11 +236,11 @@ def scale_policy(policy: Policy, factor: float, label=None) -> Policy:
     )
 
 
-def zero_policy(problem, provenance="closed_form_gamma") -> Policy:
+def zero_policy(problem) -> Policy:
     q = problem.control_spec.dim
     return Policy(
         feedback=lambda s, xb: np.zeros((np.atleast_2d(xb).shape[0], q)),
-        provenance=provenance,
+        provenance="closed_form_gamma",
         label="zero",
     )
 
@@ -273,6 +261,7 @@ def feynman_kac_value(problem, policy, t, x, n_paths=2000, n_steps=200,
 # ---------------------------------------------------------------------------
 
 _PERTURB_FACTORS = (0.5, 2.0, 0.8, 1.25, 0.65, 1.6, 0.9, 1.1)
+_TOURNAMENT_SE_MULT = 3.0
 
 
 def verify_optimality(
@@ -284,8 +273,6 @@ def verify_optimality(
     n_paths=2000,
     n_steps=150,
     seed=42,
-    family: Optional[ControlFamily] = None,
-    se_mult=3.0,
 ) -> DiagnosticReport:
     """Paired tournament: the policy against random open-loop signals and
     scaled variants of itself.
@@ -293,20 +280,18 @@ def verify_optimality(
     Every contestant runs in one engine call on the same Brownian increments
     (seed, stream "verify", n_paths, n_steps), so each margin
     mean(J_challenger - J_policy) carries the standard error of a paired
-    difference. Pass iff no challenger wins by more than se_mult of its own
-    margin error. The minimum margin and its challenger are reported either
-    way; a corrupted policy fails here because its unscaled parent is among
-    the challengers.
+    difference. The open-loop signals are draws of the default ControlFamily.
+    Pass iff no challenger wins by more than _TOURNAMENT_SE_MULT (three) of
+    its own margin errors. The minimum margin and its challenger are reported
+    either way; a corrupted policy fails here because its unscaled parent is
+    among the challengers.
     """
     if n_paths < 2:
         raise ValueError("verify_optimality needs n_paths >= 2: a margin's "
                          "standard error is undefined on one path")
-    if family is None:
-        family = ControlFamily()
-
-    challengers = []
-    for j in range(n_challengers):
-        challengers.append((f"open_loop_{j}", family.sampled(problem, t, j, seed)))
+    family = ControlFamily()
+    challengers = [(f"open_loop_{j}", family.sampled(problem, t, j, seed))
+                   for j in range(n_challengers)]
     for j in range(n_challengers):
         f = _PERTURB_FACTORS[j % len(_PERTURB_FACTORS)]
         # repeated factors get a deterministic jitter so variants differ
@@ -320,7 +305,7 @@ def verify_optimality(
     diffs = [MCEstimate.from_samples(r - base) for r in runs]
     margins = np.array([e.mean for e in diffs])
     ses = np.array([e.std_error for e in diffs])
-    losses = margins < -se_mult * ses
+    losses = margins < -_TOURNAMENT_SE_MULT * ses
     worst = int(np.argmin(margins))
     ok = not bool(np.any(losses))
     return DiagnosticReport(
@@ -339,7 +324,7 @@ def verify_optimality(
             "se": float(ses[worst]),
             "seed": seed,
         },
-        tolerance=se_mult,
+        tolerance=_TOURNAMENT_SE_MULT,
         notes=f"policy '{policy.label or policy.provenance}' on {problem.name}",
     )
 

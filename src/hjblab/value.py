@@ -233,6 +233,9 @@ def _signal_bytes(control):
     return None
 
 
+_FLAT_SE_MULT = 2.0
+
+
 def truncation_scan(
     problem,
     t,
@@ -243,7 +246,6 @@ def truncation_scan(
     paths_per_candidate=1000,
     n_steps=120,
     seed=7,
-    flat_se_mult=2.0,
 ) -> DiagnosticReport:
     """Value vs truncation radius: find where enlarging the ball stops helping.
 
@@ -251,10 +253,10 @@ def truncation_scan(
     its projections onto the m-ball. Reported level values are running
     minima over levels (the candidate sets then nest), so the curve is
     nonincreasing by construction and flatness is a statistical question:
-    m_bar is the smallest level whose value is within flat_se_mult combined
-    standard errors of everything after it. The scan fails if that never
-    happens before the second-to-last level, i.e. the curve is still moving
-    at the edge of the scanned range.
+    m_bar is the smallest level whose value is within _FLAT_SE_MULT (two)
+    combined standard errors of everything after it. The scan fails if that
+    never happens before the second-to-last level, i.e. the curve is still
+    moving at the edge of the scanned range.
 
     A signal candidate whose projection is bitwise the previous level's keeps
     that level's estimate instead of rerunning it; feedback candidates rerun
@@ -306,7 +308,7 @@ def truncation_scan(
 
     m_bar_idx = None
     for j in range(len(m_arr)):
-        tol = flat_se_mult * np.sqrt(
+        tol = _FLAT_SE_MULT * np.sqrt(
             np.array(run_se[j:]) ** 2 + run_se[j] ** 2
         )
         if np.all(run_min[j] - np.array(run_min[j:]) <= tol):
@@ -326,7 +328,7 @@ def truncation_scan(
             "m_bar_index": -1 if m_bar_idx is None else m_bar_idx,
         },
         witness=None if ok else {"seed": seed, "values": run_min},
-        tolerance=flat_se_mult,
+        tolerance=_FLAT_SE_MULT,
         notes="value flatness across truncation radii",
     )
 
@@ -389,15 +391,13 @@ def below_noise_floor(grad, ses):
 # ---------------------------------------------------------------------------
 
 
-def make_policy_evaluator(problem, policy, n_paths=2000, n_steps=150,
-                          stream_label="paths"):
+def make_policy_evaluator(problem, policy, n_paths=2000, n_steps=150):
     """The policy's per-path costs from each of the points xs, which run as
-    contestants of one engine call on one noise request."""
+    contestants of one engine call on one noise request (stream "paths")."""
     def evaluator(t, xs, seed):
         xs = np.asarray(xs, dtype=float)
         return np.stack(cost_samples(problem, t, list(xs), [policy] * len(xs),
-                                     n_paths, n_steps, seed,
-                                     stream_label=stream_label))
+                                     n_paths, n_steps, seed))
     return evaluator
 
 
@@ -417,7 +417,6 @@ def make_exact_evaluator(fn):
 class PolicyIterationConfig:
     paths_per_point: int = 1500
     n_steps: int = 120
-    fd_step: Optional[float] = None
     tol_abs: float = 0.02
     tol_rel: float = 0.01
 
@@ -470,7 +469,6 @@ def policy_iteration(
     problem,
     t_grid,
     x_grid,
-    gamma_selector=None,
     n_rounds=5,
     cfg: Optional[PolicyIterationConfig] = None,
     seed=42,
@@ -478,11 +476,11 @@ def policy_iteration(
     """Evaluate-then-improve on a (t, x) grid.
 
     Each round evaluates the current policy's cost at every grid point,
-    differentiates the field in x, and feeds the interpolated gradient
-    through the pointwise selector to get the next policy. Stops early once
-    the value field moves less than tol_abs + tol_rel * |V| between rounds;
-    otherwise reports non-convergence along with the whole change sequence
-    rather than pretending.
+    differentiates the field in x by central differences with gradient_fd's
+    default step, and feeds the interpolated gradient through gamma_separated
+    to get the next policy. Stops early once the value field moves less than
+    tol_abs + tol_rel * |V| between rounds; otherwise reports non-convergence
+    along with the whole change sequence rather than pretending.
 
     A time row t_i is priced in one engine call: one noise request of J * P
     paths on a seed derived from (seed, i), where grid point j owns paths
@@ -506,13 +504,7 @@ def policy_iteration(
         x_arr = x_arr.T
     if np.any(t_arr >= problem.horizon):
         raise ValueError("evaluation times must sit strictly inside the horizon")
-    if gamma_selector is None:
-        from .synthesis import gamma_separated
-
-        def gamma_selector(pb, x_batch, p_batch):
-            return gamma_separated(pb, p_batch)
-
-    from .synthesis import Policy
+    from .synthesis import Policy, gamma_separated
 
     policy = Policy(
         feedback=lambda s, xb: np.zeros((np.atleast_2d(xb).shape[0],
@@ -523,7 +515,7 @@ def policy_iteration(
     w = np.asarray(problem.space.weights, dtype=float)
     n_points, n_paths = x_arr.shape[0], cfg.paths_per_point
     # per point its step and 2N legs; per contestant its (J P, N) start
-    steps, legs = zip(*(_central_differences(x_j, cfg.fd_step, w)
+    steps, legs = zip(*(_central_differences(x_j, None, w)
                         for x_j in x_arr))
     starts = np.concatenate([x_arr[None], np.stack(legs, axis=1)])
     starts = list(np.repeat(starts, n_paths, axis=1))
@@ -558,12 +550,10 @@ def policy_iteration(
         prev_vals = vals
 
         field = _GridGradientField(t_arr, x_arr, grad_grid)
-        box = problem.control_spec.box
 
         def feedback(s, xb, _field=field):
             xb = np.atleast_2d(np.asarray(xb, dtype=float))
-            a = gamma_selector(problem, xb, _field(s, xb))
-            return clip_box(a, box)
+            return gamma_separated(problem, _field(s, xb))
 
         policy = Policy(feedback=feedback, provenance="policy_iteration")
         if converged:

@@ -9,6 +9,7 @@ import hashlib
 import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -388,8 +389,7 @@ def test_c8_structural_and_replay():
 
         def digest():
             return {
-                f: hashlib.sha256(
-                    open(os.path.join(out, f), "rb").read()).hexdigest()
+                f: hashlib.sha256(Path(out, f).read_bytes()).hexdigest()
                 for f in sorted(os.listdir(out))
             }
 

@@ -199,8 +199,6 @@ def test_semiconcavity_fails_on_unstable_constant():
 def test_scan_config_validation():
     with pytest.raises(ValueError):
         dg.ScanConfig(n_pairs=1)
-    with pytest.raises(ValueError):
-        dg.ScanConfig(lambdas=(0.0, 0.5))
 
 
 # --- semiconvexity and the nu threshold -------------------------------------
@@ -371,8 +369,6 @@ def test_stability_validation():
     rd = build_reaction_diffusion(n_grid=4, noise_modes=1)
     with pytest.raises(ValueError):
         dg.trajectory_stability_check(rd, 0.0, [], variant="drift")
-    with pytest.raises(ValueError):
-        dg.trajectory_stability_check(rd, 0.0, [], exponent_grid=(1.0, 0.5))
 
 
 # --- midpoint gap ------------------------------------------------------------

@@ -187,3 +187,141 @@ def test_record_fields_have_a_reader():
         "record fields that nothing reads and no stated reason keeps"
     assert set(UNREAD_FIELDS) - unread == set(), \
         "listed exceptions that are read, or are no field at all"
+
+
+# defaulted parameters and dataclass fields that only tests set, each with
+# the reason it stays an option
+TEST_SET_OPTIONS = {
+    ("cli", "default_config", "kind"):
+        "tests compare each kind's defaults with what parse_config fills in",
+    ("cli", "run_experiment", "echo"): "tests silence the printed summary",
+    ("diagnostics", "lipschitz_estimate", "norm_tag"):
+        "the paper's weak norm, which test_diagnostics audits",
+    ("diagnostics", "lipschitz_estimate", "b_op"):
+        "the operator B of the paper's weak norm",
+    ("diagnostics", "lipschitz_estimate", "declared_bound"):
+        "a known bound that tests check the ratio against",
+    ("diagnostics", "c11_modulus", "c_semiconcave"):
+        "a one-sided constant that turns the finiteness check into a bound",
+    ("diagnostics", "c11_modulus", "c_semiconvex"):
+        "a one-sided constant that turns the finiteness check into a bound",
+    ("diagnostics", "trajectory_stability_check", "variant"):
+        "the control-perturbation audit that test_diagnostics runs",
+    ("diagnostics", "trajectory_stability_check", "norm_tag"):
+        "the paper's weak norm, which acceptance test c6 audits",
+    ("diagnostics", "midpoint_trajectory_check", "norm_tag"):
+        "the paper's weak norm, which acceptance test c6 audits",
+    ("diagnostics", "comparison_check", "strict"):
+        "the negative control that runs with a broken hypothesis",
+    ("engine", "simulate_costs", "record_controls"):
+        "tests read the controls a feedback applied",
+    ("engine", "moment_bound_check", "c_p"):
+        "a frozen constant that test_sde checks the moment bound against",
+    ("hilbert", "check_positivity_preserving", "n_samples"):
+        "tests audit operators on a smaller sample",
+    ("models", "ControlSpec", "p_integrability"):
+        "tests declare other integrability exponents",
+    ("models", "ControlProblem", "running_cost"):
+        "tests build problems with a running cost and no separated structure",
+    ("synthesis", "feynman_kac_value", "stream_label"):
+        "tests pair the estimate with other runs on their stream",
+    ("value", "ControlFamily", "draw_scale"):
+        "tests draw candidates at a chosen scale",
+    ("value", "ControlFamily", "include_zero"):
+        "tests price base candidates without the zero signal",
+    ("value", "PolicyIterationConfig", "tol_abs"):
+        "tests set zero tolerance to run every round",
+    ("value", "PolicyIterationConfig", "tol_rel"):
+        "tests set zero tolerance to run every round",
+}
+
+
+def _defaulted_args(module, owner, args, bound):
+    """(module, owner, parameter, position) of each defaulted parameter; the
+    position skips `bound` leading parameters (self), and is None for a
+    keyword-only one."""
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    out = [(module, owner, a.arg, i - bound)
+           for i, a in enumerate(pos) if i >= first]
+    out += [(module, owner, a.arg, None)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _defaulted_options(name):
+    """Defaulted parameters of the module's functions and methods, and its
+    dataclasses' defaulted fields (a field's position is its order)."""
+    out = []
+    for node in _tree(name).body:
+        if isinstance(node, ast.FunctionDef):
+            out += _defaulted_args(name, node.name, node.args, 0)
+        elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                          and isinstance(s.target, ast.Name)]
+                out += [(name, node.name, f.target.id, i)
+                        for i, f in enumerate(fields) if f.value is not None]
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    owner = node.name if fn.name == "__init__" \
+                        else f"{node.name}.{fn.name}"
+                    out += _defaulted_args(name, owner, fn.args, 1)
+    return out
+
+
+def _module_dicts(tree):
+    """Keys of each module-level NAME = dict(key=...), by name."""
+    return {node.targets[0].id: {k.arg for k in node.value.keywords if k.arg}
+            for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "dict"}
+
+
+def _call_settings(tree):
+    """(callee name, positional count, keyword names) of every call; **NAME
+    of a module-level dict literal passes its keys, and a starred positional
+    passes every position from there on."""
+    dicts = _module_dicts(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = set()
+        for k in node.keywords:
+            if k.arg is not None:
+                keywords.add(k.arg)
+            elif isinstance(k.value, ast.Name):
+                keywords |= dicts.get(k.value.id, set())
+        yield called, float("inf") if starred else len(node.args), keywords
+
+
+def test_defaulted_parameters_have_a_setter():
+    # an option is set when some call in the package or the benchmark passes
+    # it, by keyword or by position; a default that no caller overrides is a
+    # constant. The builders are exempt: the CLI passes them the [problem]
+    # keys of a config as **params
+    from hjblab.cli import _BUILDERS
+
+    builders = {f.__name__ for f in _BUILDERS.values()}
+    options = [o for name in MODULES for o in _defaulted_options(name)
+               if o[1] not in builders]
+    trees = [_tree(name) for name in MODULES]
+    trees += [ast.parse(p.read_text(), filename=str(p)) for p in BENCH_SOURCES]
+    calls = [c for t in trees for c in _call_settings(t)]
+    unset = set()
+    for module, owner, param, position in options:
+        callee = owner.rsplit(".", 1)[-1]
+        if not any(called == callee and (
+                param in keywords
+                or (position is not None and n_pos > position))
+                for called, n_pos, keywords in calls):
+            unset.add((module, owner, param))
+    assert unset - set(TEST_SET_OPTIONS) == set(), \
+        "defaulted options that no call sets and no stated reason keeps"
+    assert set(TEST_SET_OPTIONS) - unset == set(), \
+        "listed exceptions that a call sets, or that are no option at all"

@@ -17,7 +17,6 @@ from hjblab.models import (
 from hjblab.seeds import stream
 from hjblab.synthesis import (
     DppConfig,
-    HamiltonianConfig,
     Policy,
     dpp_check,
     feynman_kac_value,
