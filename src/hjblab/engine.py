@@ -86,6 +86,31 @@ they were asked for. `simulate_ensemble` (states) and `simulate_costs`
 contestant or a list for lists of states and controls; a single path is
 path 0 of a one-path ensemble.
 
+A large run is split across processes. Its items, the (group, tile) pairs
+above, are dealt in contiguous shares to this process and to children made
+with os.fork; a run of one item whose tile holds at least 128 rows is first
+cut into two 64-aligned halves, which the tile rules make as safe as any
+tiling. Processes and not threads: once the callbacks' sums are short, the
+step loop is bound by the interpreter lock, and two threads over the same
+items gained nothing, where two processes share no lock. A run fans out
+when it has two items or more, the host gives this process more than one
+CPU, and its work (contestants x paths x steps x dim) reaches 2 M
+element-steps per child; smaller runs, and hosts without os.fork or
+sched_getaffinity, run serially in this process. The noise block
+and E are made before the fork, so the memo and the key caches count as in
+a serial run, and the outputs (terminal states, costs, states, traces, sup
+norms) are then allocated in anonymous shared memory, where each process
+writes its own slices. A child always leaves with os._exit, whatever
+happened, and never returns into its caller's code; this process reaps
+every child before `_run` returns, killing them first if its own share
+raised. If any process failed (a divergence, a callback error, a child
+killed by a signal), the request reruns serially, so the caller gets
+exactly the result or the error of a serial run. Callbacks must be pure:
+state a callback sets in a child (a counter, a cache, a traced span) is lost
+with the child. A warning raised in a child prints to its stderr but never
+reaches the caller's warnings.catch_warnings; one that a filter turns into
+an error fails the child, and the serial rerun raises it.
+
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
 l(X_{k+1}, a_k)]. For smooth integrands this is second-order along the
@@ -99,6 +124,9 @@ separated cost does.
 """
 
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,6 +153,14 @@ _DIVERGENCE_LIMIT = 1e8
 # tile but the last keeps; the module docstring says why
 _TILE_BYTES = 256 * 1024
 _TILE_ALIGN = 64
+# processes a run may use, and the work (contestants x paths x steps x dim) a
+# run needs per forked child. Forking a child of an 80 MB process and reaping
+# it costs this process 1-4 ms on a 2-core host; the step loop does 30-130
+# element-steps per microsecond, so 2 M element-steps take 15-65 ms, and the
+# half of them that a child takes over saves several times what it costs
+_PROCESSES = (len(os.sched_getaffinity(0))
+              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+_FORK_MIN_WORK = 2_000_000
 
 
 class SimulationDivergenceError(RuntimeError):
@@ -226,6 +262,60 @@ def _group_bounds(n_contestants, n_paths, n):
             for i in range(n_groups)]
 
 
+def _shares(groups, tiles, work):
+    """The (g0, g1, lo, hi) items of each process, first this one's, or None
+    when the run stays in this process; see the module docstring."""
+    items = [(g0, g1, lo, hi) for g0, g1 in groups for lo, hi in tiles]
+    if len(items) == 1 and items[0][3] - items[0][2] >= 2 * _TILE_ALIGN:
+        g0, g1, lo, hi = items[0]
+        mid = lo + _TILE_ALIGN * round((hi - lo) / (2 * _TILE_ALIGN))
+        items = [(g0, g1, lo, mid), (g0, g1, mid, hi)]
+    n_procs = min(_PROCESSES, len(items), 1 + work // max(1, _FORK_MIN_WORK))
+    if n_procs < 2:
+        return None
+    return [items[len(items) * i // n_procs:len(items) * (i + 1) // n_procs]
+            for i in range(n_procs)]
+
+
+def _shared_empty(shape):
+    """An uninitialised float64 array in anonymous shared memory, which forked
+    children write and this process reads."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape)
+
+
+def _run_forked(shares, advance):
+    """advance(*item) for the items of shares[0] here and of each later share
+    in a forked child; True when every process finished all its items."""
+    children, done = [], False
+    try:
+        for share in shares[1:]:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for item in share:
+                        advance(*item)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        for item in shares[0]:
+            advance(*item)
+        done = True
+    except Exception:
+        # whatever failed here, the caller's serial rerun raises it again
+        pass
+    finally:
+        for pid in children:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            _, status = os.waitpid(pid, 0)
+            done = done and os.waitstatus_to_exitcode(status) == 0
+    return done
+
+
 def _run(
     problem,
     t,
@@ -274,14 +364,19 @@ def _run(
     width = J.stop - J.start
     sigma_t = problem.noise[J].T if problem.additive_noise else None
 
+    groups = _group_bounds(len(contestants), n_paths, n)
+    tiles = _tile_bounds(n_paths, n)
+    shares = _shares(groups, tiles, len(contestants) * n_paths * n_steps * n)
+
     # outputs for every contestant; each record holds its own slice
+    empty = np.empty if shares is None else _shared_empty
     lead = (len(contestants), n_paths)
-    terminal = np.empty(lead + (n,))
-    states = np.empty(lead + (n_steps + 1, n)) if record_states else None
-    traces = np.empty(lead + (n_steps, q)) if record_controls else None
-    costs = np.empty(lead) if accumulate_costs else None
+    terminal = empty(lead + (n,))
+    states = empty(lead + (n_steps + 1, n)) if record_states else None
+    traces = empty(lead + (n_steps, q)) if record_controls else None
+    costs = empty(lead) if accumulate_costs else None
     separated = problem.cost_structure if accumulate_costs else None
-    sup_norm = np.empty(lead) if track_sup_norm else None
+    sup_norm = empty(lead) if track_sup_norm else None
 
     def advance(g0, g1, lo, hi):
         """Run every step on paths lo:hi of contestants g0:g1, stacked as one
@@ -393,19 +488,20 @@ def _run(
             sup_norm[g0:g1, lo:hi] = norm
         terminal[g0:g1, lo:hi] = X
 
-    for g0, g1 in _group_bounds(len(contestants), n_paths, n):
-        tiles = _tile_bounds(n_paths, n)
-        try:
-            for lo, hi in tiles:
-                advance(g0, g1, lo, hi)
-        except SimulationDivergenceError:
-            if g1 - g0 == 1 and len(tiles) == 1:
-                raise
-            # each contestant's own run, one pass over all its paths: the
-            # first to diverge raises the error its own run raises, naming the
-            # earliest step over its paths and the largest magnitude there
-            for c in range(g0, g1):
-                advance(c, c + 1, 0, n_paths)
+    if shares is None or not _run_forked(shares, advance):
+        for g0, g1 in groups:
+            try:
+                for lo, hi in tiles:
+                    advance(g0, g1, lo, hi)
+            except SimulationDivergenceError:
+                if g1 - g0 == 1 and len(tiles) == 1:
+                    raise
+                # each contestant's own run, one pass over all its paths: the
+                # first to diverge raises the error its own run raises, naming
+                # the earliest step over its paths and the largest magnitude
+                # there
+                for c in range(g0, g1):
+                    advance(c, c + 1, 0, n_paths)
 
     return [
         PathEnsemble(

@@ -311,6 +311,7 @@ def check_positivity_preserving(op: DiscreteOperator, dts,
     """Check that exp(dt A) maps nonnegative vectors to nonnegative vectors
     for every dt in dts, down to -1e-10 times each sample's largest entry."""
     tol = 1e-10
+    dts = list(dts)  # read twice: by the audit and for samples_used
     rng = stream(seed, "positivity")
     worst = {"value": np.inf}
     for dt in dts:
@@ -332,7 +333,7 @@ def check_positivity_preserving(op: DiscreteOperator, dts,
     return DiagnosticReport(
         name="positivity_preserving",
         verdict=verdict,
-        samples_used=n_samples * len(list(dts)),
+        samples_used=n_samples * len(dts),
         constants={"worst_margin": margin},
         witness=worst,
         tolerance=tol,

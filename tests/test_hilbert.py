@@ -361,6 +361,14 @@ def test_positivity_check_passes_for_heat():
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("steps", [list, lambda dts: (dt for dt in dts)],
+                         ids=["list", "generator"])
+def test_positivity_check_counts_the_samples_of_every_step(steps):
+    op = make_dirichlet_laplacian(8, 1.0, 0.3)
+    rep = check_positivity_preserving(op, steps([1e-3, 1e-2]), n_samples=10)
+    assert rep.samples_used == 20
+
+
 def test_positivity_check_fails_for_negative_offdiagonal():
     m = np.array([[-1.0, -0.9], [0.0, -1.0]])
     op = make_custom_operator(m)

@@ -1,6 +1,6 @@
 """Package structure: every public export resolves and has a caller, every
-record field has a reader, no module imports a name it does not use, and
-one place asks for Brownian increments."""
+record field has a reader, no module imports a name it does not use, one
+place asks for Brownian increments and one place forks."""
 
 import ast
 import importlib
@@ -64,22 +64,46 @@ def test_no_unused_top_level_imports(name):
     assert not unused, f"hjblab/{name}.py imports unused names (line, name): {unused}"
 
 
+def _callers(called_name):
+    """(module, top-level function or class) of every call to a function of
+    that name, by bare name or attribute; None for a module-level call."""
+    callers = set()
+    for name in MODULES:
+        for top in _tree(name).body:
+            owner = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                     else None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if called == called_name:
+                        callers.add((name, owner))
+    return callers
+
+
 def test_increments_are_requested_in_one_place_only():
     # contestants share noise by repeating the engine's request, never by
     # handing a pre-drawn block down; the step loop is the only place that
     # asks for one
-    callers = set()
-    for name in MODULES:
-        for fn in _tree(name).body:
-            if not isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+    assert _callers("gaussian_increments") == {("engine", "_run")}
+
+
+def test_processes_are_forked_in_one_place_only():
+    # the step loop's fan-out is the package's one concurrency: one os.fork
+    # call, and no thread or pool module anywhere
+    assert _callers("fork") == {("engine", "_run_forked")}
+    banned = {"threading", "_thread", "multiprocessing", "concurrent"}
+    found = []
+    for path in sorted(Path(hjblab.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
                 continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if called == "gaussian_increments":
-                        callers.add((name, fn.name))
-    assert callers == {("engine", "_run")}
+            found += [(path.name, root) for root in roots if root in banned]
+    assert not found, f"hjblab modules import threads or pools: {found}"
 
 
 # public names that no src module uses, each with the reason it stays public

@@ -9,6 +9,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -384,6 +386,30 @@ def tile_budget(problem, rows):
     return 8 * problem.dim * rows
 
 
+def fan_out(monkeypatch, processes):
+    """Let every later run use up to `processes` processes, whatever its size."""
+    monkeypatch.setattr(engine, "_PROCESSES", processes)
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 0)
+
+
+def count_forks(monkeypatch):
+    """A list that gains one entry per os.fork call of this process."""
+    forks, real_fork, parent = [], os.fork, os.getpid()
+
+    def fork():
+        if os.getpid() == parent:
+            forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_children():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def run_all_outputs(problem, x, control, seed=17):
     """One run asked for every output, with its increment-memo counts."""
     gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
@@ -475,7 +501,9 @@ def test_tile_budget_gives_the_documented_rows():
 @pytest.mark.parametrize("blowup", ["overflow", "nan"])
 def test_tiled_divergence_reports_the_one_pass_error(monkeypatch, blowup):
     # tile 0 diverges late; a path in the last tile diverges much earlier,
-    # and the error must name that step and the magnitude over all paths
+    # and the error must name that step and the magnitude over all paths,
+    # in one process or across 2 or 3, where tile 0 is this process's and
+    # the last tile a child's
     if blowup == "overflow":
         drift, early, late = (lambda x, a: 5.0 * x), 1e7, 1e6
     else:
@@ -485,20 +513,28 @@ def test_tiled_divergence_reports_the_one_pass_error(monkeypatch, blowup):
     problem = scalar_problem(drift, 0.0)
     x = np.full((TILE_PATHS, 1), late)
     x[-3] = early
+    forks = count_forks(monkeypatch)
     errors = []
-    for budget in (engine._TILE_BYTES, tile_budget(problem, 256)):
+    for budget, processes in ((engine._TILE_BYTES, 1),
+                              *((tile_budget(problem, 256), p) for p in (1, 2, 3))):
         monkeypatch.setattr(engine, "_TILE_BYTES", budget)
+        fan_out(monkeypatch, processes)
+        forks.clear()
         with pytest.raises(SimulationDivergenceError) as info:
             simulate_costs(problem, 0.0, x, zero_signal(1), TILE_PATHS,
                            n_steps=100, seed=0)
         errors.append(info.value)
-    one_pass, tiled = errors
-    assert 0 < tiled.step < 60
-    assert (tiled.step, tiled.time) == (one_pass.step, one_pass.time)
-    if blowup == "nan":
-        assert math.isnan(tiled.magnitude) and math.isnan(one_pass.magnitude)
-    else:
-        assert tiled.magnitude == one_pass.magnitude
+        assert len(forks) == processes - 1
+        assert_no_children()
+    one_pass = errors[0]
+    for tiled in errors[1:]:
+        assert 0 < tiled.step < 60
+        assert str(tiled) == str(one_pass)
+        assert (tiled.step, tiled.time) == (one_pass.step, one_pass.time)
+        if blowup == "nan":
+            assert math.isnan(tiled.magnitude) and math.isnan(one_pass.magnitude)
+        else:
+            assert tiled.magnitude == one_pass.magnitude
 
 
 # --- contestant groups ----------------------------------------------------------
@@ -557,6 +593,7 @@ def test_grouped_contestants_match_their_own_runs_bitwise(
     controls = "shared" if budget in SHARED_BUDGETS else "mixed"
     budget = SHARED_BUDGETS.get(budget, budget)
     contestants = group_contestants(problem, n_paths, controls)
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
     alone = [run_contestants(problem, [c], n_paths)[0] for c in contestants]
     state_bytes = 8 * problem.dim * n_paths
     if budget == "pairs":
@@ -569,13 +606,29 @@ def test_grouped_contestants_match_their_own_runs_bitwise(
         assert [g1 - g0 for g0, g1 in groups] == GROUP_SIZES[budget]
     elif n_paths == 150:
         assert groups == [(0, len(contestants))]
-    together = run_contestants(problem, contestants, n_paths)
-    assert len(together) == len(contestants)
-    for one, mine in zip(alone, together):
-        for field in ("costs", "terminal_states", "states", "control_traces",
-                      "sup_norm"):
-            assert getattr(mine, field).tobytes() == getattr(one, field).tobytes()
-    assert on_box(problem, together[0].control_traces)
+    # in one process, then across 2 and 3: whole items to each, a lone item
+    # cut in two halves
+    forks = count_forks(monkeypatch)
+    tiles = engine._tile_bounds(n_paths, problem.dim)
+    work = len(contestants) * n_paths * TILE_STEPS * problem.dim
+    for processes in (1, 2, 3):
+        fan_out(monkeypatch, processes)
+        forks.clear()
+        shares = engine._shares(groups, tiles, work)
+        if processes > 1:
+            items = [item for share in shares for item in share]
+            assert len(shares) == min(processes, len(items))
+            assert len(items) == max(2, len(groups) * len(tiles))
+        together = run_contestants(problem, contestants, n_paths)
+        assert len(forks) == (0 if shares is None else len(shares) - 1)
+        assert_no_children()
+        assert len(together) == len(contestants)
+        for one, mine in zip(alone, together):
+            for field in ("costs", "terminal_states", "states",
+                          "control_traces", "sup_norm"):
+                assert (getattr(mine, field).tobytes()
+                        == getattr(one, field).tobytes()), (processes, field)
+        assert on_box(problem, together[0].control_traces)
 
 
 @pytest.mark.parametrize("n_contestants, per_group, sizes", [
@@ -637,9 +690,12 @@ def test_shared_policy_call_spans_adjacent_contestants_only():
 
 
 @pytest.mark.parametrize("blowup", ["overflow", "nan"])
-def test_grouped_divergence_reports_that_contestants_own_error(blowup):
+def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
+                                                               blowup):
     # contestant 2 of 4 diverges; contestant 4 diverges earlier, but the
-    # error must be contestant 2's, as in a run of each contestant in turn
+    # error must be contestant 2's, as in a run of each contestant in turn,
+    # in one process or across 2 or 3, where the group's one tile is cut in
+    # halves
     if blowup == "overflow":
         drift, starts = (lambda x, a: 5.0 * x), (1.0, 1e7, 1.0, 5e7)
     else:
@@ -650,20 +706,129 @@ def test_grouped_divergence_reports_that_contestants_own_error(blowup):
     contestants = [(np.array([s]), zero_signal(1)) for s in starts]
     assert engine._group_bounds(4, 150, 1) == [(0, 4)]
 
-    def error_of(group):
+    forks = count_forks(monkeypatch)
+
+    def error_of(group, processes=1):
+        fan_out(monkeypatch, processes)
+        forks.clear()
         with pytest.raises(SimulationDivergenceError) as info:
             engine._run(problem, 0.0, group, 150, 100, 0, "paths",
                         accumulate_costs=True)
+        assert len(forks) == (processes > 1)
+        assert_no_children()
         return info.value
 
-    own, grouped, first = (error_of([contestants[1]]), error_of(contestants),
-                           error_of([contestants[3]]))
+    own, first = error_of([contestants[1]]), error_of([contestants[3]])
     assert first.step < own.step
-    assert (grouped.step, grouped.time) == (own.step, own.time)
-    if blowup == "nan":
-        assert math.isnan(grouped.magnitude) and math.isnan(own.magnitude)
+    for processes in (1, 2, 3):
+        grouped = error_of(contestants, processes)
+        assert str(grouped) == str(own)
+        assert (grouped.step, grouped.time) == (own.step, own.time)
+        if blowup == "nan":
+            assert math.isnan(grouped.magnitude) and math.isnan(own.magnitude)
+        else:
+            assert grouped.magnitude == own.magnitude
+
+
+# --- processes ------------------------------------------------------------------
+
+
+def refusing_drift(x, a):
+    """-x, except that it refuses a batch holding a state beyond 5."""
+    bad = np.abs(x[:, 0]) > 5.0
+    if bad.any():
+        raise ValueError(f"drift refuses {int(bad.sum())} rows at "
+                         f"{float(x[bad][0, 0]):.6g}")
+    return -x
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("row", [900, 10], ids=["child", "parent"])
+def test_callback_error_in_one_share_reports_the_serial_error(
+        monkeypatch, row, processes):
+    # four 256-row tiles: tile 0 is this process's, the last a child's; a
+    # callback that raises on one path's rows raises the serial run's error
+    # wherever that path runs, and no child is left behind
+    problem = scalar_problem(refusing_drift, 0.1)
+    monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 256))
+    x = np.full((TILE_PATHS, 1), 0.5)
+    x[row] = 9.0
+    forks = count_forks(monkeypatch)
+    errors = []
+    for procs in (1, processes):
+        fan_out(monkeypatch, procs)
+        with pytest.raises(ValueError) as info:
+            simulate_costs(problem, 0.0, x, zero_signal(1), TILE_PATHS,
+                           n_steps=TILE_STEPS, seed=0)
+        errors.append(info.value)
+        assert_no_children()
+    assert len(forks) == processes - 1
+    serial, fanned = errors
+    assert type(fanned) is type(serial) and str(fanned) == str(serial)
+
+
+def test_a_child_killed_by_a_signal_reruns_serially(monkeypatch):
+    parent = os.getpid()
+
+    def drift(x, a):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return -x
+
+    problem = scalar_problem(drift, 0.3)
+    monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 256))
+    forks = count_forks(monkeypatch)
+    runs = []
+    for procs in (1, 2):
+        fan_out(monkeypatch, procs)
+        runs.append(simulate_costs(problem, 0.0, np.array([0.5]),
+                                   zero_signal(1), TILE_PATHS,
+                                   n_steps=TILE_STEPS, seed=0))
+        assert_no_children()
+    assert len(forks) == 1
+    serial, rerun = runs
+    assert rerun.costs.tobytes() == serial.costs.tobytes()
+    assert rerun.terminal_states.tobytes() == serial.terminal_states.tobytes()
+
+
+def test_runs_below_the_fork_threshold_never_fork(monkeypatch):
+    problem = build_reaction_diffusion()
+    contestants = group_contestants(problem, 150)
+    assert 5 * 150 * TILE_STEPS * problem.dim < engine._FORK_MIN_WORK
+    monkeypatch.setattr(engine, "_PROCESSES", 2)
+    refused = []
+
+    def no_fork():
+        refused.append(1)
+        raise OSError("fork refused")
+    monkeypatch.setattr(os, "fork", no_fork)
+    small = run_contestants(problem, contestants, 150)
+    assert not refused
+    # past the threshold the run forks; a refused fork runs it serially
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 0)
+    fallback = run_contestants(problem, contestants, 150)
+    assert refused == [1]
+    for want, got in zip(small, fallback):
+        for field in ("costs", "terminal_states", "states", "control_traces",
+                      "sup_norm"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+@pytest.mark.parametrize("rows, sizes", [
+    (127, None),          # too few rows for two 64-aligned halves
+    (128, [64, 64]),
+    (150, [64, 86]),
+    (997, [512, 485]),
+])
+def test_a_lone_item_is_cut_in_64_aligned_halves(monkeypatch, rows, sizes):
+    fan_out(monkeypatch, 2)
+    shares = engine._shares([(0, 3)], [(0, rows)], 1)
+    if sizes is None:
+        assert shares is None
     else:
-        assert grouped.magnitude == own.magnitude
+        assert [[(g0, g1) for g0, g1, _, _ in s] for s in shares] == [[(0, 3)]] * 2
+        assert [hi - lo for s in shares for _, _, lo, hi in s] == sizes
+        assert shares[0][0][3] == shares[1][0][2]
 
 
 def test_contestant_lists_must_pair_states_with_controls():
