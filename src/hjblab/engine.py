@@ -94,9 +94,10 @@ tiling. Processes and not threads: once the callbacks' sums are short, the
 step loop is bound by the interpreter lock, and two threads over the same
 items gained nothing, where two processes share no lock. A run fans out
 when it has two items or more, the host gives this process more than one
-CPU, and its work (contestants x paths x steps x dim) reaches 2 M
-element-steps per child; smaller runs, and hosts without os.fork or
-sched_getaffinity, run serially in this process. The noise block
+CPU, and its work (contestants x paths x steps x dim) holds at least 2 M
+element-steps: it forks one child for each full 2 M element-steps of work,
+at most one process per CPU and per item; smaller runs, and hosts without
+os.fork or sched_getaffinity, run serially in this process. The noise block
 and E are made before the fork, so the memo and the key caches count as in
 a serial run, and the outputs (terminal states, costs, states, traces, sup
 norms) are then allocated in anonymous shared memory, where each process
@@ -153,11 +154,13 @@ _DIVERGENCE_LIMIT = 1e8
 # tile but the last keeps; the module docstring says why
 _TILE_BYTES = 256 * 1024
 _TILE_ALIGN = 64
-# processes a run may use, and the work (contestants x paths x steps x dim) a
-# run needs per forked child. Forking a child of an 80 MB process and reaping
-# it costs this process 1-4 ms on a 2-core host; the step loop does 30-130
-# element-steps per microsecond, so 2 M element-steps take 15-65 ms, and the
-# half of them that a child takes over saves several times what it costs
+# processes a run may use, and the work (contestants x paths x steps x dim)
+# that buys a run one forked child: a run forks work // _FORK_MIN_WORK
+# children, within its CPUs and its items. Forking a child of an 80 MB
+# process and reaping it costs this process 1-4 ms on a 2-core host; the step
+# loop does 30-130 element-steps per microsecond, so 2 M element-steps take
+# 15-65 ms, and the half of them that a child takes over saves several times
+# what it costs
 _PROCESSES = (len(os.sched_getaffinity(0))
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
 _FORK_MIN_WORK = 2_000_000
@@ -270,7 +273,7 @@ def _shares(groups, tiles, work):
         g0, g1, lo, hi = items[0]
         mid = lo + _TILE_ALIGN * round((hi - lo) / (2 * _TILE_ALIGN))
         items = [(g0, g1, lo, mid), (g0, g1, mid, hi)]
-    n_procs = min(_PROCESSES, len(items), 1 + work // max(1, _FORK_MIN_WORK))
+    n_procs = min(_PROCESSES, len(items), 1 + work // _FORK_MIN_WORK)
     if n_procs < 2:
         return None
     return [items[len(items) * i // n_procs:len(items) * (i + 1) // n_procs]

@@ -389,7 +389,7 @@ def tile_budget(problem, rows):
 def fan_out(monkeypatch, processes):
     """Let every later run use up to `processes` processes, whatever its size."""
     monkeypatch.setattr(engine, "_PROCESSES", processes)
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 0)
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
 
 
 def count_forks(monkeypatch):
@@ -805,7 +805,7 @@ def test_runs_below_the_fork_threshold_never_fork(monkeypatch):
     small = run_contestants(problem, contestants, 150)
     assert not refused
     # past the threshold the run forks; a refused fork runs it serially
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 0)
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
     fallback = run_contestants(problem, contestants, 150)
     assert refused == [1]
     for want, got in zip(small, fallback):
@@ -1053,9 +1053,12 @@ def test_moment_bound_frozen_constant_holds_across_seeds():
         assert rep.passed, rep.constants
 
 
-def test_moment_audit_reduces_the_control_trace_in_place():
+def test_moment_audit_reduces_the_control_trace_in_place(monkeypatch):
     # the (P, M, q) trace is the audit's largest array; squaring and
-    # weighting it must not allocate further arrays of its size
+    # weighting it must not allocate further arrays of its size. One
+    # process: a forked run allocates the trace in shared memory, which
+    # tracemalloc does not see
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
     problem = build_reaction_diffusion()
     q = problem.control_spec.dim
     trace_bytes = 2000 * 100 * q * 8
