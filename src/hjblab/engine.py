@@ -20,21 +20,25 @@ off the channel that is exactly -0.0 stays -0.0, where -0.0 + 0.0 made it
 
 Noise is generated per path from counter-derived streams, so path k's
 increments depend only on (master_seed, stream_label, k) and never on how
-many paths run alongside it or in what order. One Philox generator is
-re-keyed for each path rather than built anew (seeds.path_streams). The step
-loop asks for its increments itself and takes no block from its caller:
-contestants share noise by making the same request (seed, stream_label,
-n_paths, n_steps), in one call or several, and so get the same bits. The
-last block made is kept and a repeat of the same request gets that array
-back; blocks are handed out read-only, so no caller can change what the next
-one receives. Only one block is held: a second would cost as much memory as
-the first. A block that has to be built again costs its draws alone: the
-per-path keys of the last few (seed, stream_label, n_paths) requests are
-held too (seeds.path_keys), so a request that differs from an earlier one
-only in n_steps, n_w or dt, or comes back after another, derives no key. The
-memo and the key cache only decide how often a block or its keys are
-built, never what they hold; increment_memo and seeds.path_key_cache count
-their hits and misses.
+many paths run alongside it, in what order, or in which process. One Philox
+generator is re-keyed for each path rather than built anew
+(seeds.path_streams), so any process can draw any range of paths from their
+keys. The step loop asks for its increments itself and takes no block from
+its caller: contestants share noise by making the same request (seed,
+stream_label, n_paths, n_steps), in one call or several, and so get the
+same bits. The last block made is kept and a repeat of the same request
+gets that array back; blocks are handed out read-only, so no caller can
+change what the next one receives. Only one block is held: a second would
+cost as much memory as the first. A block that has to be built again costs
+its draws alone: the per-path keys of the last few (seed, stream_label,
+n_paths) requests are held too (seeds.path_keys), so a request that differs
+from an earlier one only in n_steps, n_w or dt, or comes back after
+another, derives no key. A block of at least 2 M draws (paths x steps x
+noise dimensions) is drawn by the process fan-out below, each process on a
+contiguous range of paths; its keys are derived in this process before the
+fork, and smaller blocks are drawn here alone. The memo and the key cache
+only decide how often a block or its keys are built, never what they hold;
+increment_memo and seeds.path_key_cache count their hits and misses.
 
 Every callback, model and feedback alike, is row-wise: row k of its output
 depends on row k of its input alone, with the same bits at any row offset
@@ -97,20 +101,27 @@ when it has two items or more, the host gives this process more than one
 CPU, and its work (contestants x paths x steps x dim) holds at least 2 M
 element-steps: it forks one child for each full 2 M element-steps of work,
 at most one process per CPU and per item; smaller runs, and hosts without
-os.fork or sched_getaffinity, run serially in this process. The noise block
-and E are made before the fork, so the memo and the key caches count as in
-a serial run, and the outputs (terminal states, costs, states, traces, sup
-norms) are then allocated in anonymous shared memory, where each process
-writes its own slices. A child always leaves with os._exit, whatever
-happened, and never returns into its caller's code; this process reaps
-every child before `_run` returns, killing them first if its own share
+os.fork or sched_getaffinity, run serially in this process. A missed
+increment block fans out by the same rule, with its draws for work and its
+paths for items, so at 2 M draws only large fresh blocks (the 20 000 x 200
+delay-lift run) are drawn across processes. The keys of that block, the
+noise block of a run and E are all made before the fork, so the memo and
+the key caches count as in a serial run. The outputs (terminal states,
+costs, states, traces, sup norms) and a block drawn across processes are
+allocated in anonymous shared memory, where each process writes its own
+slices; a block of no draws never fans out, since a mapping of zero bytes
+does not exist. A child always leaves with os._exit, whatever happened, and
+never returns into its caller's code; this process reaps every child before
+the run or the block is returned, killing them first if its own share
 raised. If any process failed (a divergence, a callback error, a child
 killed by a signal), the request reruns serially, so the caller gets
-exactly the result or the error of a serial run. Callbacks must be pure:
-state a callback sets in a child (a counter, a cache, a traced span) is lost
-with the child. A warning raised in a child prints to its stderr but never
-reaches the caller's warnings.catch_warnings; one that a filter turns into
-an error fails the child, and the serial rerun raises it.
+exactly the result or the error of a serial run, and a block gets exactly
+the serial bits. Callbacks must be pure: state a callback sets in a child
+(a counter, a cache, a traced span) is lost with the child, so a tracer in
+this process sees only this process's share of a run or of a block. A
+warning raised in a child prints to its stderr but never reaches the
+caller's warnings.catch_warnings; one that a filter turns into an error
+fails the child, and the serial rerun raises it.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
@@ -136,7 +147,7 @@ import numpy as np
 from .controls import signal_values
 from .hilbert import h_norm, semigroup_matrix
 from .report import PASS, FAIL, DiagnosticReport
-from .seeds import derive_seed, path_streams
+from .seeds import derive_seed, path_keys, path_streams
 
 __all__ = [
     "PathEnsemble",
@@ -156,7 +167,10 @@ _TILE_BYTES = 256 * 1024
 _TILE_ALIGN = 64
 # processes a run may use, and the work (contestants x paths x steps x dim)
 # that buys a run one forked child: a run forks work // _FORK_MIN_WORK
-# children, within its CPUs and its items. Forking a child of an 80 MB
+# children, within its CPUs and its items. An increment block follows the
+# same rule with its draws for work and its paths for items: a standard
+# normal draw costs a few element-steps, about 50 ns, so 2 M draws take
+# about 0.1 s. Forking a child of an 80 MB
 # process and reaping it costs this process 1-4 ms on a 2-core host; the step
 # loop does 30-130 element-steps per microsecond, so 2 M element-steps take
 # 15-65 ms, and the half of them that a child takes over saves several times
@@ -212,7 +226,10 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.nda
     """Brownian increments (P, M, n_w), read-only; path k comes from its own stream.
 
     A repeat of the previous request returns the same array again; a block
-    built anew takes its path keys from seeds.path_keys.
+    built anew takes its path keys from seeds.path_keys, in this process. On
+    a host with several CPUs, a block of at least _FORK_MIN_WORK draws is
+    drawn by the processes of the step loop's fan-out, each on a contiguous
+    range of paths, into shared memory (see the module docstring).
     """
     memo = increment_memo
     request = (master_seed, label, n_paths, n_steps, n_w, dt)
@@ -222,10 +239,22 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.nda
     memo.misses += 1
     # drop the held block first, so two blocks are never held at once
     memo.request = memo.block = None
-    out = np.empty((n_paths, n_steps, n_w))
-    for k, gen in enumerate(path_streams(master_seed, label, n_paths)):
-        gen.standard_normal(out=out[k])
-    out *= math.sqrt(dt)
+    keys = path_keys(master_seed, label, n_paths)
+    shape = (n_paths, n_steps, n_w)
+    # the step loop's rule, with draws for work and paths for items
+    n_procs = min(_PROCESSES, n_paths, 1 + math.prod(shape) // _FORK_MIN_WORK)
+    out = (np.empty if n_procs < 2 else _shared_empty)(shape)
+
+    def fill(lo, hi):
+        rows = out[lo:hi]
+        for row, gen in zip(rows, path_streams(keys[lo:hi])):
+            gen.standard_normal(out=row)
+        rows *= math.sqrt(dt)
+
+    shares = [[(n_paths * i // n_procs, n_paths * (i + 1) // n_procs)]
+              for i in range(n_procs)]
+    if n_procs < 2 or not _run_forked(shares, fill):
+        fill(0, n_paths)
     out.flags.writeable = False
     memo.request, memo.block = request, out
     return out

@@ -82,16 +82,20 @@ def path_keys(master_seed: int, stream_label: str, n: int) -> np.ndarray:
     return keys
 
 
-def path_streams(master_seed: int, stream_label: str, n: int):
-    """Yield generators at the start of stream(master_seed, stream_label, k), k < n.
+def path_streams(keys):
+    """Yield generators at the start of the streams keyed by keys, in order.
 
-    One Philox is re-keyed for every k instead of building n of them, on
-    the keys path_keys holds for the request. A Philox draw is a function
-    of its key and counter alone, so key [derive_seed(...), 0], counter 0
-    and an empty buffer reproduce stream() bit for bit. The state is set
-    from Python ints, which the setter reads far faster than numpy array
-    entries. The same Generator is yielded each time: it is valid only
-    until the next one is drawn.
+    keys is path_keys(master_seed, stream_label, n) or a row range of it,
+    keys[lo:hi], which yields stream(master_seed, stream_label, k) for
+    lo <= k < hi: a process can draw any range of paths without deriving a
+    key, so the keys of a block drawn across processes are derived once, in
+    the process that asks for it. One Philox is re-keyed for every key
+    instead of building one per path. A Philox draw is a function of its key
+    and counter alone, so key [derive_seed(...), 0], counter 0 and an empty
+    buffer reproduce stream() bit for bit. The state is set from Python ints,
+    which the setter reads far faster than numpy array entries. The same
+    Generator is yielded each time: it is valid only until the next one is
+    drawn.
     """
     bit_gen = np.random.Philox(key=0)
     gen = np.random.Generator(bit_gen)
@@ -105,8 +109,7 @@ def path_streams(master_seed: int, stream_label: str, n: int):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    keys = path_keys(master_seed, stream_label, n)
-    for start in range(0, n, _KEY_CHUNK):
+    for start in range(0, len(keys), _KEY_CHUNK):
         for k in keys[start:start + _KEY_CHUNK].tolist():
             key[0] = k
             bit_gen.state = state

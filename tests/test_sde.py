@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hjblab import engine
+from hjblab import engine, seeds
 from hjblab.controls import (
     ConstantSignal,
     PiecewiseConstantSignal,
@@ -1110,12 +1110,124 @@ def test_increment_paths_do_not_depend_on_path_count():
     assert big[:4].tobytes() == small
 
 
-def test_increment_block_frozen_digest():
-    # pinned so a change of the noise path that moves any bit breaks loudly
-    dw = gaussian_increments(42, "paths", 3, 5, 2, 1.0)
-    assert hashlib.sha256(dw.tobytes()).hexdigest() == (
-        "8fcc05c1ddea08f7558a7117a44cb8b28d737ceb2f7332988226de72fb95bc37"
-    )
+def test_increment_block_frozen_digest(monkeypatch):
+    # pinned so a change of the noise path that moves any bit breaks loudly;
+    # drawn in this process, then across two and three
+    forks = count_forks(monkeypatch)
+    for processes in (1, 2, 3):
+        fan_out(monkeypatch, processes)
+        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+        dw = gaussian_increments(42, "paths", 3, 5, 2, 1.0)
+        assert hashlib.sha256(dw.tobytes()).hexdigest() == (
+            "8fcc05c1ddea08f7558a7117a44cb8b28d737ceb2f7332988226de72fb95bc37"
+        )
+        assert_no_children()
+    assert len(forks) == 0 + 1 + 2
+
+
+def draw_requests(monkeypatch, n_paths, n_steps, n_w):
+    """On a fresh memo and key cache: a request that derives its keys, one
+    that differs in n_steps alone and reuses them, and a repeat of it. The
+    three blocks, and the (hits, misses) of the memo and of the key cache."""
+    monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+    monkeypatch.setattr(seeds, "path_key_cache",
+                        seeds._KeyCache(seeds.path_key_cache.size))
+    blocks = [gaussian_increments(11, "fan", n_paths, m, n_w, 0.037)
+              for m in (n_steps, n_steps + 1, n_steps + 1)]
+    memo, cache = engine.increment_memo, seeds.path_key_cache
+    return blocks, ((memo.hits, memo.misses), (cache.hits, cache.misses))
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(1, 40, 1), (997, 25, 1), (10, 6, 3)],
+                         ids=["one_path", "prime_paths", "three_noise_dims"])
+def test_increments_drawn_across_processes_equal_the_serial_block(
+        monkeypatch, shape, processes):
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    serial, serial_counts = draw_requests(monkeypatch, *shape)
+    assert serial[0].tobytes() == reference_increments(11, "fan", *shape, 0.037).tobytes()
+    forks = count_forks(monkeypatch)
+    fan_out(monkeypatch, processes)
+    fanned, counts = draw_requests(monkeypatch, *shape)
+    assert_no_children()
+    # each of the two misses forks a child per process beyond this one, and
+    # never more processes than paths
+    assert len(forks) == 2 * (min(processes, shape[0]) - 1)
+    assert counts == serial_counts == ((1, 2), (1, 1))
+    assert fanned[2] is fanned[1]
+    for want, got in zip(serial, fanned):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("failure", ["child_killed", "fork_raises"])
+def test_a_failed_increment_fan_out_draws_the_serial_block(
+        monkeypatch, failure, processes):
+    shape = (997, 25, 1)
+    serial, serial_counts = draw_requests(monkeypatch, *shape)
+    forks = count_forks(monkeypatch)
+    if failure == "fork_raises":
+        def fork():
+            raise OSError("fork refused")
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        parent, streams = os.getpid(), engine.path_streams
+
+        def path_streams(keys):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return streams(keys)
+        monkeypatch.setattr(engine, "path_streams", path_streams)
+    fan_out(monkeypatch, processes)
+    fanned, counts = draw_requests(monkeypatch, *shape)
+    assert_no_children()
+    # the two misses fork; a refused fork forks nothing
+    assert len(forks) == (2 * (processes - 1) if failure == "child_killed" else 0)
+    assert counts == serial_counts
+    for want, got in zip(serial, fanned):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_increment_blocks_below_the_fork_threshold_never_fork(monkeypatch):
+    # the largest blocks of policy iteration on lq (5000 x 120) and of run-all
+    # on reaction_diffusion (2000 x 100 x 3) stay in this process
+    monkeypatch.setattr(engine, "_PROCESSES", 2)
+    forks = count_forks(monkeypatch)
+    for shape in [(5000, 120, 1), (2000, 100, 3)]:
+        assert math.prod(shape) < engine._FORK_MIN_WORK
+        gaussian_increments(11, "below", *shape, 0.01)
+    assert not forks
+    # a block forks from _FORK_MIN_WORK draws on
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 600)
+    gaussian_increments(11, "below", 10, 59, 1, 0.01)
+    assert not forks
+    gaussian_increments(11, "below", 10, 20, 3, 0.01)
+    assert len(forks) == 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_zero_width_noise_is_never_drawn_across_processes(monkeypatch, processes):
+    # a block of no draws stays out of shared memory, where a zero-byte
+    # mapping raises OSError
+    problem = build_reaction_diffusion(noise_modes=0)
+    assert problem.noise_dim == 0
+    q = problem.control_spec.dim
+    runs = []
+    for procs in (1, processes):
+        fan_out(monkeypatch, procs)
+        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+        runs.append(simulate_costs(problem, 0.0, np.full(problem.dim, 0.3),
+                                   zero_signal(q), TILE_PATHS,
+                                   n_steps=TILE_STEPS, seed=3))
+        assert_no_children()
+    serial, fanned = runs
+    assert fanned.costs.tobytes() == serial.costs.tobytes()
+    assert fanned.terminal_states.tobytes() == serial.terminal_states.tobytes()
 
 
 def test_repeated_request_returns_held_block_read_only():

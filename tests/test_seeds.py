@@ -64,12 +64,23 @@ def test_path_streams_replay_fresh_streams():
     # its keys from the cache and must replay the same streams.
     for attempt in range(2):
         hits = path_key_cache.hits
-        for k, gen in enumerate(path_streams(2**40 + 1, "paths", 5)):
+        for k, gen in enumerate(path_streams(path_keys(2**40 + 1, "paths", 5))):
             ref = stream(2**40 + 1, "paths", k)
             assert gen.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
             assert gen.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
         assert k == 4
     assert path_key_cache.hits == hits + 1
+
+
+@pytest.mark.parametrize("master, n, lo, hi", [
+    (2**40 + 1, 5, 0, 5), (2**40 + 1, 5, 2, 5), (2**40 + 1, 5, 3, 4),
+    (2**40 + 1, 5, 4, 4), (7, 2500, 1000, 2100),  # across a key chunk
+])
+def test_path_streams_over_a_row_range_replay_their_streams(master, n, lo, hi):
+    keys = path_keys(master, "rows", n)
+    drawn = [gen.standard_normal(3).tobytes() for gen in path_streams(keys[lo:hi])]
+    assert drawn == [stream(master, "rows", k).standard_normal(3).tobytes()
+                     for k in range(lo, hi)]
 
 
 @pytest.mark.parametrize("master, label, n", [
