@@ -106,22 +106,39 @@ increment block fans out by the same rule, with its draws for work and its
 paths for items, so at 2 M draws only large fresh blocks (the 20 000 x 200
 delay-lift run) are drawn across processes. The keys of that block, the
 noise block of a run and E are all made before the fork, so the memo and
-the key caches count as in a serial run. The outputs (terminal states,
-costs, states, traces, sup norms) and a block drawn across processes are
+the key caches count as in a serial run. simulate_costs_batch takes a list
+of independent simulate_costs requests, the time rows of a policy-iteration
+round, and makes them the items of one fan-out by the same rule, with the
+sum of their element-steps for work: contiguous shares, this process taking
+the last, so that the memo ends on the block of the last request, as after
+the serial loop. Each process runs its requests whole, each drawing its own
+block, so no process holds two; a request run in a child counts its memo
+and key-cache hits there, and they are lost with it. Fan-outs do not nest:
+inside one, neither a child nor this process's own share forks again, for a
+run or for a block. The outputs (terminal states, costs, states, traces,
+sup norms; for a batch, the time grids, terminal states and costs of the
+requests the children run) and a block drawn across processes are
 allocated in anonymous shared memory, where each process writes its own
-slices; a block of no draws never fans out, since a mapping of zero bytes
-does not exist. A child always leaves with os._exit, whatever happened, and
-never returns into its caller's code; this process reaps every child before
-the run or the block is returned, killing them first if its own share
-raised. If any process failed (a divergence, a callback error, a child
-killed by a signal), the request reruns serially, so the caller gets
-exactly the result or the error of a serial run, and a block gets exactly
-the serial bits. Callbacks must be pure: state a callback sets in a child
-(a counter, a cache, a traced span) is lost with the child, so a tracer in
-this process sees only this process's share of a run or of a block. A
-warning raised in a child prints to its stderr but never reaches the
-caller's warnings.catch_warnings; one that a filter turns into an error
-fails the child, and the serial rerun raises it.
+slices; a block of no draws, or a batch request of no rows, never fans
+out, since a mapping of zero bytes does not exist. While a fan-out runs,
+numpy's OpenBLAS is pinned to one thread, in this process and, since it is
+pinned before the fork, in every child, and the caller's thread count is
+restored afterwards: BLAS threads of several processes on two CPUs crowd
+each other, and a forked 5000-path delay-lift run took 0.08-1.7 s against
+0.07-0.16 s serially before the pin. Where numpy bundles no OpenBLAS whose
+thread count can be read and set, nothing fans out. A child always leaves
+with os._exit, whatever happened, and never returns into its caller's
+code; this process reaps every child before the run, the block or the
+batch is returned, killing them first if its own share raised. If any
+process failed (a divergence, a callback error, a child killed by a
+signal), the request reruns serially, and a batch reruns every request in
+order, so the caller gets exactly the result or the error of a serial run,
+and a block gets exactly the serial bits. Callbacks must be pure: state a
+callback sets in a child (a counter, a cache, a traced span) is lost with
+the child, so a tracer in this process sees only this process's share of a
+run, a block or a batch. A warning raised in a child prints to its stderr
+but never reaches the caller's warnings.catch_warnings; one that a filter
+turns into an error fails the child, and the serial rerun raises it.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
@@ -135,6 +152,7 @@ as calling running_cost at both ends, which is what a problem without a
 separated cost does.
 """
 
+import ctypes
 import math
 import mmap
 import os
@@ -156,6 +174,7 @@ __all__ = [
     "increment_memo",
     "simulate_ensemble",
     "simulate_costs",
+    "simulate_costs_batch",
     "moment_bound_check",
     "write_ensemble_csv",
 ]
@@ -178,6 +197,28 @@ _TILE_ALIGN = 64
 _PROCESSES = (len(os.sched_getaffinity(0))
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
 _FORK_MIN_WORK = 2_000_000
+
+
+def _blas_thread_calls():
+    """The get and set thread-count functions of the OpenBLAS that numpy
+    bundles, or None when numpy links no such library."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# a fan-out pins BLAS to one thread while it runs, and never fans out without
+# that pin: BLAS threads of several processes on few CPUs crowd each other
+_BLAS_THREADS = _blas_thread_calls()
+# set while a fan-out runs, in this process and in its children: fan-outs
+# do not nest
+_fanning_out = False
 
 
 class SimulationDivergenceError(RuntimeError):
@@ -242,7 +283,7 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.nda
     keys = path_keys(master_seed, label, n_paths)
     shape = (n_paths, n_steps, n_w)
     # the step loop's rule, with draws for work and paths for items
-    n_procs = min(_PROCESSES, n_paths, 1 + math.prod(shape) // _FORK_MIN_WORK)
+    n_procs = _process_count(n_paths, math.prod(shape))
     out = (np.empty if n_procs < 2 else _shared_empty)(shape)
 
     def fill(lo, hi):
@@ -302,9 +343,23 @@ def _shares(groups, tiles, work):
         g0, g1, lo, hi = items[0]
         mid = lo + _TILE_ALIGN * round((hi - lo) / (2 * _TILE_ALIGN))
         items = [(g0, g1, lo, mid), (g0, g1, mid, hi)]
-    n_procs = min(_PROCESSES, len(items), 1 + work // _FORK_MIN_WORK)
+    n_procs = _process_count(len(items), work)
     if n_procs < 2:
         return None
+    return _contiguous(items, n_procs)
+
+
+def _process_count(n_items, work):
+    """Processes for a fan-out of n_items items: one per full _FORK_MIN_WORK
+    of work, within the CPUs and the items; one inside a fan-out, or when
+    BLAS threads cannot be pinned."""
+    if _fanning_out or _BLAS_THREADS is None:
+        return 1
+    return min(_PROCESSES, n_items, 1 + work // _FORK_MIN_WORK)
+
+
+def _contiguous(items, n_procs):
+    """items dealt in n_procs contiguous shares, as even as they go."""
     return [items[len(items) * i // n_procs:len(items) * (i + 1) // n_procs]
             for i in range(n_procs)]
 
@@ -318,7 +373,14 @@ def _shared_empty(shape):
 
 def _run_forked(shares, advance):
     """advance(*item) for the items of shares[0] here and of each later share
-    in a forked child; True when every process finished all its items."""
+    in a forked child, with BLAS on one thread and no nested fan-out; True
+    when every process finished all its items."""
+    global _fanning_out
+    get_threads, set_threads = _BLAS_THREADS
+    threads = get_threads()
+    # pinned before the fork, so the children inherit the pin and the flag
+    set_threads(1)
+    _fanning_out = True
     children, done = [], False
     try:
         for share in shares[1:]:
@@ -345,6 +407,8 @@ def _run_forked(shares, advance):
         for pid in children:
             _, status = os.waitpid(pid, 0)
             done = done and os.waitstatus_to_exitcode(status) == 0
+        _fanning_out = False
+        set_threads(threads)
     return done
 
 
@@ -604,6 +668,67 @@ def simulate_costs(
         stream_label, accumulate_costs=True, record_controls=record_controls,
     )
     return runs if isinstance(control, list) else runs[0]
+
+
+def simulate_costs_batch(problem, requests):
+    """[simulate_costs(problem, *r) for r in requests], bit for bit, for
+    independent requests r = (t, x, control, n_paths, n_steps, seed,
+    stream_label).
+
+    The requests are the items of the process fan-out (see the module
+    docstring), with contestants x paths x steps x dim of each for its
+    work: contiguous shares, this process taking the last, so that
+    increment_memo ends holding the block of the last request, as after the
+    serial loop. Each process runs its requests whole, one after another,
+    each on its own noise block, and a child writes the time grid, terminal
+    states and costs of its records to shared memory. A request run in a
+    child counts its memo and key-cache hits there. If any process fails,
+    every request reruns here, in order, so the caller gets the serial
+    result or error.
+    """
+    def run(i):
+        t, x, control, n_paths, n_steps, seed, stream_label = requests[i]
+        return simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
+                              stream_label)
+
+    # (contestants, paths, steps) of each request
+    sizes = [(len(control) if isinstance(control, list) else 1, n_paths, n_steps)
+             for _, _, control, n_paths, n_steps, _, _ in requests]
+    n = problem.dim
+    # a request of no rows never fans out: a mapping of zero bytes does not
+    # exist
+    n_procs = (_process_count(len(requests), sum(math.prod(s) for s in sizes) * n)
+               if all(min(s) >= 1 for s in sizes) else 1)
+    if n_procs >= 2:
+        shares = _contiguous([(i,) for i in range(len(requests))], n_procs)
+        # _run_forked runs its first share here
+        shares = shares[-1:] + shares[:-1]
+        # the time grid, terminal states and costs of each request a child runs
+        out = {}
+        for share in shares[1:]:
+            for (i,) in share:
+                c, p, m = sizes[i]
+                out[i] = (_shared_empty((m + 1,)), _shared_empty((c, p, n)),
+                          _shared_empty((c, p)))
+        runs = [None] * len(requests)
+
+        def advance(i):
+            runs[i] = run(i)
+            if i in out:
+                grid, terminal, costs = out[i]
+                records = runs[i] if isinstance(runs[i], list) else [runs[i]]
+                grid[...] = records[0].time_grid
+                for c, record in enumerate(records):
+                    terminal[c] = record.terminal_states
+                    costs[c] = record.costs
+
+        if _run_forked(shares, advance):
+            for i, (grid, terminal, costs) in out.items():
+                records = [PathEnsemble(time_grid=grid, terminal_states=terminal[c],
+                                        costs=costs[c]) for c in range(len(costs))]
+                runs[i] = records if isinstance(requests[i][2], list) else records[0]
+            return runs
+    return [run(i) for i in range(len(requests))]
 
 
 def moment_bound_check(

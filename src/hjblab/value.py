@@ -14,16 +14,19 @@ argument to pass: the candidates go to the engine as the contestants of one
 call, which makes one request (seed, stream label, paths, steps) and
 advances them together; the same request always yields the same block.
 
-cost_samples reads the per-path costs off one engine run and is the only
-way this layer runs the engine; the estimate for a single control is
-synthesis.feynman_kac_value.
+cost_samples reads the per-path costs off one engine run and is how this
+layer runs the engine, except that policy iteration hands each round's
+runs to engine.simulate_costs_batch together; the estimate for a single
+control is synthesis.feynman_kac_value.
 
 Evaluators price a batch of points: evaluator(t, xs (K, N), seed) returns
 per-path samples (K, P), one row per point, all on one seed. A policy
 evaluator runs the K points as contestants of one engine call, so the legs
 of a finite difference or a defect-scan pair with its midpoints cost one
 noise request. Policy iteration goes one step further and prices a whole
-time row of its grid in one engine call, each grid point on its own paths.
+time row of its grid in one engine call, each grid point on its own paths,
+and a round's rows in one batch, which the engine may split across
+processes.
 
 The records hold estimates, not what made them: a FamilyValue names its best
 candidate by index and label, and a ValueField pairs points with estimates.
@@ -43,7 +46,7 @@ from .controls import (
     project_ball,
     zero_signal,
 )
-from .engine import simulate_costs
+from .engine import simulate_costs, simulate_costs_batch
 from .report import PASS, FAIL, DiagnosticReport
 from .seeds import stream
 
@@ -492,8 +495,15 @@ def policy_iteration(
     each round after the first starts on the row the last one ended with,
     whose block the engine still holds: T + (T - 1)(R - 1) blocks are built
     over R rounds of T rows, not T R. The rows of a round share one policy
-    and nothing else, so their order changes no output bit. Kept public for
-    acceptance test c1 and the oracle_lq benchmark.
+    and nothing else, so their order changes no output bit, and they are
+    independent whole runs: a round prices them in one
+    engine.simulate_costs_batch call, in that order, which runs them as
+    items of the engine's process fan-out when their work is large enough,
+    the first rows in forked children and the last here, so the engine
+    still ends the round holding the last row's block. Each row then counts
+    its block's reuse in the process that runs it. The output bits are
+    those of a serial loop. Kept public for acceptance test c1 and the
+    oracle_lq benchmark.
     """
     cfg = cfg or PolicyIterationConfig()
     if n_rounds < 1:
@@ -530,11 +540,14 @@ def policy_iteration(
         # odd rounds walk the rows backwards, so each round after the first
         # starts on the row whose block the increment memo still holds
         order = range(len(t_arr))
-        for i in (order[::-1] if rnd % 2 else order):
-            s = (seed * 1000003 + i * 1009) & 0x7FFFFFFF
-            samples = np.stack(cost_samples(
-                problem, float(t_arr[i]), starts, [policy] * len(starts),
-                n_points * n_paths, cfg.n_steps, s))
+        if rnd % 2:
+            order = order[::-1]
+        requests = [(float(t_arr[i]), starts, [policy] * len(starts),
+                     n_points * n_paths, cfg.n_steps,
+                     (seed * 1000003 + i * 1009) & 0x7FFFFFFF, "paths")
+                    for i in order]
+        for i, runs in zip(order, simulate_costs_batch(problem, requests)):
+            samples = np.stack([run.costs for run in runs])
             for j in range(n_points):
                 rows = slice(j * n_paths, (j + 1) * n_paths)
                 est_grid[i][j] = MCEstimate.from_samples(samples[0, rows])

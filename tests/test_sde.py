@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import mmap
 import os
 import signal
 import tracemalloc
@@ -30,6 +31,7 @@ from hjblab.engine import (
     increment_memo,
     moment_bound_check,
     simulate_costs,
+    simulate_costs_batch,
     simulate_ensemble,
     write_ensemble_csv,
 )
@@ -733,6 +735,18 @@ def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
 # --- processes ------------------------------------------------------------------
 
 
+def count_all_forks(monkeypatch):
+    """A one-entry counter in shared memory that every os.fork call adds 1
+    to, in this process or in any process it forks."""
+    count, real_fork = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64), os.fork
+
+    def fork():
+        count[0] += 1
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return count
+
+
 def refusing_drift(x, a):
     """-x, except that it refuses a batch holding a state beyond 5."""
     bad = np.abs(x[:, 0]) > 5.0
@@ -1284,3 +1298,141 @@ def test_ensemble_csv_round_trip(tmp_path):
     recovered = data["x0"].reshape(3, 6)
     np.testing.assert_array_equal(recovered, ens.states[:, :, 0])
     np.testing.assert_array_equal(data["time"].reshape(3, 6)[0], ens.time_grid)
+
+
+# --- batches of requests --------------------------------------------------------
+
+
+def batch_requests(problem):
+    """Three independent simulate_costs requests: contestants, a lone control
+    and per-path starting states, on their own times, seeds and labels."""
+    rng = np.random.default_rng(31)
+    q, n = problem.control_spec.dim, problem.dim
+    x = np.full(n, 0.7)
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    return [
+        (0.0, [x, -x], [gamma, zero_signal(q)], 150, TILE_STEPS, 3, "paths"),
+        (0.2, x, gamma, 300, TILE_STEPS, 4, "paths"),
+        (0.1, rng.normal(0.0, 0.5, (150, n)), zero_signal(q), 150, 10, 5,
+         "other"),
+    ]
+
+
+def cost_bits(runs):
+    """The bytes of each record's time grid, terminal states and costs."""
+    records = [r for run in runs for r in (run if isinstance(run, list) else [run])]
+    return [(r.time_grid.tobytes(), r.terminal_states.tobytes(), r.costs.tobytes())
+            for r in records]
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("builder", [
+    lambda: build_lq_benchmark(control_bound=0.6)[0],
+    build_reaction_diffusion,
+], ids=["lq", "reaction_diffusion"])
+def test_batch_runs_whole_requests_with_their_serial_bits(monkeypatch, builder,
+                                                          processes):
+    # every request forks on its own, for its block and its run; in a batch
+    # each process runs whole requests and forks no further
+    problem = builder()
+    requests = batch_requests(problem)
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    serial = [simulate_costs(problem, *r) for r in requests]
+    serial_last = increment_memo.request
+    forks = count_all_forks(monkeypatch)
+    fan_out(monkeypatch, processes)
+    for r in requests:
+        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+        forks[0] = 0
+        simulate_costs(problem, *r)
+        assert forks[0] >= 2
+    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)
+    forks[0] = 0
+    batch = simulate_costs_batch(problem, requests)
+    assert forks[0] == processes - 1
+    assert_no_children()
+    assert [isinstance(run, list) for run in batch] == [True, False, False]
+    assert cost_bits(batch) == cost_bits(serial)
+    # this process ran the last share, so the memo holds the last block
+    assert increment_memo.request == serial_last
+
+
+def failing_requests(kind):
+    """A problem and three requests: the first fails, and the last fails
+    otherwise, with another error, or diverges earlier."""
+    if kind == "raises":
+        problem, starts = scalar_problem(refusing_drift, 0.1), (9.0, 0.5, 7.0)
+    else:
+        problem, starts = scalar_problem(lambda x, a: 5.0 * x, 0.0), (1e7, 1.0, 5e7)
+    return problem, [(0.0, np.array([s]), zero_signal(1), 150, 100, k, "paths")
+                     for k, s in enumerate(starts)]
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("kind", ["raises", "diverges"])
+def test_batch_failure_in_a_childs_share_raises_the_serial_error(
+        monkeypatch, kind, processes):
+    # the first request runs in a child and the last here; the serial loop
+    # raises the first request's error, and so must the batch. The batch
+    # fans out, and no request would on its own
+    problem, requests = failing_requests(kind)
+    error = ValueError if kind == "raises" else SimulationDivergenceError
+    with pytest.raises(error) as serial:
+        [simulate_costs(problem, *r) for r in requests]
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(engine, "_PROCESSES", processes)
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 150 * 100 + 1)
+    with pytest.raises(error) as batch:
+        simulate_costs_batch(problem, requests)
+    assert len(forks) == processes - 1
+    assert_no_children()
+    assert str(batch.value) == str(serial.value)
+    if kind == "diverges":
+        assert (batch.value.step, batch.value.magnitude) == (
+            serial.value.step, serial.value.magnitude)
+
+
+def test_fan_out_pins_blas_to_one_thread_and_restores_it(monkeypatch):
+    # the threads BLAS uses in each process while a run is split across
+    # two, whatever this process had set before
+    get_threads, set_threads = engine._BLAS_THREADS
+    seen = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    parent = os.getpid()
+
+    def drift(x, a):
+        seen[int(os.getpid() != parent)] = get_threads()
+        return -x
+
+    problem = scalar_problem(drift, 0.3)
+    monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 256))
+    before = get_threads()
+    runs = []
+    try:
+        set_threads(2)
+        for procs in (1, 2):
+            fan_out(monkeypatch, procs)
+            seen[:] = 0
+            runs.append(simulate_costs(problem, 0.0, np.array([0.5]),
+                                       zero_signal(1), TILE_PATHS,
+                                       n_steps=TILE_STEPS, seed=0))
+            assert get_threads() == 2
+            assert list(seen) == ([2, 0] if procs == 1 else [1, 1])
+    finally:
+        set_threads(before)
+    assert_no_children()
+    serial, fanned = runs
+    assert fanned.costs.tobytes() == serial.costs.tobytes()
+    assert fanned.terminal_states.tobytes() == serial.terminal_states.tobytes()
+
+
+def test_no_fan_out_where_blas_threads_cannot_be_pinned(monkeypatch):
+    problem = build_lq_benchmark(control_bound=0.6)[0]
+    requests = batch_requests(problem)
+    fan_out(monkeypatch, 2)
+    monkeypatch.setattr(engine, "_BLAS_THREADS", None)
+    forks = count_forks(monkeypatch)
+    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+    runs = [simulate_costs(problem, *r) for r in requests]
+    batch = simulate_costs_batch(problem, requests)
+    assert not forks
+    assert cost_bits(batch) == cost_bits(runs)

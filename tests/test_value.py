@@ -6,6 +6,7 @@ scheme bias is not negligible.
 
 import dataclasses
 import hashlib
+import os
 import warnings
 
 import numpy as np
@@ -23,7 +24,11 @@ from hjblab.diagnostics import (
     trajectory_stability_check,
 )
 from hjblab import engine, value
-from hjblab.engine import gaussian_increments, increment_memo
+from hjblab.engine import (
+    gaussian_increments,
+    increment_memo,
+    simulate_costs_batch,
+)
 from hjblab.models import (
     build_lq_benchmark,
     build_reaction_diffusion,
@@ -504,12 +509,12 @@ def test_policy_iteration_points_own_disjoint_rows_of_one_row_request(
     # [j P, (j+1) P) of its time row's one request
     requests = []
 
-    def spy(problem, t, x, control, n_paths, n_steps, seed, stream_label="paths"):
-        requests.append((t, n_paths, n_steps, seed, stream_label))
-        return cost_samples(problem, t, x, control, n_paths, n_steps, seed,
-                            stream_label)
+    def spy(problem, batch):
+        for t, x, control, n_paths, n_steps, seed, stream_label in batch:
+            requests.append((t, n_paths, n_steps, seed, stream_label))
+        return simulate_costs_batch(problem, batch)
 
-    monkeypatch.setattr(value, "cost_samples", spy)
+    monkeypatch.setattr(value, "simulate_costs_batch", spy)
     problem, _ = build_lq_benchmark()
     n_paths, x_grid = 60, np.array([[-1.0], [0.5]])
     res = policy_iteration(problem, (0.3,), x_grid, n_rounds=1, seed=5,
@@ -537,11 +542,7 @@ def _pi_three_rows():
                             n_rounds=PI_BITS_ROUNDS, cfg=cfg, seed=23)
 
 
-def test_policy_iteration_output_bits_are_pinned():
-    # pinned so that a change of the order PI prices its rows in, or of how
-    # it gets their noise, that moves any output bit breaks loudly
-    res = _pi_three_rows()
-    assert res.rounds_run == PI_BITS_ROUNDS
+def _pi_digest(res):
     h = hashlib.sha256()
     for vals in res.round_values:
         h.update(np.ascontiguousarray(vals, dtype=float).tobytes())
@@ -550,9 +551,44 @@ def test_policy_iteration_output_bits_are_pinned():
     xb = np.linspace(-2.0, 2.0, 9)[:, None]
     for t in PI_BITS_T:
         h.update(np.ascontiguousarray(res.policy.feedback(t, xb)).tobytes())
-    assert h.hexdigest() == (
-        "77f1f18aaafbfade9f11ee949e4483e32122d6a671f5019d474a420e6d2f796f"
-    )
+    return h.hexdigest()
+
+
+PI_DIGEST = "77f1f18aaafbfade9f11ee949e4483e32122d6a671f5019d474a420e6d2f796f"
+
+
+def test_policy_iteration_output_bits_are_pinned():
+    # pinned so that a change of the order PI prices its rows in, or of how
+    # it gets their noise, that moves any output bit breaks loudly
+    res = _pi_three_rows()
+    assert res.rounds_run == PI_BITS_ROUNDS
+    assert _pi_digest(res) == PI_DIGEST
+
+
+def test_policy_iteration_rows_as_fan_out_items_keep_the_pinned_bits(
+        monkeypatch):
+    # each round's three rows are the items of one fan-out: the first in a
+    # child, the other two here, so the increment memo ends on the block of
+    # the serial loop's last request
+    _pi_three_rows()
+    serial_last = increment_memo.request
+    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the memo moves on
+    monkeypatch.setattr(engine, "_PROCESSES", 2)
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    res = _pi_three_rows()
+    assert res.rounds_run == PI_BITS_ROUNDS
+    assert _pi_digest(res) == PI_DIGEST
+    assert increment_memo.request == serial_last
+    # one child per round; this process's own rows fork no further
+    assert len(forks) == PI_BITS_ROUNDS
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_policy_iteration_rounds_start_on_the_held_block():
