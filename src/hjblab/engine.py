@@ -91,54 +91,62 @@ contestant or a list for lists of states and controls; a single path is
 path 0 of a one-path ensemble.
 
 A large run is split across processes. Its items, the (group, tile) pairs
-above, are dealt in contiguous shares to this process and to children made
-with os.fork; a run of one item whose tile holds at least 128 rows is first
-cut into two 64-aligned halves, which the tile rules make as safe as any
-tiling. Processes and not threads: once the callbacks' sums are short, the
-step loop is bound by the interpreter lock, and two threads over the same
-items gained nothing, where two processes share no lock. A run fans out
-when it has two items or more, the host gives this process more than one
-CPU, and its work (contestants x paths x steps x dim) holds at least 2 M
-element-steps: it forks one child for each full 2 M element-steps of work,
-at most one process per CPU and per item; smaller runs, and hosts without
-os.fork or sched_getaffinity, run serially in this process. A missed
-increment block fans out by the same rule, with its draws for work and its
-paths for items, so at 2 M draws only large fresh blocks (the 20 000 x 200
-delay-lift run) are drawn across processes. The keys of that block, the
-noise block of a run and E are all made before the fork, so the memo and
-the key caches count as in a serial run. simulate_costs_batch takes a list
-of independent simulate_costs requests, the time rows of a policy-iteration
-round, and makes them the items of one fan-out by the same rule, with the
-sum of their element-steps for work: contiguous shares, this process taking
-the last, so that the memo ends on the block of the last request, as after
-the serial loop. Each process runs its requests whole, each drawing its own
-block, so no process holds two; a request run in a child counts its memo
-and key-cache hits there, and they are lost with it. Fan-outs do not nest:
-inside one, neither a child nor this process's own share forks again, for a
-run or for a block. The outputs (terminal states, costs, states, traces,
-sup norms; for a batch, the time grids, terminal states and costs of the
-requests the children run) and a block drawn across processes are
-allocated in anonymous shared memory, where each process writes its own
-slices; a block of no draws, or a batch request of no rows, never fans
-out, since a mapping of zero bytes does not exist. While a fan-out runs,
-numpy's OpenBLAS is pinned to one thread, in this process and, since it is
-pinned before the fork, in every child, and the caller's thread count is
-restored afterwards: BLAS threads of several processes on two CPUs crowd
-each other, and a forked 5000-path delay-lift run took 0.08-1.7 s against
-0.07-0.16 s serially before the pin. Where numpy bundles no OpenBLAS whose
-thread count can be read and set, nothing fans out. A child always leaves
-with os._exit, whatever happened, and never returns into its caller's
-code; this process reaps every child before the run, the block or the
-batch is returned, killing them first if its own share raised. If any
-process failed (a divergence, a callback error, a child killed by a
-signal), the request reruns serially, and a batch reruns every request in
-order, so the caller gets exactly the result or the error of a serial run,
-and a block gets exactly the serial bits. Callbacks must be pure: state a
-callback sets in a child (a counter, a cache, a traced span) is lost with
-the child, so a tracer in this process sees only this process's share of a
-run, a block or a batch. A warning raised in a child prints to its stderr
-but never reaches the caller's warnings.catch_warnings; one that a filter
-turns into an error fails the child, and the serial rerun raises it.
+above, are dealt by _deal to this process and to children made with
+os.fork, in contiguous shares of equal work, this process taking the first.
+An item that straddles a share boundary is cut at a row a multiple of 64
+after its start, with 64 rows or more on each side, which the tile rules
+make as safe as any tiling; an item of fewer than 128 rows stays whole.
+Processes and not threads: once the callbacks' sums are short, the step
+loop is bound by the interpreter lock, and two threads over the same items
+gained nothing, where two processes share no lock. A run fans out when the
+host gives this process more than one CPU and its work (contestants x paths
+x steps x dim) holds at least 2 M element-steps: it forks one child for
+each full 2 M element-steps of work, at most one process per CPU and per
+64-row slab of its items; smaller runs, and hosts without os.fork or
+sched_getaffinity, run serially in this process. A missed increment block
+is dealt by the same rule, with its draws for work and any path for a cut,
+since a path's draws do not depend on its neighbours, so at 2 M draws only
+large fresh blocks (the 20 000 x 200 delay-lift run) are drawn across
+processes. The keys of that block, the noise block of a run and E are all
+made before the fork, so the memo and the key caches count as in a serial
+run. simulate_costs_batch takes a list of independent simulate_costs
+requests, the time rows of a policy-iteration round, and deals them by the
+same rule, with each request's element-steps, and its draws unless the memo
+holds its block, for work, but this process takes the last share. A request
+cut between two processes runs as two row ranges of itself, one in each:
+per-path starts and traces are sliced, and each process takes its noise
+rows from the held block when the memo holds that request, or else drops
+the block it holds and draws only its own rows, into a block in shared
+memory, so no process holds a block and part of another. This process ends
+holding the block of the last request, as after the serial loop: its own
+run's, or that shared block when the last request was cut. A request or a
+piece run in a child counts its memo and key-cache hits there, and they are
+lost with it, so a cut request's draws and counts are split over two
+processes. Fan-outs do not nest: inside one, neither a child nor this
+process's own share forks again, for a run or for a block. The outputs
+(terminal states, costs, states, traces, sup norms; for a batch, the time
+grids, terminal states and costs of the requests a child runs all or part
+of) and a block drawn across processes are allocated in anonymous shared
+memory, where each process writes its own slices; an array of no entries
+needs no mapping. While a fan-out runs, numpy's OpenBLAS is pinned to one
+thread, in this process and, since it is pinned before the fork, in every
+child, and the caller's thread count is restored afterwards: BLAS threads
+of several processes on two CPUs crowd each other, and a forked 5000-path
+delay-lift run took 0.08-1.7 s against 0.07-0.16 s serially before the pin.
+Where numpy bundles no OpenBLAS whose thread count can be read and set,
+nothing fans out. A child always leaves with os._exit, whatever happened,
+and never returns into its caller's code; this process reaps every child
+before the run, the block or the batch is returned, killing them first if
+its own share raised. If any process failed (a divergence, a callback
+error, a child killed by a signal), the request reruns serially, and a
+batch reruns every request in order, so the caller gets exactly the result
+or the error of a serial run, and a block gets exactly the serial bits.
+Callbacks must be pure: state a callback sets in a child (a counter, a
+cache, a traced span) is lost with the child, so a tracer in this process
+sees only this process's share of a run, a block or a batch. A warning
+raised in a child prints to its stderr but never reaches the caller's
+warnings.catch_warnings; one that a filter turns into an error fails the
+child, and the serial rerun raises it.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
@@ -152,7 +160,9 @@ as calling running_cost at both ends, which is what a problem without a
 separated cost does.
 """
 
+import bisect
 import ctypes
+import itertools
 import math
 import mmap
 import os
@@ -186,14 +196,15 @@ _TILE_BYTES = 256 * 1024
 _TILE_ALIGN = 64
 # processes a run may use, and the work (contestants x paths x steps x dim)
 # that buys a run one forked child: a run forks work // _FORK_MIN_WORK
-# children, within its CPUs and its items. An increment block follows the
-# same rule with its draws for work and its paths for items: a standard
-# normal draw costs a few element-steps, about 50 ns, so 2 M draws take
-# about 0.1 s. Forking a child of an 80 MB
-# process and reaping it costs this process 1-4 ms on a 2-core host; the step
-# loop does 30-130 element-steps per microsecond, so 2 M element-steps take
-# 15-65 ms, and the half of them that a child takes over saves several times
-# what it costs
+# children, within its CPUs and the 64-row slabs of its items, and _deal
+# gives each process an equal share of the work. An increment block follows
+# the same rule with its draws for work, and a batch with each request's
+# element-steps plus the draws of a block the memo does not hold, a draw
+# counted as one element-step though it costs a few: about 50 ns, so 2 M
+# draws take about 0.1 s. Forking a child of an 80 MB process and reaping it
+# costs this process 1-4 ms on a 2-core host; the step loop does 30-130
+# element-steps per microsecond, so 2 M element-steps take 15-65 ms, and the
+# half of them that a child takes over saves several times what it costs
 _PROCESSES = (len(os.sched_getaffinity(0))
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
 _FORK_MIN_WORK = 2_000_000
@@ -263,7 +274,8 @@ class _LastBlock:
 increment_memo = _LastBlock()
 
 
-def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.ndarray:
+def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt,
+                        rows=None, into=None) -> np.ndarray:
     """Brownian increments (P, M, n_w), read-only; path k comes from its own stream.
 
     A repeat of the previous request returns the same array again; a block
@@ -271,34 +283,51 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.nda
     a host with several CPUs, a block of at least _FORK_MIN_WORK draws is
     drawn by the processes of the step loop's fan-out, each on a contiguous
     range of paths, into shared memory (see the module docstring).
+
+    rows=(lo, hi) asks for paths lo:hi alone, a piece of a request that a
+    batch cut across processes: they are sliced from the held block when it
+    is this request's, and drawn into rows lo:hi of into, a (P, M, n_w)
+    array, otherwise. The held block is dropped before that draw, so no
+    process holds a block and part of another, and nothing is held after it.
     """
     memo = increment_memo
     request = (master_seed, label, n_paths, n_steps, n_w, dt)
     if memo.request == request:
         memo.hits += 1
-        return memo.block
+        return memo.block if rows is None else memo.block[rows[0]:rows[1]]
     memo.misses += 1
     # drop the held block first, so two blocks are never held at once
     memo.request = memo.block = None
     keys = path_keys(master_seed, label, n_paths)
+    if rows is not None:
+        _draw(into, keys, *rows, dt)
+        piece = into[rows[0]:rows[1]]
+        piece.flags.writeable = False
+        return piece
     shape = (n_paths, n_steps, n_w)
-    # the step loop's rule, with draws for work and paths for items
-    n_procs = _process_count(n_paths, math.prod(shape))
-    out = (np.empty if n_procs < 2 else _shared_empty)(shape)
+    # the step loop's rule, with draws for work; a path's draws are its own
+    # at any row, so a block is cut at any path
+    shares = _deal([(0, n_paths, n_steps * n_w)], _process_count(math.prod(shape)),
+                   align=1)
+    out = (np.empty if len(shares) < 2 else _shared_empty)(shape)
 
-    def fill(lo, hi):
-        rows = out[lo:hi]
-        for row, gen in zip(rows, path_streams(keys[lo:hi])):
-            gen.standard_normal(out=row)
-        rows *= math.sqrt(dt)
+    def fill(_, lo, hi):
+        _draw(out, keys, lo, hi, dt)
 
-    shares = [[(n_paths * i // n_procs, n_paths * (i + 1) // n_procs)]
-              for i in range(n_procs)]
-    if n_procs < 2 or not _run_forked(shares, fill):
-        fill(0, n_paths)
+    if len(shares) < 2 or not _run_forked(shares, fill):
+        fill(0, 0, n_paths)
     out.flags.writeable = False
     memo.request, memo.block = request, out
     return out
+
+
+def _draw(out, keys, lo, hi, dt):
+    """Fill rows lo:hi of out with the increments of paths lo:hi, whose keys
+    are keys[lo:hi]."""
+    rows = out[lo:hi]
+    for row, gen in zip(rows, path_streams(keys[lo:hi])):
+        gen.standard_normal(out=row)
+    rows *= math.sqrt(dt)
 
 
 def _prepare_control(problem, control, step_times, n_paths):
@@ -335,39 +364,72 @@ def _group_bounds(n_contestants, n_paths, n):
             for i in range(n_groups)]
 
 
-def _shares(groups, tiles, work):
-    """The (g0, g1, lo, hi) items of each process, first this one's, or None
-    when the run stays in this process; see the module docstring."""
-    items = [(g0, g1, lo, hi) for g0, g1 in groups for lo, hi in tiles]
-    if len(items) == 1 and items[0][3] - items[0][2] >= 2 * _TILE_ALIGN:
-        g0, g1, lo, hi = items[0]
-        mid = lo + _TILE_ALIGN * round((hi - lo) / (2 * _TILE_ALIGN))
-        items = [(g0, g1, lo, mid), (g0, g1, mid, hi)]
-    n_procs = _process_count(len(items), work)
-    if n_procs < 2:
-        return None
-    return _contiguous(items, n_procs)
-
-
-def _process_count(n_items, work):
-    """Processes for a fan-out of n_items items: one per full _FORK_MIN_WORK
-    of work, within the CPUs and the items; one inside a fan-out, or when
-    BLAS threads cannot be pinned."""
+def _process_count(work):
+    """Processes for a fan-out: one per full _FORK_MIN_WORK of work, within
+    the CPUs; one inside a fan-out, or when BLAS threads cannot be pinned."""
     if _fanning_out or _BLAS_THREADS is None:
         return 1
-    return min(_PROCESSES, n_items, 1 + work // _FORK_MIN_WORK)
+    return min(_PROCESSES, 1 + work // _FORK_MIN_WORK)
 
 
-def _contiguous(items, n_procs):
-    """items dealt in n_procs contiguous shares, as even as they go."""
-    return [items[len(items) * i // n_procs:len(items) * (i + 1) // n_procs]
-            for i in range(n_procs)]
+def _deal(items, n_procs, align=_TILE_ALIGN):
+    """items, each (lo, hi, work per row), in at most n_procs contiguous
+    shares of about equal work; a share is a list of (index, lo, hi) row
+    ranges of the items, in order.
+
+    An item is made of slabs of align rows, its last slab taking the rest,
+    so it has one at least. Each share boundary lies between the two slabs
+    nearest its even split of the total work, so an item that straddles it
+    is cut at lo plus a multiple of align, with align rows or more on each
+    side, and every share holds a slab or more.
+    """
+    slabs = [max(1, (hi - lo) // align) for lo, hi, _ in items]
+    firsts = list(itertools.accumulate(slabs, initial=0))
+    starts = list(itertools.accumulate(((hi - lo) * w for lo, hi, w in items),
+                                       initial=0))
+    n_procs = min(n_procs, firsts[-1])
+
+    def row(i, k):
+        """The first row of slab k of item i, or its end for k = slabs[i]."""
+        lo, hi, _ = items[i]
+        return hi if k == slabs[i] else lo + k * align
+
+    def work_before(b):
+        """The work of the first b slabs."""
+        i = bisect.bisect_right(firsts, b) - 1
+        if i == len(items):
+            return starts[-1]
+        lo, _, w = items[i]
+        return starts[i] + (row(i, b - firsts[i]) - lo) * w
+
+    bounds = [0]
+    for s in range(1, n_procs):
+        target = starts[-1] * s / n_procs
+        b = bisect.bisect_left(range(firsts[-1] + 1), target, key=work_before)
+        if b > 0 and target - work_before(b - 1) <= work_before(b) - target:
+            b -= 1
+        # one slab at least for this share and for each one after it
+        bounds.append(min(max(b, bounds[-1] + 1), firsts[-1] - (n_procs - s)))
+    bounds.append(firsts[-1])
+
+    shares = []
+    for b0, b1 in zip(bounds, bounds[1:]):
+        i, share = bisect.bisect_right(firsts, b0) - 1, []
+        while firsts[i] < b1:
+            share.append((i, row(i, max(b0 - firsts[i], 0)),
+                          row(i, min(b1 - firsts[i], slabs[i]))))
+            i += 1
+        shares.append(share)
+    return shares
 
 
 def _shared_empty(shape):
     """An uninitialised float64 array in anonymous shared memory, which forked
-    children write and this process reads."""
+    children write and this process reads; an array of no entries needs no
+    mapping, and a mapping of zero bytes does not exist."""
     size = math.prod(shape)
+    if size == 0:
+        return np.empty(shape)
     return np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape)
 
 
@@ -425,10 +487,16 @@ def _run(
     record_controls=False,
     accumulate_costs=False,
     track_sup_norm=False,
+    rows=None,
+    into=None,
 ):
     """Advance (x, control) contestants on one noise request over [t, horizon];
     the single loop behind every public entry point. One record per
-    contestant, in order."""
+    contestant, in order.
+
+    rows=(lo, hi) runs paths lo:hi of the request alone, lo a multiple of 64,
+    and records them; their noise comes from gaussian_increments' rows and
+    into arguments."""
     if not (0.0 <= t < problem.horizon):
         raise ValueError(f"need 0 <= t < horizon, got t={t}, "
                          f"horizon={problem.horizon}")
@@ -452,7 +520,15 @@ def _run(
     q = problem.control_spec.dim
 
     dw = gaussian_increments(master_seed, stream_label, n_paths, n_steps,
-                             problem.noise_dim, dt)
+                             problem.noise_dim, dt, rows, into)
+    if rows is not None:
+        # a run of hi - lo paths from here on, whose rows keep their places
+        # modulo 64 in every product
+        lo, hi = rows
+        inits = [x if x.ndim == 1 else x[lo:hi] for x in inits]
+        controls = [(kind, ctl[lo:hi] if kind == "values" and ctl.ndim == 3 else ctl)
+                    for kind, ctl in controls]
+        n_paths = hi - lo
 
     E = semigroup_matrix(problem.op, dt)
     e_is_identity = np.array_equal(E, np.eye(n))
@@ -462,10 +538,13 @@ def _run(
 
     groups = _group_bounds(len(contestants), n_paths, n)
     tiles = _tile_bounds(n_paths, n)
-    shares = _shares(groups, tiles, len(contestants) * n_paths * n_steps * n)
+    items = [(g0, g1, lo, hi) for g0, g1 in groups for lo, hi in tiles]
+    shares = _deal([(lo, hi, (g1 - g0) * n_steps * n) for g0, g1, lo, hi in items],
+                   _process_count(len(contestants) * n_paths * n_steps * n))
+    shares = [[items[i][:2] + (lo, hi) for i, lo, hi in share] for share in shares]
 
     # outputs for every contestant; each record holds its own slice
-    empty = np.empty if shares is None else _shared_empty
+    empty = np.empty if len(shares) < 2 else _shared_empty
     lead = (len(contestants), n_paths)
     terminal = empty(lead + (n,))
     states = empty(lead + (n_steps + 1, n)) if record_states else None
@@ -584,7 +663,7 @@ def _run(
             sup_norm[g0:g1, lo:hi] = norm
         terminal[g0:g1, lo:hi] = X
 
-    if shares is None or not _run_forked(shares, advance):
+    if len(shares) < 2 or not _run_forked(shares, advance):
         for g0, g1 in groups:
             try:
                 for lo, hi in tiles:
@@ -677,56 +756,83 @@ def simulate_costs_batch(problem, requests):
 
     The requests are the items of the process fan-out (see the module
     docstring), with contestants x paths x steps x dim of each for its
-    work: contiguous shares, this process taking the last, so that
-    increment_memo ends holding the block of the last request, as after the
-    serial loop. Each process runs its requests whole, one after another,
-    each on its own noise block, and a child writes the time grid, terminal
-    states and costs of its records to shared memory. A request run in a
-    child counts its memo and key-cache hits there. If any process fails,
-    every request reruns here, in order, so the caller gets the serial
-    result or error.
+    work per path, plus its draws unless increment_memo holds its block:
+    contiguous shares of equal work, this process taking the last. A
+    request that straddles a share boundary is cut at a path a multiple of
+    64 after its first, and each process runs its piece as a run of those
+    paths: per-path starts and traces sliced, its noise rows from the held
+    block, or drawn alone into the request's shared block after this
+    process drops the block it holds. A child writes the time grid,
+    terminal states and costs of its records to shared memory, and counts
+    its memo and key-cache hits there. This process ends holding the block
+    of the last request, as after the serial loop: its own run of it, or
+    the shared block of a cut one. If any process fails, every request
+    reruns here, in order, so the caller gets the serial result or error.
     """
     def run(i):
         t, x, control, n_paths, n_steps, seed, stream_label = requests[i]
         return simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
                               stream_label)
 
-    # (contestants, paths, steps) of each request
+    def piece(i, lo, hi, into):
+        """simulate_costs(problem, *requests[i])'s records of paths lo:hi."""
+        t, x, control, n_paths, n_steps, seed, stream_label = requests[i]
+        records = _run(problem, t, _contestants(x, control), n_paths, n_steps, seed,
+                       stream_label, accumulate_costs=True, rows=(lo, hi), into=into)
+        return records if isinstance(control, list) else records[0]
+
+    memo, n, n_w = increment_memo, problem.dim, problem.noise_dim
+    # (contestants, paths, steps) and the noise request _run makes, of each
     sizes = [(len(control) if isinstance(control, list) else 1, n_paths, n_steps)
              for _, _, control, n_paths, n_steps, _, _ in requests]
-    n = problem.dim
-    # a request of no rows never fans out: a mapping of zero bytes does not
-    # exist
-    n_procs = (_process_count(len(requests), sum(math.prod(s) for s in sizes) * n)
-               if all(min(s) >= 1 for s in sizes) else 1)
-    if n_procs >= 2:
-        shares = _contiguous([(i,) for i in range(len(requests))], n_procs)
+    noise = [(seed, label, p, m, n_w, (problem.horizon - t) / m) if m >= 1 else None
+             for (t, _, _, _, _, seed, label), (_, p, m) in zip(requests, sizes)]
+    items = [(0, p, c * m * n + (0 if memo.request == key else m * n_w))
+             for (c, p, m), key in zip(sizes, noise)]
+    # a request of no rows, steps or contestants runs serially, and raises
+    # there if it must
+    shares = (_deal(items, _process_count(sum(p * w for _, p, w in items)))
+              if all(min(s) >= 1 for s in sizes) else [])
+    if len(shares) >= 2:
         # _run_forked runs its first share here
         shares = shares[-1:] + shares[:-1]
+        last = len(requests) - 1
+        cut = {i for share in shares for i, lo, hi in share if hi - lo < sizes[i][1]}
+        blocks = {i: _shared_empty(sizes[i][1:] + (n_w,)) for i in cut}
         # the time grid, terminal states and costs of each request a child runs
         out = {}
         for share in shares[1:]:
-            for (i,) in share:
+            for i, _, _ in share:
                 c, p, m = sizes[i]
                 out[i] = (_shared_empty((m + 1,)), _shared_empty((c, p, n)),
                           _shared_empty((c, p)))
         runs = [None] * len(requests)
 
-        def advance(i):
-            runs[i] = run(i)
+        def advance(i, lo, hi):
+            if i in cut:
+                # a piece's shared block is let go once the piece has run,
+                # but for the last request's, which this process then holds
+                runs[i] = piece(i, lo, hi, blocks[i] if i == last else blocks.pop(i))
+            else:
+                runs[i] = run(i)
             if i in out:
                 grid, terminal, costs = out[i]
                 records = runs[i] if isinstance(runs[i], list) else [runs[i]]
                 grid[...] = records[0].time_grid
                 for c, record in enumerate(records):
-                    terminal[c] = record.terminal_states
-                    costs[c] = record.costs
+                    terminal[c, lo:hi] = record.terminal_states
+                    costs[c, lo:hi] = record.costs
 
         if _run_forked(shares, advance):
             for i, (grid, terminal, costs) in out.items():
                 records = [PathEnsemble(time_grid=grid, terminal_states=terminal[c],
                                         costs=costs[c]) for c in range(len(costs))]
                 runs[i] = records if isinstance(requests[i][2], list) else records[0]
+            # every process drew its rows of a cut last request unless the
+            # block was held, and then this process holds it still
+            if last in cut and memo.request != noise[last]:
+                blocks[last].flags.writeable = False
+                memo.request, memo.block = noise[last], blocks[last]
             return runs
     return [run(i) for i in range(len(requests))]
 

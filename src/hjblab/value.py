@@ -26,7 +26,7 @@ of a finite difference or a defect-scan pair with its midpoints cost one
 noise request. Policy iteration goes one step further and prices a whole
 time row of its grid in one engine call, each grid point on its own paths,
 and a round's rows in one batch, which the engine may split across
-processes.
+processes, a row between two of them.
 
 The records hold estimates, not what made them: a FamilyValue names its best
 candidate by index and label, and a ValueField pairs points with estimates.
@@ -496,14 +496,16 @@ def policy_iteration(
     whose block the engine still holds: T + (T - 1)(R - 1) blocks are built
     over R rounds of T rows, not T R. The rows of a round share one policy
     and nothing else, so their order changes no output bit, and they are
-    independent whole runs: a round prices them in one
-    engine.simulate_costs_batch call, in that order, which runs them as
-    items of the engine's process fan-out when their work is large enough,
-    the first rows in forked children and the last here, so the engine
-    still ends the round holding the last row's block. Each row then counts
-    its block's reuse in the process that runs it. The output bits are
-    those of a serial loop. Kept public for acceptance test c1 and the
-    oracle_lq benchmark.
+    independent runs: a round prices them in one engine.simulate_costs_batch
+    call, in that order, which deals them to the engine's process fan-out
+    when their work is large enough, in shares of equal work, the held row
+    weighing less since its block is not drawn again. A row on a share
+    boundary is cut at a path a multiple of 64 after its first, and each
+    process runs its part; this process runs the last share, so the engine
+    still ends the round holding the last row's block. Each row, or part of
+    one, counts its block's reuse in the process that runs it. The output
+    bits are those of a serial loop. Kept public for acceptance test c1 and
+    the oracle_lq benchmark.
     """
     cfg = cfg or PolicyIterationConfig()
     if n_rounds < 1:

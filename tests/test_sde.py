@@ -16,6 +16,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjblab import engine, seeds
 from hjblab.controls import (
@@ -608,21 +610,21 @@ def test_grouped_contestants_match_their_own_runs_bitwise(
         assert [g1 - g0 for g0, g1 in groups] == GROUP_SIZES[budget]
     elif n_paths == 150:
         assert groups == [(0, len(contestants))]
-    # in one process, then across 2 and 3: whole items to each, a lone item
-    # cut in two halves
+    # in one process, then across 2 and 3: shares of equal work, an item on
+    # a share boundary cut at a 64-aligned path
     forks = count_forks(monkeypatch)
     tiles = engine._tile_bounds(n_paths, problem.dim)
-    work = len(contestants) * n_paths * TILE_STEPS * problem.dim
+    items = [(lo, hi, (g1 - g0) * TILE_STEPS * problem.dim)
+             for g0, g1 in groups for lo, hi in tiles]
+    slabs = sum(max(1, (hi - lo) // 64) for lo, hi, _ in items)
     for processes in (1, 2, 3):
         fan_out(monkeypatch, processes)
         forks.clear()
-        shares = engine._shares(groups, tiles, work)
-        if processes > 1:
-            items = [item for share in shares for item in share]
-            assert len(shares) == min(processes, len(items))
-            assert len(items) == max(2, len(groups) * len(tiles))
+        shares = engine._deal(items, processes)
+        assert len(shares) == min(processes, slabs)
+        assert_dealt(items, shares)
         together = run_contestants(problem, contestants, n_paths)
-        assert len(forks) == (0 if shares is None else len(shares) - 1)
+        assert len(forks) == len(shares) - 1
         assert_no_children()
         assert len(together) == len(contestants)
         for one, mine in zip(alone, together):
@@ -828,21 +830,72 @@ def test_runs_below_the_fork_threshold_never_fork(monkeypatch):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
+def assert_dealt(items, shares):
+    """The shares of engine._deal(items, len(shares)) cover every item's rows
+    once, in order, none empty; each cut lies a multiple of 64 rows after its
+    item's start, with 64 rows or more on each side; and each share ends
+    within one 64-row slab of its even split of the total work, the split
+    falling in the slab just before or just after the share's end."""
+    assert all(shares)
+    pieces = [piece for share in shares for piece in share]
+    joined = [[i, lo, hi] for i, lo, hi in pieces[:1]]
+    for i, lo, hi in pieces[1:]:
+        if i == joined[-1][0]:
+            assert lo == joined[-1][2]
+            assert (lo - items[i][0]) % 64 == 0
+            assert lo - items[i][0] >= 64 and items[i][1] - lo >= 64
+            joined[-1][2] = hi
+        else:
+            joined.append([i, lo, hi])
+    assert [tuple(j) for j in joined] == [(i, lo, hi) for i, (lo, hi, _)
+                                          in enumerate(items)]
+    # the work before each slab boundary: 64-row slabs, an item's last one
+    # taking its rest
+    before = [0]
+    for lo, hi, w in items:
+        ends = list(range(lo + 64, hi - 63, 64)) + [hi]
+        before += [before[-1] + (end - lo) * w for end in ends]
+    done = 0
+    for s, share in enumerate(shares[:-1], 1):
+        done += sum((hi - lo) * items[i][2] for i, lo, hi in share)
+        b = before.index(done)
+        assert before[b - 1] <= before[-1] * s / len(shares) <= before[b + 1]
+
+
+@given(n_contestants=st.integers(1, 9), per_group=st.integers(1, 5),
+       n_paths=st.integers(1, 3000), n=st.sampled_from([1, 3, 16, 21]),
+       steps=st.integers(1, 50),
+       tile_rows=st.sampled_from([64, 128, 192, 1024, 2048]),
+       processes=st.integers(2, 4))
+@settings(max_examples=300, deadline=None)
+def test_deal_cuts_equal_shares_at_64_aligned_rows(
+        n_contestants, per_group, n_paths, n, steps, tile_rows, processes):
+    # the (group, tile) items of a run at some tile and group budget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_TILE_BYTES", 8 * n * tile_rows)
+        tiles = engine._tile_bounds(n_paths, n)
+        mp.setattr(engine, "_TILE_BYTES", 2 * 8 * n * n_paths * per_group)
+        groups = engine._group_bounds(n_contestants, n_paths, n)
+    items = [(lo, hi, (g1 - g0) * steps * n) for g0, g1 in groups for lo, hi in tiles]
+    shares = engine._deal(items, processes)
+    slabs = sum(max(1, (hi - lo) // 64) for lo, hi, _ in items)
+    assert len(shares) == min(processes, slabs)
+    assert_dealt(items, shares)
+
+
 @pytest.mark.parametrize("rows, sizes", [
     (127, None),          # too few rows for two 64-aligned halves
     (128, [64, 64]),
     (150, [64, 86]),
     (997, [512, 485]),
 ])
-def test_a_lone_item_is_cut_in_64_aligned_halves(monkeypatch, rows, sizes):
-    fan_out(monkeypatch, 2)
-    shares = engine._shares([(0, 3)], [(0, rows)], 1)
+def test_a_lone_item_is_cut_in_64_aligned_halves(rows, sizes):
+    shares = engine._deal([(0, rows, 3)], 2)
     if sizes is None:
-        assert shares is None
+        assert shares == [[(0, 0, rows)]]
     else:
-        assert [[(g0, g1) for g0, g1, _, _ in s] for s in shares] == [[(0, 3)]] * 2
-        assert [hi - lo for s in shares for _, _, lo, hi in s] == sizes
-        assert shares[0][0][3] == shares[1][0][2]
+        assert [hi - lo for s in shares for _, lo, hi in s] == sizes
+        assert_dealt([(0, rows, 3)], shares)
 
 
 def test_contestant_lists_must_pair_states_with_controls():
@@ -1325,17 +1378,44 @@ def cost_bits(runs):
             for r in records]
 
 
+def pi_row_requests(problem):
+    """Three requests shaped like policy-iteration time rows: two grid points
+    of 100 paths each, every point and its two difference legs a per-path
+    (J P, N) start, all under one policy, on their own times and seeds."""
+    n, paths = problem.dim, 100
+    points = np.random.default_rng(37).normal(0.0, 0.5, (2, n))
+    step = 0.05 * np.eye(n)[0]
+    starts = [np.repeat(points + d, paths, axis=0) for d in (0.0, step, -step)]
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    return [(t, starts, [gamma] * 3, 2 * paths, TILE_STEPS, 7 + k, "paths")
+            for k, t in enumerate((0.0, 0.1, 0.2))]
+
+
+def spy_deal(monkeypatch):
+    """A list that gains the items and the shares of every engine._deal call
+    of this process."""
+    dealt, deal = [], engine._deal
+
+    def spy(items, *args, **kwargs):
+        dealt.append((items, deal(items, *args, **kwargs)))
+        return dealt[-1][1]
+    monkeypatch.setattr(engine, "_deal", spy)
+    return dealt
+
+
 @pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("case", ["mixed", "pi_rows"])
 @pytest.mark.parametrize("builder", [
     lambda: build_lq_benchmark(control_bound=0.6)[0],
     build_reaction_diffusion,
 ], ids=["lq", "reaction_diffusion"])
-def test_batch_runs_whole_requests_with_their_serial_bits(monkeypatch, builder,
-                                                          processes):
+def test_batch_runs_requests_and_their_cut_pieces_with_serial_bits(
+        monkeypatch, builder, case, processes):
     # every request forks on its own, for its block and its run; in a batch
-    # each process runs whole requests and forks no further
+    # each process runs whole requests and pieces of cut ones and forks no
+    # further
     problem = builder()
-    requests = batch_requests(problem)
+    requests = (batch_requests if case == "mixed" else pi_row_requests)(problem)
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial = [simulate_costs(problem, *r) for r in requests]
     serial_last = increment_memo.request
@@ -1346,15 +1426,78 @@ def test_batch_runs_whole_requests_with_their_serial_bits(monkeypatch, builder,
         forks[0] = 0
         simulate_costs(problem, *r)
         assert forks[0] >= 2
-    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)
+    if case == "mixed":
+        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)
+    else:
+        # the first row's block is held, as in every policy-iteration round
+        # after the first, so the first request weighs less
+        simulate_costs(problem, *requests[0])
     forks[0] = 0
+    dealt = spy_deal(monkeypatch)
     batch = simulate_costs_batch(problem, requests)
     assert forks[0] == processes - 1
     assert_no_children()
-    assert [isinstance(run, list) for run in batch] == [True, False, False]
+    # the batch's deal is the first in this process: a path's work is its
+    # element-steps and its draws, but for the held request, and two
+    # processes cut the middle of three equal rows
+    items, shares = dealt[0]
+    held = 1 if case == "pi_rows" else 0
+    assert [w for _, _, w in items] == [
+        (len(c) if isinstance(c, list) else 1) * m * problem.dim
+        + m * problem.noise_dim * (i >= held)
+        for i, (_, _, c, _, m, _, _) in enumerate(requests)]
+    cut = [i for share in shares for i, lo, hi in share if hi - lo < requests[i][3]]
+    if case == "pi_rows" and processes == 2:
+        assert cut == [1, 1]
+    elif case == "mixed":
+        assert cut
+    assert [isinstance(run, list) for run in batch] == (
+        [True, False, False] if case == "mixed" else [True] * 3)
     assert cost_bits(batch) == cost_bits(serial)
-    # this process ran the last share, so the memo holds the last block
+    # this process ran the last request, whole or its last piece, so the
+    # memo holds the last block
     assert increment_memo.request == serial_last
+
+
+def test_a_partial_draw_holds_no_other_block(monkeypatch):
+    # a process drops the block it holds before it draws a piece of a cut
+    # request; a piece of a held request is sliced from it, and not drawn
+    problem = build_lq_benchmark(control_bound=0.6)[0]
+    requests = pi_row_requests(problem)
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    serial = [simulate_costs(problem, *r) for r in requests]
+    # per process, this one and the child: partial draws that began with
+    # no block held, and with one
+    seen = np.frombuffer(mmap.mmap(-1, 32), dtype=np.int64).reshape(2, 2)
+    parent, draw = os.getpid(), engine._draw
+
+    def spy(out, keys, lo, hi, dt):
+        if hi - lo < len(keys):
+            held = engine.increment_memo.block is not None
+            seen[int(os.getpid() != parent), int(held)] += 1
+        return draw(out, keys, lo, hi, dt)
+    monkeypatch.setattr(engine, "_draw", spy)
+    fan_out(monkeypatch, 2)
+    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # a block is held
+    batch = simulate_costs_batch(problem, requests)
+    assert seen.tolist() == [[1, 0], [1, 0]]
+    assert cost_bits(batch) == cost_bits(serial)
+    # the last request, held, cut in two: no draw
+    last = simulate_costs_batch(problem, requests[-1:])
+    assert seen.tolist() == [[1, 0], [1, 0]]
+    assert cost_bits(last) == cost_bits(serial[-1:])
+    # the first, not held, cut in two: each process draws its rows, and this
+    # one then holds the block both drew, as after its serial run
+    first = simulate_costs_batch(problem, requests[:1])
+    assert seen.tolist() == [[2, 0], [2, 0]]
+    assert cost_bits(first) == cost_bits(serial[:1])
+    _, _, _, n_paths, n_steps, seed, label = requests[0]
+    dw = reference_increments(seed, label, n_paths, n_steps, 1, 1.0 / n_steps)
+    assert increment_memo.request == (seed, label, n_paths, n_steps, 1,
+                                      1.0 / n_steps)
+    assert increment_memo.block.tobytes() == dw.tobytes()
+    assert not increment_memo.block.flags.writeable
+    assert_no_children()
 
 
 def failing_requests(kind):
@@ -1368,28 +1511,55 @@ def failing_requests(kind):
                      for k, s in enumerate(starts)]
 
 
+def cut_failing_requests(kind, processes, bad):
+    """A problem, five requests, and the one a batch on processes processes
+    cuts, whose paths bad fail and the others do not: of five equal
+    requests, two processes cut the third at path 64 and three cut the
+    second and the fourth there."""
+    problem, requests = failing_requests(kind)
+    cut = 2 if processes == 2 else 3
+    good, worse = requests[1][1][0], requests[0][1][0]
+    x = np.full((150, 1), good)
+    x[bad] = worse
+    requests = [(0.0, np.array([good]), zero_signal(1), 150, 100, k, "paths")
+                for k in range(5)]
+    requests[cut] = (0.0, x) + requests[cut][2:]
+    return problem, requests, cut
+
+
 @pytest.mark.parametrize("processes", [2, 3])
 @pytest.mark.parametrize("kind", ["raises", "diverges"])
 def test_batch_failure_in_a_childs_share_raises_the_serial_error(
         monkeypatch, kind, processes):
     # the first request runs in a child and the last here; the serial loop
     # raises the first request's error, and so must the batch. The batch
-    # fans out, and no request would on its own
-    problem, requests = failing_requests(kind)
+    # fans out, and no request would on its own. Then a cut request fails
+    # in its first piece, in a child, or in its last, here
     error = ValueError if kind == "raises" else SimulationDivergenceError
-    with pytest.raises(error) as serial:
-        [simulate_costs(problem, *r) for r in requests]
-    forks = count_forks(monkeypatch)
-    monkeypatch.setattr(engine, "_PROCESSES", processes)
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 150 * 100 + 1)
-    with pytest.raises(error) as batch:
-        simulate_costs_batch(problem, requests)
-    assert len(forks) == processes - 1
-    assert_no_children()
-    assert str(batch.value) == str(serial.value)
-    if kind == "diverges":
-        assert (batch.value.step, batch.value.magnitude) == (
-            serial.value.step, serial.value.magnitude)
+    cases = [failing_requests(kind) + (None,)] + [
+        cut_failing_requests(kind, processes, bad)
+        for bad in (slice(0, 64), slice(64, 150))]
+    forks, dealt = count_forks(monkeypatch), spy_deal(monkeypatch)
+    for problem, requests, cut in cases:
+        monkeypatch.setattr(engine, "_PROCESSES", 1)
+        with pytest.raises(error) as serial:
+            [simulate_costs(problem, *r) for r in requests]
+        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # no request is held
+        forks.clear()
+        dealt.clear()
+        monkeypatch.setattr(engine, "_PROCESSES", processes)
+        monkeypatch.setattr(engine, "_FORK_MIN_WORK", 150 * 100 + 1)
+        with pytest.raises(error) as batch:
+            simulate_costs_batch(problem, requests)
+        assert len(forks) == processes - 1
+        assert_no_children()
+        if cut is not None:
+            assert cut in [i for share in dealt[0][1] for i, lo, hi in share
+                           if hi - lo < 150]
+        assert str(batch.value) == str(serial.value)
+        if kind == "diverges":
+            assert (batch.value.step, batch.value.magnitude) == (
+                serial.value.step, serial.value.magnitude)
 
 
 def test_fan_out_pins_blas_to_one_thread_and_restores_it(monkeypatch):

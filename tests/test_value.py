@@ -565,30 +565,67 @@ def test_policy_iteration_output_bits_are_pinned():
     assert _pi_digest(res) == PI_DIGEST
 
 
-def test_policy_iteration_rows_as_fan_out_items_keep_the_pinned_bits(
-        monkeypatch):
-    # each round's three rows are the items of one fan-out: the first in a
-    # child, the other two here, so the increment memo ends on the block of
-    # the serial loop's last request
-    _pi_three_rows()
-    serial_last = increment_memo.request
-    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the memo moves on
-    monkeypatch.setattr(engine, "_PROCESSES", 2)
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+def count_forks(monkeypatch):
+    """A list that gains one entry per os.fork call of this process."""
     forks, real_fork = [], os.fork
 
     def fork():
         forks.append(1)
         return real_fork()
     monkeypatch.setattr(os, "fork", fork)
-    res = _pi_three_rows()
-    assert res.rounds_run == PI_BITS_ROUNDS
-    assert _pi_digest(res) == PI_DIGEST
-    assert increment_memo.request == serial_last
-    # one child per round; this process's own rows fork no further
-    assert len(forks) == PI_BITS_ROUNDS
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return forks
+
+
+def test_policy_iteration_rows_as_fan_out_items_keep_the_pinned_bits(
+        monkeypatch):
+    # each round's three rows of 120 paths, too few to cut, are the items of
+    # one fan-out, the last here, so the increment memo ends on the block of
+    # the serial loop's last request
+    _pi_three_rows()
+    serial_last = increment_memo.request
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    for processes in (2, 3):
+        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the memo moves on
+        monkeypatch.setattr(engine, "_PROCESSES", processes)
+        forks.clear()
+        res = _pi_three_rows()
+        assert res.rounds_run == PI_BITS_ROUNDS
+        assert _pi_digest(res) == PI_DIGEST
+        assert increment_memo.request == serial_last
+        # a child per process beyond this one, each round; this process's
+        # own rows fork no further
+        assert len(forks) == PI_BITS_ROUNDS * (processes - 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_policy_iteration_rows_cut_across_processes_keep_the_serial_bits(
+        monkeypatch):
+    # rows of 200 paths: two processes cut the middle row of each round, and
+    # three cut it from the second round on, when the first row is held
+    problem, _ = build_lq_benchmark()
+    cfg = PolicyIterationConfig(paths_per_point=100, n_steps=20,
+                                tol_abs=0.0, tol_rel=0.0)
+
+    def run():
+        return policy_iteration(problem, PI_BITS_T, np.array([[-1.0], [1.5]]),
+                                n_rounds=PI_BITS_ROUNDS, cfg=cfg, seed=29)
+
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    serial = _pi_digest(run())
+    serial_last = increment_memo.request
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+    for processes in (2, 3):
+        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the memo moves on
+        monkeypatch.setattr(engine, "_PROCESSES", processes)
+        forks.clear()
+        assert _pi_digest(run()) == serial
+        assert increment_memo.request == serial_last
+        assert len(forks) == PI_BITS_ROUNDS * (processes - 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_policy_iteration_rounds_start_on_the_held_block():
