@@ -1403,18 +1403,11 @@ def spy_deal(monkeypatch):
     return dealt
 
 
-@pytest.mark.parametrize("processes", [2, 3])
-@pytest.mark.parametrize("case", ["mixed", "pi_rows"])
-@pytest.mark.parametrize("builder", [
-    lambda: build_lq_benchmark(control_bound=0.6)[0],
-    build_reaction_diffusion,
-], ids=["lq", "reaction_diffusion"])
-def test_batch_runs_requests_and_their_cut_pieces_with_serial_bits(
-        monkeypatch, builder, case, processes):
-    # every request forks on its own, for its block and its run; in a batch
-    # each process runs whole requests and pieces of cut ones and forks no
-    # further
-    problem = builder()
+def check_batch_against_serial(monkeypatch, problem, case, processes):
+    """Every request forks on its own, for its block and its run; in a batch
+    each process runs whole requests and pieces of cut ones and forks no
+    further, and each request's records come back whole with their serial
+    bits."""
     requests = (batch_requests if case == "mixed" else pi_row_requests)(problem)
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial = [simulate_costs(problem, *r) for r in requests]
@@ -1457,6 +1450,30 @@ def test_batch_runs_requests_and_their_cut_pieces_with_serial_bits(
     # this process ran the last request, whole or its last piece, so the
     # memo holds the last block
     assert increment_memo.request == serial_last
+
+
+BATCH_BUILDERS = pytest.mark.parametrize("builder", [
+    lambda: build_lq_benchmark(control_bound=0.6)[0],
+    build_reaction_diffusion,
+], ids=["lq", "reaction_diffusion"])
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@BATCH_BUILDERS
+def test_batch_runs_whole_requests_with_their_serial_bits(monkeypatch, builder,
+                                                          processes):
+    # contestants, a lone control and per-path starts: a request on a share
+    # boundary is cut, and its records still come back whole
+    check_batch_against_serial(monkeypatch, builder(), "mixed", processes)
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@BATCH_BUILDERS
+def test_batch_cuts_policy_iteration_rows_with_their_serial_bits(
+        monkeypatch, builder, processes):
+    # three equal rows, the first one's block held: two processes cut the
+    # middle row
+    check_batch_against_serial(monkeypatch, builder(), "pi_rows", processes)
 
 
 def test_a_partial_draw_holds_no_other_block(monkeypatch):
