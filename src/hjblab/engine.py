@@ -114,10 +114,10 @@ requests, the time rows of a policy-iteration round, and deals them by the
 same rule, with each request's element-steps, and its draws unless the memo
 holds its block, for work, but this process takes the last share. A request
 cut between two processes runs as two row ranges of itself, one in each:
-per-path starts and traces are sliced, and each process takes its noise
-rows from the held block when the memo holds that request, or else drops
-the block it holds and draws only its own rows, into a block in shared
-memory, so no process holds a block and part of another. This process ends
+per-path starts and traces are sliced, and each process fills its noise
+rows of a block in shared memory, copied from the held block when the memo
+holds that request, or else drawn alone after it drops the block it holds,
+so no process holds a block and part of another. This process ends
 holding the block of the last request, as after the serial loop: its own
 run's, or that shared block when the last request was cut. A request or a
 piece run in a child counts its memo and key-cache hits there, and they are
@@ -285,22 +285,31 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt,
     range of paths, into shared memory (see the module docstring).
 
     rows=(lo, hi) asks for paths lo:hi alone, a piece of a request that a
-    batch cut across processes: they are sliced from the held block when it
-    is this request's, and drawn into rows lo:hi of into, a (P, M, n_w)
-    array, otherwise. The held block is dropped before that draw, so no
-    process holds a block and part of another, and nothing is held after it.
+    batch cut across processes, and returns rows lo:hi of into, a (P, M,
+    n_w) array that it fills: copied from the held block when it is this
+    request's, drawn otherwise. The held block is dropped before that draw,
+    so no process holds a block and part of another, and nothing is held
+    after it. Every piece fills its rows, so into ends whole whichever
+    processes held the request.
     """
     memo = increment_memo
+    # the request is the arguments, as _noise_request makes them
     request = (master_seed, label, n_paths, n_steps, n_w, dt)
     if memo.request == request:
         memo.hits += 1
-        return memo.block if rows is None else memo.block[rows[0]:rows[1]]
-    memo.misses += 1
-    # drop the held block first, so two blocks are never held at once
-    memo.request = memo.block = None
-    keys = path_keys(master_seed, label, n_paths)
+        if rows is None:
+            return memo.block
+        # a piece fills its rows of into on a hit too, so that block is whole
+        # whichever processes held the request
+        into[rows[0]:rows[1]] = memo.block[rows[0]:rows[1]]
+    else:
+        memo.misses += 1
+        # drop the held block first, so two blocks are never held at once
+        memo.request = memo.block = None
+        keys = path_keys(master_seed, label, n_paths)
+        if rows is not None:
+            _draw(into, keys, *rows, dt)
     if rows is not None:
-        _draw(into, keys, *rows, dt)
         piece = into[rows[0]:rows[1]]
         piece.flags.writeable = False
         return piece
@@ -319,6 +328,13 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt,
     out.flags.writeable = False
     memo.request, memo.block = request, out
     return out
+
+
+def _noise_request(problem, t, n_paths, n_steps, master_seed, stream_label):
+    """The increment request of a run of problem from t: gaussian_increments'
+    first six arguments, and so the key increment_memo holds."""
+    return (master_seed, stream_label, n_paths, n_steps, problem.noise_dim,
+            (problem.horizon - t) / n_steps)
 
 
 def _draw(out, keys, lo, hi, dt):
@@ -504,7 +520,8 @@ def _run(
         raise ValueError("n_steps must be >= 1")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    dt = (problem.horizon - t) / n_steps
+    noise = _noise_request(problem, t, n_paths, n_steps, master_seed, stream_label)
+    dt = noise[-1]
     grid = t + dt * np.arange(n_steps + 1)
     step_times = grid[:-1]
 
@@ -519,8 +536,7 @@ def _run(
     box = problem.control_spec.box
     q = problem.control_spec.dim
 
-    dw = gaussian_increments(master_seed, stream_label, n_paths, n_steps,
-                             problem.noise_dim, dt, rows, into)
+    dw = gaussian_increments(*noise, rows, into)
     if rows is not None:
         # a run of hi - lo paths from here on, whose rows keep their places
         # modulo 64 in every product
@@ -733,6 +749,9 @@ def simulate_costs(
     seed=42,
     stream_label="paths",
     record_controls=False,
+    *,
+    rows=None,
+    into=None,
 ):
     """Per-path running plus terminal costs over [t, horizon], without
     storing intermediate states.
@@ -740,11 +759,14 @@ def simulate_costs(
     A shorter sweep is a run of the problem cut at that time: the
     dynamic-programming audit stitches one on a problem with horizon s and a
     zero terminal cost to a second from s. Lists of initial states and
-    controls are contestants, as in simulate_ensemble.
+    controls are contestants, as in simulate_ensemble. rows and into run
+    paths lo:hi of the request alone, as simulate_costs_batch does with a
+    request it cuts (see _run).
     """
     runs = _run(
         problem, t, _contestants(x, control), n_paths, n_steps, seed,
         stream_label, accumulate_costs=True, record_controls=record_controls,
+        rows=rows, into=into,
     )
     return runs if isinstance(control, list) else runs[0]
 
@@ -759,36 +781,29 @@ def simulate_costs_batch(problem, requests):
     work per path, plus its draws unless increment_memo holds its block:
     contiguous shares of equal work, this process taking the last. A
     request that straddles a share boundary is cut at a path a multiple of
-    64 after its first, and each process runs its piece as a run of those
-    paths: per-path starts and traces sliced, its noise rows from the held
-    block, or drawn alone into the request's shared block after this
-    process drops the block it holds. A child writes the time grid,
+    64 after its first, and each process runs its piece through
+    simulate_costs as a run of those paths: per-path starts and traces
+    sliced, and its rows of the request's shared noise block filled, copied
+    from the held block or drawn alone after it drops the block it holds. A child writes the time grid,
     terminal states and costs of its records to shared memory, and counts
     its memo and key-cache hits there. This process ends holding the block
     of the last request, as after the serial loop: its own run of it, or
     the shared block of a cut one. If any process fails, every request
     reruns here, in order, so the caller gets the serial result or error.
     """
-    def run(i):
+    def run(i, rows=None, into=None):
         t, x, control, n_paths, n_steps, seed, stream_label = requests[i]
         return simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
-                              stream_label)
-
-    def piece(i, lo, hi, into):
-        """simulate_costs(problem, *requests[i])'s records of paths lo:hi."""
-        t, x, control, n_paths, n_steps, seed, stream_label = requests[i]
-        records = _run(problem, t, _contestants(x, control), n_paths, n_steps, seed,
-                       stream_label, accumulate_costs=True, rows=(lo, hi), into=into)
-        return records if isinstance(control, list) else records[0]
+                              stream_label, rows=rows, into=into)
 
     memo, n, n_w = increment_memo, problem.dim, problem.noise_dim
-    # (contestants, paths, steps) and the noise request _run makes, of each
+    # (contestants, paths, steps) of each
     sizes = [(len(control) if isinstance(control, list) else 1, n_paths, n_steps)
              for _, _, control, n_paths, n_steps, _, _ in requests]
-    noise = [(seed, label, p, m, n_w, (problem.horizon - t) / m) if m >= 1 else None
-             for (t, _, _, _, _, seed, label), (_, p, m) in zip(requests, sizes)]
-    items = [(0, p, c * m * n + (0 if memo.request == key else m * n_w))
-             for (c, p, m), key in zip(sizes, noise)]
+    held = [m >= 1 and memo.request == _noise_request(problem, t, p, m, seed, label)
+            for (t, _, _, _, _, seed, label), (_, p, m) in zip(requests, sizes)]
+    items = [(0, p, c * m * n + (0 if h else m * n_w))
+             for (c, p, m), h in zip(sizes, held)]
     # a request of no rows, steps or contestants runs serially, and raises
     # there if it must
     shares = (_deal(items, _process_count(sum(p * w for _, p, w in items)))
@@ -812,7 +827,7 @@ def simulate_costs_batch(problem, requests):
             if i in cut:
                 # a piece's shared block is let go once the piece has run,
                 # but for the last request's, which this process then holds
-                runs[i] = piece(i, lo, hi, blocks[i] if i == last else blocks.pop(i))
+                runs[i] = run(i, (lo, hi), blocks[i] if i == last else blocks.pop(i))
             else:
                 runs[i] = run(i)
             if i in out:
@@ -828,11 +843,14 @@ def simulate_costs_batch(problem, requests):
                 records = [PathEnsemble(time_grid=grid, terminal_states=terminal[c],
                                         costs=costs[c]) for c in range(len(costs))]
                 runs[i] = records if isinstance(requests[i][2], list) else records[0]
-            # every process drew its rows of a cut last request unless the
-            # block was held, and then this process holds it still
-            if last in cut and memo.request != noise[last]:
+            # every process filled its rows of a cut last request's block;
+            # this process holds that request still if its piece hit the memo,
+            # and nothing if it drew
+            if last in cut and memo.request is None:
+                t, _, _, p, m, seed, label = requests[last]
                 blocks[last].flags.writeable = False
-                memo.request, memo.block = noise[last], blocks[last]
+                memo.request = _noise_request(problem, t, p, m, seed, label)
+                memo.block = blocks[last]
             return runs
     return [run(i) for i in range(len(requests))]
 

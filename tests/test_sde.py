@@ -1412,6 +1412,7 @@ def check_batch_against_serial(monkeypatch, problem, case, processes):
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial = [simulate_costs(problem, *r) for r in requests]
     serial_last = increment_memo.request
+    serial_block = increment_memo.block.tobytes()
     forks = count_all_forks(monkeypatch)
     fan_out(monkeypatch, processes)
     for r in requests:
@@ -1448,8 +1449,9 @@ def check_batch_against_serial(monkeypatch, problem, case, processes):
         [True, False, False] if case == "mixed" else [True] * 3)
     assert cost_bits(batch) == cost_bits(serial)
     # this process ran the last request, whole or its last piece, so the
-    # memo holds the last block
+    # memo holds the last block, with its serial bits
     assert increment_memo.request == serial_last
+    assert increment_memo.block.tobytes() == serial_block
 
 
 BATCH_BUILDERS = pytest.mark.parametrize("builder", [
@@ -1478,7 +1480,7 @@ def test_batch_cuts_policy_iteration_rows_with_their_serial_bits(
 
 def test_a_partial_draw_holds_no_other_block(monkeypatch):
     # a process drops the block it holds before it draws a piece of a cut
-    # request; a piece of a held request is sliced from it, and not drawn
+    # request; a piece of a held request is copied from it, and not drawn
     problem = build_lq_benchmark(control_bound=0.6)[0]
     requests = pi_row_requests(problem)
     monkeypatch.setattr(engine, "_PROCESSES", 1)
@@ -1515,6 +1517,39 @@ def test_a_partial_draw_holds_no_other_block(monkeypatch):
     assert increment_memo.block.tobytes() == dw.tobytes()
     assert not increment_memo.block.flags.writeable
     assert_no_children()
+
+
+def test_a_cut_last_request_held_in_one_process_leaves_its_whole_block(
+        monkeypatch):
+    # two requests on one noise request, the last with three contestants, so
+    # two processes cut it: the child runs the first whole and then holds the
+    # block, so its piece of the last is a memo hit, while this process draws
+    # its own piece. The block this process then holds has every path's
+    # serial bits, and a later run on it gives the serial bits too
+    problem = build_lq_benchmark(control_bound=0.6)[0]
+    x = np.full(problem.dim, 0.7)
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    requests = [(0.0, x, gamma, 300, TILE_STEPS, 3, "paths"),
+                (0.0, [x, -x, 0.5 * x], [gamma] * 3, 300, TILE_STEPS, 3, "paths")]
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    serial = [simulate_costs(problem, *r) for r in requests]
+    later = simulate_costs(problem, 0.0, -x, gamma, 300, TILE_STEPS, 3, "paths")
+    dt = (problem.horizon - 0.0) / TILE_STEPS
+    dw = reference_increments(3, "paths", 300, TILE_STEPS, problem.noise_dim, dt)
+    fan_out(monkeypatch, 2)
+    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # no request is held
+    dealt = spy_deal(monkeypatch)
+    batch = simulate_costs_batch(problem, requests)
+    assert_no_children()
+    assert [[i for i, _, _ in share] for share in dealt[0][1]] == [[0, 1], [1]]
+    assert cost_bits(batch) == cost_bits(serial)
+    assert increment_memo.request == (3, "paths", 300, TILE_STEPS,
+                                      problem.noise_dim, dt)
+    assert increment_memo.block.tobytes() == dw.tobytes()
+    hits = increment_memo.hits
+    again = simulate_costs(problem, 0.0, -x, gamma, 300, TILE_STEPS, 3, "paths")
+    assert increment_memo.hits == hits + 1
+    assert cost_bits([again]) == cost_bits([later])
 
 
 def failing_requests(kind):
