@@ -784,12 +784,13 @@ def simulate_costs_batch(problem, requests):
     64 after its first, and each process runs its piece through
     simulate_costs as a run of those paths: per-path starts and traces
     sliced, and its rows of the request's shared noise block filled, copied
-    from the held block or drawn alone after it drops the block it holds. A child writes the time grid,
-    terminal states and costs of its records to shared memory, and counts
-    its memo and key-cache hits there. This process ends holding the block
-    of the last request, as after the serial loop: its own run of it, or
-    the shared block of a cut one. If any process fails, every request
-    reruns here, in order, so the caller gets the serial result or error.
+    from the held block or drawn alone after it drops the block it holds.
+    A child writes the time grid, terminal states and costs of its records
+    to shared memory, and counts its memo and key-cache hits there. This
+    process ends holding the block of the last request, as after the
+    serial loop: its own run of it, or the shared block of a cut one. If
+    any process fails, every request reruns here, in order, so the caller
+    gets the serial result or error.
     """
     def run(i, rows=None, into=None):
         t, x, control, n_paths, n_steps, seed, stream_label = requests[i]
