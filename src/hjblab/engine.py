@@ -23,22 +23,19 @@ increments depend only on (master_seed, stream_label, k) and never on how
 many paths run alongside it, in what order, or in which process. One Philox
 generator is re-keyed for each path rather than built anew
 (seeds.path_streams), so any process can draw any range of paths from their
-keys. The step loop asks for its increments itself and takes no block from
-its caller: contestants share noise by making the same request (seed,
-stream_label, n_paths, n_steps), in one call or several, and so get the
-same bits. The last block made is kept and a repeat of the same request
-gets that array back; blocks are handed out read-only, so no caller can
-change what the next one receives. Only one block is held: a second would
-cost as much memory as the first. A block that has to be built again costs
-its draws alone: the per-path keys of the last few (seed, stream_label,
-n_paths) requests are held too (seeds.path_keys), so a request that differs
-from an earlier one only in n_steps, n_w or dt, or comes back after
-another, derives no key. A block of at least 2 M draws (paths x steps x
-noise dimensions) is drawn by the process fan-out below, each process on a
-contiguous range of paths; its keys are derived in this process before the
-fork, and smaller blocks are drawn here alone. The memo and the key cache
-only decide how often a block or its keys are built, never what they hold;
-increment_memo and seeds.path_key_cache count their hits and misses.
+keys. The step loop takes no block from its caller: contestants share noise
+by making the same request (seed, stream_label, n_paths, n_steps), in one
+call or several, and so get the same bits. The last block made is kept and
+a repeat of the same request gets that array back; blocks are handed out
+read-only, so no caller can change what the next one receives. Only one
+block is held: a second would cost as much memory as the first. A block
+that has to be built again costs its draws alone: the per-path keys of the
+last few (seed, stream_label, n_paths) requests are held too
+(seeds.path_keys), so a request that differs from an earlier one only in
+n_steps, n_w or dt, or comes back after another, derives no key. The memo
+and the key cache only decide how often a block or its keys are built,
+never what they hold; increment_memo and seeds.path_key_cache count their
+hits and misses.
 
 Every callback, model and feedback alike, is row-wise: row k of its output
 depends on row k of its input alone, with the same bits at any row offset
@@ -81,72 +78,43 @@ contestants rerun one at a time, in order, so the error raised is the one
 that contestant's own run raises.
 
 One loop, `_run`, advances every run, a single contestant being the C = 1
-case, over its problem's window [t, horizon] in n_steps equal steps; a
-shorter window is a run of the problem with a shorter horizon. It returns
-one record per contestant, `PathEnsemble`: the time grid and terminal
-states always, and states, per-path costs, control traces or sup norms when
-they were asked for. `simulate_ensemble` (states) and `simulate_costs`
-(costs, optionally controls) hand those records back unchanged, one for one
-contestant or a list for lists of states and controls; a single path is
-path 0 of a one-path ensemble.
+case, over its problem's window [t, horizon] in n_steps equal steps, on a
+range of its paths, with groups and tiles sized by that range's rows; a
+shorter window is a run of the problem with a shorter horizon. `_simulate`
+runs a list of requests in order and returns one record per contestant,
+`PathEnsemble`: the time grid and terminal states always, and states,
+per-path costs, control traces or sup norms when they were asked for.
+simulate_ensemble (states) and simulate_costs (costs, optionally controls)
+hand it one request and simulate_costs_batch several; a request's records
+come back as one record, or a list for lists of states and controls; a
+single path is path 0 of a one-path ensemble.
 
-A large run is split across processes. Its items, the (group, tile) pairs
-above, are dealt by _deal to this process and to children made with
-os.fork, in contiguous shares of equal work, this process taking the first.
-An item that straddles a share boundary is cut at a row a multiple of 64
-after its start, with 64 rows or more on each side, which the tile rules
-make as safe as any tiling; an item of fewer than 128 rows stays whole.
-Processes and not threads: once the callbacks' sums are short, the step
-loop is bound by the interpreter lock, and two threads over the same items
-gained nothing, where two processes share no lock. A run fans out when the
-host gives this process more than one CPU and its work (contestants x paths
-x steps x dim) holds at least 2 M element-steps: it forks one child for
-each full 2 M element-steps of work, at most one process per CPU and per
-64-row slab of its items; smaller runs, and hosts without os.fork or
-sched_getaffinity, run serially in this process. A missed increment block
-is dealt by the same rule, with its draws for work and any path for a cut,
-since a path's draws do not depend on its neighbours, so at 2 M draws only
-large fresh blocks (the 20 000 x 200 delay-lift run) are drawn across
-processes. The keys of that block, the noise block of a run and E are all
-made before the fork, so the memo and the key caches count as in a serial
-run. simulate_costs_batch takes a list of independent simulate_costs
-requests, the time rows of a policy-iteration round, and deals them by the
-same rule, with each request's element-steps, and its draws unless the memo
-holds its block, for work, but this process takes the last share. A request
-cut between two processes runs as two row ranges of itself, one in each:
-per-path starts and traces are sliced, and each process fills its noise
-rows of a block in shared memory, copied from the held block when the memo
-holds that request, or else drawn alone after it drops the block it holds,
-so no process holds a block and part of another. This process ends
-holding the block of the last request, as after the serial loop: its own
-run's, or that shared block when the last request was cut. A request or a
-piece run in a child counts its memo and key-cache hits there, and they are
-lost with it, so a cut request's draws and counts are split over two
-processes. Fan-outs do not nest: inside one, neither a child nor this
-process's own share forks again, for a run or for a block. The outputs
-(terminal states, costs, states, traces, sup norms; for a batch, the time
-grids, terminal states and costs of the requests a child runs all or part
-of) and a block drawn across processes are allocated in anonymous shared
-memory, where each process writes its own slices; an array of no entries
-needs no mapping. While a fan-out runs, numpy's OpenBLAS is pinned to one
-thread, in this process and, since it is pinned before the fork, in every
-child, and the caller's thread count is restored afterwards: BLAS threads
-of several processes on two CPUs crowd each other, and a forked 5000-path
-delay-lift run took 0.08-1.7 s against 0.07-0.16 s serially before the pin.
-Where numpy bundles no OpenBLAS whose thread count can be read and set,
-nothing fans out. A child always leaves with os._exit, whatever happened,
-and never returns into its caller's code; this process reaps every child
-before the run, the block or the batch is returned, killing them first if
-its own share raised. If any process failed (a divergence, a callback
-error, a child killed by a signal), the request reruns serially, and a
-batch reruns every request in order, so the caller gets exactly the result
-or the error of a serial run, and a block gets exactly the serial bits.
-Callbacks must be pure: state a callback sets in a child (a counter, a
-cache, a traced span) is lost with the child, so a tracer in this process
-sees only this process's share of a run, a block or a batch. A warning
-raised in a child prints to its stderr but never reaches the caller's
-warnings.catch_warnings; one that a filter turns into an error fails the
-child, and the serial rerun raises it.
+`_simulate` is also the one fan-out. When this process has more than one
+CPU and a call's work, paths x steps x (contestants x dim + noise
+dimensions) over its requests, reaches 2 M, it forks a child for each full
+2 M, at most one process per CPU and per 64-row slab: processes, since once
+the callbacks' sums are short the step loop is bound by the interpreter
+lock. First this process walks the requests through increment_memo and
+seeds.path_key_cache as the serial loop would, so the counts are that
+loop's, and derives the keys of each block to draw. The unit of work is a
+piece (request, lo, hi): _deal cuts the requests, in order, into contiguous
+shares of equal work, a path weighing its element-steps plus its draws
+unless the memo holds its block, and a request on a share boundary is cut
+at a row a multiple of 64 after its first, which the tile rules make as
+safe as any tiling. Each process, this one taking the first share, runs
+every contestant of a piece on its rows, read from the held block or drawn
+from the keys into a block in anonymous shared memory (consecutive requests
+on one noise request share it), and writes its rows of every output there.
+This process lets a block go after its last piece here, but for the last
+request's, which the memo then holds. OpenBLAS is pinned to one thread in
+every process meanwhile, and nothing fans out where it cannot be pinned, or
+inside a fan-out. A child always leaves with os._exit, and every child is
+reaped before the call returns. If any process fails (an error, a
+divergence, a child killed by a signal), the counts go back to where the
+walk began and the requests run here as the serial loop, so the caller gets
+its result or error; the held block may be gone and be drawn again.
+Callbacks must be pure: what one sets in a child is lost with it, and a
+warning raised there reaches only the child's stderr.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
@@ -172,6 +140,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import seeds
 from .controls import signal_values
 from .hilbert import h_norm, semigroup_matrix
 from .report import PASS, FAIL, DiagnosticReport
@@ -194,17 +163,15 @@ _DIVERGENCE_LIMIT = 1e8
 # tile but the last keeps; the module docstring says why
 _TILE_BYTES = 256 * 1024
 _TILE_ALIGN = 64
-# processes a run may use, and the work (contestants x paths x steps x dim)
-# that buys a run one forked child: a run forks work // _FORK_MIN_WORK
-# children, within its CPUs and the 64-row slabs of its items, and _deal
-# gives each process an equal share of the work. An increment block follows
-# the same rule with its draws for work, and a batch with each request's
-# element-steps plus the draws of a block the memo does not hold, a draw
-# counted as one element-step though it costs a few: about 50 ns, so 2 M
-# draws take about 0.1 s. Forking a child of an 80 MB process and reaping it
-# costs this process 1-4 ms on a 2-core host; the step loop does 30-130
-# element-steps per microsecond, so 2 M element-steps take 15-65 ms, and the
-# half of them that a child takes over saves several times what it costs
+# processes a call may use, and the work that buys it one forked child: a
+# call whose requests hold W of work (paths x steps x (contestants x dim +
+# noise dimensions), a draw counted as one element-step though it costs a
+# few: about 50 ns, so 2 M draws take about 0.1 s) forks W // _FORK_MIN_WORK
+# children, within its CPUs and 64-row slabs, and _deal gives each process an
+# equal share. Forking a child of an 80 MB process and reaping it costs this
+# process 1-4 ms on a 2-core host; the step loop does 30-130 element-steps
+# per microsecond, so 2 M element-steps take 15-65 ms, and the half of them
+# that a child takes over saves several times what it costs
 _PROCESSES = (len(os.sched_getaffinity(0))
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
 _FORK_MIN_WORK = 2_000_000
@@ -274,67 +241,34 @@ class _LastBlock:
 increment_memo = _LastBlock()
 
 
-def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt,
-                        rows=None, into=None) -> np.ndarray:
+def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.ndarray:
     """Brownian increments (P, M, n_w), read-only; path k comes from its own stream.
 
     A repeat of the previous request returns the same array again; a block
-    built anew takes its path keys from seeds.path_keys, in this process. On
-    a host with several CPUs, a block of at least _FORK_MIN_WORK draws is
-    drawn by the processes of the step loop's fan-out, each on a contiguous
-    range of paths, into shared memory (see the module docstring).
-
-    rows=(lo, hi) asks for paths lo:hi alone, a piece of a request that a
-    batch cut across processes, and returns rows lo:hi of into, a (P, M,
-    n_w) array that it fills: copied from the held block when it is this
-    request's, drawn otherwise. The held block is dropped before that draw,
-    so no process holds a block and part of another, and nothing is held
-    after it. Every piece fills its rows, so into ends whole whichever
-    processes held the request.
+    built anew takes its path keys from seeds.path_keys and is drawn here,
+    in this process.
     """
-    memo = increment_memo
-    # the request is the arguments, as _noise_request makes them
     request = (master_seed, label, n_paths, n_steps, n_w, dt)
+    block, keys = _look_up(request)
+    if block is None:
+        block = np.empty((n_paths, n_steps, n_w))
+        _draw(block, keys, 0, n_paths, dt)
+        block.flags.writeable = False
+        increment_memo.request, increment_memo.block = request, block
+    return block
+
+
+def _look_up(request):
+    """(the block increment_memo holds, None) when it holds request, or else
+    (None, the path keys of request); counted as a hit or a miss. A miss
+    drops the held block first, so two blocks are never held at once."""
+    memo = increment_memo
     if memo.request == request:
         memo.hits += 1
-        if rows is None:
-            return memo.block
-        # a piece fills its rows of into on a hit too, so that block is whole
-        # whichever processes held the request
-        into[rows[0]:rows[1]] = memo.block[rows[0]:rows[1]]
-    else:
-        memo.misses += 1
-        # drop the held block first, so two blocks are never held at once
-        memo.request = memo.block = None
-        keys = path_keys(master_seed, label, n_paths)
-        if rows is not None:
-            _draw(into, keys, *rows, dt)
-    if rows is not None:
-        piece = into[rows[0]:rows[1]]
-        piece.flags.writeable = False
-        return piece
-    shape = (n_paths, n_steps, n_w)
-    # the step loop's rule, with draws for work; a path's draws are its own
-    # at any row, so a block is cut at any path
-    shares = _deal([(0, n_paths, n_steps * n_w)], _process_count(math.prod(shape)),
-                   align=1)
-    out = (np.empty if len(shares) < 2 else _shared_empty)(shape)
-
-    def fill(_, lo, hi):
-        _draw(out, keys, lo, hi, dt)
-
-    if len(shares) < 2 or not _run_forked(shares, fill):
-        fill(0, 0, n_paths)
-    out.flags.writeable = False
-    memo.request, memo.block = request, out
-    return out
-
-
-def _noise_request(problem, t, n_paths, n_steps, master_seed, stream_label):
-    """The increment request of a run of problem from t: gaussian_increments'
-    first six arguments, and so the key increment_memo holds."""
-    return (master_seed, stream_label, n_paths, n_steps, problem.noise_dim,
-            (problem.horizon - t) / n_steps)
+        return memo.block, None
+    memo.misses += 1
+    memo.request = memo.block = None
+    return None, path_keys(*request[:3])
 
 
 def _draw(out, keys, lo, hi, dt):
@@ -358,6 +292,61 @@ def _prepare_control(problem, control, step_times, n_paths):
     if vals.shape[-1] != problem.control_spec.dim:
         raise ValueError("control dimension mismatch")
     return "values", vals
+
+
+def _contestants(x, control):
+    """[(x, control)] for one contestant, or the pairs of two equal lists."""
+    if not isinstance(control, list):
+        return [(x, control)]
+    if not isinstance(x, list) or len(x) != len(control):
+        raise ValueError("contestants need a list of initial states, one per control")
+    return list(zip(x, control))
+
+
+def _prepare(problem, t, x, control, n_paths, n_steps, master_seed, stream_label):
+    """A checked request: its noise request (gaussian_increments' arguments,
+    and so the key increment_memo holds), time grid, starting states,
+    controls and semigroup matrix."""
+    contestants = _contestants(x, control)
+    if not (0.0 <= t < problem.horizon):
+        raise ValueError(f"need 0 <= t < horizon, got t={t}, "
+                         f"horizon={problem.horizon}")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    dt = (problem.horizon - t) / n_steps
+    grid = t + dt * np.arange(n_steps + 1)
+    n = problem.dim
+    inits, controls = [], []
+    for x0, ctl in contestants:
+        x0 = np.asarray(x0, dtype=float)
+        if not (x0.ndim == 1 or x0.shape == (n_paths, n)):
+            raise ValueError(f"initial state must be ({n},) or ({n_paths}, {n})")
+        inits.append(x0)
+        controls.append(_prepare_control(problem, ctl, grid[:-1], n_paths))
+    noise = (master_seed, stream_label, n_paths, n_steps, problem.noise_dim, dt)
+    return noise, grid, inits, controls, semigroup_matrix(problem.op, dt)
+
+
+def _record_shapes(problem, request, fields):
+    """The stacked (contestants, paths, ...) shape of each PathEnsemble field
+    of a prepared request after the time grid, in order: the terminal states
+    always, the others when fields names them, else None."""
+    noise, _, inits = request[:3]
+    n, q, m = problem.dim, problem.control_spec.dim, noise[3]
+    tails = {"terminal_states": (n,), "states": (m + 1, n), "costs": (),
+             "control_traces": (m, q), "sup_norm": ()}
+    return {f: (len(inits), noise[2]) + tail
+            if f == "terminal_states" or f in fields else None
+            for f, tail in tails.items()}
+
+
+def _records(request, out):
+    """One PathEnsemble per contestant of a prepared request, each holding
+    its slices of the stacked outputs out."""
+    return [PathEnsemble(request[1], *(None if a is None else a[c] for a in out.values()))
+            for c in range(len(request[2]))]
 
 
 def _tile_bounds(n_paths, n):
@@ -388,18 +377,18 @@ def _process_count(work):
     return min(_PROCESSES, 1 + work // _FORK_MIN_WORK)
 
 
-def _deal(items, n_procs, align=_TILE_ALIGN):
+def _deal(items, n_procs):
     """items, each (lo, hi, work per row), in at most n_procs contiguous
     shares of about equal work; a share is a list of (index, lo, hi) row
     ranges of the items, in order.
 
-    An item is made of slabs of align rows, its last slab taking the rest,
-    so it has one at least. Each share boundary lies between the two slabs
+    An item is made of slabs of 64 rows, its last slab taking the rest, so
+    it has one at least. Each share boundary lies between the two slabs
     nearest its even split of the total work, so an item that straddles it
-    is cut at lo plus a multiple of align, with align rows or more on each
-    side, and every share holds a slab or more.
+    is cut at lo plus a multiple of 64, with 64 rows or more on each side,
+    and every share holds a slab or more.
     """
-    slabs = [max(1, (hi - lo) // align) for lo, hi, _ in items]
+    slabs = [max(1, (hi - lo) // _TILE_ALIGN) for lo, hi, _ in items]
     firsts = list(itertools.accumulate(slabs, initial=0))
     starts = list(itertools.accumulate(((hi - lo) * w for lo, hi, w in items),
                                        initial=0))
@@ -408,7 +397,7 @@ def _deal(items, n_procs, align=_TILE_ALIGN):
     def row(i, k):
         """The first row of slab k of item i, or its end for k = slabs[i]."""
         lo, hi, _ = items[i]
-        return hi if k == slabs[i] else lo + k * align
+        return hi if k == slabs[i] else lo + k * _TILE_ALIGN
 
     def work_before(b):
         """The work of the first b slabs."""
@@ -490,84 +479,21 @@ def _run_forked(shares, advance):
     return done
 
 
-def _run(
-    problem,
-    t,
-    contestants,
-    n_paths,
-    n_steps,
-    master_seed,
-    stream_label,
-    *,
-    record_states=False,
-    record_controls=False,
-    accumulate_costs=False,
-    track_sup_norm=False,
-    rows=None,
-    into=None,
-):
-    """Advance (x, control) contestants on one noise request over [t, horizon];
-    the single loop behind every public entry point. One record per
-    contestant, in order.
-
-    rows=(lo, hi) runs paths lo:hi of the request alone, lo a multiple of 64,
-    and records them; their noise comes from gaussian_increments' rows and
-    into arguments."""
-    if not (0.0 <= t < problem.horizon):
-        raise ValueError(f"need 0 <= t < horizon, got t={t}, "
-                         f"horizon={problem.horizon}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    noise = _noise_request(problem, t, n_paths, n_steps, master_seed, stream_label)
-    dt = noise[-1]
-    grid = t + dt * np.arange(n_steps + 1)
-    step_times = grid[:-1]
-
-    n = problem.dim
-    inits, controls = [], []
-    for x, control in contestants:
-        x = np.asarray(x, dtype=float)
-        if not (x.ndim == 1 or x.shape == (n_paths, n)):
-            raise ValueError(f"initial state must be ({n},) or ({n_paths}, {n})")
-        inits.append(x)
-        controls.append(_prepare_control(problem, control, step_times, n_paths))
+def _run(problem, request, out, dw, lo, hi):
+    """Advance the contestants of a prepared request on its paths lo:hi, on
+    the increment block dw, and write their rows of the stacked outputs out;
+    the single step loop, which never forks. Groups and tiles are sized by
+    the hi - lo rows, and the tiles start at lo."""
+    noise, grid, inits, controls, E = request
+    dt, n_steps = noise[-1], noise[3]
+    n, q = problem.dim, problem.control_spec.dim
     box = problem.control_spec.box
-    q = problem.control_spec.dim
-
-    dw = gaussian_increments(*noise, rows, into)
-    if rows is not None:
-        # a run of hi - lo paths from here on, whose rows keep their places
-        # modulo 64 in every product
-        lo, hi = rows
-        inits = [x if x.ndim == 1 else x[lo:hi] for x in inits]
-        controls = [(kind, ctl[lo:hi] if kind == "values" and ctl.ndim == 3 else ctl)
-                    for kind, ctl in controls]
-        n_paths = hi - lo
-
-    E = semigroup_matrix(problem.op, dt)
     e_is_identity = np.array_equal(E, np.eye(n))
     J = problem.block
     width = J.stop - J.start
     sigma_t = problem.noise[J].T if problem.additive_noise else None
-
-    groups = _group_bounds(len(contestants), n_paths, n)
-    tiles = _tile_bounds(n_paths, n)
-    items = [(g0, g1, lo, hi) for g0, g1 in groups for lo, hi in tiles]
-    shares = _deal([(lo, hi, (g1 - g0) * n_steps * n) for g0, g1, lo, hi in items],
-                   _process_count(len(contestants) * n_paths * n_steps * n))
-    shares = [[items[i][:2] + (lo, hi) for i, lo, hi in share] for share in shares]
-
-    # outputs for every contestant; each record holds its own slice
-    empty = np.empty if len(shares) < 2 else _shared_empty
-    lead = (len(contestants), n_paths)
-    terminal = empty(lead + (n,))
-    states = empty(lead + (n_steps + 1, n)) if record_states else None
-    traces = empty(lead + (n_steps, q)) if record_controls else None
-    costs = empty(lead) if accumulate_costs else None
-    separated = problem.cost_structure if accumulate_costs else None
-    sup_norm = empty(lead) if track_sup_norm else None
+    terminal, states, costs, traces, sup_norm = out.values()
+    separated = problem.cost_structure if costs is not None else None
 
     def advance(g0, g1, lo, hi):
         """Run every step on paths lo:hi of contestants g0:g1, stacked as one
@@ -598,9 +524,9 @@ def _run(
             shared_vals = np.stack([v for _, v in shared])[:, :, None]
         Af = A.reshape(n_c * rows, q)
         dw_rows = dw[lo:hi]
-        if accumulate_costs:
+        if costs is not None:
             acc = np.zeros(n_c * rows)
-        if record_states:
+        if states is not None:
             states[g0:g1, lo:hi, 0] = X
         if separated is not None:
             # l1 and l2 outlive the calls that make them, so they are copied
@@ -609,7 +535,7 @@ def _run(
             # page faults of a 20000-path delay-lift run)
             c1, c2 = np.empty((2, n_c * rows))
             c1[...] = separated.l1(X.reshape(n_c * rows, n))
-        if track_sup_norm:
+        if sup_norm is not None:
             norm = h_norm(problem.space, X)
 
         for k in range(n_steps):
@@ -624,7 +550,7 @@ def _run(
                 A[shared_at] = shared_vals[:, k]
             for c, vals in per_path:
                 A[c] = vals[:, k]
-            if record_controls:
+            if traces is not None:
                 traces[g0:g1, lo:hi, k] = A
 
             Xf = X.reshape(n_c * rows, n)
@@ -632,7 +558,7 @@ def _run(
             if separated is not None:
                 c2[...] = separated.l2(Af)
                 l_left = c1 + c2
-            elif accumulate_costs:
+            elif costs is not None:
                 # a copy, since X is updated in place below
                 l_left = np.array(problem.running_cost(Xf, Af))
             # an additive noise term is formed on the channel, once, and
@@ -665,55 +591,111 @@ def _run(
             if separated is not None:
                 c1[...] = separated.l1(Xf)
                 acc += 0.5 * dt * (l_left + (c1 + c2))
-            elif accumulate_costs:
+            elif costs is not None:
                 acc += 0.5 * dt * (l_left + problem.running_cost(Xf, Af))
-            if record_states:
+            if states is not None:
                 states[g0:g1, lo:hi, k + 1] = X
-            if track_sup_norm:
+            if sup_norm is not None:
                 np.maximum(norm, h_norm(problem.space, X), out=norm)
 
-        if accumulate_costs:
+        if costs is not None:
             acc += problem.terminal_cost(X.reshape(n_c * rows, n))
             costs[g0:g1, lo:hi] = acc.reshape(n_c, rows)
-        if track_sup_norm:
+        if sup_norm is not None:
             sup_norm[g0:g1, lo:hi] = norm
         terminal[g0:g1, lo:hi] = X
 
-    if len(shares) < 2 or not _run_forked(shares, advance):
-        for g0, g1 in groups:
-            try:
-                for lo, hi in tiles:
-                    advance(g0, g1, lo, hi)
-            except SimulationDivergenceError:
-                if g1 - g0 == 1 and len(tiles) == 1:
-                    raise
-                # each contestant's own run, one pass over all its paths: the
-                # first to diverge raises the error its own run raises, naming
-                # the earliest step over its paths and the largest magnitude
-                # there
-                for c in range(g0, g1):
-                    advance(c, c + 1, 0, n_paths)
-
-    return [
-        PathEnsemble(
-            time_grid=grid,
-            terminal_states=terminal[c],
-            states=None if states is None else states[c],
-            costs=None if costs is None else costs[c],
-            control_traces=None if traces is None else traces[c],
-            sup_norm=None if sup_norm is None else sup_norm[c],
-        )
-        for c in range(len(contestants))
-    ]
+    tiles = [(lo + a, lo + b) for a, b in _tile_bounds(hi - lo, n)]
+    for g0, g1 in _group_bounds(len(inits), hi - lo, n):
+        try:
+            for tile in tiles:
+                advance(g0, g1, *tile)
+        except SimulationDivergenceError:
+            if g1 - g0 == 1 and len(tiles) == 1:
+                raise
+            # each contestant's own run, one pass over these paths: the first
+            # to diverge raises the error its own run raises, naming the
+            # earliest step over its paths and the largest magnitude there
+            for c in range(g0, g1):
+                advance(c, c + 1, lo, hi)
 
 
-def _contestants(x, control):
-    """[(x, control)] for one contestant, or the pairs of two equal lists."""
-    if not isinstance(control, list):
-        return [(x, control)]
-    if not isinstance(x, list) or len(x) != len(control):
-        raise ValueError("contestants need a list of initial states, one per control")
-    return list(zip(x, control))
+def _simulate(problem, requests, fields):
+    """The records of requests (t, x, control, n_paths, n_steps, master_seed,
+    stream_label), in order, with the bits, error and memo counts of the
+    serial loop at the end: per request a PathEnsemble holding the time
+    grid, terminal states and the fields named in fields, or a list of them
+    for lists of states and controls. The one fan-out of the package (see
+    the module docstring)."""
+    memo, cache = increment_memo, seeds.path_key_cache
+    n, n_w = problem.dim, problem.noise_dim
+    procs = _process_count(sum(p * m * ((len(c) if isinstance(c, list) else 1) * n + n_w)
+                               for _, _, c, p, m, _, _ in requests))
+    try:
+        # a request that fails its checks goes to the serial loop, which
+        # raises that error once the requests before it have run
+        prepared = [_prepare(problem, *r) for r in requests] if procs > 1 else None
+    except ValueError:
+        prepared = None
+    runs = None
+    if prepared is not None:
+        saved = (memo.hits, memo.misses, cache.hits, cache.misses, dict(cache.entries))
+        # the serial loop's noise bookkeeping, in its order; a unit is a run
+        # of consecutive requests on one noise request, which share a block
+        units, blocks = [], []
+        for i, request in enumerate(prepared):
+            noise = request[0]
+            block, keys = _look_up(noise)
+            if units and units[-1][0] == noise:
+                units[-1][2].append(i)
+                continue
+            if block is None:
+                # held from here on, as in the serial loop; its pieces draw it
+                block = _shared_empty(noise[2:5])
+                memo.request, memo.block = noise, block
+            units.append((noise, keys, [i]))
+            blocks.append(block)
+        # a path's work: its element-steps, and its draws unless held
+        shares = _deal([(0, noise[2], noise[3] * (
+            n * sum(len(prepared[i][2]) for i in idx) + (keys is not None) * n_w))
+            for noise, keys, idx in units], procs)
+        outputs = [{f: None if s is None else _shared_empty(s)
+                    for f, s in _record_shapes(problem, r, fields).items()}
+                   for r in prepared]
+        last = len(units) - 1
+
+        def advance(u, lo, hi):
+            (noise, keys, idx), block = units[u], blocks[u]
+            if keys is not None:
+                _draw(block, keys, lo, hi, noise[-1])
+            for i in idx:
+                _run(problem, prepared[i], outputs[i], block, lo, hi)
+            if u != last:
+                # a share holds one piece of a unit at most: let its block go
+                blocks[u] = None
+
+        done = False
+        try:
+            done = _run_forked(shares, advance)
+        finally:
+            if not done:
+                # the serial loop reruns from where the walk began, on the
+                # block held then unless this process has let it go
+                memo.hits, memo.misses, cache.hits, cache.misses, cache.entries = saved
+                held = units[0][1] is None and blocks[0] is not None
+                memo.request, memo.block = (units[0][0], blocks[0]) if held else (None, None)
+        if done:
+            blocks[last].flags.writeable = False
+            runs = [_records(r, out) for r, out in zip(prepared, outputs)]
+    if runs is None:
+        runs = []
+        for r in requests:
+            request = _prepare(problem, *r)
+            out = {f: None if s is None else np.empty(s)
+                   for f, s in _record_shapes(problem, request, fields).items()}
+            _run(problem, request, out, gaussian_increments(*request[0]), 0, request[0][2])
+            runs.append(_records(request, out))
+    return [rec if isinstance(r[2], list) else rec[0] for rec, r in zip(runs, requests)]
 
 
 def simulate_ensemble(
@@ -734,9 +716,8 @@ def simulate_ensemble(
     and controls, x[i] with control[i], are contestants on one such request:
     they advance together and a list of records comes back, in their order.
     """
-    runs = _run(problem, t, _contestants(x, control), n_paths, n_steps, seed,
-                stream_label, record_states=True)
-    return runs if isinstance(control, list) else runs[0]
+    return _simulate(problem, [(t, x, control, n_paths, n_steps, seed, stream_label)],
+                     ("states",))[0]
 
 
 def simulate_costs(
@@ -749,9 +730,6 @@ def simulate_costs(
     seed=42,
     stream_label="paths",
     record_controls=False,
-    *,
-    rows=None,
-    into=None,
 ):
     """Per-path running plus terminal costs over [t, horizon], without
     storing intermediate states.
@@ -759,101 +737,24 @@ def simulate_costs(
     A shorter sweep is a run of the problem cut at that time: the
     dynamic-programming audit stitches one on a problem with horizon s and a
     zero terminal cost to a second from s. Lists of initial states and
-    controls are contestants, as in simulate_ensemble. rows and into run
-    paths lo:hi of the request alone, as simulate_costs_batch does with a
-    request it cuts (see _run).
+    controls are contestants, as in simulate_ensemble.
     """
-    runs = _run(
-        problem, t, _contestants(x, control), n_paths, n_steps, seed,
-        stream_label, accumulate_costs=True, record_controls=record_controls,
-        rows=rows, into=into,
-    )
-    return runs if isinstance(control, list) else runs[0]
+    fields = ("costs", "control_traces") if record_controls else ("costs",)
+    return _simulate(problem, [(t, x, control, n_paths, n_steps, seed, stream_label)],
+                     fields)[0]
 
 
 def simulate_costs_batch(problem, requests):
     """[simulate_costs(problem, *r) for r in requests], bit for bit, for
     independent requests r = (t, x, control, n_paths, n_steps, seed,
-    stream_label).
+    stream_label), with the serial loop's memo counts and error.
 
-    The requests are the items of the process fan-out (see the module
-    docstring), with contestants x paths x steps x dim of each for its
-    work per path, plus its draws unless increment_memo holds its block:
-    contiguous shares of equal work, this process taking the last. A
-    request that straddles a share boundary is cut at a path a multiple of
-    64 after its first, and each process runs its piece through
-    simulate_costs as a run of those paths: per-path starts and traces
-    sliced, and its rows of the request's shared noise block filled, copied
-    from the held block or drawn alone after it drops the block it holds.
-    A child writes the time grid, terminal states and costs of its records
-    to shared memory, and counts its memo and key-cache hits there. This
-    process ends holding the block of the last request, as after the
-    serial loop: its own run of it, or the shared block of a cut one. If
-    any process fails, every request reruns here, in order, so the caller
-    gets the serial result or error.
+    The requests go to the engine's fan-out together, so a call too small to
+    fork on its own can share a fork with the others, and each process gets
+    an equal share of their work, a request on a share boundary cut at a
+    64-aligned path (see the module docstring).
     """
-    def run(i, rows=None, into=None):
-        t, x, control, n_paths, n_steps, seed, stream_label = requests[i]
-        return simulate_costs(problem, t, x, control, n_paths, n_steps, seed,
-                              stream_label, rows=rows, into=into)
-
-    memo, n, n_w = increment_memo, problem.dim, problem.noise_dim
-    # (contestants, paths, steps) of each
-    sizes = [(len(control) if isinstance(control, list) else 1, n_paths, n_steps)
-             for _, _, control, n_paths, n_steps, _, _ in requests]
-    held = [m >= 1 and memo.request == _noise_request(problem, t, p, m, seed, label)
-            for (t, _, _, _, _, seed, label), (_, p, m) in zip(requests, sizes)]
-    items = [(0, p, c * m * n + (0 if h else m * n_w))
-             for (c, p, m), h in zip(sizes, held)]
-    # a request of no rows, steps or contestants runs serially, and raises
-    # there if it must
-    shares = (_deal(items, _process_count(sum(p * w for _, p, w in items)))
-              if all(min(s) >= 1 for s in sizes) else [])
-    if len(shares) >= 2:
-        # _run_forked runs its first share here
-        shares = shares[-1:] + shares[:-1]
-        last = len(requests) - 1
-        cut = {i for share in shares for i, lo, hi in share if hi - lo < sizes[i][1]}
-        blocks = {i: _shared_empty(sizes[i][1:] + (n_w,)) for i in cut}
-        # the time grid, terminal states and costs of each request a child runs
-        out = {}
-        for share in shares[1:]:
-            for i, _, _ in share:
-                c, p, m = sizes[i]
-                out[i] = (_shared_empty((m + 1,)), _shared_empty((c, p, n)),
-                          _shared_empty((c, p)))
-        runs = [None] * len(requests)
-
-        def advance(i, lo, hi):
-            if i in cut:
-                # a piece's shared block is let go once the piece has run,
-                # but for the last request's, which this process then holds
-                runs[i] = run(i, (lo, hi), blocks[i] if i == last else blocks.pop(i))
-            else:
-                runs[i] = run(i)
-            if i in out:
-                grid, terminal, costs = out[i]
-                records = runs[i] if isinstance(runs[i], list) else [runs[i]]
-                grid[...] = records[0].time_grid
-                for c, record in enumerate(records):
-                    terminal[c, lo:hi] = record.terminal_states
-                    costs[c, lo:hi] = record.costs
-
-        if _run_forked(shares, advance):
-            for i, (grid, terminal, costs) in out.items():
-                records = [PathEnsemble(time_grid=grid, terminal_states=terminal[c],
-                                        costs=costs[c]) for c in range(len(costs))]
-                runs[i] = records if isinstance(requests[i][2], list) else records[0]
-            # every process filled its rows of a cut last request's block;
-            # this process holds that request still if its piece hit the memo,
-            # and nothing if it drew
-            if last in cut and memo.request is None:
-                t, _, _, p, m, seed, label = requests[last]
-                blocks[last].flags.writeable = False
-                memo.request = _noise_request(problem, t, p, m, seed, label)
-                memo.block = blocks[last]
-            return runs
-    return [run(i) for i in range(len(requests))]
+    return _simulate(problem, requests, ("costs",))
 
 
 def moment_bound_check(
@@ -878,8 +779,8 @@ def moment_bound_check(
         raise ValueError("moment order p must exceed 2")
 
     def sweep(master):
-        run, = _run(problem, t, [(x, control)], n_paths, n_steps, master,
-                    "paths", record_controls=True, track_sup_norm=True)
+        run = _simulate(problem, [(t, x, control, n_paths, n_steps, master, "paths")],
+                        ("control_traces", "sup_norm"))[0]
         est = float(np.mean(run.sup_norm ** p))
         # ||a||^2 in place: the (P, M, q) trace is the audit's largest array
         tr = run.control_traces
@@ -918,12 +819,6 @@ def moment_bound_check(
     )
 
 
-def _write_rows(fh, path_id, grid, states):
-    for step in range(states.shape[0]):
-        comps = ",".join(repr(float(v)) for v in states[step])
-        fh.write(f"{path_id},{step},{float(grid[step])!r},{comps}\n")
-
-
 def write_ensemble_csv(path, ensemble: PathEnsemble):
     if ensemble.states is None:
         raise ValueError("the run record has no states: write_ensemble_csv "
@@ -932,4 +827,6 @@ def write_ensemble_csv(path, ensemble: PathEnsemble):
     with open(path, "w") as fh:
         fh.write("path_id,step,time," + ",".join(f"x{i}" for i in range(n)) + "\n")
         for k, states in enumerate(ensemble.states):
-            _write_rows(fh, k, ensemble.time_grid, states)
+            for step, state in enumerate(states):
+                comps = ",".join(repr(float(v)) for v in state)
+                fh.write(f"{k},{step},{float(ensemble.time_grid[step])!r},{comps}\n")

@@ -26,7 +26,8 @@ of a finite difference or a defect-scan pair with its midpoints cost one
 noise request. Policy iteration goes one step further and prices a whole
 time row of its grid in one engine call, each grid point on its own paths,
 and a round's rows in one batch, which the engine may split across
-processes, a row between two of them.
+processes, a row between two of them, with the bits and noise-cache counts
+of a serial loop.
 
 The records hold estimates, not what made them: a FamilyValue names its best
 candidate by index and label, and a ValueField pairs points with estimates.
@@ -501,11 +502,10 @@ def policy_iteration(
     when their work is large enough, in shares of equal work, the held row
     weighing less since its block is not drawn again. A row on a share
     boundary is cut at a path a multiple of 64 after its first, and each
-    process runs its part; this process runs the last share, so the engine
-    still ends the round holding the last row's block. Each row, or part of
-    one, counts its block's reuse in the process that runs it. The output
-    bits are those of a serial loop. Kept public for acceptance test c1 and
-    the oracle_lq benchmark.
+    process runs its part. The output bits, the block the engine holds at
+    the end of a round and the increment-memo and key-cache counts are
+    those of a serial loop. Kept public for acceptance test c1 and the
+    oracle_lq benchmark.
     """
     cfg = cfg or PolicyIterationConfig()
     if n_rounds < 1:

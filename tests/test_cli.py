@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+from hjblab import engine
 from hjblab.cli import (
     ExperimentConfig,
     RunState,
@@ -355,11 +356,17 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(PINNED_DIGESTS))
-def test_artifacts_match_pinned_digests(tmp_path, kind):
+@pytest.mark.parametrize("kind, processes", [
+    pytest.param(kind, processes, id=kind if processes == 1 else f"{kind}-{processes}")
+    for processes in (1, 2, 3) for kind in sorted(PINNED_DIGESTS)])
+def test_artifacts_match_pinned_digests(tmp_path, monkeypatch, kind, processes):
     # test_replay_is_bitwise compares a version with itself; this pins the
-    # bytes across versions. config_resolved.ini and manifest.json record the
-    # output directory, so they are left out.
+    # bytes across versions, serially and with every engine call split
+    # across 2 or 3 processes. config_resolved.ini and manifest.json record
+    # the output directory, so they are left out.
+    monkeypatch.setattr(engine, "_PROCESSES", processes)
+    if processes > 1:
+        monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
     out = tmp_path / kind
     cfg = fast_cfg(out, kind=kind)
     cfg.diagnostics.update(scans=PINNED_SCANS)

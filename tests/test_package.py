@@ -83,15 +83,18 @@ def _callers(called_name):
 
 def test_increments_are_requested_in_one_place_only():
     # contestants share noise by repeating the engine's request, never by
-    # handing a pre-drawn block down; the step loop is the only place that
-    # asks for one
-    assert _callers("gaussian_increments") == {("engine", "_run")}
+    # handing a pre-drawn block down; the engine's one entry into the step
+    # loop is the only place that asks for one
+    assert _callers("gaussian_increments") == {("engine", "_simulate")}
 
 
 def test_processes_are_forked_in_one_place_only():
-    # the step loop's fan-out is the package's one concurrency: one os.fork
-    # call, and no thread or pool module anywhere
+    # the engine's one fan-out is the package's one concurrency: one os.fork
+    # call, one function that deals, allocates shared outputs and forks, and
+    # no thread or pool module anywhere
     assert _callers("fork") == {("engine", "_run_forked")}
+    for helper in ("_run_forked", "_shared_empty", "_deal"):
+        assert _callers(helper) == {("engine", "_simulate")}, helper
     banned = {"threading", "_thread", "multiprocessing", "concurrent"}
     found = []
     for path in sorted(Path(hjblab.__path__[0]).glob("*.py")):

@@ -13,6 +13,7 @@ import mmap
 import os
 import signal
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -414,13 +415,22 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+ALL_FIELDS = ("states", "costs", "control_traces", "sup_norm")
+
+
+def engine_run(problem, contestants, n_paths, n_steps, seed, fields=ALL_FIELDS):
+    """One request of (x, control) contestants from t = 0 through the
+    engine's one entry into the step loop; a record per contestant."""
+    xs, controls = (list(c) for c in zip(*contestants))
+    return engine._simulate(problem, [(0.0, xs, controls, n_paths, n_steps, seed,
+                                       "paths")], fields)[0]
+
+
 def run_all_outputs(problem, x, control, seed=17):
     """One run asked for every output, with its increment-memo counts."""
     gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
     hits, misses = increment_memo.hits, increment_memo.misses
-    run, = engine._run(problem, 0.0, [(x, control)], TILE_PATHS, TILE_STEPS,
-                       seed, "paths", record_states=True, record_controls=True,
-                       accumulate_costs=True, track_sup_norm=True)
+    run, = engine_run(problem, [(x, control)], TILE_PATHS, TILE_STEPS, seed)
     assert (increment_memo.hits, increment_memo.misses) == (hits, misses + 1)
     return run
 
@@ -569,9 +579,7 @@ def group_contestants(problem, n_paths, controls="mixed"):
 
 
 def run_contestants(problem, contestants, n_paths):
-    return engine._run(problem, 0.0, contestants, n_paths, TILE_STEPS, 17,
-                       "paths", record_states=True, record_controls=True,
-                       accumulate_costs=True, track_sup_norm=True)
+    return engine_run(problem, contestants, n_paths, TILE_STEPS, 17)
 
 
 GROUP_SIZES = {
@@ -610,13 +618,12 @@ def test_grouped_contestants_match_their_own_runs_bitwise(
         assert [g1 - g0 for g0, g1 in groups] == GROUP_SIZES[budget]
     elif n_paths == 150:
         assert groups == [(0, len(contestants))]
-    # in one process, then across 2 and 3: shares of equal work, an item on
-    # a share boundary cut at a 64-aligned path
+    # in one process, then across 2 and 3: the request, whose block the
+    # memo holds, in shares of equal work cut at 64-aligned paths, each
+    # process running every group on its rows
     forks = count_forks(monkeypatch)
-    tiles = engine._tile_bounds(n_paths, problem.dim)
-    items = [(lo, hi, (g1 - g0) * TILE_STEPS * problem.dim)
-             for g0, g1 in groups for lo, hi in tiles]
-    slabs = sum(max(1, (hi - lo) // 64) for lo, hi, _ in items)
+    items = [(0, n_paths, len(contestants) * TILE_STEPS * problem.dim)]
+    slabs = max(1, n_paths // 64)
     for processes in (1, 2, 3):
         fan_out(monkeypatch, processes)
         forks.clear()
@@ -677,8 +684,8 @@ def test_shared_policy_is_called_once_per_step_per_group_and_tile(
     assert len(engine._tile_bounds(n_paths, 1)) == tiles
     policy = _CountingPolicy()
     starts = [np.array([s]) for s in (-1.0, 0.0, 0.5, 2.0)]
-    engine._run(problem, 0.0, [(x, policy) for x in starts], n_paths,
-                TILE_STEPS, 3, "paths", accumulate_costs=True)
+    engine_run(problem, [(x, policy) for x in starts], n_paths, TILE_STEPS, 3,
+               ("costs",))
     assert len(policy.rows) == len(groups) * tiles * TILE_STEPS
     assert sum(policy.rows) == 4 * n_paths * TILE_STEPS
 
@@ -688,8 +695,7 @@ def test_shared_policy_call_spans_adjacent_contestants_only():
     policy = _CountingPolicy()
     x = np.array([1.0])
     contestants = [(x, policy), (x, policy), (x, zero_signal(1)), (x, policy)]
-    engine._run(problem, 0.0, contestants, 150, TILE_STEPS, 3, "paths",
-                accumulate_costs=True)
+    engine_run(problem, contestants, 150, TILE_STEPS, 3, ("costs",))
     assert policy.rows == [300, 150] * TILE_STEPS
 
 
@@ -716,8 +722,7 @@ def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
         fan_out(monkeypatch, processes)
         forks.clear()
         with pytest.raises(SimulationDivergenceError) as info:
-            engine._run(problem, 0.0, group, 150, 100, 0, "paths",
-                        accumulate_costs=True)
+            engine_run(problem, group, 150, 100, 0, ("costs",))
         assert len(forks) == (processes > 1)
         assert_no_children()
         return info.value
@@ -810,7 +815,7 @@ def test_a_child_killed_by_a_signal_reruns_serially(monkeypatch):
 def test_runs_below_the_fork_threshold_never_fork(monkeypatch):
     problem = build_reaction_diffusion()
     contestants = group_contestants(problem, 150)
-    assert 5 * 150 * TILE_STEPS * problem.dim < engine._FORK_MIN_WORK
+    assert 150 * TILE_STEPS * (5 * problem.dim + problem.noise_dim) < engine._FORK_MIN_WORK
     monkeypatch.setattr(engine, "_PROCESSES", 2)
     refused = []
 
@@ -870,7 +875,8 @@ def assert_dealt(items, shares):
 @settings(max_examples=300, deadline=None)
 def test_deal_cuts_equal_shares_at_64_aligned_rows(
         n_contestants, per_group, n_paths, n, steps, tile_rows, processes):
-    # the (group, tile) items of a run at some tile and group budget
+    # items of the rows and weights of (group, tile) ranges of a run at
+    # some tile and group budget
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_TILE_BYTES", 8 * n * tile_rows)
         tiles = engine._tile_bounds(n_paths, n)
@@ -1177,30 +1183,50 @@ def test_increment_paths_do_not_depend_on_path_count():
     assert big[:4].tobytes() == small
 
 
+BLOCK_DIGEST = "8fcc05c1ddea08f7558a7117a44cb8b28d737ceb2f7332988226de72fb95bc37"
+
+
 def test_increment_block_frozen_digest(monkeypatch):
-    # pinned so a change of the noise path that moves any bit breaks loudly;
-    # drawn in this process, then across two and three
+    # pinned so a change of the noise path that moves any bit breaks loudly:
+    # the block gaussian_increments draws, and the first paths of the block
+    # that a 200-path run draws in this process, then across two and three
+    dw = gaussian_increments(42, "paths", 3, 5, 2, 1.0)
+    assert hashlib.sha256(dw.tobytes()).hexdigest() == BLOCK_DIGEST
+    problem = dataclasses.replace(scalar_problem(lambda x, a: -x, 0.3, horizon=5.0),
+                                  noise=np.array([[0.3, 0.1]]), noise_dim=2)
     forks = count_forks(monkeypatch)
     for processes in (1, 2, 3):
         fan_out(monkeypatch, processes)
         gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
-        dw = gaussian_increments(42, "paths", 3, 5, 2, 1.0)
-        assert hashlib.sha256(dw.tobytes()).hexdigest() == (
-            "8fcc05c1ddea08f7558a7117a44cb8b28d737ceb2f7332988226de72fb95bc37"
-        )
+        simulate_costs(problem, 0.0, np.array([0.5]), zero_signal(1), 200,
+                       n_steps=5, seed=42)
+        assert increment_memo.request == (42, "paths", 200, 5, 2, 1.0)
+        dw = increment_memo.block[:3]
+        assert hashlib.sha256(dw.tobytes()).hexdigest() == BLOCK_DIGEST
         assert_no_children()
     assert len(forks) == 0 + 1 + 2
 
 
+# a problem with n_w noise dimensions for each block shape drawn below
+NOISE_BUILDERS = {1: lambda: scalar_problem(lambda x, a: -x, 0.3),
+                  3: build_reaction_diffusion}
+
+
 def draw_requests(monkeypatch, n_paths, n_steps, n_w):
-    """On a fresh memo and key cache: a request that derives its keys, one
-    that differs in n_steps alone and reuses them, and a repeat of it. The
-    three blocks, and the (hits, misses) of the memo and of the key cache."""
+    """On a fresh memo and key cache, three runs of a problem with n_w noise
+    dimensions: one that derives its keys, one that differs in n_steps alone
+    and reuses them, and a repeat of it. The block held after each, and the
+    (hits, misses) of the memo and of the key cache."""
     monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
     monkeypatch.setattr(seeds, "path_key_cache",
                         seeds._KeyCache(seeds.path_key_cache.size))
-    blocks = [gaussian_increments(11, "fan", n_paths, m, n_w, 0.037)
-              for m in (n_steps, n_steps + 1, n_steps + 1)]
+    problem = NOISE_BUILDERS[n_w]()
+    x, control = np.full(problem.dim, 0.5), zero_signal(problem.control_spec.dim)
+    blocks = []
+    for m in (n_steps, n_steps + 1, n_steps + 1):
+        simulate_costs(problem, 0.0, x, control, n_paths, n_steps=m, seed=11,
+                       stream_label="fan")
+        blocks.append(engine.increment_memo.block)
     memo, cache = engine.increment_memo, seeds.path_key_cache
     return blocks, ((memo.hits, memo.misses), (cache.hits, cache.misses))
 
@@ -1210,16 +1236,20 @@ def draw_requests(monkeypatch, n_paths, n_steps, n_w):
                          ids=["one_path", "prime_paths", "three_noise_dims"])
 def test_increments_drawn_across_processes_equal_the_serial_block(
         monkeypatch, shape, processes):
+    # each process of a run draws its rows of the block, from keys derived
+    # here; the memo and the key cache count as in the serial loop
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial, serial_counts = draw_requests(monkeypatch, *shape)
-    assert serial[0].tobytes() == reference_increments(11, "fan", *shape, 0.037).tobytes()
+    horizon = NOISE_BUILDERS[shape[2]]().horizon
+    assert serial[0].tobytes() == reference_increments(
+        11, "fan", *shape, horizon / shape[1]).tobytes()
     forks = count_forks(monkeypatch)
     fan_out(monkeypatch, processes)
     fanned, counts = draw_requests(monkeypatch, *shape)
     assert_no_children()
-    # each of the two misses forks a child per process beyond this one, and
-    # never more processes than paths
-    assert len(forks) == 2 * (min(processes, shape[0]) - 1)
+    # each of the three runs forks a child per process beyond this one, and
+    # never more processes than 64-row slabs
+    assert len(forks) == 3 * (min(processes, max(1, shape[0] // 64)) - 1)
     assert counts == serial_counts == ((1, 2), (1, 1))
     assert fanned[2] is fanned[1]
     for want, got in zip(serial, fanned):
@@ -1233,6 +1263,8 @@ def test_increments_drawn_across_processes_equal_the_serial_block(
 @pytest.mark.parametrize("failure", ["child_killed", "fork_raises"])
 def test_a_failed_increment_fan_out_draws_the_serial_block(
         monkeypatch, failure, processes):
+    # a child killed while it draws, or a refused fork: the runs go to the
+    # serial loop, with the serial bits and counts
     shape = (997, 25, 1)
     serial, serial_counts = draw_requests(monkeypatch, *shape)
     forks = count_forks(monkeypatch)
@@ -1251,8 +1283,9 @@ def test_a_failed_increment_fan_out_draws_the_serial_block(
     fan_out(monkeypatch, processes)
     fanned, counts = draw_requests(monkeypatch, *shape)
     assert_no_children()
-    # the two misses fork; a refused fork forks nothing
-    assert len(forks) == (2 * (processes - 1) if failure == "child_killed" else 0)
+    # the three runs fork, and the two misses fail; a refused fork forks
+    # nothing
+    assert len(forks) == (3 * (processes - 1) if failure == "child_killed" else 0)
     assert counts == serial_counts
     for want, got in zip(serial, fanned):
         assert got.tobytes() == want.tobytes()
@@ -1260,20 +1293,22 @@ def test_a_failed_increment_fan_out_draws_the_serial_block(
 
 
 def test_increment_blocks_below_the_fork_threshold_never_fork(monkeypatch):
-    # the largest blocks of policy iteration on lq (5000 x 120) and of run-all
-    # on reaction_diffusion (2000 x 100 x 3) stay in this process
-    monkeypatch.setattr(engine, "_PROCESSES", 2)
+    # gaussian_increments draws in this process alone, whatever the block:
+    # the largest of policy iteration on lq (5000 x 120) and of run-all on
+    # reaction_diffusion (2000 x 100 x 3) among them. A run's draws count
+    # toward its work: 200 paths of 10 steps on the scalar problem hold
+    # 200 x 10 x (1 + 1) = 4000, and fork from that threshold on
+    fan_out(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     for shape in [(5000, 120, 1), (2000, 100, 3)]:
-        assert math.prod(shape) < engine._FORK_MIN_WORK
         gaussian_increments(11, "below", *shape, 0.01)
     assert not forks
-    # a block forks from _FORK_MIN_WORK draws on
-    monkeypatch.setattr(engine, "_FORK_MIN_WORK", 600)
-    gaussian_increments(11, "below", 10, 59, 1, 0.01)
-    assert not forks
-    gaussian_increments(11, "below", 10, 20, 3, 0.01)
-    assert len(forks) == 1
+    problem = scalar_problem(lambda x, a: -x, 0.3)
+    for threshold, n_forks in ((4001, 0), (4000, 1)):
+        monkeypatch.setattr(engine, "_FORK_MIN_WORK", threshold)
+        simulate_costs(problem, 0.0, np.array([0.5]), zero_signal(1), 200,
+                       n_steps=10, seed=11)
+        assert len(forks) == n_forks
     assert_no_children()
 
 
@@ -1404,10 +1439,9 @@ def spy_deal(monkeypatch):
 
 
 def check_batch_against_serial(monkeypatch, problem, case, processes):
-    """Every request forks on its own, for its block and its run; in a batch
-    each process runs whole requests and pieces of cut ones and forks no
-    further, and each request's records come back whole with their serial
-    bits."""
+    """Every request forks on its own; in a batch each process runs whole
+    requests and pieces of cut ones and forks no further, and each request's
+    records come back whole with their serial bits."""
     requests = (batch_requests if case == "mixed" else pi_row_requests)(problem)
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial = [simulate_costs(problem, *r) for r in requests]
@@ -1419,7 +1453,7 @@ def check_batch_against_serial(monkeypatch, problem, case, processes):
         gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
         forks[0] = 0
         simulate_costs(problem, *r)
-        assert forks[0] >= 2
+        assert forks[0] >= 1
     if case == "mixed":
         gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)
     else:
@@ -1448,8 +1482,8 @@ def check_batch_against_serial(monkeypatch, problem, case, processes):
     assert [isinstance(run, list) for run in batch] == (
         [True, False, False] if case == "mixed" else [True] * 3)
     assert cost_bits(batch) == cost_bits(serial)
-    # this process ran the last request, whole or its last piece, so the
-    # memo holds the last block, with its serial bits
+    # the memo holds the last block, with its serial bits, whichever
+    # processes drew it
     assert increment_memo.request == serial_last
     assert increment_memo.block.tobytes() == serial_block
 
@@ -1479,36 +1513,39 @@ def test_batch_cuts_policy_iteration_rows_with_their_serial_bits(
 
 
 def test_a_partial_draw_holds_no_other_block(monkeypatch):
-    # a process drops the block it holds before it draws a piece of a cut
-    # request; a piece of a held request is copied from it, and not drawn
+    # this process lets a block go after its last piece here: when it draws
+    # its rows of the second request, the first request's block, which it
+    # read, is gone; a piece of a held request reads it, and draws nothing
     problem = build_lq_benchmark(control_bound=0.6)[0]
     requests = pi_row_requests(problem)
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial = [simulate_costs(problem, *r) for r in requests]
-    # per process, this one and the child: partial draws that began with
-    # no block held, and with one
-    seen = np.frombuffer(mmap.mmap(-1, 32), dtype=np.int64).reshape(2, 2)
-    parent, draw = os.getpid(), engine._draw
+    # partial draws of this process and of the child, and those of this
+    # process made while the first request's block was still alive
+    seen = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
+    parent, draw, first = os.getpid(), engine._draw, None
 
     def spy(out, keys, lo, hi, dt):
         if hi - lo < len(keys):
-            held = engine.increment_memo.block is not None
-            seen[int(os.getpid() != parent), int(held)] += 1
+            seen[int(os.getpid() != parent)] += 1
+            seen[2] += os.getpid() == parent and first() is not None
         return draw(out, keys, lo, hi, dt)
     monkeypatch.setattr(engine, "_draw", spy)
     fan_out(monkeypatch, 2)
-    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # a block is held
+    simulate_costs(problem, *requests[0])  # the first request's block is held
+    first = weakref.ref(increment_memo.block)
+    seen[:] = 0
     batch = simulate_costs_batch(problem, requests)
-    assert seen.tolist() == [[1, 0], [1, 0]]
+    assert seen.tolist() == [1, 1, 0]
     assert cost_bits(batch) == cost_bits(serial)
     # the last request, held, cut in two: no draw
     last = simulate_costs_batch(problem, requests[-1:])
-    assert seen.tolist() == [[1, 0], [1, 0]]
+    assert seen.tolist() == [1, 1, 0]
     assert cost_bits(last) == cost_bits(serial[-1:])
     # the first, not held, cut in two: each process draws its rows, and this
     # one then holds the block both drew, as after its serial run
     first = simulate_costs_batch(problem, requests[:1])
-    assert seen.tolist() == [[2, 0], [2, 0]]
+    assert seen.tolist() == [2, 2, 0]
     assert cost_bits(first) == cost_bits(serial[:1])
     _, _, _, n_paths, n_steps, seed, label = requests[0]
     dw = reference_increments(seed, label, n_paths, n_steps, 1, 1.0 / n_steps)
@@ -1521,11 +1558,11 @@ def test_a_partial_draw_holds_no_other_block(monkeypatch):
 
 def test_a_cut_last_request_held_in_one_process_leaves_its_whole_block(
         monkeypatch):
-    # two requests on one noise request, the last with three contestants, so
-    # two processes cut it: the child runs the first whole and then holds the
-    # block, so its piece of the last is a memo hit, while this process draws
-    # its own piece. The block this process then holds has every path's
-    # serial bits, and a later run on it gives the serial bits too
+    # two requests on one noise request, the last with three contestants:
+    # they share one block, cut between two processes, each of which draws
+    # its rows once and runs both requests on them. The block this process
+    # then holds has every path's serial bits, and a later run on it gives
+    # the serial bits too
     problem = build_lq_benchmark(control_bound=0.6)[0]
     x = np.full(problem.dim, 0.7)
     gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
@@ -1536,12 +1573,26 @@ def test_a_cut_last_request_held_in_one_process_leaves_its_whole_block(
     later = simulate_costs(problem, 0.0, -x, gamma, 300, TILE_STEPS, 3, "paths")
     dt = (problem.horizon - 0.0) / TILE_STEPS
     dw = reference_increments(3, "paths", 300, TILE_STEPS, problem.noise_dim, dt)
+    draws = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    parent, draw = os.getpid(), engine._draw
+
+    def spy(out, keys, lo, hi, dt):
+        draws[int(os.getpid() != parent)] += 1
+        return draw(out, keys, lo, hi, dt)
+    monkeypatch.setattr(engine, "_draw", spy)
     fan_out(monkeypatch, 2)
     gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # no request is held
+    hits, misses = increment_memo.hits, increment_memo.misses
+    draws[:] = 0
     dealt = spy_deal(monkeypatch)
     batch = simulate_costs_batch(problem, requests)
     assert_no_children()
-    assert [[i for i, _, _ in share] for share in dealt[0][1]] == [[0, 1], [1]]
+    (items, shares), = dealt
+    assert items == [(0, 300, (1 + 3) * TILE_STEPS * problem.dim
+                      + TILE_STEPS * problem.noise_dim)]
+    assert [len(share) for share in shares] == [1, 1]
+    assert draws.tolist() == [1, 1]
+    assert (increment_memo.hits, increment_memo.misses) == (hits + 1, misses + 1)
     assert cost_bits(batch) == cost_bits(serial)
     assert increment_memo.request == (3, "paths", 300, TILE_STEPS,
                                       problem.noise_dim, dt)
@@ -1550,6 +1601,52 @@ def test_a_cut_last_request_held_in_one_process_leaves_its_whole_block(
     again = simulate_costs(problem, 0.0, -x, gamma, 300, TILE_STEPS, 3, "paths")
     assert increment_memo.hits == hits + 1
     assert cost_bits([again]) == cost_bits([later])
+
+
+def counted_call(case):
+    """Run one case on the engine: policy iteration at the oracle_lq
+    benchmark's sizes on seed 101, a 20 000-path delay-lift run whose block
+    is missed, or a batch of two identical requests. The output bytes."""
+    if case == "policy_iteration":
+        problem, _ = build_lq_benchmark()
+        res = policy_iteration(problem, (0.0, 0.4, 0.8),
+                               np.array([[-2.0], [-1.5], [0.5], [1.0], [2.0]]),
+                               n_rounds=6, seed=101,
+                               cfg=PolicyIterationConfig(paths_per_point=1000,
+                                                         n_steps=120))
+        return [np.asarray(v).tobytes() for v in res.round_values] + [
+            np.array([e.mean, e.std_error]).tobytes()
+            for e in res.value_field.estimates]
+    if case == "sdde_block":
+        problem = build_sdde_lift()
+        policy = make_gamma_policy(problem, lambda s, xb: 2.0 * xb)
+        return cost_bits([simulate_costs(problem, 0.0, 0.3 * np.ones(problem.dim),
+                                         policy, 20_000, n_steps=200, seed=5)])
+    problem = build_lq_benchmark(control_bound=0.6)[0]
+    request = pi_row_requests(problem)[0]
+    return cost_bits(simulate_costs_batch(problem, [request, request]))
+
+
+@pytest.mark.parametrize("case", ["policy_iteration", "sdde_block",
+                                  "identical_batch"])
+def test_fanned_calls_count_as_the_serial_loop(monkeypatch, case):
+    # the memo and key-cache counts, the request the memo holds and its
+    # block's bits after a call forced across two processes are those of
+    # the serial loop, as are the call's output bits; each count is made in
+    # this process, before the fork
+    forks, results = count_forks(monkeypatch), []
+    for processes in (1, 2):
+        fan_out(monkeypatch, processes)
+        monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+        monkeypatch.setattr(seeds, "path_key_cache",
+                            seeds._KeyCache(seeds.path_key_cache.size))
+        bits = counted_call(case)
+        memo, cache = engine.increment_memo, seeds.path_key_cache
+        results.append((bits, memo.hits, memo.misses, cache.hits, cache.misses,
+                        memo.request, memo.block.tobytes()))
+        assert_no_children()
+    assert forks
+    assert results[1] == results[0]
 
 
 def failing_requests(kind):
@@ -1600,7 +1697,8 @@ def test_batch_failure_in_a_childs_share_raises_the_serial_error(
         forks.clear()
         dealt.clear()
         monkeypatch.setattr(engine, "_PROCESSES", processes)
-        monkeypatch.setattr(engine, "_FORK_MIN_WORK", 150 * 100 + 1)
+        # just above one request's work, its element-steps and its draws
+        monkeypatch.setattr(engine, "_FORK_MIN_WORK", 2 * 150 * 100 + 1)
         with pytest.raises(error) as batch:
             simulate_costs_batch(problem, requests)
         assert len(forks) == processes - 1

@@ -268,12 +268,12 @@ def contestants_run(monkeypatch):
     """The number of contestants of each engine run made while it is live."""
     counts = []
 
-    def counted(problem, t, contestants, *args, **kwargs):
-        counts.append(len(contestants))
-        return run(problem, t, contestants, *args, **kwargs)
+    def counted(problem, t, x, control, *args):
+        counts.append(len(control) if isinstance(control, list) else 1)
+        return prepare(problem, t, x, control, *args)
 
-    run = engine._run
-    monkeypatch.setattr(engine, "_run", counted)
+    prepare = engine._prepare
+    monkeypatch.setattr(engine, "_prepare", counted)
     return counts
 
 
@@ -578,9 +578,9 @@ def count_forks(monkeypatch):
 
 def test_policy_iteration_rows_as_fan_out_items_keep_the_pinned_bits(
         monkeypatch):
-    # each round's three rows of 120 paths, too few to cut, are the items of
-    # one fan-out, the last here, so the increment memo ends on the block of
-    # the serial loop's last request
+    # each round's three rows of 120 paths, too few to cut, are the pieces
+    # of one fan-out, the first here; the increment memo ends on the block
+    # of the serial loop's last request, which a child drew
     _pi_three_rows()
     serial_last = increment_memo.request
     forks = count_forks(monkeypatch)
@@ -593,8 +593,8 @@ def test_policy_iteration_rows_as_fan_out_items_keep_the_pinned_bits(
         assert res.rounds_run == PI_BITS_ROUNDS
         assert _pi_digest(res) == PI_DIGEST
         assert increment_memo.request == serial_last
-        # a child per process beyond this one, each round; this process's
-        # own rows fork no further
+        # a child per process beyond this one, each round; no process's
+        # rows fork further
         assert len(forks) == PI_BITS_ROUNDS * (processes - 1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
