@@ -19,21 +19,24 @@ off the channel that is exactly -0.0 stays -0.0, where -0.0 + 0.0 made it
 +0.0.
 
 Noise is generated per path from counter-derived streams, so path k's
-increments depend only on (master_seed, stream_label, k) and never on how
-many paths run alongside it, in what order, or in which process. One Philox
-generator is re-keyed for each path rather than built anew
+standard normals depend only on (master_seed, stream_label, k) and never on
+how many paths run alongside it, in what order, or in which process. One
+Philox generator is re-keyed for each path rather than built anew
 (seeds.path_streams), so any process can draw any range of paths from their
-keys. The step loop takes no block from its caller: contestants share noise
-by making the same request (seed, stream_label, n_paths, n_steps), in one
-call or several, and so get the same bits. The last block made is kept and
-a repeat of the same request gets that array back; blocks are handed out
-read-only, so no caller can change what the next one receives. Only one
-block is held: a second would cost as much memory as the first. A block
-that has to be built again costs its draws alone: the per-path keys of the
-last few (seed, stream_label, n_paths) requests are held too
-(seeds.path_keys), so a request that differs from an earlier one only in
-n_steps, n_w or dt, or comes back after another, derives no key. The memo
-and the key cache only decide how often a block or its keys are built,
+keys. A block holds standard normals, not increments: the step loop scales
+what it reads by sqrt(dt), a few steps at a time, the same product a block
+drawn at dt would hold, so runs from different start times on one horizon
+share a block. The step loop takes no block from its caller: contestants
+share noise by making the same request (seed, stream_label, n_paths,
+n_steps, n_w), in one call or several, and so get the same bits. The last
+block made is kept and a repeat of the same request gets that array back;
+blocks are handed out read-only, so no caller can change what the next one
+receives. Only one block is held: a second would cost as much memory as the
+first. A block that has to be built again costs its draws alone: the
+per-path keys of the last few (seed, stream_label, n_paths) requests are
+held too (seeds.path_keys), so a request that differs from an earlier one
+only in n_steps or n_w, or comes back after another, derives no key. The
+memo and the key cache only decide how often a block or its keys are built,
 never what they hold; increment_memo and seeds.path_key_cache count their
 hits and misses.
 
@@ -163,6 +166,10 @@ _DIVERGENCE_LIMIT = 1e8
 # tile but the last keeps; the module docstring says why
 _TILE_BYTES = 256 * 1024
 _TILE_ALIGN = 64
+# steps of increments the step loop scales by sqrt(dt) at a time: one
+# product per step pays numpy's fixed cost each step, a whole tile's would
+# double its noise memory
+_SCALE_STEPS = 16
 # processes a call may use, and the work that buys it one forked child: a
 # call whose requests hold W of work (paths x steps x (contestants x dim +
 # noise dimensions), a draw counted as one element-step though it costs a
@@ -241,18 +248,20 @@ class _LastBlock:
 increment_memo = _LastBlock()
 
 
-def gaussian_increments(master_seed, label, n_paths, n_steps, n_w, dt) -> np.ndarray:
-    """Brownian increments (P, M, n_w), read-only; path k comes from its own stream.
+def gaussian_increments(master_seed, label, n_paths, n_steps, n_w) -> np.ndarray:
+    """Standard normals (P, M, n_w), read-only; path k comes from its own
+    stream. A run of step dt scales them by sqrt(dt) as it reads them, so
+    runs that differ only in dt share the block.
 
     A repeat of the previous request returns the same array again; a block
     built anew takes its path keys from seeds.path_keys and is drawn here,
     in this process.
     """
-    request = (master_seed, label, n_paths, n_steps, n_w, dt)
+    request = (master_seed, label, n_paths, n_steps, n_w)
     block, keys = _look_up(request)
     if block is None:
         block = np.empty((n_paths, n_steps, n_w))
-        _draw(block, keys, 0, n_paths, dt)
+        _draw(block, keys, 0, n_paths)
         block.flags.writeable = False
         increment_memo.request, increment_memo.block = request, block
     return block
@@ -271,13 +280,11 @@ def _look_up(request):
     return None, path_keys(*request[:3])
 
 
-def _draw(out, keys, lo, hi, dt):
-    """Fill rows lo:hi of out with the increments of paths lo:hi, whose keys
-    are keys[lo:hi]."""
-    rows = out[lo:hi]
-    for row, gen in zip(rows, path_streams(keys[lo:hi])):
+def _draw(out, keys, lo, hi):
+    """Fill rows lo:hi of out with the standard normals of paths lo:hi,
+    whose keys are keys[lo:hi]."""
+    for row, gen in zip(out[lo:hi], path_streams(keys[lo:hi])):
         gen.standard_normal(out=row)
-    rows *= math.sqrt(dt)
 
 
 def _prepare_control(problem, control, step_times, n_paths):
@@ -305,7 +312,7 @@ def _contestants(x, control):
 
 def _prepare(problem, t, x, control, n_paths, n_steps, master_seed, stream_label):
     """A checked request: its noise request (gaussian_increments' arguments,
-    and so the key increment_memo holds), time grid, starting states,
+    and so the key increment_memo holds), step, time grid, starting states,
     controls and semigroup matrix."""
     contestants = _contestants(x, control)
     if not (0.0 <= t < problem.horizon):
@@ -325,15 +332,15 @@ def _prepare(problem, t, x, control, n_paths, n_steps, master_seed, stream_label
             raise ValueError(f"initial state must be ({n},) or ({n_paths}, {n})")
         inits.append(x0)
         controls.append(_prepare_control(problem, ctl, grid[:-1], n_paths))
-    noise = (master_seed, stream_label, n_paths, n_steps, problem.noise_dim, dt)
-    return noise, grid, inits, controls, semigroup_matrix(problem.op, dt)
+    noise = (master_seed, stream_label, n_paths, n_steps, problem.noise_dim)
+    return noise, dt, grid, inits, controls, semigroup_matrix(problem.op, dt)
 
 
 def _record_shapes(problem, request, fields):
     """The stacked (contestants, paths, ...) shape of each PathEnsemble field
     of a prepared request after the time grid, in order: the terminal states
     always, the others when fields names them, else None."""
-    noise, _, inits = request[:3]
+    noise, _, _, inits = request[:4]
     n, q, m = problem.dim, problem.control_spec.dim, noise[3]
     tails = {"terminal_states": (n,), "states": (m + 1, n), "costs": (),
              "control_traces": (m, q), "sup_norm": ()}
@@ -345,8 +352,8 @@ def _record_shapes(problem, request, fields):
 def _records(request, out):
     """One PathEnsemble per contestant of a prepared request, each holding
     its slices of the stacked outputs out."""
-    return [PathEnsemble(request[1], *(None if a is None else a[c] for a in out.values()))
-            for c in range(len(request[2]))]
+    return [PathEnsemble(request[2], *(None if a is None else a[c] for a in out.values()))
+            for c in range(len(request[3]))]
 
 
 def _tile_bounds(n_paths, n):
@@ -481,11 +488,11 @@ def _run_forked(shares, advance):
 
 def _run(problem, request, out, dw, lo, hi):
     """Advance the contestants of a prepared request on its paths lo:hi, on
-    the increment block dw, and write their rows of the stacked outputs out;
-    the single step loop, which never forks. Groups and tiles are sized by
-    the hi - lo rows, and the tiles start at lo."""
-    noise, grid, inits, controls, E = request
-    dt, n_steps = noise[-1], noise[3]
+    the block dw of standard normals, and write their rows of the stacked
+    outputs out; the single step loop, which never forks. Groups and tiles
+    are sized by the hi - lo rows, and the tiles start at lo."""
+    noise, dt, grid, inits, controls, E = request
+    n_steps, sqrt_dt = noise[3], math.sqrt(dt)
     n, q = problem.dim, problem.control_spec.dim
     box = problem.control_spec.box
     e_is_identity = np.array_equal(E, np.eye(n))
@@ -539,6 +546,11 @@ def _run(problem, request, out, dw, lo, hi):
             norm = h_norm(problem.space, X)
 
         for k in range(n_steps):
+            if k % _SCALE_STEPS == 0:
+                # the next steps' increments: standard normals times
+                # sqrt(dt), the product a block drawn at dt would hold
+                dw_steps = dw_rows[:, k:k + _SCALE_STEPS] * sqrt_dt
+            dw_k = dw_steps[:, k % _SCALE_STEPS]
             s = grid[k]
             for first, stop, ctl in policies:
                 a = A[first:stop]
@@ -571,19 +583,21 @@ def _run(problem, request, out, dw, lo, hi):
                 sig = problem.noise_at(Xf).reshape(n_c, rows, n, -1)
                 noise_term = np.empty((n_c, rows, n))
                 for c in range(n_c):
-                    noise_term[c] = np.einsum("pnq,pq->pn", sig[c], dw_rows[:, k])
+                    noise_term[c] = np.einsum("pnq,pq->pn", sig[c], dw_k)
             # X + dt*b + sigma dW on the channel, in place, in that order;
             # off it b and sigma are zero and the generator alone moves X
             XJ = X[..., J]
             XJ += dt * bJ
-            XJ += dw_rows[:, k] @ sigma_t if noise_term is None else noise_term
+            XJ += dw_k @ sigma_t if noise_term is None else noise_term
             # a stacked product is one gemm per contestant block, so each row
             # keeps its place modulo 64 (see the module docstring); a zero
             # generator's E is the identity and needs no product
             if not e_is_identity:
                 X = X @ E.T
 
-            worst = float(np.max(np.abs(X))) if X.size else 0.0
+            # max |X| without the |X| temporary; NaN reaches it through
+            # either reduction
+            worst = max(float(X.max()), -float(X.min())) if X.size else 0.0
             if not np.isfinite(worst) or worst > _DIVERGENCE_LIMIT:
                 raise SimulationDivergenceError(k + 1, grid[k + 1], worst)
 
@@ -651,13 +665,13 @@ def _simulate(problem, requests, fields):
                 continue
             if block is None:
                 # held from here on, as in the serial loop; its pieces draw it
-                block = _shared_empty(noise[2:5])
+                block = _shared_empty(noise[2:])
                 memo.request, memo.block = noise, block
             units.append((noise, keys, [i]))
             blocks.append(block)
         # a path's work: its element-steps, and its draws unless held
         shares = _deal([(0, noise[2], noise[3] * (
-            n * sum(len(prepared[i][2]) for i in idx) + (keys is not None) * n_w))
+            n * sum(len(prepared[i][3]) for i in idx) + (keys is not None) * n_w))
             for noise, keys, idx in units], procs)
         outputs = [{f: None if s is None else _shared_empty(s)
                     for f, s in _record_shapes(problem, r, fields).items()}
@@ -667,7 +681,7 @@ def _simulate(problem, requests, fields):
         def advance(u, lo, hi):
             (noise, keys, idx), block = units[u], blocks[u]
             if keys is not None:
-                _draw(block, keys, lo, hi, noise[-1])
+                _draw(block, keys, lo, hi)
             for i in idx:
                 _run(problem, prepared[i], outputs[i], block, lo, hi)
             if u != last:

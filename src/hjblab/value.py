@@ -24,10 +24,11 @@ per-path samples (K, P), one row per point, all on one seed. A policy
 evaluator runs the K points as contestants of one engine call, so the legs
 of a finite difference or a defect-scan pair with its midpoints cost one
 noise request. Policy iteration goes one step further and prices a whole
-time row of its grid in one engine call, each grid point on its own paths,
-and a round's rows in one batch, which the engine may split across
-processes, a row between two of them, with the bits and noise-cache counts
-of a serial loop.
+time row of its grid in one engine run, each grid point on its own paths,
+and a round's rows in one batch on one noise request, so its rows are
+paired as its rounds are and the engine draws one block per call; the
+engine may split a round across processes, by rows, with the bits and
+noise-cache counts of a serial loop.
 
 The records hold estimates, not what made them: a FamilyValue names its best
 candidate by index and label, and a ValueField pairs points with estimates.
@@ -486,26 +487,21 @@ def policy_iteration(
     tol_abs + tol_rel * |V| between rounds; otherwise reports non-convergence
     along with the whole change sequence rather than pretending.
 
-    A time row t_i is priced in one engine call: one noise request of J * P
-    paths on a seed derived from (seed, i), where grid point j owns paths
-    [j P, (j+1) P). The contestants are the points and their 2N difference
-    legs, each a per-path (J P, N) starting state, so every point's estimate
-    and slopes come from its own disjoint paths and its legs share them.
-    Every round makes the same request per row, so round-to-round
-    comparisons are paired. Rounds walk the rows in alternating order, so
-    each round after the first starts on the row the last one ended with,
-    whose block the engine still holds: T + (T - 1)(R - 1) blocks are built
-    over R rounds of T rows, not T R. The rows of a round share one policy
-    and nothing else, so their order changes no output bit, and they are
-    independent runs: a round prices them in one engine.simulate_costs_batch
-    call, in that order, which deals them to the engine's process fan-out
-    when their work is large enough, in shares of equal work, the held row
-    weighing less since its block is not drawn again. A row on a share
-    boundary is cut at a path a multiple of 64 after its first, and each
-    process runs its part. The output bits, the block the engine holds at
-    the end of a round and the increment-memo and key-cache counts are
-    those of a serial loop. Kept public for acceptance test c1 and the
-    oracle_lq benchmark.
+    Every time row of every round makes one noise request: J * P paths of
+    n_steps on seed and the stream "policy_iteration", where grid point j
+    owns paths [j P, (j+1) P). A row t_i is priced in one engine run whose
+    contestants are the points and their 2N difference legs, each a
+    per-path (J P, N) starting state, so every point's estimate and slopes
+    come from its own disjoint paths and its legs share them. Rows are
+    paired as rounds are: path k of point j sees the same standard normals
+    at every t_i and in every round, scaled by each row's own sqrt(dt), so
+    each point's estimate keeps its law and one block is drawn per call. A
+    round prices its rows in one engine.simulate_costs_batch call; as
+    consecutive requests on one noise request they are one unit of the
+    engine's process fan-out, on one block, cut by rows into shares of equal
+    work, at paths a multiple of 64 apart. The output bits and the
+    increment-memo and key-cache counts are those of a serial loop. Kept
+    public for acceptance test c1 and the oracle_lq benchmark.
     """
     cfg = cfg or PolicyIterationConfig()
     if n_rounds < 1:
@@ -539,16 +535,10 @@ def policy_iteration(
         rounds_run = rnd + 1
         est_grid = [[None] * n_points for _ in t_arr]
         grad_grid = np.empty((len(t_arr), n_points, problem.dim))
-        # odd rounds walk the rows backwards, so each round after the first
-        # starts on the row whose block the increment memo still holds
-        order = range(len(t_arr))
-        if rnd % 2:
-            order = order[::-1]
-        requests = [(float(t_arr[i]), starts, [policy] * len(starts),
-                     n_points * n_paths, cfg.n_steps,
-                     (seed * 1000003 + i * 1009) & 0x7FFFFFFF, "paths")
-                    for i in order]
-        for i, runs in zip(order, simulate_costs_batch(problem, requests)):
+        requests = [(float(t), starts, [policy] * len(starts),
+                     n_points * n_paths, cfg.n_steps, seed, "policy_iteration")
+                    for t in t_arr]
+        for i, runs in enumerate(simulate_costs_batch(problem, requests)):
             samples = np.stack([run.costs for run in runs])
             for j in range(n_points):
                 rows = slice(j * n_paths, (j + 1) * n_paths)

@@ -428,7 +428,7 @@ def engine_run(problem, contestants, n_paths, n_steps, seed, fields=ALL_FIELDS):
 
 def run_all_outputs(problem, x, control, seed=17):
     """One run asked for every output, with its increment-memo counts."""
-    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
     hits, misses = increment_memo.hits, increment_memo.misses
     run, = engine_run(problem, [(x, control)], TILE_PATHS, TILE_STEPS, seed)
     assert (increment_memo.hits, increment_memo.misses) == (hits, misses + 1)
@@ -917,18 +917,19 @@ def test_contestant_lists_must_pair_states_with_controls():
 # --- the step on the channel ----------------------------------------------------
 
 
-def full_width_run(problem, x, control, n_paths, seed=17):
-    """A reference step loop on the full state for one contestant, one pass:
-    the channel drift embedded in zeros(N), the full noise product, then
-    X + dt*b + sigma dW and the semigroup. Returns costs, terminal states,
-    states and control traces."""
+def full_width_run(problem, x, control, n_paths, seed=17, t=0.0):
+    """A reference step loop on the full state for one contestant from t,
+    one pass: the increments formed up front as the block's standard normals
+    times sqrt(dt), the channel drift embedded in zeros(N), the full noise
+    product, then X + dt*b + sigma dW and the semigroup. Returns costs,
+    terminal states, states and control traces."""
     n, q = problem.dim, problem.control_spec.dim
     cost = problem.cost_structure
     lo, hi = problem.control_spec.box
-    dt = problem.horizon / TILE_STEPS
-    grid = dt * np.arange(TILE_STEPS + 1)
+    dt = (problem.horizon - t) / TILE_STEPS
+    grid = t + dt * np.arange(TILE_STEPS + 1)
     dw = gaussian_increments(seed, "paths", n_paths, TILE_STEPS,
-                             problem.noise_dim, dt)
+                             problem.noise_dim) * math.sqrt(dt)
     E = semigroup_matrix(problem.op, dt)
     values = (None if hasattr(control, "feedback")
               else signal_values(control, grid[:-1]))
@@ -976,6 +977,33 @@ def test_channel_step_matches_a_full_width_reference_bitwise(
         reference = full_width_run(problem, x, control, n_paths)
         for field, want in reference.items():
             assert getattr(run, field).tobytes() == want.tobytes(), field
+
+
+def test_runs_from_three_start_times_share_one_block_with_their_own_bits(
+        monkeypatch):
+    # a block holds standard normals, so runs from t = 0, 0.4 and 0.8 on one
+    # (seed, label, paths, steps) request draw it once; each reads it times
+    # its own sqrt(dt) and gets the bits of its run on a fresh memo and of a
+    # reference that forms normals * sqrt(dt) up front
+    problem = build_sdde_lift(control_bound=0.4, c_nl=0.3)
+    x = np.full(problem.dim, 0.7)
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    times = (0.0, 0.4, 0.8)
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
+    hits, misses = increment_memo.hits, increment_memo.misses
+    shared = [simulate_costs(problem, t, x, gamma, 150, TILE_STEPS, seed=17)
+              for t in times]
+    assert (increment_memo.hits, increment_memo.misses) == (hits + 2, misses + 1)
+    assert increment_memo.request == (17, "paths", 150, TILE_STEPS, 1)
+    for t, run in zip(times, shared):
+        monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+        fresh = simulate_costs(problem, t, x, gamma, 150, TILE_STEPS, seed=17)
+        assert engine.increment_memo.misses == 1
+        reference = full_width_run(problem, x, gamma, 150, t=t)
+        for field in ("costs", "terminal_states"):
+            want = getattr(fresh, field).tobytes()
+            assert getattr(run, field).tobytes() == want, (t, field)
+            assert reference[field].tobytes() == want, (t, field)
 
 
 def test_run_rejects_fewer_than_one_path():
@@ -1067,6 +1095,52 @@ def test_divergence_error_names_the_step():
     assert "step" in str(info.value)
 
 
+def max_abs_divergence(drift, x0, n_steps):
+    """The (step, time, magnitude) that a check of max |X| after each step
+    reports for a noiseless scalar run of x' = drift(x) on [0, 1] from the
+    per-path states x0, or None if it never diverges."""
+    dt = 1.0 / n_steps
+    grid = dt * np.arange(n_steps + 1)
+    X = np.array(x0, dtype=float)
+    for k in range(n_steps):
+        X = X + dt * drift(X, None)
+        worst = float(np.max(np.abs(X)))
+        if not np.isfinite(worst) or worst > 1e8:
+            return k + 1, grid[k + 1], worst
+    return None
+
+
+@pytest.mark.parametrize("blowup", ["nan", "inf", "negative"])
+def test_divergence_check_reports_what_max_abs_reports(blowup):
+    # max(max X, -min X) is max |X|: a path that turns NaN, one that reaches
+    # +inf beside finite negative paths, and paths that pass -1e8 with none
+    # positive each raise the step, time and magnitude max |X| gives
+    if blowup == "nan":
+        def drift(x, a):
+            return np.where(np.abs(x) > 1e3, np.nan, 5.0 * x)
+        x0 = [[-2.0], [300.0], [1.0]]
+    elif blowup == "inf":
+        def drift(x, a):
+            return np.where(x > 1e3, np.inf, 5.0 * x)
+        x0 = [[-800.0], [300.0]]
+    else:
+        def drift(x, a):
+            return 5.0 * x
+        x0 = [[-1e7], [-3e6], [-5.0]]
+    step, time, magnitude = max_abs_divergence(drift, x0, 100)
+    problem = scalar_problem(drift, 0.0)
+    with pytest.raises(SimulationDivergenceError) as info:
+        simulate_costs(problem, 0.0, np.array(x0), zero_signal(1), len(x0),
+                       n_steps=100, seed=0)
+    assert 0 < step < 100
+    assert (info.value.step, info.value.time) == (step, time)
+    if blowup == "nan":
+        assert math.isnan(info.value.magnitude) and math.isnan(magnitude)
+    else:
+        assert info.value.magnitude == magnitude
+        assert magnitude == math.inf if blowup == "inf" else magnitude > 1e8
+
+
 def test_time_window_validation():
     problem = scalar_problem(lambda x, a: x, 0.0)
     with pytest.raises(ValueError):
@@ -1156,15 +1230,26 @@ def test_moment_bound_rejects_small_p():
 
 
 def test_gaussian_increments_variance_scaling():
-    dw1 = gaussian_increments(5, "w", 4, 10, 2, dt=0.25)
-    dw2 = gaussian_increments(5, "w", 4, 10, 2, dt=1.0)
-    np.testing.assert_allclose(dw1, 0.5 * dw2, atol=1e-15)
+    # a block holds standard normals and a run reads them times sqrt(dt):
+    # with no drift and no generator, a run of step 0.25 moves half as far
+    # as one of step 1.0 on the same request
+    dw = gaussian_increments(5, "w", 4, 10, 1)
+    assert dw.tobytes() == reference_increments(5, "w", 4, 10, 1).tobytes()
+    runs = [simulate_ensemble(scalar_problem(lambda x, a: 0.0 * x, 0.3,
+                                             horizon=10 * dt),
+                              0.0, np.array([0.0]), zero_signal(1), 4,
+                              n_steps=10, seed=5, stream_label="w")
+            for dt in (0.25, 1.0)]
+    np.testing.assert_allclose(runs[0].states, 0.5 * runs[1].states, atol=1e-15)
+    np.testing.assert_allclose(np.diff(runs[1].states[..., 0], axis=1),
+                               0.3 * dw[..., 0], atol=1e-15)
 
 
-def reference_increments(master_seed, label, n_paths, n_steps, n_w, dt):
-    """The noise contract spelled out: one fresh stream per path, scaled by sqrt(dt)."""
+def reference_increments(master_seed, label, n_paths, n_steps, n_w):
+    """The noise contract spelled out: one fresh stream of standard normals
+    per path."""
     return np.stack([
-        stream(master_seed, label, k).standard_normal((n_steps, n_w)) * math.sqrt(dt)
+        stream(master_seed, label, k).standard_normal((n_steps, n_w))
         for k in range(n_paths)
     ])
 
@@ -1172,14 +1257,14 @@ def reference_increments(master_seed, label, n_paths, n_steps, n_w, dt):
 @pytest.mark.parametrize("master_seed", [5, 2**40 + 7])
 @pytest.mark.parametrize("n_w", [1, 3])
 def test_increment_path_k_is_stream_k(master_seed, n_w):
-    dw = gaussian_increments(master_seed, "contract", 4, 6, n_w, 0.037)
-    ref = reference_increments(master_seed, "contract", 4, 6, n_w, 0.037)
+    dw = gaussian_increments(master_seed, "contract", 4, 6, n_w)
+    ref = reference_increments(master_seed, "contract", 4, 6, n_w)
     assert dw.tobytes() == ref.tobytes()
 
 
 def test_increment_paths_do_not_depend_on_path_count():
-    small = gaussian_increments(3, "prefix", 4, 7, 2, 0.1).tobytes()
-    big = gaussian_increments(3, "prefix", 4 + 5, 7, 2, 0.1)
+    small = gaussian_increments(3, "prefix", 4, 7, 2).tobytes()
+    big = gaussian_increments(3, "prefix", 4 + 5, 7, 2)
     assert big[:4].tobytes() == small
 
 
@@ -1190,17 +1275,17 @@ def test_increment_block_frozen_digest(monkeypatch):
     # pinned so a change of the noise path that moves any bit breaks loudly:
     # the block gaussian_increments draws, and the first paths of the block
     # that a 200-path run draws in this process, then across two and three
-    dw = gaussian_increments(42, "paths", 3, 5, 2, 1.0)
+    dw = gaussian_increments(42, "paths", 3, 5, 2)
     assert hashlib.sha256(dw.tobytes()).hexdigest() == BLOCK_DIGEST
     problem = dataclasses.replace(scalar_problem(lambda x, a: -x, 0.3, horizon=5.0),
                                   noise=np.array([[0.3, 0.1]]), noise_dim=2)
     forks = count_forks(monkeypatch)
     for processes in (1, 2, 3):
         fan_out(monkeypatch, processes)
-        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
         simulate_costs(problem, 0.0, np.array([0.5]), zero_signal(1), 200,
                        n_steps=5, seed=42)
-        assert increment_memo.request == (42, "paths", 200, 5, 2, 1.0)
+        assert increment_memo.request == (42, "paths", 200, 5, 2)
         dw = increment_memo.block[:3]
         assert hashlib.sha256(dw.tobytes()).hexdigest() == BLOCK_DIGEST
         assert_no_children()
@@ -1240,9 +1325,7 @@ def test_increments_drawn_across_processes_equal_the_serial_block(
     # here; the memo and the key cache count as in the serial loop
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial, serial_counts = draw_requests(monkeypatch, *shape)
-    horizon = NOISE_BUILDERS[shape[2]]().horizon
-    assert serial[0].tobytes() == reference_increments(
-        11, "fan", *shape, horizon / shape[1]).tobytes()
+    assert serial[0].tobytes() == reference_increments(11, "fan", *shape).tobytes()
     forks = count_forks(monkeypatch)
     fan_out(monkeypatch, processes)
     fanned, counts = draw_requests(monkeypatch, *shape)
@@ -1301,7 +1384,7 @@ def test_increment_blocks_below_the_fork_threshold_never_fork(monkeypatch):
     fan_out(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     for shape in [(5000, 120, 1), (2000, 100, 3)]:
-        gaussian_increments(11, "below", *shape, 0.01)
+        gaussian_increments(11, "below", *shape)
     assert not forks
     problem = scalar_problem(lambda x, a: -x, 0.3)
     for threshold, n_forks in ((4001, 0), (4000, 1)):
@@ -1322,7 +1405,7 @@ def test_zero_width_noise_is_never_drawn_across_processes(monkeypatch, processes
     runs = []
     for procs in (1, processes):
         fan_out(monkeypatch, procs)
-        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
         runs.append(simulate_costs(problem, 0.0, np.full(problem.dim, 0.3),
                                    zero_signal(q), TILE_PATHS,
                                    n_steps=TILE_STEPS, seed=3))
@@ -1333,9 +1416,9 @@ def test_zero_width_noise_is_never_drawn_across_processes(monkeypatch, processes
 
 
 def test_repeated_request_returns_held_block_read_only():
-    first = gaussian_increments(8, "memo", 3, 4, 2, 0.25)
+    first = gaussian_increments(8, "memo", 3, 4, 2)
     hits, misses = increment_memo.hits, increment_memo.misses
-    again = gaussian_increments(8, "memo", 3, 4, 2, 0.25)
+    again = gaussian_increments(8, "memo", 3, 4, 2)
     assert again is first
     assert (increment_memo.hits, increment_memo.misses) == (hits + 1, misses)
     assert not again.flags.writeable
@@ -1345,10 +1428,10 @@ def test_repeated_request_returns_held_block_read_only():
 
 @pytest.mark.parametrize("field, value", [
     ("master_seed", 9), ("label", "memo_other"), ("n_paths", 4),
-    ("n_steps", 5), ("n_w", 1), ("dt", 0.5),
+    ("n_steps", 5), ("n_w", 1),
 ])
 def test_request_differing_in_one_field_misses(field, value):
-    base = dict(master_seed=8, label="memo", n_paths=3, n_steps=4, n_w=2, dt=0.25)
+    base = dict(master_seed=8, label="memo", n_paths=3, n_steps=4, n_w=2)
     gaussian_increments(**base)
     hits, misses = increment_memo.hits, increment_memo.misses
     request = dict(base, **{field: value})
@@ -1357,12 +1440,29 @@ def test_request_differing_in_one_field_misses(field, value):
     assert dw.tobytes() == reference_increments(**request).tobytes()
 
 
+def test_request_differing_in_dt_alone_hits():
+    # runs from two start times make one request: the second gets the
+    # block the first drew, standard normals that each run scales by its
+    # own sqrt(dt)
+    problem = scalar_problem(lambda x, a: -x, 0.3)
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
+    simulate_costs(problem, 0.0, np.array([0.5]), zero_signal(1), 3, n_steps=4,
+                   seed=8, stream_label="memo")
+    block = increment_memo.block
+    hits, misses = increment_memo.hits, increment_memo.misses
+    simulate_costs(problem, 0.5, np.array([0.5]), zero_signal(1), 3, n_steps=4,
+                   seed=8, stream_label="memo")
+    assert (increment_memo.hits, increment_memo.misses) == (hits + 1, misses)
+    assert increment_memo.block is block
+    assert block.tobytes() == reference_increments(8, "memo", 3, 4, 1).tobytes()
+
+
 def test_interleaved_requests_return_first_bits_again():
-    a_bits = gaussian_increments(8, "A", 3, 4, 2, 0.25).tobytes()
+    a_bits = gaussian_increments(8, "A", 3, 4, 2).tobytes()
     misses = increment_memo.misses
-    b = gaussian_increments(8, "B", 3, 4, 2, 0.25)
+    b = gaussian_increments(8, "B", 3, 4, 2)
     assert increment_memo.block is b  # only the latest block is held
-    again = gaussian_increments(8, "A", 3, 4, 2, 0.25)
+    again = gaussian_increments(8, "A", 3, 4, 2)
     assert again.tobytes() == a_bits
     assert increment_memo.misses == misses + 2
 
@@ -1416,7 +1516,8 @@ def cost_bits(runs):
 def pi_row_requests(problem):
     """Three requests shaped like policy-iteration time rows: two grid points
     of 100 paths each, every point and its two difference legs a per-path
-    (J P, N) start, all under one policy, on their own times and seeds."""
+    (J P, N) start, all under one policy, on their own times and, unlike
+    policy iteration's rows, their own seeds, so each is a block of its own."""
     n, paths = problem.dim, 100
     points = np.random.default_rng(37).normal(0.0, 0.5, (2, n))
     step = 0.05 * np.eye(n)[0]
@@ -1450,12 +1551,12 @@ def check_batch_against_serial(monkeypatch, problem, case, processes):
     forks = count_all_forks(monkeypatch)
     fan_out(monkeypatch, processes)
     for r in requests:
-        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
         forks[0] = 0
         simulate_costs(problem, *r)
         assert forks[0] >= 1
     if case == "mixed":
-        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)
+        gaussian_increments(0, "unrelated", 1, 1, 1)
     else:
         # the first row's block is held, as in every policy-iteration round
         # after the first, so the first request weighs less
@@ -1525,11 +1626,11 @@ def test_a_partial_draw_holds_no_other_block(monkeypatch):
     seen = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
     parent, draw, first = os.getpid(), engine._draw, None
 
-    def spy(out, keys, lo, hi, dt):
+    def spy(out, keys, lo, hi):
         if hi - lo < len(keys):
             seen[int(os.getpid() != parent)] += 1
             seen[2] += os.getpid() == parent and first() is not None
-        return draw(out, keys, lo, hi, dt)
+        return draw(out, keys, lo, hi)
     monkeypatch.setattr(engine, "_draw", spy)
     fan_out(monkeypatch, 2)
     simulate_costs(problem, *requests[0])  # the first request's block is held
@@ -1548,9 +1649,8 @@ def test_a_partial_draw_holds_no_other_block(monkeypatch):
     assert seen.tolist() == [2, 2, 0]
     assert cost_bits(first) == cost_bits(serial[:1])
     _, _, _, n_paths, n_steps, seed, label = requests[0]
-    dw = reference_increments(seed, label, n_paths, n_steps, 1, 1.0 / n_steps)
-    assert increment_memo.request == (seed, label, n_paths, n_steps, 1,
-                                      1.0 / n_steps)
+    dw = reference_increments(seed, label, n_paths, n_steps, 1)
+    assert increment_memo.request == (seed, label, n_paths, n_steps, 1)
     assert increment_memo.block.tobytes() == dw.tobytes()
     assert not increment_memo.block.flags.writeable
     assert_no_children()
@@ -1571,17 +1671,16 @@ def test_a_cut_last_request_held_in_one_process_leaves_its_whole_block(
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial = [simulate_costs(problem, *r) for r in requests]
     later = simulate_costs(problem, 0.0, -x, gamma, 300, TILE_STEPS, 3, "paths")
-    dt = (problem.horizon - 0.0) / TILE_STEPS
-    dw = reference_increments(3, "paths", 300, TILE_STEPS, problem.noise_dim, dt)
+    dw = reference_increments(3, "paths", 300, TILE_STEPS, problem.noise_dim)
     draws = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
     parent, draw = os.getpid(), engine._draw
 
-    def spy(out, keys, lo, hi, dt):
+    def spy(out, keys, lo, hi):
         draws[int(os.getpid() != parent)] += 1
-        return draw(out, keys, lo, hi, dt)
+        return draw(out, keys, lo, hi)
     monkeypatch.setattr(engine, "_draw", spy)
     fan_out(monkeypatch, 2)
-    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # no request is held
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # no request is held
     hits, misses = increment_memo.hits, increment_memo.misses
     draws[:] = 0
     dealt = spy_deal(monkeypatch)
@@ -1595,7 +1694,7 @@ def test_a_cut_last_request_held_in_one_process_leaves_its_whole_block(
     assert (increment_memo.hits, increment_memo.misses) == (hits + 1, misses + 1)
     assert cost_bits(batch) == cost_bits(serial)
     assert increment_memo.request == (3, "paths", 300, TILE_STEPS,
-                                      problem.noise_dim, dt)
+                                      problem.noise_dim)
     assert increment_memo.block.tobytes() == dw.tobytes()
     hits = increment_memo.hits
     again = simulate_costs(problem, 0.0, -x, gamma, 300, TILE_STEPS, 3, "paths")
@@ -1693,7 +1792,7 @@ def test_batch_failure_in_a_childs_share_raises_the_serial_error(
         monkeypatch.setattr(engine, "_PROCESSES", 1)
         with pytest.raises(error) as serial:
             [simulate_costs(problem, *r) for r in requests]
-        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # no request is held
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # no request is held
         forks.clear()
         dealt.clear()
         monkeypatch.setattr(engine, "_PROCESSES", processes)
@@ -1751,7 +1850,7 @@ def test_no_fan_out_where_blas_threads_cannot_be_pinned(monkeypatch):
     fan_out(monkeypatch, 2)
     monkeypatch.setattr(engine, "_BLAS_THREADS", None)
     forks = count_forks(monkeypatch)
-    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
     runs = [simulate_costs(problem, *r) for r in requests]
     batch = simulate_costs_batch(problem, requests)
     assert not forks

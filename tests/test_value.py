@@ -522,7 +522,7 @@ def test_policy_iteration_points_own_disjoint_rows_of_one_row_request(
                                                      n_steps=20))
     (t, n_all, n_steps, seed, label), = requests
     assert (t, n_all) == (0.3, 2 * n_paths)
-    assert seed == (5 * 1000003) & 0x7FFFFFFF
+    assert (seed, label) == (5, "policy_iteration")
     for j, x in enumerate(x_grid):
         direct = cost_samples(problem, t, x, zero_policy(problem), n_all,
                               n_steps, seed, label)
@@ -554,7 +554,7 @@ def _pi_digest(res):
     return h.hexdigest()
 
 
-PI_DIGEST = "77f1f18aaafbfade9f11ee949e4483e32122d6a671f5019d474a420e6d2f796f"
+PI_DIGEST = "75abda67dc47b613e70d9c5fb25f324744d72ed97fc89fac3874e11a1a47f1a2"
 
 
 def test_policy_iteration_output_bits_are_pinned():
@@ -578,32 +578,29 @@ def count_forks(monkeypatch):
 
 def test_policy_iteration_rows_as_fan_out_items_keep_the_pinned_bits(
         monkeypatch):
-    # each round's three rows of 120 paths, too few to cut, are the pieces
-    # of one fan-out, the first here; the increment memo ends on the block
-    # of the serial loop's last request, which a child drew
+    # each round's three rows are consecutive requests on one noise request
+    # of 120 paths, one 64-row slab: one piece of the fan-out, which no
+    # process count cuts, so every round runs here, on the block of the
+    # serial loop
     _pi_three_rows()
     serial_last = increment_memo.request
     forks = count_forks(monkeypatch)
     monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
     for processes in (2, 3):
-        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the memo moves on
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the memo moves on
         monkeypatch.setattr(engine, "_PROCESSES", processes)
         forks.clear()
         res = _pi_three_rows()
         assert res.rounds_run == PI_BITS_ROUNDS
         assert _pi_digest(res) == PI_DIGEST
         assert increment_memo.request == serial_last
-        # a child per process beyond this one, each round; no process's
-        # rows fork further
-        assert len(forks) == PI_BITS_ROUNDS * (processes - 1)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert not forks
 
 
 def test_policy_iteration_rows_cut_across_processes_keep_the_serial_bits(
         monkeypatch):
-    # rows of 200 paths: two processes cut the middle row of each round, and
-    # three cut it from the second round on, when the first row is held
+    # a round's rows are one unit on one block of 200 paths, three 64-row
+    # slabs: two processes cut it once and three twice, every round
     problem, _ = build_lq_benchmark()
     cfg = PolicyIterationConfig(paths_per_point=100, n_steps=20,
                                 tol_abs=0.0, tol_rel=0.0)
@@ -618,7 +615,7 @@ def test_policy_iteration_rows_cut_across_processes_keep_the_serial_bits(
     forks = count_forks(monkeypatch)
     monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
     for processes in (2, 3):
-        gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the memo moves on
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the memo moves on
         monkeypatch.setattr(engine, "_PROCESSES", processes)
         forks.clear()
         assert _pi_digest(run()) == serial
@@ -629,13 +626,40 @@ def test_policy_iteration_rows_cut_across_processes_keep_the_serial_bits(
 
 
 def test_policy_iteration_rounds_start_on_the_held_block():
-    # rows alternate direction each round, so every round after the first
-    # begins on the row the last one ended with and reuses its block
-    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # the next request misses
-    misses = increment_memo.misses
+    # every row of every round makes one noise request, so the first row of
+    # the first round draws the block and every later row reads it
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
+    hits, misses = increment_memo.hits, increment_memo.misses
     res = _pi_three_rows()
-    n_rows = len(PI_BITS_T)
-    assert increment_memo.misses - misses == n_rows + (n_rows - 1) * (res.rounds_run - 1)
+    assert increment_memo.misses - misses == 1
+    assert increment_memo.hits - hits == len(PI_BITS_T) * res.rounds_run - 1
+
+
+def test_policy_iteration_at_benchmark_sizes_draws_one_block_at_any_process_count(
+        monkeypatch):
+    # the oracle_lq benchmark's policy iteration: one increment miss per
+    # call and the same output bits serially and with every round cut
+    # across two and three processes
+    problem, _ = build_lq_benchmark()
+    cfg = PolicyIterationConfig(paths_per_point=1000, n_steps=120)
+    x_grid = np.array([[-2.0], [-1.5], [0.5], [1.0], [2.0]])
+    forks, digests = count_forks(monkeypatch), []
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    for processes in (1, 2, 3):
+        if processes > 1:
+            monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
+            monkeypatch.setattr(engine, "_PROCESSES", processes)
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
+        misses = increment_memo.misses
+        forks.clear()
+        res = policy_iteration(problem, (0.0, 0.4, 0.8), x_grid, n_rounds=6,
+                               cfg=cfg, seed=5)
+        assert increment_memo.misses - misses == 1
+        assert len(forks) == res.rounds_run * (processes - 1)
+        digests.append(_pi_digest(res))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert digests[1] == digests[2] == digests[0]
 
 
 # --- shared increments -------------------------------------------------------------
@@ -685,7 +709,7 @@ LOOP_CONTESTANTS = {"_family_loop": 4, "_truncation_loop": 7,
                                   _midpoint_loop])
 def test_contestant_loop_generates_one_block(loop, contestants_run):
     problem, _ = build_lq_benchmark()
-    gaussian_increments(0, "unrelated", 1, 1, 1, 1.0)  # a fresh request next
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # a fresh request next
     misses = increment_memo.misses
     loop(problem, np.array([1.0]))
     assert increment_memo.misses == misses + 1
