@@ -166,10 +166,11 @@ _DIVERGENCE_LIMIT = 1e8
 # tile but the last keeps; the module docstring says why
 _TILE_BYTES = 256 * 1024
 _TILE_ALIGN = 64
-# steps of increments the step loop scales by sqrt(dt) at a time: one
-# product per step pays numpy's fixed cost each step, a whole tile's would
-# double its noise memory
-_SCALE_STEPS = 16
+# bytes of increments the step loop scales by sqrt(dt) at a time, in whole
+# steps, one at least: a product per step pays numpy's fixed cost every step
+# of a small tile (2.5% of run-all on reaction_diffusion), and a larger
+# chunk adds its size to a large run's peak memory
+_SCALE_BYTES = 16 * 1024
 # processes a call may use, and the work that buys it one forked child: a
 # call whose requests hold W of work (paths x steps x (contestants x dim +
 # noise dimensions), a draw counted as one element-step though it costs a
@@ -531,6 +532,7 @@ def _run(problem, request, out, dw, lo, hi):
             shared_vals = np.stack([v for _, v in shared])[:, :, None]
         Af = A.reshape(n_c * rows, q)
         dw_rows = dw[lo:hi]
+        chunk = max(1, _SCALE_BYTES // max(1, dw_rows[:, 0].nbytes))
         if costs is not None:
             acc = np.zeros(n_c * rows)
         if states is not None:
@@ -546,11 +548,11 @@ def _run(problem, request, out, dw, lo, hi):
             norm = h_norm(problem.space, X)
 
         for k in range(n_steps):
-            if k % _SCALE_STEPS == 0:
+            if k % chunk == 0:
                 # the next steps' increments: standard normals times
                 # sqrt(dt), the product a block drawn at dt would hold
-                dw_steps = dw_rows[:, k:k + _SCALE_STEPS] * sqrt_dt
-            dw_k = dw_steps[:, k % _SCALE_STEPS]
+                dw_steps = dw_rows[:, k:k + chunk] * sqrt_dt
+            dw_k = dw_steps[:, k % chunk]
             s = grid[k]
             for first, stop, ctl in policies:
                 a = A[first:stop]
