@@ -168,9 +168,10 @@ _TILE_BYTES = 256 * 1024
 _TILE_ALIGN = 64
 # bytes of increments the step loop scales by sqrt(dt) at a time, in whole
 # steps, one at least: a product per step pays numpy's fixed cost every step
-# of a small tile (2.5% of run-all on reaction_diffusion), and a larger
-# chunk adds its size to a large run's peak memory
-_SCALE_BYTES = 16 * 1024
+# of a small tile (2.5% of run-all on reaction_diffusion), and a chunk past
+# glibc's 128 KB mmap threshold (16 steps of a 1536-row delay-lift tile)
+# added its size to the run's peak memory
+_SCALE_BYTES = 64 * 1024
 # processes a call may use, and the work that buys it one forked child: a
 # call whose requests hold W of work (paths x steps x (contestants x dim +
 # noise dimensions), a draw counted as one element-step though it costs a
@@ -727,8 +728,10 @@ def simulate_ensemble(
     """Simulate n_paths trajectories with full state recording.
 
     Runs that make the same (seed, stream_label, n_paths, n_steps) request
-    share one noise realization per path index, so differences between them
-    are purely drift and initial-condition effects. Lists of initial states
+    share one noise realization per path index, so differences between runs
+    from one start time are purely drift and initial-condition effects; from
+    another start time the same standard normals are scaled by that run's
+    own sqrt(dt). Lists of initial states
     and controls, x[i] with control[i], are contestants on one such request:
     they advance together and a list of records comes back, in their order.
     """
