@@ -32,13 +32,8 @@ n_steps, n_w), in one call or several, and so get the same bits. The last
 block made is kept and a repeat of the same request gets that array back;
 blocks are handed out read-only, so no caller can change what the next one
 receives. Only one block is held: a second would cost as much memory as the
-first. A block that has to be built again costs its draws alone: the
-per-path keys of the last few (seed, stream_label, n_paths) requests are
-held too (seeds.path_keys), so a request that differs from an earlier one
-only in n_steps or n_w, or comes back after another, derives no key. The
-memo and the key cache only decide how often a block or its keys are built,
-never what they hold; increment_memo and seeds.path_key_cache count their
-hits and misses.
+first. The memo only decides how often a block is built, never what it
+holds; increment_memo counts its hits and misses.
 
 Every callback, model and feedback alike, is row-wise: row k of its output
 depends on row k of its input alone, with the same bits at any row offset
@@ -84,40 +79,39 @@ One loop, `_run`, advances every run, a single contestant being the C = 1
 case, over its problem's window [t, horizon] in n_steps equal steps, on a
 range of its paths, with groups and tiles sized by that range's rows; a
 shorter window is a run of the problem with a shorter horizon. `_simulate`
-runs a list of requests in order and returns one record per contestant,
-`PathEnsemble`: the time grid and terminal states always, and states,
-per-path costs, control traces or sup norms when they were asked for.
-simulate_ensemble (states) and simulate_costs (costs, optionally controls)
-hand it one request and simulate_costs_batch several; a request's records
+runs a list of requests that make one noise request, in order, and returns
+one record per contestant, `PathEnsemble`: the time grid and terminal
+states always, and states, per-path costs, control traces or sup norms when
+they were asked for. simulate_ensemble (states) and simulate_costs (costs,
+optionally controls) hand it one request, and simulate_costs_batch each run
+of consecutive requests on one noise request, in turn; a request's records
 come back as one record, or a list for lists of states and controls; a
 single path is path 0 of a one-path ensemble.
 
-`_simulate` is also the one fan-out. When this process has more than one
-CPU and a call's work, paths x steps x (contestants x dim + noise
-dimensions) over its requests, reaches 2 M, it forks a child for each full
-2 M, at most one process per CPU and per 64-row slab: processes, since once
-the callbacks' sums are short the step loop is bound by the interpreter
-lock. First this process walks the requests through increment_memo and
-seeds.path_key_cache as the serial loop would, so the counts are that
-loop's, and derives the keys of each block to draw. The unit of work is a
-piece (request, lo, hi): _deal cuts the requests, in order, into contiguous
-shares of equal work, a path weighing its element-steps plus its draws
-unless the memo holds its block, and a request on a share boundary is cut
-at a row a multiple of 64 after its first, which the tile rules make as
-safe as any tiling. Each process, this one taking the first share, runs
-every contestant of a piece on its rows, read from the held block or drawn
-from the keys into a block in anonymous shared memory (consecutive requests
-on one noise request share it), and writes its rows of every output there.
-This process lets a block go after its last piece here, but for the last
-request's, which the memo then holds. OpenBLAS is pinned to one thread in
-every process meanwhile, and nothing fans out where it cannot be pinned, or
-inside a fan-out. A child always leaves with os._exit, and every child is
-reaped before the call returns. If any process fails (an error, a
-divergence, a child killed by a signal), the counts go back to where the
-walk began and the requests run here as the serial loop, so the caller gets
-its result or error; the held block may be gone and be drawn again.
-Callbacks must be pure: what one sets in a child is lost with it, and a
-warning raised there reaches only the child's stderr.
+`_simulate` is also the one fan-out, and its unit is that one noise
+request. When this process has more than one CPU and the call's work
+reaches 2 M, it forks a child for each full 2 M, at most one process per
+CPU and per 64-row slab: processes, since once the callbacks' sums are
+short the step loop is bound by the interpreter lock. The work is exactly
+what the processes do: paths x steps x (dim x the contestants of every
+request, plus the noise dimensions unless the memo holds the block). First
+this process looks the block up in increment_memo once per request, as the
+serial loop would, so the counts are that loop's; a missed block gets its
+keys derived here and is made in anonymous shared memory, which the memo
+holds from then on. Rows 0:P are cut into shares of equal rows, and so of
+equal work, each cut at the 64-row slab boundary nearest its even split,
+which the tile rules make as safe as any tiling. Each process, this one
+taking the first share, draws its rows of the block unless the memo held
+it, runs every request on them and writes its rows of every output there.
+OpenBLAS is pinned to one thread in every process meanwhile, and nothing
+fans out where it cannot be pinned, or inside a fan-out. A child always
+leaves with os._exit, and every child is reaped before the call returns.
+If any process fails (an error, a divergence, a child killed by a signal),
+the counts go back to where the look-ups began, a block drawn in part is
+let go while a block held before the call stays held, and the requests run
+here as the serial loop, so the caller gets its result or error and the
+serial loop's counts. Callbacks must be pure: what one sets in a child is
+lost with it, and a warning raised there reaches only the child's stderr.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
@@ -131,7 +125,6 @@ as calling running_cost at both ends, which is what a problem without a
 separated cost does.
 """
 
-import bisect
 import ctypes
 import itertools
 import math
@@ -139,11 +132,10 @@ import mmap
 import os
 import signal
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import seeds
 from .controls import signal_values
 from .hilbert import h_norm, semigroup_matrix
 from .report import PASS, FAIL, DiagnosticReport
@@ -174,13 +166,14 @@ _TILE_ALIGN = 64
 _SCALE_BYTES = 64 * 1024
 # processes a call may use, and the work that buys it one forked child: a
 # call whose requests hold W of work (paths x steps x (contestants x dim +
-# noise dimensions), a draw counted as one element-step though it costs a
-# few: about 50 ns, so 2 M draws take about 0.1 s) forks W // _FORK_MIN_WORK
-# children, within its CPUs and 64-row slabs, and _deal gives each process an
-# equal share. Forking a child of an 80 MB process and reaping it costs this
-# process 1-4 ms on a 2-core host; the step loop does 30-130 element-steps
-# per microsecond, so 2 M element-steps take 15-65 ms, and the half of them
-# that a child takes over saves several times what it costs
+# noise dimensions unless the block is held), a draw counted as one
+# element-step though it costs a few: about 50 ns, so 2 M draws take about
+# 0.1 s) forks W // _FORK_MIN_WORK children, within its CPUs and 64-row
+# slabs, and _deal gives each process an equal share. Forking a child of an
+# 80 MB process and reaping it costs this process 1-4 ms on a 2-core host;
+# the step loop does 30-130 element-steps per microsecond, so 2 M
+# element-steps take 15-65 ms, and the half of them that a child takes over
+# saves several times what it costs
 _PROCESSES = (len(os.sched_getaffinity(0))
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
 _FORK_MIN_WORK = 2_000_000
@@ -237,6 +230,28 @@ class PathEnsemble:
     sup_norm: Optional[np.ndarray] = None        # (P,) max over steps of ||X||_H
 
 
+class _Noise(NamedTuple):
+    """A noise request: gaussian_increments' arguments, and so the key
+    increment_memo holds; equal to the plain tuple of them."""
+
+    master_seed: int
+    label: str
+    n_paths: int
+    n_steps: int
+    n_w: int
+
+
+class _Prepared(NamedTuple):
+    """A checked request, as _prepare returns it."""
+
+    noise: _Noise
+    dt: float
+    grid: np.ndarray            # (M+1,) time grid
+    inits: list                 # per contestant, (N,) or (P, N)
+    controls: list              # per contestant, _prepare_control's pair
+    E: np.ndarray               # semigroup matrix for dt
+
+
 class _LastBlock:
     """The increment block handed out last, its request, and hit/miss counts."""
 
@@ -256,10 +271,10 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w) -> np.ndarray
     runs that differ only in dt share the block.
 
     A repeat of the previous request returns the same array again; a block
-    built anew takes its path keys from seeds.path_keys and is drawn here,
-    in this process.
+    built anew is drawn here, in this process, on the path keys that
+    seeds.path_keys derives.
     """
-    request = (master_seed, label, n_paths, n_steps, n_w)
+    request = _Noise(master_seed, label, n_paths, n_steps, n_w)
     block, keys = _look_up(request)
     if block is None:
         block = np.empty((n_paths, n_steps, n_w))
@@ -279,7 +294,7 @@ def _look_up(request):
         return memo.block, None
     memo.misses += 1
     memo.request = memo.block = None
-    return None, path_keys(*request[:3])
+    return None, path_keys(request.master_seed, request.label, request.n_paths)
 
 
 def _draw(out, keys, lo, hi):
@@ -334,19 +349,18 @@ def _prepare(problem, t, x, control, n_paths, n_steps, master_seed, stream_label
             raise ValueError(f"initial state must be ({n},) or ({n_paths}, {n})")
         inits.append(x0)
         controls.append(_prepare_control(problem, ctl, grid[:-1], n_paths))
-    noise = (master_seed, stream_label, n_paths, n_steps, problem.noise_dim)
-    return noise, dt, grid, inits, controls, semigroup_matrix(problem.op, dt)
+    noise = _Noise(master_seed, stream_label, n_paths, n_steps, problem.noise_dim)
+    return _Prepared(noise, dt, grid, inits, controls, semigroup_matrix(problem.op, dt))
 
 
 def _record_shapes(problem, request, fields):
     """The stacked (contestants, paths, ...) shape of each PathEnsemble field
     of a prepared request after the time grid, in order: the terminal states
     always, the others when fields names them, else None."""
-    noise, _, _, inits = request[:4]
-    n, q, m = problem.dim, problem.control_spec.dim, noise[3]
+    n, q, m = problem.dim, problem.control_spec.dim, request.noise.n_steps
     tails = {"terminal_states": (n,), "states": (m + 1, n), "costs": (),
              "control_traces": (m, q), "sup_norm": ()}
-    return {f: (len(inits), noise[2]) + tail
+    return {f: (len(request.inits), request.noise.n_paths) + tail
             if f == "terminal_states" or f in fields else None
             for f, tail in tails.items()}
 
@@ -354,8 +368,8 @@ def _record_shapes(problem, request, fields):
 def _records(request, out):
     """One PathEnsemble per contestant of a prepared request, each holding
     its slices of the stacked outputs out."""
-    return [PathEnsemble(request[2], *(None if a is None else a[c] for a in out.values()))
-            for c in range(len(request[3]))]
+    return [PathEnsemble(request.grid, *(None if a is None else a[c] for a in out.values()))
+            for c in range(len(request.inits))]
 
 
 def _tile_bounds(n_paths, n):
@@ -386,55 +400,21 @@ def _process_count(work):
     return min(_PROCESSES, 1 + work // _FORK_MIN_WORK)
 
 
-def _deal(items, n_procs):
-    """items, each (lo, hi, work per row), in at most n_procs contiguous
-    shares of about equal work; a share is a list of (index, lo, hi) row
-    ranges of the items, in order.
-
-    An item is made of slabs of 64 rows, its last slab taking the rest, so
-    it has one at least. Each share boundary lies between the two slabs
-    nearest its even split of the total work, so an item that straddles it
-    is cut at lo plus a multiple of 64, with 64 rows or more on each side,
-    and every share holds a slab or more.
-    """
-    slabs = [max(1, (hi - lo) // _TILE_ALIGN) for lo, hi, _ in items]
-    firsts = list(itertools.accumulate(slabs, initial=0))
-    starts = list(itertools.accumulate(((hi - lo) * w for lo, hi, w in items),
-                                       initial=0))
-    n_procs = min(n_procs, firsts[-1])
-
-    def row(i, k):
-        """The first row of slab k of item i, or its end for k = slabs[i]."""
-        lo, hi, _ = items[i]
-        return hi if k == slabs[i] else lo + k * _TILE_ALIGN
-
-    def work_before(b):
-        """The work of the first b slabs."""
-        i = bisect.bisect_right(firsts, b) - 1
-        if i == len(items):
-            return starts[-1]
-        lo, _, w = items[i]
-        return starts[i] + (row(i, b - firsts[i]) - lo) * w
-
+def _deal(n_paths, n_procs):
+    """(lo, hi) bounds of at most n_procs contiguous shares of rows
+    0:n_paths, of about equal rows. The rows are slabs of 64, the last slab
+    taking the rest; each cut lies at the slab boundary nearest its even
+    split, the lower one on a tie, and every share holds a slab or more."""
+    slabs = max(1, n_paths // _TILE_ALIGN)
+    n_procs = min(n_procs, slabs)
     bounds = [0]
     for s in range(1, n_procs):
-        target = starts[-1] * s / n_procs
-        b = bisect.bisect_left(range(firsts[-1] + 1), target, key=work_before)
-        if b > 0 and target - work_before(b - 1) <= work_before(b) - target:
-            b -= 1
+        # ceil(split / 64 - 1/2), in integers: the nearest slab boundary
+        k = -((_TILE_ALIGN * n_procs - 2 * n_paths * s) // (2 * _TILE_ALIGN * n_procs))
         # one slab at least for this share and for each one after it
-        bounds.append(min(max(b, bounds[-1] + 1), firsts[-1] - (n_procs - s)))
-    bounds.append(firsts[-1])
-
-    shares = []
-    for b0, b1 in zip(bounds, bounds[1:]):
-        i, share = bisect.bisect_right(firsts, b0) - 1, []
-        while firsts[i] < b1:
-            share.append((i, row(i, max(b0 - firsts[i], 0)),
-                          row(i, min(b1 - firsts[i], slabs[i]))))
-            i += 1
-        shares.append(share)
-    return shares
+        k = min(max(k, bounds[-1] // _TILE_ALIGN + 1), slabs - (n_procs - s))
+        bounds.append(_TILE_ALIGN * k)
+    return list(zip(bounds, bounds[1:] + [n_paths]))
 
 
 def _shared_empty(shape):
@@ -448,9 +428,9 @@ def _shared_empty(shape):
 
 
 def _run_forked(shares, advance):
-    """advance(*item) for the items of shares[0] here and of each later share
-    in a forked child, with BLAS on one thread and no nested fan-out; True
-    when every process finished all its items."""
+    """advance(*shares[0]) here and advance(*share) for each later share in
+    a forked child, with BLAS on one thread and no nested fan-out; True when
+    every process finished its share."""
     global _fanning_out
     get_threads, set_threads = _BLAS_THREADS
     threads = get_threads()
@@ -464,14 +444,12 @@ def _run_forked(shares, advance):
             if pid == 0:
                 code = 1
                 try:
-                    for item in share:
-                        advance(*item)
+                    advance(*share)
                     code = 0
                 finally:
                     os._exit(code)
             children.append(pid)
-        for item in shares[0]:
-            advance(*item)
+        advance(*shares[0])
         done = True
     except Exception:
         # whatever failed here, the caller's serial rerun raises it again
@@ -493,8 +471,8 @@ def _run(problem, request, out, dw, lo, hi):
     the block dw of standard normals, and write their rows of the stacked
     outputs out; the single step loop, which never forks. Groups and tiles
     are sized by the hi - lo rows, and the tiles start at lo."""
-    noise, dt, grid, inits, controls, E = request
-    n_steps, sqrt_dt = noise[3], math.sqrt(dt)
+    dt, grid, inits, controls = request.dt, request.grid, request.inits, request.controls
+    E, n_steps, sqrt_dt = request.E, request.noise.n_steps, math.sqrt(dt)
     n, q = problem.dim, problem.control_spec.dim
     box = problem.control_spec.box
     e_is_identity = np.array_equal(E, np.eye(n))
@@ -639,15 +617,18 @@ def _run(problem, request, out, dw, lo, hi):
 
 def _simulate(problem, requests, fields):
     """The records of requests (t, x, control, n_paths, n_steps, master_seed,
-    stream_label), in order, with the bits, error and memo counts of the
-    serial loop at the end: per request a PathEnsemble holding the time
-    grid, terminal states and the fields named in fields, or a list of them
-    for lists of states and controls. The one fan-out of the package (see
-    the module docstring)."""
-    memo, cache = increment_memo, seeds.path_key_cache
-    n, n_w = problem.dim, problem.noise_dim
-    procs = _process_count(sum(p * m * ((len(c) if isinstance(c, list) else 1) * n + n_w)
-                               for _, _, c, p, m, _, _ in requests))
+    stream_label) that make one noise request, in order, with the bits,
+    error and memo counts of the serial loop at the end: per request a
+    PathEnsemble holding the time grid, terminal states and the fields named
+    in fields, or a list of them for lists of states and controls. The one
+    fan-out of the package (see the module docstring)."""
+    memo = increment_memo
+    _, _, _, n_paths, n_steps, seed, label = requests[0]
+    noise = _Noise(seed, label, n_paths, n_steps, problem.noise_dim)
+    contestants = sum(len(c) if isinstance(c, list) else 1 for _, _, c, *_ in requests)
+    # a path's work: its element-steps, and its draws unless the block is held
+    procs = _process_count(n_paths * n_steps * (
+        contestants * problem.dim + (memo.request != noise) * noise.n_w))
     try:
         # a request that fails its checks goes to the serial loop, which
         # raises that error once the requests before it have run
@@ -656,53 +637,37 @@ def _simulate(problem, requests, fields):
         prepared = None
     runs = None
     if prepared is not None:
-        saved = (memo.hits, memo.misses, cache.hits, cache.misses, dict(cache.entries))
-        # the serial loop's noise bookkeeping, in its order; a unit is a run
-        # of consecutive requests on one noise request, which share a block
-        units, blocks = [], []
-        for i, request in enumerate(prepared):
-            noise = request[0]
-            block, keys = _look_up(noise)
-            if units and units[-1][0] == noise:
-                units[-1][2].append(i)
-                continue
-            if block is None:
-                # held from here on, as in the serial loop; its pieces draw it
-                block = _shared_empty(noise[2:])
-                memo.request, memo.block = noise, block
-            units.append((noise, keys, [i]))
-            blocks.append(block)
-        # a path's work: its element-steps, and its draws unless held
-        shares = _deal([(0, noise[2], noise[3] * (
-            n * sum(len(prepared[i][3]) for i in idx) + (keys is not None) * n_w))
-            for noise, keys, idx in units], procs)
+        saved = memo.hits, memo.misses
+        # the serial loop's look-ups: the first may miss, and the others hit
+        # the block it then holds, here drawn by the processes' shares
+        block, keys = _look_up(noise)
+        if block is None:
+            block = _shared_empty((n_paths, n_steps, noise.n_w))
+            memo.request, memo.block = noise, block
+        for _ in requests[1:]:
+            _look_up(noise)
         outputs = [{f: None if s is None else _shared_empty(s)
                     for f, s in _record_shapes(problem, r, fields).items()}
                    for r in prepared]
-        last = len(units) - 1
 
-        def advance(u, lo, hi):
-            (noise, keys, idx), block = units[u], blocks[u]
+        def advance(lo, hi):
             if keys is not None:
                 _draw(block, keys, lo, hi)
-            for i in idx:
-                _run(problem, prepared[i], outputs[i], block, lo, hi)
-            if u != last:
-                # a share holds one piece of a unit at most: let its block go
-                blocks[u] = None
+            for r, out in zip(prepared, outputs):
+                _run(problem, r, out, block, lo, hi)
 
         done = False
         try:
-            done = _run_forked(shares, advance)
+            done = _run_forked(_deal(n_paths, procs), advance)
         finally:
             if not done:
-                # the serial loop reruns from where the walk began, on the
-                # block held then unless this process has let it go
-                memo.hits, memo.misses, cache.hits, cache.misses, cache.entries = saved
-                held = units[0][1] is None and blocks[0] is not None
-                memo.request, memo.block = (units[0][0], blocks[0]) if held else (None, None)
+                # the serial loop reruns from where the look-ups began, on
+                # the block held then; a block drawn in part is let go
+                memo.hits, memo.misses = saved
+                if keys is not None:
+                    memo.request = memo.block = None
         if done:
-            blocks[last].flags.writeable = False
+            block.flags.writeable = False
             runs = [_records(r, out) for r, out in zip(prepared, outputs)]
     if runs is None:
         runs = []
@@ -710,7 +675,8 @@ def _simulate(problem, requests, fields):
             request = _prepare(problem, *r)
             out = {f: None if s is None else np.empty(s)
                    for f, s in _record_shapes(problem, request, fields).items()}
-            _run(problem, request, out, gaussian_increments(*request[0]), 0, request[0][2])
+            _run(problem, request, out, gaussian_increments(*request.noise), 0,
+                 request.noise.n_paths)
             runs.append(_records(request, out))
     return [rec if isinstance(r[2], list) else rec[0] for rec, r in zip(runs, requests)]
 
@@ -768,12 +734,16 @@ def simulate_costs_batch(problem, requests):
     independent requests r = (t, x, control, n_paths, n_steps, seed,
     stream_label), with the serial loop's memo counts and error.
 
-    The requests go to the engine's fan-out together, so a call too small to
-    fork on its own can share a fork with the others, and each process gets
-    an equal share of their work, a request on a share boundary cut at a
-    64-aligned path (see the module docstring).
+    Each run of consecutive requests that make one noise request (seed,
+    stream_label, n_paths, n_steps) goes to the engine's fan-out together,
+    in turn, so requests too small to fork on their own can share a fork,
+    and each process gets an equal share of their rows (see the module
+    docstring).
     """
-    return _simulate(problem, requests, ("costs",))
+    runs = []
+    for _, group in itertools.groupby(requests, key=lambda r: (r[5], r[6], r[3], r[4])):
+        runs += _simulate(problem, list(group), ("costs",))
+    return runs
 
 
 def moment_bound_check(

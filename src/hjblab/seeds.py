@@ -10,10 +10,8 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "stream", "path_keys", "path_key_cache", "path_streams"]
+__all__ = ["derive_seed", "stream", "path_keys", "path_streams"]
 
-# requests whose keys path_keys holds; one entry is 8 bytes per path
-_KEY_CACHE_SIZE = 4
 # path_streams turns this many keys at a time into Python ints
 _KEY_CHUNK = 1024
 
@@ -36,49 +34,24 @@ def stream(master_seed: int, stream_label: str, index: int = 0) -> np.random.Gen
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _KeyCache:
-    """The keys of the last few path_keys requests, newest last, and
-    hit/miss counts."""
-
-    def __init__(self, size):
-        self.size = size
-        self.entries = {}
-        self.hits = 0
-        self.misses = 0
-
-
-path_key_cache = _KeyCache(_KEY_CACHE_SIZE)
-
-
 def path_keys(master_seed: int, stream_label: str, n: int) -> np.ndarray:
     """derive_seed(master_seed, stream_label, k) for k < n, as read-only uint64.
 
-    The keys of the last few requests are held, so a repeat costs no hash.
-    Fresh keys hash the shared prefix "master_seed:stream_label:" once and a
-    copy of that state takes each index: the same SHA-256 input, so the same
-    keys as derive_seed.
+    The shared prefix "master_seed:stream_label:" is hashed once and a copy
+    of that state takes each index: the same SHA-256 input, so the same keys
+    as derive_seed. Each call derives its keys anew and holds none.
     """
-    cache = path_key_cache
-    request = (int(master_seed), stream_label, int(n))
-    keys = cache.entries.pop(request, None)
-    if keys is not None:
-        cache.hits += 1
-    else:
-        cache.misses += 1
-        if len(cache.entries) >= cache.size:
-            del cache.entries[next(iter(cache.entries))]
-        copy = hashlib.sha256(f"{request[0]}:{stream_label}:".encode("ascii")).copy
-        # each digest goes straight into place: a list of n digests would
-        # cost about 17 times the keys' own memory
-        raw = bytearray(8 * request[2])
-        view = memoryview(raw)
-        for k in range(request[2]):
-            h = copy()
-            h.update(b"%d" % k)
-            view[8 * k:8 * k + 8] = h.digest()[:8]
-        keys = np.frombuffer(raw, dtype="<u8")
-        keys.flags.writeable = False
-    cache.entries[request] = keys
+    copy = hashlib.sha256(f"{int(master_seed)}:{stream_label}:".encode("ascii")).copy
+    # each digest goes straight into place: a list of n digests would cost
+    # about 17 times the keys' own memory
+    raw = bytearray(8 * int(n))
+    view = memoryview(raw)
+    for k in range(int(n)):
+        h = copy()
+        h.update(b"%d" % k)
+        view[8 * k:8 * k + 8] = h.digest()[:8]
+    keys = np.frombuffer(raw, dtype="<u8")
+    keys.flags.writeable = False
     return keys
 
 

@@ -109,6 +109,73 @@ def test_processes_are_forked_in_one_place_only():
     assert not found, f"hjblab modules import threads or pools: {found}"
 
 
+# module-level names that a package function rebinds or stores into, each
+# with the reason the state is shared by every caller in the process
+DECLARED_MODULE_STATE = {
+    ("engine", "increment_memo"):
+        "the one held noise block, whose hits and misses the memo counts",
+    ("engine", "_fanning_out"):
+        "set while a fan-out runs, so that fan-outs do not nest",
+    ("hilbert", "_SEMIGROUP_CACHE"):
+        "semigroup matrices per operator and step, let go with the operator",
+}
+
+
+def _root_name(node):
+    """The name an attribute or subscript chain starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _mutated_module_state(name):
+    """(module, name) of each module-level name that a function of the
+    module rebinds through `global`, or stores into or deletes from, by an
+    attribute or subscript of the name itself or of a local bound to it."""
+    tree = _tree(name)
+    module_names = {t.id for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in ast.walk(node)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        aliases = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.update(n for n in node.names if n in module_names)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if (isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                            and len(target.elts) == len(node.value.elts)):
+                        pairs = zip(target.elts, node.value.elts)
+                    for t, v in pairs:
+                        if (isinstance(t, ast.Name) and isinstance(v, ast.Name)
+                                and v.id in module_names):
+                            aliases[t.id] = v.id
+        for node in ast.walk(fn):
+            if (isinstance(node, (ast.Attribute, ast.Subscript))
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                root = _root_name(node)
+                root = aliases.get(root, root)
+                if root in module_names:
+                    found.add(root)
+    return {(name, n) for n in found}
+
+
+def test_module_state_is_declared():
+    # state at module level is shared by every caller in the process, so one
+    # test can affect the next: each name a package function changes is
+    # declared here with its reason
+    mutated = set().union(*(_mutated_module_state(name) for name in MODULES))
+    assert mutated - set(DECLARED_MODULE_STATE) == set(), \
+        "module-level state that functions change and no stated reason keeps"
+    assert set(DECLARED_MODULE_STATE) - mutated == set(), \
+        "declared module state that no function changes"
+
+
 # public names that no src module uses, each with the reason it stays public
 UNREACHED_EXPORTS = {
     ("synthesis", "hamiltonian_min"):

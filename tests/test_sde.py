@@ -6,6 +6,7 @@ and then pinned.
 """
 
 import dataclasses
+import fractions
 import hashlib
 import itertools
 import math
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjblab import engine, seeds
+from hjblab import engine
 from hjblab.controls import (
     ConstantSignal,
     PiecewiseConstantSignal,
@@ -619,17 +620,16 @@ def test_grouped_contestants_match_their_own_runs_bitwise(
     elif n_paths == 150:
         assert groups == [(0, len(contestants))]
     # in one process, then across 2 and 3: the request, whose block the
-    # memo holds, in shares of equal work cut at 64-aligned paths, each
+    # memo holds, in shares of equal rows cut at 64-aligned paths, each
     # process running every group on its rows
     forks = count_forks(monkeypatch)
-    items = [(0, n_paths, len(contestants) * TILE_STEPS * problem.dim)]
     slabs = max(1, n_paths // 64)
     for processes in (1, 2, 3):
         fan_out(monkeypatch, processes)
         forks.clear()
-        shares = engine._deal(items, processes)
+        shares = engine._deal(n_paths, processes)
         assert len(shares) == min(processes, slabs)
-        assert_dealt(items, shares)
+        assert_dealt(n_paths, shares)
         together = run_contestants(problem, contestants, n_paths)
         assert len(forks) == len(shares) - 1
         assert_no_children()
@@ -835,58 +835,26 @@ def test_runs_below_the_fork_threshold_never_fork(monkeypatch):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
-def assert_dealt(items, shares):
-    """The shares of engine._deal(items, len(shares)) cover every item's rows
-    once, in order, none empty; each cut lies a multiple of 64 rows after its
-    item's start, with 64 rows or more on each side; and each share ends
-    within one 64-row slab of its even split of the total work, the split
-    falling in the slab just before or just after the share's end."""
-    assert all(shares)
-    pieces = [piece for share in shares for piece in share]
-    joined = [[i, lo, hi] for i, lo, hi in pieces[:1]]
-    for i, lo, hi in pieces[1:]:
-        if i == joined[-1][0]:
-            assert lo == joined[-1][2]
-            assert (lo - items[i][0]) % 64 == 0
-            assert lo - items[i][0] >= 64 and items[i][1] - lo >= 64
-            joined[-1][2] = hi
-        else:
-            joined.append([i, lo, hi])
-    assert [tuple(j) for j in joined] == [(i, lo, hi) for i, (lo, hi, _)
-                                          in enumerate(items)]
-    # the work before each slab boundary: 64-row slabs, an item's last one
-    # taking its rest
-    before = [0]
-    for lo, hi, w in items:
-        ends = list(range(lo + 64, hi - 63, 64)) + [hi]
-        before += [before[-1] + (end - lo) * w for end in ends]
-    done = 0
-    for s, share in enumerate(shares[:-1], 1):
-        done += sum((hi - lo) * items[i][2] for i, lo, hi in share)
-        b = before.index(done)
-        assert before[b - 1] <= before[-1] * s / len(shares) <= before[b + 1]
+def assert_dealt(n_paths, shares):
+    """The shares of engine._deal(n_paths, len(shares)) cover rows 0:n_paths
+    once, in order; the rows are 64-row slabs, the last taking their rest,
+    and each cut lies at the slab boundary nearest its even split, the lower
+    one on a tie, among those that leave every share a slab or more."""
+    assert [lo for lo, _ in shares] == [0] + [hi for _, hi in shares[:-1]]
+    assert shares[-1][1] == n_paths
+    boundaries = [64 * k for k in range(max(1, n_paths // 64))] + [n_paths]
+    for s, (lo, cut) in enumerate(shares[:-1], 1):
+        split = fractions.Fraction(n_paths * s, len(shares))
+        allowed = [b for b in boundaries[:len(boundaries) - len(shares) + s] if b > lo]
+        assert cut == min(allowed, key=lambda b: (abs(b - split), b))
 
 
-@given(n_contestants=st.integers(1, 9), per_group=st.integers(1, 5),
-       n_paths=st.integers(1, 3000), n=st.sampled_from([1, 3, 16, 21]),
-       steps=st.integers(1, 50),
-       tile_rows=st.sampled_from([64, 128, 192, 1024, 2048]),
-       processes=st.integers(2, 4))
+@given(n_paths=st.integers(1, 30000), processes=st.integers(2, 8))
 @settings(max_examples=300, deadline=None)
-def test_deal_cuts_equal_shares_at_64_aligned_rows(
-        n_contestants, per_group, n_paths, n, steps, tile_rows, processes):
-    # items of the rows and weights of (group, tile) ranges of a run at
-    # some tile and group budget
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_TILE_BYTES", 8 * n * tile_rows)
-        tiles = engine._tile_bounds(n_paths, n)
-        mp.setattr(engine, "_TILE_BYTES", 2 * 8 * n * n_paths * per_group)
-        groups = engine._group_bounds(n_contestants, n_paths, n)
-    items = [(lo, hi, (g1 - g0) * steps * n) for g0, g1 in groups for lo, hi in tiles]
-    shares = engine._deal(items, processes)
-    slabs = sum(max(1, (hi - lo) // 64) for lo, hi, _ in items)
-    assert len(shares) == min(processes, slabs)
-    assert_dealt(items, shares)
+def test_deal_cuts_equal_shares_at_64_aligned_rows(n_paths, processes):
+    shares = engine._deal(n_paths, processes)
+    assert len(shares) == min(processes, max(1, n_paths // 64))
+    assert_dealt(n_paths, shares)
 
 
 @pytest.mark.parametrize("rows, sizes", [
@@ -894,14 +862,19 @@ def test_deal_cuts_equal_shares_at_64_aligned_rows(
     (128, [64, 64]),
     (150, [64, 86]),
     (997, [512, 485]),
+    (5000, [2496, 2504]),
+    (5000, [1664, 1664, 1672]),
+    (20000, [9984, 10016]),
 ])
 def test_a_lone_item_is_cut_in_64_aligned_halves(rows, sizes):
-    shares = engine._deal([(0, rows, 3)], 2)
+    # the rows of one noise request, cut for as many processes as sizes
+    # has shares, or for two
+    shares = engine._deal(rows, len(sizes or [0, 0]))
     if sizes is None:
-        assert shares == [[(0, 0, rows)]]
+        assert shares == [(0, rows)]
     else:
-        assert [hi - lo for s in shares for _, lo, hi in s] == sizes
-        assert_dealt([(0, rows, 3)], shares)
+        assert [hi - lo for lo, hi in shares] == sizes
+        assert_dealt(rows, shares)
 
 
 def test_contestant_lists_must_pair_states_with_controls():
@@ -1298,13 +1271,11 @@ NOISE_BUILDERS = {1: lambda: scalar_problem(lambda x, a: -x, 0.3),
 
 
 def draw_requests(monkeypatch, n_paths, n_steps, n_w):
-    """On a fresh memo and key cache, three runs of a problem with n_w noise
-    dimensions: one that derives its keys, one that differs in n_steps alone
-    and reuses them, and a repeat of it. The block held after each, and the
-    (hits, misses) of the memo and of the key cache."""
+    """On a fresh memo, three runs of a problem with n_w noise dimensions:
+    one that draws its block, one that differs in n_steps alone and draws
+    another, and a repeat of it. The block held after each, and the memo's
+    (hits, misses)."""
     monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
-    monkeypatch.setattr(seeds, "path_key_cache",
-                        seeds._KeyCache(seeds.path_key_cache.size))
     problem = NOISE_BUILDERS[n_w]()
     x, control = np.full(problem.dim, 0.5), zero_signal(problem.control_spec.dim)
     blocks = []
@@ -1312,8 +1283,7 @@ def draw_requests(monkeypatch, n_paths, n_steps, n_w):
         simulate_costs(problem, 0.0, x, control, n_paths, n_steps=m, seed=11,
                        stream_label="fan")
         blocks.append(engine.increment_memo.block)
-    memo, cache = engine.increment_memo, seeds.path_key_cache
-    return blocks, ((memo.hits, memo.misses), (cache.hits, cache.misses))
+    return blocks, (engine.increment_memo.hits, engine.increment_memo.misses)
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3])
@@ -1322,7 +1292,7 @@ def draw_requests(monkeypatch, n_paths, n_steps, n_w):
 def test_increments_drawn_across_processes_equal_the_serial_block(
         monkeypatch, shape, processes):
     # each process of a run draws its rows of the block, from keys derived
-    # here; the memo and the key cache count as in the serial loop
+    # here; the memo counts as in the serial loop
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial, serial_counts = draw_requests(monkeypatch, *shape)
     assert serial[0].tobytes() == reference_increments(11, "fan", *shape).tobytes()
@@ -1333,7 +1303,7 @@ def test_increments_drawn_across_processes_equal_the_serial_block(
     # each of the three runs forks a child per process beyond this one, and
     # never more processes than 64-row slabs
     assert len(forks) == 3 * (min(processes, max(1, shape[0] // 64)) - 1)
-    assert counts == serial_counts == ((1, 2), (1, 1))
+    assert counts == serial_counts == (1, 2)
     assert fanned[2] is fanned[1]
     for want, got in zip(serial, fanned):
         assert got.tobytes() == want.tobytes()
@@ -1379,8 +1349,9 @@ def test_increment_blocks_below_the_fork_threshold_never_fork(monkeypatch):
     # gaussian_increments draws in this process alone, whatever the block:
     # the largest of policy iteration on lq (5000 x 120) and of run-all on
     # reaction_diffusion (2000 x 100 x 3) among them. A run's draws count
-    # toward its work: 200 paths of 10 steps on the scalar problem hold
-    # 200 x 10 x (1 + 1) = 4000, and fork from that threshold on
+    # toward its work when it draws its block: 200 paths of 10 steps on the
+    # scalar problem hold 200 x 10 x (1 + 1) = 4000, and fork from that
+    # threshold on
     fan_out(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     for shape in [(5000, 120, 1), (2000, 100, 3)]:
@@ -1389,10 +1360,34 @@ def test_increment_blocks_below_the_fork_threshold_never_fork(monkeypatch):
     problem = scalar_problem(lambda x, a: -x, 0.3)
     for threshold, n_forks in ((4001, 0), (4000, 1)):
         monkeypatch.setattr(engine, "_FORK_MIN_WORK", threshold)
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
         simulate_costs(problem, 0.0, np.array([0.5]), zero_signal(1), 200,
                        n_steps=10, seed=11)
         assert len(forks) == n_forks
     assert_no_children()
+
+
+def test_the_fork_decision_weighs_draws_only_when_the_block_is_drawn(monkeypatch):
+    # a threshold above a run's element-steps and within its element-steps
+    # plus draws: the run forks when it draws its block, and the same run on
+    # the block the memo then holds does not, with the same bits
+    problem = scalar_problem(lambda x, a: -x, 0.3)
+    n_paths, contestants = 300, 2
+    steps = n_paths * TILE_STEPS * contestants * problem.dim
+    assert problem.noise_dim >= 1
+    fan_out(monkeypatch, 2)
+    monkeypatch.setattr(engine, "_FORK_MIN_WORK", steps + 1)
+    forks = count_forks(monkeypatch)
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # the first run misses
+    runs = []
+    for n_forks in (1, 0):
+        forks.clear()
+        runs.append(simulate_costs(problem, 0.0, [np.array([0.5]), np.array([-0.5])],
+                                   [zero_signal(1)] * contestants, n_paths,
+                                   n_steps=TILE_STEPS, seed=3))
+        assert len(forks) == n_forks
+        assert_no_children()
+    assert cost_bits(runs[1]) == cost_bits(runs[0])
 
 
 @pytest.mark.parametrize("processes", [2, 3])
@@ -1528,21 +1523,22 @@ def pi_row_requests(problem):
 
 
 def spy_deal(monkeypatch):
-    """A list that gains the items and the shares of every engine._deal call
-    of this process."""
+    """A list that gains the rows, the process count and the shares of every
+    engine._deal call of this process."""
     dealt, deal = [], engine._deal
 
-    def spy(items, *args, **kwargs):
-        dealt.append((items, deal(items, *args, **kwargs)))
-        return dealt[-1][1]
+    def spy(n_paths, n_procs):
+        dealt.append((n_paths, n_procs, deal(n_paths, n_procs)))
+        return dealt[-1][2]
     monkeypatch.setattr(engine, "_deal", spy)
     return dealt
 
 
 def check_batch_against_serial(monkeypatch, problem, case, processes):
-    """Every request forks on its own; in a batch each process runs whole
-    requests and pieces of cut ones and forks no further, and each request's
-    records come back whole with their serial bits."""
+    """Every request forks on its own; a batch of requests on noise requests
+    of their own forks for each in turn, cut by its own rows, and no process
+    forks further; each request's records come back whole with their serial
+    bits."""
     requests = (batch_requests if case == "mixed" else pi_row_requests)(problem)
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial = [simulate_costs(problem, *r) for r in requests]
@@ -1559,27 +1555,18 @@ def check_batch_against_serial(monkeypatch, problem, case, processes):
         gaussian_increments(0, "unrelated", 1, 1, 1)
     else:
         # the first row's block is held, as in every policy-iteration round
-        # after the first, so the first request weighs less
+        # after the first: that row reads it and draws nothing
         simulate_costs(problem, *requests[0])
     forks[0] = 0
     dealt = spy_deal(monkeypatch)
     batch = simulate_costs_batch(problem, requests)
-    assert forks[0] == processes - 1
     assert_no_children()
-    # the batch's deal is the first in this process: a path's work is its
-    # element-steps and its draws, but for the held request, and two
-    # processes cut the middle of three equal rows
-    items, shares = dealt[0]
-    held = 1 if case == "pi_rows" else 0
-    assert [w for _, _, w in items] == [
-        (len(c) if isinstance(c, list) else 1) * m * problem.dim
-        + m * problem.noise_dim * (i >= held)
-        for i, (_, _, c, _, m, _, _) in enumerate(requests)]
-    cut = [i for share in shares for i, lo, hi in share if hi - lo < requests[i][3]]
-    if case == "pi_rows" and processes == 2:
-        assert cut == [1, 1]
-    elif case == "mixed":
-        assert cut
+    # one fan-out per request, in order, each cut into as many shares of its
+    # rows as the processes and its 64-row slabs allow
+    assert [(n, procs) for n, procs, _ in dealt] == [(r[3], processes) for r in requests]
+    assert [len(shares) for _, _, shares in dealt] == [
+        min(processes, r[3] // 64) for r in requests]
+    assert forks[0] == sum(len(shares) - 1 for _, _, shares in dealt)
     assert [isinstance(run, list) for run in batch] == (
         [True, False, False] if case == "mixed" else [True] * 3)
     assert cost_bits(batch) == cost_bits(serial)
@@ -1599,8 +1586,8 @@ BATCH_BUILDERS = pytest.mark.parametrize("builder", [
 @BATCH_BUILDERS
 def test_batch_runs_whole_requests_with_their_serial_bits(monkeypatch, builder,
                                                           processes):
-    # contestants, a lone control and per-path starts: a request on a share
-    # boundary is cut, and its records still come back whole
+    # contestants, a lone control and per-path starts: each request is cut
+    # by its rows, and its records still come back whole
     check_batch_against_serial(monkeypatch, builder(), "mixed", processes)
 
 
@@ -1608,45 +1595,50 @@ def test_batch_runs_whole_requests_with_their_serial_bits(monkeypatch, builder,
 @BATCH_BUILDERS
 def test_batch_cuts_policy_iteration_rows_with_their_serial_bits(
         monkeypatch, builder, processes):
-    # three equal rows, the first one's block held: two processes cut the
-    # middle row
+    # three rows, the first one's block held: every row is cut by its rows,
+    # the first drawing nothing
     check_batch_against_serial(monkeypatch, builder(), "pi_rows", processes)
 
 
 def test_a_partial_draw_holds_no_other_block(monkeypatch):
-    # this process lets a block go after its last piece here: when it draws
-    # its rows of the second request, the first request's block, which it
-    # read, is gone; a piece of a held request reads it, and draws nothing
+    # a batch's noise requests run in turn and this process holds one block
+    # at a time: when it draws its rows of a request's block, every block
+    # before it, which it read, is gone; a held request's block is read,
+    # and nothing is drawn
     problem = build_lq_benchmark(control_bound=0.6)[0]
     requests = pi_row_requests(problem)
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     serial = [simulate_costs(problem, *r) for r in requests]
-    # partial draws of this process and of the child, and those of this
-    # process made while the first request's block was still alive
+    # partial draws of this process and of the child, and the earlier
+    # blocks still alive at each partial draw of this process
     seen = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
-    parent, draw, first = os.getpid(), engine._draw, None
+    parent, draw, blocks = os.getpid(), engine._draw, []
 
     def spy(out, keys, lo, hi):
         if hi - lo < len(keys):
             seen[int(os.getpid() != parent)] += 1
-            seen[2] += os.getpid() == parent and first() is not None
+            if os.getpid() == parent:
+                seen[2] += sum(b() is not None for b in blocks)
+                blocks.append(weakref.ref(out))
         return draw(out, keys, lo, hi)
     monkeypatch.setattr(engine, "_draw", spy)
     fan_out(monkeypatch, 2)
     simulate_costs(problem, *requests[0])  # the first request's block is held
-    first = weakref.ref(increment_memo.block)
+    blocks.append(weakref.ref(increment_memo.block))
     seen[:] = 0
     batch = simulate_costs_batch(problem, requests)
-    assert seen.tolist() == [1, 1, 0]
+    # the first request reads the held block; each process draws its rows
+    # of the second's block and then of the third's
+    assert seen.tolist() == [2, 2, 0]
     assert cost_bits(batch) == cost_bits(serial)
     # the last request, held, cut in two: no draw
     last = simulate_costs_batch(problem, requests[-1:])
-    assert seen.tolist() == [1, 1, 0]
+    assert seen.tolist() == [2, 2, 0]
     assert cost_bits(last) == cost_bits(serial[-1:])
     # the first, not held, cut in two: each process draws its rows, and this
     # one then holds the block both drew, as after its serial run
     first = simulate_costs_batch(problem, requests[:1])
-    assert seen.tolist() == [2, 2, 0]
+    assert seen.tolist() == [3, 3, 0]
     assert cost_bits(first) == cost_bits(serial[:1])
     _, _, _, n_paths, n_steps, seed, label = requests[0]
     dw = reference_increments(seed, label, n_paths, n_steps, 1)
@@ -1686,10 +1678,8 @@ def test_a_cut_last_request_held_in_one_process_leaves_its_whole_block(
     dealt = spy_deal(monkeypatch)
     batch = simulate_costs_batch(problem, requests)
     assert_no_children()
-    (items, shares), = dealt
-    assert items == [(0, 300, (1 + 3) * TILE_STEPS * problem.dim
-                      + TILE_STEPS * problem.noise_dim)]
-    assert [len(share) for share in shares] == [1, 1]
+    # one fan-out, its 300 rows cut at the slab boundary nearest 150
+    assert dealt == [(300, 2, [(0, 128), (128, 300)])]
     assert draws.tolist() == [1, 1]
     assert (increment_memo.hits, increment_memo.misses) == (hits + 1, misses + 1)
     assert cost_bits(batch) == cost_bits(serial)
@@ -1729,86 +1719,92 @@ def counted_call(case):
 @pytest.mark.parametrize("case", ["policy_iteration", "sdde_block",
                                   "identical_batch"])
 def test_fanned_calls_count_as_the_serial_loop(monkeypatch, case):
-    # the memo and key-cache counts, the request the memo holds and its
-    # block's bits after a call forced across two processes are those of
-    # the serial loop, as are the call's output bits; each count is made in
-    # this process, before the fork
+    # the memo's counts, the request it holds and its block's bits after a
+    # call forced across two processes are those of the serial loop, as are
+    # the call's output bits; each count is made in this process, before
+    # the fork
     forks, results = count_forks(monkeypatch), []
     for processes in (1, 2):
         fan_out(monkeypatch, processes)
         monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
-        monkeypatch.setattr(seeds, "path_key_cache",
-                            seeds._KeyCache(seeds.path_key_cache.size))
         bits = counted_call(case)
-        memo, cache = engine.increment_memo, seeds.path_key_cache
-        results.append((bits, memo.hits, memo.misses, cache.hits, cache.misses,
-                        memo.request, memo.block.tobytes()))
+        memo = engine.increment_memo
+        results.append((bits, memo.hits, memo.misses, memo.request,
+                        memo.block.tobytes()))
         assert_no_children()
     assert forks
     assert results[1] == results[0]
 
 
-def failing_requests(kind):
-    """A problem and three requests: the first fails, and the last fails
-    otherwise, with another error, or diverges earlier."""
+def failing_problem(kind):
+    """A problem and three starts on it: one that fails, one that does not,
+    and one that fails otherwise, with another error, or diverges earlier."""
     if kind == "raises":
-        problem, starts = scalar_problem(refusing_drift, 0.1), (9.0, 0.5, 7.0)
-    else:
-        problem, starts = scalar_problem(lambda x, a: 5.0 * x, 0.0), (1e7, 1.0, 5e7)
-    return problem, [(0.0, np.array([s]), zero_signal(1), 150, 100, k, "paths")
-                     for k, s in enumerate(starts)]
+        return scalar_problem(refusing_drift, 0.1), (9.0, 0.5, 7.0)
+    return scalar_problem(lambda x, a: 5.0 * x, 0.0), (1e7, 1.0, 5e7)
 
 
-def cut_failing_requests(kind, processes, bad):
-    """A problem, five requests, and the one a batch on processes processes
-    cuts, whose paths bad fail and the others do not: of five equal
-    requests, two processes cut the third at path 64 and three cut the
-    second and the fourth there."""
-    problem, requests = failing_requests(kind)
-    cut = 2 if processes == 2 else 3
-    good, worse = requests[1][1][0], requests[0][1][0]
-    x = np.full((150, 1), good)
-    x[bad] = worse
-    requests = [(0.0, np.array([good]), zero_signal(1), 150, 100, k, "paths")
-                for k in range(5)]
-    requests[cut] = (0.0, x) + requests[cut][2:]
-    return problem, requests, cut
+def one_noise_requests(starts, n_paths):
+    """Requests of n_paths paths from starts, a number or per-path states
+    each, all on one noise request."""
+    return [(0.0, x if np.ndim(x) else np.array([x]), zero_signal(1), n_paths,
+             100, 0, "paths") for x in starts]
 
 
 @pytest.mark.parametrize("processes", [2, 3])
 @pytest.mark.parametrize("kind", ["raises", "diverges"])
 def test_batch_failure_in_a_childs_share_raises_the_serial_error(
         monkeypatch, kind, processes):
-    # the first request runs in a child and the last here; the serial loop
-    # raises the first request's error, and so must the batch. The batch
-    # fans out, and no request would on its own. Then a cut request fails
-    # in its first piece, in a child, or in its last, here
+    # the serial loop raises the first failing request's error, and so must
+    # a batch of requests on one noise request, which forks though no
+    # request would on its own: first where every path of the first request
+    # fails, then where one of five 200-path requests fails only on the rows
+    # of this process's share, or only on those of the last child's. The
+    # memo counts as the serial loop, whether the block was drawn or held
     error = ValueError if kind == "raises" else SimulationDivergenceError
-    cases = [failing_requests(kind) + (None,)] + [
-        cut_failing_requests(kind, processes, bad)
-        for bad in (slice(0, 64), slice(64, 150))]
+    problem, (worse, good, other) = failing_problem(kind)
+    cases = [(one_noise_requests((worse, good, other), 150), None)]
+    for bad in (slice(0, 64), slice(128, 200)):
+        x = np.full((200, 1), good)
+        x[bad] = worse
+        cases.append((one_noise_requests([good, good, x, good, good], 200), bad))
     forks, dealt = count_forks(monkeypatch), spy_deal(monkeypatch)
-    for problem, requests, cut in cases:
+
+    def failure(call):
+        """The error call raises, and the memo's (hits, misses) it made."""
+        hits, misses = increment_memo.hits, increment_memo.misses
+        with pytest.raises(error) as info:
+            call()
+        return info.value, (increment_memo.hits - hits, increment_memo.misses - misses)
+
+    for requests, bad in cases:
         monkeypatch.setattr(engine, "_PROCESSES", 1)
-        with pytest.raises(error) as serial:
-            [simulate_costs(problem, *r) for r in requests]
         gaussian_increments(0, "unrelated", 1, 1, 1)  # no request is held
-        forks.clear()
-        dealt.clear()
+        serial, drawn = failure(lambda: [simulate_costs(problem, *r) for r in requests])
+        _, held = failure(lambda: [simulate_costs(problem, *r) for r in requests])
+        gaussian_increments(0, "unrelated", 1, 1, 1)
         monkeypatch.setattr(engine, "_PROCESSES", processes)
         # just above one request's work, its element-steps and its draws
-        monkeypatch.setattr(engine, "_FORK_MIN_WORK", 2 * 150 * 100 + 1)
-        with pytest.raises(error) as batch:
-            simulate_costs_batch(problem, requests)
-        assert len(forks) == processes - 1
-        assert_no_children()
-        if cut is not None:
-            assert cut in [i for share in dealt[0][1] for i, lo, hi in share
-                           if hi - lo < 150]
-        assert str(batch.value) == str(serial.value)
-        if kind == "diverges":
-            assert (batch.value.step, batch.value.magnitude) == (
-                serial.value.step, serial.value.magnitude)
+        n_paths = requests[0][3]
+        monkeypatch.setattr(engine, "_FORK_MIN_WORK", 2 * n_paths * 100 + 1)
+        # the block drawn across the processes, then held from the serial
+        # rerun on
+        for counts in (drawn, held):
+            forks.clear()
+            dealt.clear()
+            batch, batch_counts = failure(lambda: simulate_costs_batch(problem, requests))
+            (_, _, shares), = dealt
+            assert len(forks) == len(shares) - 1 >= 1
+            assert_no_children()
+            if bad is not None:
+                assert len(shares) == processes
+                # the failing rows lie in this process's share or the last one
+                where = [lo <= bad.start and bad.stop <= hi for lo, hi in shares]
+                assert where.index(True) == (0 if bad.start == 0 else processes - 1)
+            assert batch_counts == counts
+            assert str(batch) == str(serial)
+            if kind == "diverges":
+                assert (batch.step, batch.magnitude) == (serial.step, serial.magnitude)
 
 
 def test_fan_out_pins_blas_to_one_thread_and_restores_it(monkeypatch):

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjblab.seeds import derive_seed, path_key_cache, path_keys, path_streams, stream
+from hjblab.seeds import derive_seed, path_keys, path_streams, stream
 
 
 def test_derive_seed_is_pure():
@@ -60,16 +63,14 @@ def test_stream_is_counter_based():
 
 def test_path_streams_replay_fresh_streams():
     # an odd count of float32 draws leaves half a word buffered; re-keying
-    # must start the next path from an empty buffer. The second pass takes
-    # its keys from the cache and must replay the same streams.
+    # must start the next path from an empty buffer. The second pass, on keys
+    # derived again, must replay the same streams.
     for attempt in range(2):
-        hits = path_key_cache.hits
         for k, gen in enumerate(path_streams(path_keys(2**40 + 1, "paths", 5))):
             ref = stream(2**40 + 1, "paths", k)
             assert gen.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
             assert gen.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
         assert k == 4
-    assert path_key_cache.hits == hits + 1
 
 
 @pytest.mark.parametrize("master, n, lo, hi", [
@@ -100,28 +101,16 @@ def test_path_keys_are_read_only():
         keys[0] = 1
 
 
-def test_repeated_path_keys_request_is_a_hit():
-    path_keys(6, "hit", 10)
-    hits, misses = path_key_cache.hits, path_key_cache.misses
-    again = path_keys(6, "hit", 10)
-    assert again is path_keys(6, "hit", 10)
-    assert (path_key_cache.hits, path_key_cache.misses) == (hits + 2, misses)
-    # a request differing in any field misses
-    for request in [(7, "hit", 10), (6, "hot", 10), (6, "hit", 11)]:
-        path_keys(*request)
-    assert path_key_cache.misses == misses + 3
-
-
-def test_path_key_cache_stays_bounded():
-    held = []
-    for k in range(3 * path_key_cache.size):
-        held.append(path_keys(8, "bound", k + 1))
-        assert len(path_key_cache.entries) <= path_key_cache.size
-    # the newest requests are held, the oldest dropped
-    misses = path_key_cache.misses
-    assert path_keys(8, "bound", 3 * path_key_cache.size) is held[-1]
-    path_keys(8, "bound", 1)
-    assert path_key_cache.misses == misses + 1
+def test_path_keys_are_derived_anew_and_held_by_no_one():
+    # two calls give equal arrays, not one array twice, and once the caller
+    # lets its keys go nothing keeps them alive
+    keys = path_keys(6, "fresh", 10)
+    again = path_keys(6, "fresh", 10)
+    assert again is not keys and again.tobytes() == keys.tobytes()
+    held = weakref.ref(keys)
+    del keys
+    gc.collect()
+    assert held() is None
 
 
 def test_negative_like_inputs_rejected_by_int_cast():

@@ -268,9 +268,10 @@ def contestants_run(monkeypatch):
     """The number of contestants of each engine run made while it is live."""
     counts = []
 
-    def counted(problem, t, x, control, *args):
-        counts.append(len(control) if isinstance(control, list) else 1)
-        return prepare(problem, t, x, control, *args)
+    def counted(*args):
+        prepared = prepare(*args)
+        counts.append(len(prepared.inits))
+        return prepared
 
     prepare = engine._prepare
     monkeypatch.setattr(engine, "_prepare", counted)
