@@ -28,7 +28,7 @@ time row of its grid in one engine run, each grid point on its own paths,
 and a round's rows in one batch on one noise request, so its rows are
 paired as its rounds are and the engine draws one block per call; the
 engine may split a round across processes, by rows, with the bits and
-noise-cache counts of a serial loop.
+increment-memo counts of a serial loop.
 
 The records hold estimates, not what made them: a FamilyValue names its best
 candidate by index and label, and a ValueField pairs points with estimates.
@@ -496,12 +496,11 @@ def policy_iteration(
     paired as rounds are: path k of point j sees the same standard normals
     at every t_i and in every round, scaled by each row's own sqrt(dt), so
     each point's estimate keeps its law and one block is drawn per call. A
-    round prices its rows in one engine.simulate_costs_batch call; as
-    consecutive requests on one noise request they are one unit of the
-    engine's process fan-out, on one block, cut by rows into shares of equal
-    work, at paths a multiple of 64 apart. The output bits and the
-    increment-memo and key-cache counts are those of a serial loop. Kept
-    public for acceptance test c1 and the oracle_lq benchmark.
+    round prices its rows in one engine.simulate_costs_batch call; on one
+    noise request they are one fan-out of the engine, on one block, cut by
+    rows into shares of equal work, at paths a multiple of 64 apart. The
+    output bits and the increment-memo counts are those of a serial loop.
+    Kept public for acceptance test c1 and the oracle_lq benchmark.
     """
     cfg = cfg or PolicyIterationConfig()
     if n_rounds < 1:
