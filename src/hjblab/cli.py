@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import diagnostics as dg
-from .controls import zero_signal
 from .engine import moment_bound_check, simulate_ensemble, write_ensemble_csv
 from .hilbert import check_b_condition, check_positivity_preserving
 from .models import (
@@ -301,16 +300,16 @@ class RunState:
         self.kind = cfg.kind
         params = {k: v for k, v in cfg.problem.items() if k != "kind"}
         built = _BUILDERS[self.kind](**params)
-        self.extras = {}
+        # the Riccati solution of the lq oracle; None for the other kinds
+        self.solution = None
         if self.kind == "lq":
             self.problem, oracle = built
             grid = np.linspace(0.0, self.problem.horizon, 801)
-            self.extras = {"oracle": oracle,
-                           "solution": riccati_solve(oracle, grid)}
+            self.solution = riccati_solve(oracle, grid)
         else:
             self.problem = built
         self.probe = _probe_state(self.problem, self.kind)
-        self.policy = _build_policy(self.problem, self.extras,
+        self.policy = _build_policy(self.problem, self.solution,
                                     cfg.value["gain_scale"])
         self.reports = []
         self.out_dir = cfg.output["directory"]
@@ -348,9 +347,9 @@ def _probe_state(problem, kind):
     return 0.3 * np.ones(dim)  # present value and flat past segment
 
 
-def _build_policy(problem, extras, gain_scale):
-    if "solution" in extras:
-        policy = make_riccati_policy(problem, extras["solution"])
+def _build_policy(problem, solution, gain_scale):
+    if solution is not None:
+        policy = make_riccati_policy(problem, solution)
     else:
         # dissipative instances: the separated selector at zero gradient
         policy = zero_policy(problem)
@@ -424,7 +423,7 @@ def stage_synthesize(st: RunState):
         n_steps=min(sim["n_steps"], 150), seed=st.seed("tournament"))
     st.reports.append(rep)
     if st.kind == "lq" and st.wants("csv"):
-        sol = st.extras["solution"]
+        sol = st.solution
         ts = np.linspace(0.0, st.problem.horizon, 11)
         rows = [(t, sol.p_at(t), sol.gain_at(t)) for t in ts]
         write_csv(st.path("feedback_gain.csv"), ("t", "p", "gain"), rows)
@@ -435,8 +434,7 @@ def stage_diagnose(st: RunState):
     problem, space = st.problem, st.problem.space
     scans = d["scans"]
     cloud = stream(st.cfg.master_seed, "cli_pairs", 0)
-    pairs = [(0.0,
-              st.probe + d["radius"] * cloud.normal(size=problem.dim),
+    pairs = [(st.probe + d["radius"] * cloud.normal(size=problem.dim),
               st.probe + d["radius"] * cloud.normal(size=problem.dim))
              for _ in range(d["n_pairs"])]
     scan_cfg = dg.ScanConfig(
@@ -450,7 +448,7 @@ def stage_diagnose(st: RunState):
             problem.op, (1e-3, 1e-2, 1e-1), seed=st.seed("positivity")))
     if "lipschitz" in scans:
         st.reports.append(dg.lipschitz_estimate(
-            st.evaluator(), pairs, space, seed=st.seed("lipschitz"),
+            st.evaluator(), 0.0, pairs, space, seed=st.seed("lipschitz"),
             se_mult=d["se_mult"]))
     if "semiconcavity" in scans:
         st.reports.append(dg.semiconcavity_scan(
@@ -465,7 +463,7 @@ def stage_diagnose(st: RunState):
                                seed=seed, weights=space.weights)
 
         st.reports.append(dg.c11_modulus(
-            st.evaluator(), gev, pairs, space, seed=st.seed("c11"),
+            st.evaluator(), gev, 0.0, pairs, space, seed=st.seed("c11"),
             se_mult=d["se_mult"]))
     if "stability" in scans:
         u = _probe_direction(problem)
@@ -474,15 +472,12 @@ def stage_diagnose(st: RunState):
             n_paths=d["probe_paths"], n_steps=d["eval_steps"],
             seed=st.seed("stability")))
     if "midpoint" in scans:
-        u = _probe_direction(problem)
-        z = zero_signal(problem.control_spec.dim)
-        probes = [dg.MidpointProbe(st.probe - r * u, st.probe + r * u, 0.5,
-                                   z, z)
-                  for r in d["radius"] * np.array([1.0, 0.5, 0.25, 0.125])]
         st.reports.append(dg.midpoint_trajectory_check(
-            problem, 0.0, probes, n_paths=d["probe_paths"],
-            n_steps=d["eval_steps"], seed=st.seed("midpoint"),
-            stability_tol=d["stability_tol"], se_mult=d["se_mult"]))
+            problem, 0.0, st.probe, _probe_direction(problem),
+            d["radius"] * np.array([1.0, 0.5, 0.25, 0.125]),
+            n_paths=d["probe_paths"], n_steps=d["eval_steps"],
+            seed=st.seed("midpoint"), stability_tol=d["stability_tol"],
+            se_mult=d["se_mult"]))
     if "dpp" in scans:
         cfg = DppConfig(n_paths=d["eval_paths"], n_outer=60, n_inner=8,
                         n_steps=d["eval_steps"], se_mult=d["se_mult"])

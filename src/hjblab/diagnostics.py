@@ -12,9 +12,12 @@ samples (K, P) contract from the value layer: the points of one statistic
 one call on one seed, so differences of value estimates are paired and their
 noise largely cancels.
 Trajectory checks couple all variants for the same reason: the legs of one
-pair or probe, or the two ordered inputs of the comparison check, are
-contestants of one engine call, on one increment block (seed, stream label,
-path and step counts), with no block passed around.
+stability pair or midpoint segment, or the two ordered inputs of the
+comparison check, are contestants of one engine call, on one increment block
+(seed, stream label, path and step counts), with no block passed around.
+The midpoint check audits one family of segments, one radius each, through
+a common centre along a common direction; that family is also the one its
+scaling regression runs over.
 Paired means and standard errors all come from value.MCEstimate.from_samples.
 
 Verdicts are three-way: a scan whose extreme statistic is smaller than its
@@ -23,7 +26,7 @@ own noise reports inconclusive rather than pass.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,11 +35,10 @@ from .engine import simulate_ensemble
 from .hilbert import h_norm, space_norm
 from .report import PASS, FAIL, INCONCLUSIVE, DiagnosticReport
 from .seeds import derive_seed, stream
-from .value import MCEstimate
+from .value import MCEstimate, gradient_fd
 
 __all__ = [
     "ScanConfig",
-    "MidpointProbe",
     "lipschitz_estimate",
     "semiconcavity_scan",
     "semiconvexity_scan",
@@ -45,17 +47,6 @@ __all__ = [
     "midpoint_trajectory_check",
     "comparison_check",
 ]
-
-
-def _pair_time(point_pairs):
-    """The pairs (t, x, y) as a list, and the one t they share."""
-    pairs = list(point_pairs)
-    if not pairs:
-        raise ValueError("need at least one point pair")
-    ts = {float(p[0]) for p in pairs}
-    if len(ts) != 1:
-        raise ValueError("all pairs must share the same t")
-    return pairs, ts.pop()
 
 
 def _samples(evaluator, t, xs, seed):
@@ -75,7 +66,8 @@ def _samples(evaluator, t, xs, seed):
 
 def lipschitz_estimate(
     value_evaluator,
-    point_pairs,
+    t,
+    pairs,
     space,
     norm_tag="H",
     b_op=None,
@@ -85,17 +77,18 @@ def lipschitz_estimate(
 ) -> DiagnosticReport:
     """Largest sampled ratio |V(t,x) - V(t,y)| / ||x - y|| over the pairs.
 
-    point_pairs is a sequence of (t, x, y) sharing one t. Both members of a
+    pairs is a nonempty sequence of (x, y), all at time t. Both members of a
     pair are evaluated on the same seed, so the difference is paired and its
     standard error is of the difference. With declared_bound given the
     verdict tests every ratio against bound + se_mult * se; without it the
     scan is an estimate and passes on finiteness alone.
     """
-    pairs, t = _pair_time(point_pairs)
+    if not pairs:
+        raise ValueError("need at least one point pair")
     norm = space_norm(space, b_op, norm_tag)
 
     kept = []
-    for i, (_, x, y) in enumerate(pairs):
+    for i, (x, y) in enumerate(pairs):
         d = float(norm(np.asarray(x, float) - np.asarray(y, float)))
         if d == 0.0:
             continue
@@ -140,8 +133,8 @@ def lipschitz_estimate(
         },
         witness={
             "t": t,
-            "x": np.asarray(worst_pair[1], float).tolist(),
-            "y": np.asarray(worst_pair[2], float).tolist(),
+            "x": np.asarray(worst_pair[0], float).tolist(),
+            "y": np.asarray(worst_pair[1], float).tolist(),
             "ratio": c_hat, "se": c_se, "seed": seed,
         },
         tolerance=declared_bound,
@@ -299,15 +292,16 @@ def semiconvexity_scan(value_evaluator, t, space, cfg=None, seed=0,
 def c11_modulus(
     value_evaluator,
     gradient_evaluator,
-    point_pairs,
+    t,
+    pairs,
     space,
     seed=0,
     c_semiconcave=None,
     c_semiconvex=None,
     se_mult=3.0,
 ) -> DiagnosticReport:
-    """Largest sampled gradient-difference ratio ||DV(x) - DV(y)|| / ||x - y||
-    in the space's norm.
+    """Largest sampled gradient-difference ratio ||DV(t,x) - DV(t,y)|| /
+    ||x - y|| in the space's norm, over a nonempty sequence of pairs (x, y).
 
     gradient_evaluator(t, x, seed) returns (gradient, se_vector); pass None
     to derive both from value_evaluator by paired central differences.
@@ -317,18 +311,16 @@ def c11_modulus(
     bound. Without them the check is finiteness only. Identical pairs are
     skipped and counted.
     """
+    if not pairs:
+        raise ValueError("need at least one point pair")
     if gradient_evaluator is None:
-        from .value import gradient_fd
-
         def gradient_evaluator(gt, gx, gseed):
             return gradient_fd(value_evaluator, gt, gx, seed=gseed,
                                weights=space.weights)
 
-    pairs, t = _pair_time(point_pairs)
-
     ratios, ses, kept_idx = [], [], []
     skipped = 0
-    for i, (_, x, y) in enumerate(pairs):
+    for i, (x, y) in enumerate(pairs):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         d = float(h_norm(space, x - y))
@@ -376,8 +368,8 @@ def c11_modulus(
             "n_pairs": len(ratios), "skipped_pairs": skipped,
         },
         witness={
-            "t": t, "x": np.asarray(worst[1], float).tolist(),
-            "y": np.asarray(worst[2], float).tolist(),
+            "t": t, "x": np.asarray(worst[0], float).tolist(),
+            "y": np.asarray(worst[1], float).tolist(),
             "ratio": c_hat, "seed": seed,
         },
         tolerance=bound,
@@ -495,52 +487,12 @@ def trajectory_stability_check(
     )
 
 
-@dataclass(frozen=True)
-class MidpointProbe:
-    """Inputs for one midpoint comparison: endpoints, mixing weight, controls.
-
-    x_mid is the exact convex combination of the endpoint states and a_mid
-    the pointwise combination of the endpoint controls, matching how the
-    interpolated trajectory is launched.
-    """
-
-    x0: np.ndarray
-    x1: np.ndarray
-    lam: float
-    a0: object
-    a1: object
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
-
-    @property
-    def x_mid(self):
-        return self.lam * np.asarray(self.x1, float) \
-            + (1.0 - self.lam) * np.asarray(self.x0, float)
-
-    @property
-    def a_mid(self):
-        return convex_combination(self.a0, self.a1, self.lam)
-
-
-def _direction_key(x0, x1):
-    d = np.asarray(x1, float) - np.asarray(x0, float)
-    n = np.linalg.norm(d)
-    if n == 0.0:
-        return None
-    u = d / n
-    nz = np.flatnonzero(np.abs(u) > 1e-12)
-    if nz.size and u[nz[0]] < 0:
-        u = -u
-    center = (np.asarray(x0, float) + np.asarray(x1, float)) / 2.0
-    return tuple(np.round(u, 9)) + tuple(np.round(center, 9))
-
-
 def midpoint_trajectory_check(
     problem,
     t,
-    probes: Sequence[MidpointProbe],
+    center,
+    direction,
+    radii,
     n_paths=300,
     n_steps=100,
     seed=0,
@@ -548,88 +500,61 @@ def midpoint_trajectory_check(
     stability_tol=0.2,
     se_mult=3.0,
 ) -> DiagnosticReport:
-    """Audit of the interpolated-trajectory gap E[sup ||X^lam - X_lam||].
+    """Audit of the midpoint gap E[sup ||X^mid - X_mid||] on the segments
+    [x0, x1] = [center - r direction, center + r direction], one per radius.
 
-    X^lam is the convex combination of the endpoint trajectories, X_lam the
-    trajectory launched from the combined state with the combined control;
-    all three legs share one noise stream. The estimated constant is
-    K_hat = max E[sup gap] / (lam (1-lam) ||x1 - x0||^2); the verdict needs
-    endpoint probes (lam 0 or 1) to produce a gap of exactly zero, K_hat to
-    be prefix-stable, and collinear probe groups (three or more probes along
-    one direction through one center) to regress with a slope in [1.8, 2.2]
-    in log ||x1 - x0||. Affine dynamics collapse the numerator to rounding
-    noise; that shows up as K_hat at the floor and is a pass with a note.
+    X^mid is the average of the two endpoint trajectories, X_mid the
+    trajectory launched from the segment's midpoint; all three legs run the
+    zero signal on one noise stream, in one engine call per radius. The
+    estimated constant is K_hat = max E[sup gap] / q with
+    q = ||x1 - x0||^2 / 4; the verdict needs K_hat to be stable when the
+    radii are cut to their first half, in the order given, and with three
+    or more radii the regression of log E[sup gap] on log ||x1 - x0|| to
+    have a slope in [1.8, 2.2]. Affine dynamics collapse the numerator to
+    rounding noise; that shows up as K_hat at the floor and is a pass with
+    a note. The report's probe counts and indices are over the radii.
     """
-    probes = list(probes)
-    if not probes:
-        raise ValueError("need at least one probe")
+    if len(radii) == 0:
+        raise ValueError("need at least one radius")
     # the bound's right side uses the same norm as the gap, so one norm
     # serves both
     norm = space_norm(problem.space, problem.b_op, norm_tag)
+    center = np.asarray(center, float)
+    direction = np.asarray(direction, float)
+    zero = zero_signal(problem.control_spec.dim)
 
-    ratios, prefix_ratios = [], []
-    endpoint_bad = None
     rows = []
-    for k, pr in enumerate(probes):
-        runs = simulate_ensemble(
-            problem, t, [np.asarray(pr.x0, float), np.asarray(pr.x1, float),
-                         pr.x_mid], [pr.a0, pr.a1, pr.a_mid],
-            n_paths, n_steps, seed, "midpoint")
-        interp = pr.lam * runs[1].states + (1.0 - pr.lam) * runs[0].states
+    for r in radii:
+        x0, x1 = center - r * direction, center + r * direction
+        dist = float(norm(x1 - x0))
+        if dist == 0.0:
+            raise ValueError(f"the segment of radius {r:g} is degenerate")
+        runs = simulate_ensemble(problem, t, [x0, x1, 0.5 * x1 + 0.5 * x0],
+                                 [zero] * 3, n_paths, n_steps, seed,
+                                 "midpoint")
+        interp = 0.5 * runs[1].states + 0.5 * runs[0].states
         est = MCEstimate.from_samples(
             _sup_norm_gap(interp, runs[2].states, norm))
-        num = est.mean
-        dist2 = float(norm(np.asarray(pr.x1, float)
-                           - np.asarray(pr.x0, float))) ** 2
-        q = pr.lam * (1.0 - pr.lam) * dist2
-        rows.append((num, est.std_error, q))
-        if pr.lam in (0.0, 1.0):
-            if num != 0.0 and endpoint_bad is None:
-                endpoint_bad = {"probe_index": k, "lambda": pr.lam,
-                                "numerator": num, "seed": seed}
-            continue
-        if q > 0.0:
-            ratios.append(num / q)
-            if k < max(1, len(probes) // 2):
-                prefix_ratios.append(num / q)
+        rows.append((est.mean, est.std_error, 0.25 * dist ** 2, dist))
 
-    k_hat = float(max(ratios)) if ratios else 0.0
-    k_half = float(max(prefix_ratios)) if prefix_ratios else k_hat
+    ratios = [num / q for num, _, q, _ in rows]
+    k_hat = float(max(ratios))
+    k_half = float(max(ratios[:max(1, len(ratios) // 2)]))
     rel = abs(k_hat - k_half) / max(abs(k_hat), abs(k_half), 1e-12)
     at_floor = k_hat <= 1e-8
 
-    # collinear groups: same direction and center, three or more sizes
-    groups = {}
-    for k, pr in enumerate(probes):
-        if pr.lam in (0.0, 1.0):
-            continue
-        key = _direction_key(pr.x0, pr.x1)
-        if key is not None:
-            groups.setdefault((pr.lam, key), []).append(k)
+    nums = np.array([row[0] for row in rows])
     slopes = []
-    for members in groups.values():
-        if len(members) < 3:
-            continue
-        nums = np.array([rows[k][0] for k in members])
-        dists = np.array([
-            float(norm(np.asarray(probes[k].x1, float)
-                       - np.asarray(probes[k].x0, float)))
-            for k in members
-        ])
-        if np.any(nums <= 0.0) or at_floor:
-            continue
+    if len(rows) >= 3 and not (np.any(nums <= 0.0) or at_floor):
+        dists = np.array([row[3] for row in rows])
         slopes.append(float(np.polyfit(np.log(dists), np.log(nums), 1)[0]))
 
-    top = int(np.argmax([r[0] / r[2] if r[2] > 0 else -np.inf for r in rows])) \
-        if ratios else 0
-    num_top, se_top, q_top = rows[top]
+    top = int(np.argmax(ratios))
+    num_top, se_top, q_top, _ = rows[top]
     noise_dominated = (not at_floor and se_top > 0
                        and se_mult * se_top >= num_top)
 
-    if endpoint_bad is not None:
-        verdict = FAIL
-        note = "endpoint probe produced a nonzero gap"
-    elif noise_dominated:
+    if noise_dominated:
         verdict = INCONCLUSIVE
         note = "largest gap is below its Monte Carlo noise"
     elif at_floor:
@@ -649,13 +574,13 @@ def midpoint_trajectory_check(
     return DiagnosticReport(
         name=f"midpoint_gap_{norm_tag}",
         verdict=verdict,
-        samples_used=len(probes) * 3 * n_paths,
+        samples_used=len(rows) * 3 * n_paths,
         constants={
             "k_hat": k_hat, "k_hat_prefix": k_half, "rel_change": float(rel),
-            "group_slopes": slopes, "n_probes": len(probes),
+            "group_slopes": slopes, "n_probes": len(rows),
             "argmax_se": float(se_top),
         },
-        witness=endpoint_bad if endpoint_bad is not None else {
+        witness={
             "probe_index": top, "numerator": float(num_top),
             "q": float(q_top), "seed": seed,
         },

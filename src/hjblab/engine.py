@@ -224,10 +224,10 @@ class PathEnsemble:
 
     time_grid: np.ndarray                        # (M+1,)
     terminal_states: np.ndarray                  # (P, N)
-    states: Optional[np.ndarray] = None          # (P, M+1, N)
-    costs: Optional[np.ndarray] = None           # (P,) running + terminal
-    control_traces: Optional[np.ndarray] = None  # (P, M, q), step left-endpoints
-    sup_norm: Optional[np.ndarray] = None        # (P,) max over steps of ||X||_H
+    states: Optional[np.ndarray]                 # (P, M+1, N)
+    costs: Optional[np.ndarray]                  # (P,) running + terminal
+    control_traces: Optional[np.ndarray]         # (P, M, q), step left-endpoints
+    sup_norm: Optional[np.ndarray]               # (P,) max over steps of ||X||_H
 
 
 class _Noise(NamedTuple):
@@ -368,7 +368,8 @@ def _record_shapes(problem, request, fields):
 def _records(request, out):
     """One PathEnsemble per contestant of a prepared request, each holding
     its slices of the stacked outputs out."""
-    return [PathEnsemble(request.grid, *(None if a is None else a[c] for a in out.values()))
+    return [PathEnsemble(time_grid=request.grid,
+                         **{f: None if a is None else a[c] for f, a in out.items()})
             for c in range(len(request.inits))]
 
 
@@ -479,7 +480,8 @@ def _run(problem, request, out, dw, lo, hi):
     J = problem.block
     width = J.stop - J.start
     sigma_t = problem.noise[J].T if problem.additive_noise else None
-    terminal, states, costs, traces, sup_norm = out.values()
+    terminal, states, costs = out["terminal_states"], out["states"], out["costs"]
+    traces, sup_norm = out["control_traces"], out["sup_norm"]
     separated = problem.cost_structure if costs is not None else None
 
     def advance(g0, g1, lo, hi):

@@ -511,13 +511,9 @@ def policy_iteration(
         x_arr = x_arr.T
     if np.any(t_arr >= problem.horizon):
         raise ValueError("evaluation times must sit strictly inside the horizon")
-    from .synthesis import Policy, gamma_separated
+    from .synthesis import make_gamma_policy, zero_policy
 
-    policy = Policy(
-        feedback=lambda s, xb: np.zeros((np.atleast_2d(xb).shape[0],
-                                         problem.control_spec.dim)),
-        provenance="policy_iteration",
-    )
+    policy = zero_policy(problem)
 
     w = np.asarray(problem.space.weights, dtype=float)
     n_points, n_paths = x_arr.shape[0], cfg.paths_per_point
@@ -553,13 +549,9 @@ def policy_iteration(
                 converged = True
         prev_vals = vals
 
-        field = _GridGradientField(t_arr, x_arr, grad_grid)
-
-        def feedback(s, xb, _field=field):
-            xb = np.atleast_2d(np.asarray(xb, dtype=float))
-            return gamma_separated(problem, _field(s, xb))
-
-        policy = Policy(feedback=feedback, provenance="policy_iteration")
+        policy = make_gamma_policy(
+            problem, _GridGradientField(t_arr, x_arr, grad_grid),
+            provenance="policy_iteration")
         if converged:
             break
 

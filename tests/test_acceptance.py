@@ -15,7 +15,6 @@ import numpy as np
 
 from hjblab import diagnostics as dg
 from hjblab.cli import default_config, run_experiment
-from hjblab.controls import zero_signal
 from hjblab.hilbert import (
     BOperatorSpec,
     check_b_condition,
@@ -281,9 +280,9 @@ def test_c5_regularity_scans():
     worst_rel = 0.0
     for t, seed in ((0.0, 5), (0.5, 6), (0.99, 7)):
         rng = np.random.default_rng(7)
-        pairs = [(t, rng.normal(size=1) * 1.5, rng.normal(size=1) * 1.5)
+        pairs = [(rng.normal(size=1) * 1.5, rng.normal(size=1) * 1.5)
                  for _ in range(5)]
-        rep = dg.c11_modulus(evt, gev, pairs, problem.space, seed=seed)
+        rep = dg.c11_modulus(evt, gev, t, pairs, problem.space, seed=seed)
         target = 2.0 * sol.p_at(t)
         worst_rel = max(worst_rel,
                         abs(rep.constants["c_hat"] - target) / target)
@@ -314,12 +313,10 @@ def test_c6_trajectory_scaling_both_norms():
     rng = stream(11, "c6_mid", 0)
     x0 = rng.normal(size=13) * 0.4
     u = rng.normal(size=13)
-    z = zero_signal(1)
-    probes = [dg.MidpointProbe(x0 - r * u, x0 + r * u, 0.5, z, z)
-              for r in (0.4, 0.2, 0.1, 0.05)]
     mid_slopes = {}
     for tag in ("H", "minus1"):
-        rep = dg.midpoint_trajectory_check(sd_nl, 0.0, probes, n_paths=200,
+        rep = dg.midpoint_trajectory_check(sd_nl, 0.0, x0, u,
+                                           (0.4, 0.2, 0.1, 0.05), n_paths=200,
                                            n_steps=80, seed=6, norm_tag=tag)
         mid_slopes[tag] = rep.constants["group_slopes"]
         checks.append(rep.passed)

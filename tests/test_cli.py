@@ -379,6 +379,43 @@ def test_artifacts_match_pinned_digests(tmp_path, monkeypatch, kind, processes):
     assert digests == PINNED_DIGESTS[kind]
 
 
+# sha256 of the diagnose stage's reports with the two scans PINNED_SCANS
+# leaves out, at fast_cfg budgets
+GRADIENT_SCAN_DIGESTS = {
+    "lq": {
+        "reports.csv": "ae220252dc3b74929bfd3a4e34bf6cf226276e2ae0daab9ff0c640865c3de3fd",
+        "reports.json": "3ab49202e74c97315ffd8ee2d9d46d3ba16453e53538fe002144a509a7492f55",
+    },
+    "reaction_diffusion": {
+        "reports.csv": "32ec628080514b8f82a90ee08e91a8507a53a455df6a36c3bf94bb445c6b39ab",
+        "reports.json": "28aa09769a7e56b8f79274129608821b6655b710ddd7649e077b286ee4e92181",
+    },
+    "sdde": {
+        "reports.csv": "89895ad6e1682e3fb771536b0ba9de5ea04d9ef42d0dc05d7a7b9f66ec4d00fe",
+        "reports.json": "effb4344cd5849682ff7a4499a4426ffb2dbe2d1ae30ff936da5222572468532",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRADIENT_SCAN_DIGESTS))
+def test_c11_and_semiconvexity_reports_match_pinned_digests(tmp_path, kind):
+    out = tmp_path / kind
+    cfg = fast_cfg(out, kind=kind)
+    cfg.diagnostics.update(scans=("c11", "semiconvexity"))
+    # on reaction_diffusion some finite-difference gradient components of
+    # the c11 legs sit below the noise floor; elsewhere any warning fails
+    with (pytest.warns(UserWarning, match="noise floor")
+          if kind == "reaction_diffusion" else contextlib.nullcontext()):
+        assert run_experiment(cfg, stages=["diagnose"],
+                              echo=lambda *_: None) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(out))
+        if name == "reports.json" or name.endswith(".csv")
+    }
+    assert digests == GRADIENT_SCAN_DIGESTS[kind]
+
+
 # --- entry point -------------------------------------------------------------
 
 

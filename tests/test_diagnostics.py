@@ -58,8 +58,8 @@ def lq_policy_evaluator(n_paths=1200, n_steps=100):
 
 def test_lipschitz_constant_field_has_zero_ratio():
     ev = make_exact_evaluator(lambda t, x: 7.5)
-    pairs = [(0.0, np.ones(3), -np.ones(3)), (0.0, np.zeros(3), np.ones(3))]
-    rep = dg.lipschitz_estimate(ev, pairs, SP3, seed=0)
+    pairs = [(np.ones(3), -np.ones(3)), (np.zeros(3), np.ones(3))]
+    rep = dg.lipschitz_estimate(ev, 0.0, pairs, SP3, seed=0)
     assert rep.passed
     assert rep.constants["c_hat"] == 0.0
 
@@ -69,20 +69,21 @@ def test_lipschitz_linear_field_attains_norm_bound():
     ev = make_exact_evaluator(lambda t, x: float(np.sum(SP3.weights * c * x)))
     bound = float(h_norm(SP3, c))
     rng = stream(4, "pairs", 0)
-    pairs = [(0.0, rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
-    pairs.append((0.0, np.zeros(3), c))  # aligned pair attains the bound
-    rep = dg.lipschitz_estimate(ev, pairs, SP3, seed=0, declared_bound=bound)
+    pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
+    pairs.append((np.zeros(3), c))  # aligned pair attains the bound
+    rep = dg.lipschitz_estimate(ev, 0.0, pairs, SP3, seed=0,
+                                declared_bound=bound)
     assert rep.passed
     assert abs(rep.constants["c_hat"] - bound) < 1e-12
 
 
 def test_lipschitz_lq_within_gradient_bound():
     problem, sol, ev = lq_policy_evaluator(n_paths=1500, n_steps=120)
-    pairs = [(0.0, np.array([1.5]), np.array([-0.5])),
-             (0.0, np.array([0.3]), np.array([2.0]))]
+    pairs = [(np.array([1.5]), np.array([-0.5])),
+             (np.array([0.3]), np.array([2.0]))]
     # quadratic value: |V(x)-V(y)| <= P (|x|+|y|) |x-y| on these pairs
     bound = float(sol.p_at(0.0)) * 4.0
-    rep = dg.lipschitz_estimate(ev, pairs, problem.space, seed=3,
+    rep = dg.lipschitz_estimate(ev, 0.0, pairs, problem.space, seed=3,
                                 declared_bound=bound)
     assert rep.passed
     assert 0.0 < rep.constants["c_hat"] < bound
@@ -90,8 +91,8 @@ def test_lipschitz_lq_within_gradient_bound():
 
 def test_lipschitz_fails_tiny_declared_bound():
     problem, sol, ev = lq_policy_evaluator(n_paths=600, n_steps=60)
-    pairs = [(0.0, np.array([1.5]), np.array([-0.5]))]
-    rep = dg.lipschitz_estimate(ev, pairs, problem.space, seed=3,
+    pairs = [(np.array([1.5]), np.array([-0.5]))]
+    rep = dg.lipschitz_estimate(ev, 0.0, pairs, problem.space, seed=3,
                                 declared_bound=1e-4)
     assert not rep.passed
 
@@ -99,12 +100,9 @@ def test_lipschitz_fails_tiny_declared_bound():
 def test_lipschitz_validation_and_degenerate_pairs():
     ev = make_exact_evaluator(lambda t, x: float(x[0]))
     with pytest.raises(ValueError):
-        dg.lipschitz_estimate(ev, [], SP3)
-    with pytest.raises(ValueError):
-        dg.lipschitz_estimate(ev, [(0.0, np.ones(3), np.zeros(3)),
-                                   (0.5, np.ones(3), np.zeros(3))], SP3)
-    rep = dg.lipschitz_estimate(ev, [(0.0, np.ones(3), np.ones(3)),
-                                     (0.0, np.ones(3), np.zeros(3))], SP3)
+        dg.lipschitz_estimate(ev, 0.0, [], SP3)
+    rep = dg.lipschitz_estimate(ev, 0.0, [(np.ones(3), np.ones(3)),
+                                          (np.ones(3), np.zeros(3))], SP3)
     assert rep.constants["skipped_pairs"] == 1
     assert rep.constants["n_pairs"] == 1
 
@@ -114,11 +112,12 @@ def test_lipschitz_delay_model_reported_in_both_norms():
     ev = make_policy_evaluator(sdde, zero_policy(sdde), n_paths=400,
                                n_steps=60)
     rng = stream(3, "dpairs", 0)
-    pairs = [(0.0, rng.normal(size=13) * 0.5, rng.normal(size=13) * 0.5)
+    pairs = [(rng.normal(size=13) * 0.5, rng.normal(size=13) * 0.5)
              for _ in range(4)]
-    rep_h = dg.lipschitz_estimate(ev, pairs, sdde.space, norm_tag="H", seed=2)
-    rep_w = dg.lipschitz_estimate(ev, pairs, sdde.space, norm_tag="minus1",
-                                  b_op=sdde.b_op, seed=2)
+    rep_h = dg.lipschitz_estimate(ev, 0.0, pairs, sdde.space, norm_tag="H",
+                                  seed=2)
+    rep_w = dg.lipschitz_estimate(ev, 0.0, pairs, sdde.space,
+                                  norm_tag="minus1", b_op=sdde.b_op, seed=2)
     assert rep_h.passed and rep_w.passed
     assert rep_h.constants["c_hat"] > 0
     assert rep_w.constants["c_hat"] > 0
@@ -240,9 +239,9 @@ def test_two_sided_constants_bound_gradient_modulus():
                                seed=1)
     sv = dg.semiconvexity_scan(saddle, 0.0, SP3, dg.ScanConfig(n_pairs=6),
                                seed=1, c_bound=1.0)
-    pairs = [(0.0, np.array([1.0, 0.0, 0.0]), np.zeros(3)),
-             (0.0, np.array([0.0, 1.0, 0.0]), np.zeros(3))]
-    rep = dg.c11_modulus(saddle, quad_gradient(SP3, coeffs), pairs, SP3,
+    pairs = [(np.array([1.0, 0.0, 0.0]), np.zeros(3)),
+             (np.array([0.0, 1.0, 0.0]), np.zeros(3))]
+    rep = dg.c11_modulus(saddle, quad_gradient(SP3, coeffs), 0.0, pairs, SP3,
                          seed=1,
                          c_semiconcave=sc.constants["c_hat"],
                          c_semiconvex=sv.constants["c_hat_flipped"])
@@ -258,9 +257,10 @@ def test_c11_exact_quadratic_modulus():
     coeffs = np.array([1.5, 0.25, 0.8])
     ev = quad_evaluator(SP3, coeffs)
     rng = stream(8, "c11", 0)
-    pairs = [(0.0, rng.normal(size=3), rng.normal(size=3)) for _ in range(10)]
-    pairs.append((0.0, np.array([1.0, 0.0, 0.0]), np.zeros(3)))
-    rep = dg.c11_modulus(ev, quad_gradient(SP3, coeffs), pairs, SP3, seed=0)
+    pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(10)]
+    pairs.append((np.array([1.0, 0.0, 0.0]), np.zeros(3)))
+    rep = dg.c11_modulus(ev, quad_gradient(SP3, coeffs), 0.0, pairs, SP3,
+                         seed=0)
     assert rep.passed
     assert abs(rep.constants["c_hat"] - 3.0) < 1e-9  # 2 * max coeff
 
@@ -268,8 +268,8 @@ def test_c11_exact_quadratic_modulus():
 def test_c11_derives_gradients_from_values_when_missing():
     coeffs = np.array([1.5, 0.25, 0.8])
     ev = quad_evaluator(SP3, coeffs)
-    pairs = [(0.0, np.array([1.0, 0.0, 0.0]), np.zeros(3))]
-    rep = dg.c11_modulus(ev, None, pairs, SP3, seed=0)
+    pairs = [(np.array([1.0, 0.0, 0.0]), np.zeros(3))]
+    rep = dg.c11_modulus(ev, None, 0.0, pairs, SP3, seed=0)
     assert abs(rep.constants["c_hat"] - 3.0) < 1e-6
 
 
@@ -280,9 +280,9 @@ def test_c11_lq_tracks_twice_riccati():
         return gradient_fd(ev, t, x, seed=seed)
 
     rng = stream(7, "c11lq", 0)
-    pairs = [(0.0, rng.normal(size=1) * 1.5, rng.normal(size=1) * 1.5)
+    pairs = [(rng.normal(size=1) * 1.5, rng.normal(size=1) * 1.5)
              for _ in range(5)]
-    rep = dg.c11_modulus(ev, gev, pairs, problem.space, seed=5)
+    rep = dg.c11_modulus(ev, gev, 0.0, pairs, problem.space, seed=5)
     target = 2.0 * float(sol.p_at(0.0))
     assert abs(rep.constants["c_hat"] - target) < 0.1 * target
 
@@ -290,9 +290,8 @@ def test_c11_lq_tracks_twice_riccati():
 def test_c11_fails_undersized_bound_and_skips_degenerates():
     coeffs = np.array([1.0, 1.0, 1.0])
     ev = quad_evaluator(SP3, coeffs)
-    pairs = [(0.0, np.ones(3), np.ones(3)),
-             (0.0, np.ones(3), np.zeros(3))]
-    rep = dg.c11_modulus(ev, quad_gradient(SP3, coeffs), pairs, SP3,
+    pairs = [(np.ones(3), np.ones(3)), (np.ones(3), np.zeros(3))]
+    rep = dg.c11_modulus(ev, quad_gradient(SP3, coeffs), 0.0, pairs, SP3,
                          c_semiconcave=0.01, c_semiconvex=0.0)
     assert not rep.passed
     assert rep.constants["skipped_pairs"] == 1
@@ -379,13 +378,8 @@ def test_midpoint_quadratic_scaling_on_reaction_model():
     grid = np.arange(1, 9) / 9.0
     x0 = 0.3 * np.sin(np.pi * grid)
     u = np.cos(np.pi * grid)
-    z = zero_signal(8)
-    probes = [dg.MidpointProbe(x0 - r * u, x0 + r * u, 0.5, z, z)
-              for r in (0.8, 0.4, 0.2, 0.1)]
-    probes += [dg.MidpointProbe(x0, x0 + 0.5 * u, lam, z, z)
-               for lam in (0.0, 1.0, 0.3)]
-    rep = dg.midpoint_trajectory_check(rd, 0.0, probes, n_paths=150,
-                                       n_steps=60, seed=4)
+    rep = dg.midpoint_trajectory_check(rd, 0.0, x0, u, (0.8, 0.4, 0.2, 0.1),
+                                       n_paths=150, n_steps=60, seed=4)
     assert rep.passed
     assert rep.constants["k_hat"] > 0
     assert len(rep.constants["group_slopes"]) == 1
@@ -394,11 +388,9 @@ def test_midpoint_quadratic_scaling_on_reaction_model():
 
 def test_midpoint_affine_dynamics_hit_rounding_floor():
     lq, _ = build_lq_benchmark()
-    z = zero_signal(1)
-    probes = [dg.MidpointProbe(np.array([-1.0]), np.array([2.0]), lam, z, z)
-              for lam in (0.5, 0.25)]
-    rep = dg.midpoint_trajectory_check(lq, 0.0, probes, n_paths=100,
-                                       n_steps=50, seed=4)
+    # the segment [-1, 2]
+    rep = dg.midpoint_trajectory_check(lq, 0.0, np.array([0.5]), np.ones(1),
+                                       (1.5,), n_paths=100, n_steps=50, seed=4)
     assert rep.passed
     assert rep.constants["k_hat"] < 1e-8
     assert "floor" in rep.notes
@@ -409,22 +401,21 @@ def test_midpoint_weak_norm_on_delay_model():
     rng = stream(11, "mid_sdde", 0)
     x0 = rng.normal(size=13) * 0.4
     u = rng.normal(size=13)
-    z = zero_signal(1)
-    probes = [dg.MidpointProbe(x0 - r * u, x0 + r * u, 0.5, z, z)
-              for r in (0.4, 0.2, 0.1, 0.05)]
-    rep = dg.midpoint_trajectory_check(sdde, 0.0, probes, n_paths=150,
-                                       n_steps=60, seed=6, norm_tag="minus1")
+    rep = dg.midpoint_trajectory_check(sdde, 0.0, x0, u, (0.4, 0.2, 0.1, 0.05),
+                                       n_paths=150, n_steps=60, seed=6,
+                                       norm_tag="minus1")
     assert rep.passed
     assert abs(rep.constants["group_slopes"][0] - 2.0) < 0.2
 
 
-def test_midpoint_probe_validation_and_fields():
-    z = zero_signal(2)
-    with pytest.raises(ValueError):
-        dg.MidpointProbe(np.zeros(2), np.ones(2), 1.5, z, z)
-    pr = dg.MidpointProbe(np.zeros(2), np.ones(2), 0.25, z, z)
-    np.testing.assert_array_equal(pr.x_mid, 0.25 * np.ones(2))
-    np.testing.assert_array_equal(pr.a_mid.value, np.zeros(2))
+def test_midpoint_rejects_empty_and_degenerate_segments():
+    lq, _ = build_lq_benchmark()
+    with pytest.raises(ValueError, match="at least one radius"):
+        dg.midpoint_trajectory_check(lq, 0.0, np.ones(1), np.ones(1), ())
+    for direction, radii in ((np.ones(1), (1.0, 0.0)), (np.zeros(1), (1.0,))):
+        with pytest.raises(ValueError, match="degenerate"):
+            dg.midpoint_trajectory_check(lq, 0.0, np.ones(1), direction,
+                                         radii, n_paths=10, n_steps=5)
 
 
 # --- order preservation ------------------------------------------------------

@@ -147,6 +147,15 @@ def test_costs_and_states_come_back_in_one_record():
     assert run.control_traces is None and run.sup_norm is None
 
 
+def test_record_shapes_name_the_path_ensemble_fields():
+    # the step loop and the records read the stacked outputs by these keys
+    problem = scalar_problem(lambda x, a: -x + a, 0.4)
+    request = engine._prepare(problem, 0.0, np.array([1.0]), zero_signal(1),
+                              4, 3, 0, "shapes")
+    names = [f.name for f in dataclasses.fields(engine.PathEnsemble)]
+    assert list(engine._record_shapes(problem, request, ())) == names[1:]
+
+
 def test_paths_do_not_depend_on_ensemble_size():
     problem = scalar_problem(lambda x, a: -x, 0.4)
     small = simulate_ensemble(problem, 0.0, np.array([1.0]), zero_signal(1),

@@ -16,10 +16,8 @@ from hjblab.controls import (
     ConstantSignal,
     PiecewiseConstantSignal,
     project_ball,
-    zero_signal,
 )
 from hjblab.diagnostics import (
-    MidpointProbe,
     midpoint_trajectory_check,
     trajectory_stability_check,
 )
@@ -690,11 +688,9 @@ def _coupled_loop(problem, x):
 
 
 def _midpoint_loop(problem, x):
-    # one probe: both endpoint legs and the midpoint leg
-    zero = zero_signal(1)
-    midpoint_trajectory_check(
-        problem, 0.0, [MidpointProbe(x, -x, 0.5, zero, zero)],
-        n_paths=50, n_steps=20, seed=905)
+    # one radius: both endpoint legs and the midpoint leg
+    midpoint_trajectory_check(problem, 0.0, 0.0 * x, x, (1.0,), n_paths=50,
+                              n_steps=20, seed=905)
 
 
 # contestants each loop runs: zero and 3 draws; the truncation scan's zero
