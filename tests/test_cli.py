@@ -340,18 +340,18 @@ PINNED_DIGESTS = {
         "value_gradient.csv": "9f7a5d78ce3c27fb691befac85f6a27be05404d22c798a76f5fc1e024eff2460",
     },
     "reaction_diffusion": {
-        "reports.csv": "137194fecba92a928f11a82b8137220f19123a7dbe577512581137e2219b3026",
-        "reports.json": "50d925147f53b3605cca77f53c931fd8062948b186ca201e9c9b53398112e09a",
-        "sample_paths.csv": "20b504ad730f7c53fd6ac5dfa6d98d209072572419edc7912b51fba330884d8c",
-        "value_family.csv": "8a58794c46df7c757789e0b3556946bdca42a44e1943cfd6fb4fe78e6746a93c",
-        "value_gradient.csv": "d5cf1b77f0ade2ec4c4c2d7339ea8b7b7bf79de2a6fd46db17410e368e21d309",
+        "reports.csv": "bd4f750ef8710cb69e9a3a75c6385ae3812fe158de0ecb1bb1ac4fe559d4b19f",
+        "reports.json": "92880df9b52073a9cea0af14989a232c7a0161775f76a6ccb3ee3ebd247d3d65",
+        "sample_paths.csv": "f1814f1b72cc793ca1640dcc3ec9ae886ba80121f4b3d9eaa5dc0a5e54bdeef2",
+        "value_family.csv": "e4bbf8d79a88401ec680465b0998e82142c77118827b853c1d2935ac484ad6c8",
+        "value_gradient.csv": "bf11e92ee24ceb89e01fc15f0af42b6b7bb0c4ea46c954dc8e8dffeabf1f9411",
     },
     "sdde": {
-        "reports.csv": "e635d9269ed626ee061ac187933e1e9d18c3589d03f7af3e50d61fe84b20ce4f",
-        "reports.json": "6a0470f7c56c2e831563bb5f0285e5453822dcb59d299683a3c9709378140df5",
-        "sample_paths.csv": "9afebead496b9637dd3f95059719c4cac56c07a4a8915cb51a9c62c586f3a04f",
-        "value_family.csv": "1c5728e5dcf93e0179effb3084b219e929eac21dfbff9d9a1dc781527893ab1b",
-        "value_gradient.csv": "20f3b597e91cc0b71ebe911fb260a63b6c91aa61be33cb79ade01362402080e2",
+        "reports.csv": "286c6c171351fea4af8c7abd16112c4947e5ed6ce0fa1496268499a6c3bdc59d",
+        "reports.json": "17e1615a54000da4691d81fc3382c1ca554a1fa9a1a105fb2ec985c87dda3581",
+        "sample_paths.csv": "aaf89d13c9b1833e774869f8773b6c8cd57a9c9f639e7c5faf30526c677c8eb5",
+        "value_family.csv": "84fc1fae944c45f9bd5b71232b5d3c5d666f4d2cb0a9a5751508761a58d94f57",
+        "value_gradient.csv": "5b25dbcd9f4e5c9641b77b39473a472a004041a02ede3cbd107ffc3b18345fab",
     },
 }
 
@@ -387,12 +387,12 @@ GRADIENT_SCAN_DIGESTS = {
         "reports.json": "3ab49202e74c97315ffd8ee2d9d46d3ba16453e53538fe002144a509a7492f55",
     },
     "reaction_diffusion": {
-        "reports.csv": "32ec628080514b8f82a90ee08e91a8507a53a455df6a36c3bf94bb445c6b39ab",
-        "reports.json": "28aa09769a7e56b8f79274129608821b6655b710ddd7649e077b286ee4e92181",
+        "reports.csv": "ccf063b7b634e68ecdf8a0545a04802dd4a58a4a5121213000e14f447ce09897",
+        "reports.json": "1287107c14bb245b7415057d863669eb0a31355a8e654e7ce8e89fbf8a35866b",
     },
     "sdde": {
-        "reports.csv": "89895ad6e1682e3fb771536b0ba9de5ea04d9ef42d0dc05d7a7b9f66ec4d00fe",
-        "reports.json": "effb4344cd5849682ff7a4499a4426ffb2dbe2d1ae30ff936da5222572468532",
+        "reports.csv": "20d8ca324006b6e9c6cd0c9a00ea42a53908dcbceb4810c8a7a420e914840f6f",
+        "reports.json": "af46f4d58608e3b875572d09be69ddd3d2f297b4dc6eeb463edade9757040ae5",
     },
 }
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from hjblab.hilbert import (
     BOperatorSpec,
@@ -21,6 +21,7 @@ from hjblab.hilbert import (
     semigroup_apply,
     semigroup_matrix,
 )
+from hjblab.models import build_reaction_diffusion, build_sdde_lift
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +252,59 @@ def test_delay_semigroup_is_contraction():
 
 
 # ---------------------------------------------------------------------------
+# the numpy exponential against scipy.linalg.expm
+
+
+# the step sizes of the default CLI config, 0.5 / M for M in its step
+# counts, and two steps large enough that the exponential must square
+EXPM_DTS = [0.5 / m for m in (60, 100, 120, 150, 200)] + [0.5, 5.0]
+EXPM_OPERATORS = {
+    # the reaction-diffusion model's Laplacian (diffusivity 0.05)
+    **{f"laplacian{n}": make_dirichlet_laplacian(n, 1.0, 0.05) for n in (8, 16, 64)},
+    # the delay lift's generator (n = 1, delay 1)
+    **{f"delay{n_past}": make_delay_generator(1, 1.0, n_past) for n_past in (5, 20)},
+    # the non-normal matrix of the negative positivity control
+    "nonnormal": make_custom_operator([[-1.0, -0.9], [0.0, -1.0]]),
+}
+
+
+# every operator and step but the 64-point Laplacian at dt = 5 (norm 4225),
+# where scipy.linalg.expm is itself 1.2e-12 from the exact exponential (30
+# digits) and this one 2.3e-13; the spectral test below covers that case
+@pytest.mark.parametrize("name, dt", [
+    (name, dt) for name in sorted(EXPM_OPERATORS) for dt in EXPM_DTS
+    if (name, dt) != ("laplacian64", 5.0)])
+def test_semigroup_matches_scipy_expm(name, dt):
+    op = EXPM_OPERATORS[name]
+    ref = expm(dt * op.matrix)
+    err = np.abs(semigroup_matrix(op, dt) - ref).max() / np.abs(ref).max()
+    assert err <= 1e-13
+
+
+@pytest.mark.parametrize("dt", EXPM_DTS)
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_laplacian_semigroup_matches_its_spectral_form(n, dt):
+    # exp(dt A) = V diag(exp(dt lambda)) V^T with the stencil's closed-form
+    # eigenpairs; exp at a normal matrix has relative condition number
+    # ||dt A||, so a backward-stable exponential errs by about eps ||dt A||
+    op = EXPM_OPERATORS[f"laplacian{n}"]
+    j = np.arange(1, n + 1)
+    v = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+    exact = (v * np.exp(dt * laplacian_eigenvalues(n, 1.0, 0.05))) @ v.T
+    err = np.abs(semigroup_matrix(op, dt) - exact).max() / np.abs(exact).max()
+    assert err <= max(1e-13, np.finfo(float).eps * np.linalg.norm(dt * op.matrix, 1))
+
+
+def test_semigroup_of_zero_is_exactly_the_identity():
+    # a zero matrix built as a custom operator goes through the exponential
+    # itself, not the zero operator's shortcut
+    assert np.array_equal(semigroup_matrix(make_custom_operator(np.zeros((3, 3))), 0.3),
+                          np.eye(3))
+    assert np.array_equal(semigroup_matrix(make_dirichlet_laplacian(5, 1.0), 0.0),
+                          np.eye(5))
+
+
+# ---------------------------------------------------------------------------
 # B operators
 
 
@@ -308,6 +362,20 @@ def test_strong_condition_fails_when_c0_too_small():
     rep = check_b_condition(op, b)
     assert rep.verdict == "fail"
     assert rep.constants["min_eigenvalue"] == pytest.approx(-2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("build", [build_reaction_diffusion, build_sdde_lift],
+                         ids=["heat_strong", "delay_weak"])
+def test_b_condition_matches_scipy_generalized_eigh(build):
+    problem = build()
+    op, b = problem.op, problem.b_op
+    w = b.space.weights
+    form = -op.matrix.T @ (w[:, None] * b.matrix) + b.c0 * (w[:, None] * b.matrix)
+    if b.mode == "strong":
+        form -= np.diag(w)
+    ref = eigh(0.5 * (form + form.T), np.diag(w), eigvals_only=True)[0]
+    lam = check_b_condition(op, b).constants["min_eigenvalue"]
+    assert lam == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def delay_weak_pair(n, d, n_past):

@@ -1,10 +1,14 @@
 """Package structure: every public export resolves and has a caller, every
 record field has a reader, no module imports a name it does not use, one
-place asks for Brownian increments and one place forks."""
+place asks for Brownian increments and one place forks, and the package
+runs on numpy without loading scipy."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +39,32 @@ def test_all_names_resolve(name):
 def test_package_all_names_resolve():
     missing = [n for n in hjblab.__all__ if not hasattr(hjblab, n)]
     assert not missing
+
+
+# imports the package and the CLI, then takes the semigroup and the
+# B-condition of the reaction-diffusion and delay-lift problems
+_NO_SCIPY_PROBE = """
+import sys
+import hjblab, hjblab.cli
+from hjblab.hilbert import check_b_condition, semigroup_matrix
+from hjblab.models import build_reaction_diffusion, build_sdde_lift
+for problem in (build_reaction_diffusion(), build_sdde_lift()):
+    semigroup_matrix(problem.op, 0.5 / 200)
+    check_b_condition(problem.op, problem.b_op)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_package_does_not_load_scipy():
+    # the runtime needs numpy alone; scipy is a test-only reference, and
+    # importing it would cost every process its start-up time, its memory
+    # and a second BLAS thread pool
+    src = str(Path(hjblab.__path__[0]).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", f"scipy modules loaded: {out.stdout[:300]}"
 
 
 def _unused_imports(tree):
