@@ -72,12 +72,13 @@ their own block; the stacked product with E is one gemm per contestant
 block, so every row keeps its place. The product is written into one of
 two (C, rows, N) arrays made once per tile, which swap roles every step: a
 fresh product per step on a 1536-row delay-lift tile made glibc trim the
-top of the heap and fault it back in every step (59k minor page faults in
-a 20000-path delay-lift run against 6k with the two arrays). When E_dt is
-exactly the identity (a zero generator), the product is skipped; that is
-decided once per run. Each contestant thus gets the bits of its own run.
-If a group diverges, its contestants rerun one at a time, in order, so the
-error raised is the one that contestant's own run raises.
+top of the heap and fault it back in every step (69k minor page faults in
+a 20000-path delay-lift Feynman-Kac run and DPP check, against 9.5k with
+the two arrays). When E_dt is exactly the identity (a zero generator), the
+product is skipped; that is decided once per run. Each contestant thus gets
+the bits of its own run. If a group diverges, its contestants rerun one at
+a time, in order, so the error raised is the one that contestant's own run
+raises.
 
 One loop, `_run`, advances every run, a single contestant being the C = 1
 case, over its problem's window [t, horizon] in n_steps equal steps, on a
@@ -493,7 +494,8 @@ def _run(problem, request, out, dw, lo, hi):
         (C, rows, N) state, and write their outputs."""
         n_c, rows = g1 - g0, hi - lo
         X = np.empty((n_c, rows, n))
-        # the product with E is written into Y and the two are swapped
+        # the product with E goes into Y, and the two swap every step: a
+        # fresh product per step churns the heap (see the module docstring)
         Y = None if e_is_identity else np.empty_like(X)
         for c in range(n_c):
             x = inits[g0 + c]
