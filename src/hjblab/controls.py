@@ -1,10 +1,11 @@
 """Open-loop control signals and per-path replay traces.
 
-A signal is deterministic: it maps time to a control vector. Traces replay
-recorded per-path controls on a fixed grid, which is how closed-loop runs
-are re-simulated as (adapted) open-loop controls. Feedback policies are a
-separate type (synthesis module); the engine dispatches on the presence of
-a .feedback attribute.
+A signal is deterministic: signal_values materializes it as a control
+vector at each step's left endpoint. Traces replay recorded per-path
+controls on a fixed grid, which is how closed-loop runs are re-simulated as
+(adapted) open-loop controls. Feedback policies are a separate type
+(synthesis module); the engine dispatches on the presence of a .feedback
+attribute.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ __all__ = [
     "TraceSignal",
     "zero_signal",
     "signal_values",
-    "convex_combination",
     "clip_box",
     "project_ball",
     "control_norm",
@@ -36,9 +36,6 @@ class ConstantSignal:
     @property
     def dim(self):
         return self.value.shape[0]
-
-    def at(self, s):
-        return self.value
 
     def values_on(self, step_times):
         return np.broadcast_to(self.value, (len(step_times), self.dim)).copy()
@@ -66,11 +63,6 @@ class PiecewiseConstantSignal:
     @property
     def dim(self):
         return self.values.shape[1]
-
-    def at(self, s):
-        j = int(np.clip(np.searchsorted(self.knots, s, side="right") - 1,
-                        0, self.values.shape[0] - 1))
-        return self.values[j]
 
     def values_on(self, step_times):
         idx = np.clip(np.searchsorted(self.knots, step_times, side="right") - 1,
@@ -104,17 +96,6 @@ class TraceSignal:
     def dim(self):
         return self.values.shape[-1]
 
-    @property
-    def per_path(self):
-        return self.values.ndim == 3
-
-    def at(self, s):
-        if self.per_path:
-            raise ValueError("per-path trace has no single value at a time")
-        j = int(np.clip(np.searchsorted(self.step_times, s, side="right") - 1,
-                        0, self.values.shape[0] - 1))
-        return self.values[j]
-
 
 def zero_signal(dim: int) -> ConstantSignal:
     return ConstantSignal(np.zeros(dim))
@@ -131,21 +112,6 @@ def signal_values(signal, step_times) -> np.ndarray:
     return signal.values_on(np.asarray(step_times, dtype=float))
 
 
-def convex_combination(sig0, sig1, lam: float):
-    """Pointwise (1-lam)*sig0 + lam*sig1 for structurally matching signals."""
-    if isinstance(sig0, ConstantSignal) and isinstance(sig1, ConstantSignal):
-        return ConstantSignal((1 - lam) * sig0.value + lam * sig1.value)
-    if isinstance(sig0, PiecewiseConstantSignal) and isinstance(sig1, PiecewiseConstantSignal):
-        if not np.array_equal(sig0.knots, sig1.knots):
-            raise ValueError("signals must share knots")
-        return PiecewiseConstantSignal(sig0.knots, (1 - lam) * sig0.values + lam * sig1.values)
-    if isinstance(sig0, TraceSignal) and isinstance(sig1, TraceSignal):
-        if not np.array_equal(sig0.step_times, sig1.step_times):
-            raise ValueError("traces must share the grid")
-        return TraceSignal(sig0.step_times, (1 - lam) * sig0.values + lam * sig1.values)
-    raise TypeError("cannot combine signals of different structure")
-
-
 def clip_box(values, box):
     """Clip control values into the per-coordinate box (lo, hi); box may be None."""
     if box is None:
@@ -159,8 +125,7 @@ def project_ball(values, m: float, weights=None):
     v = np.asarray(values, dtype=float)
     if not np.isfinite(m) or m <= 0:
         raise ValueError("truncation radius m must be positive and finite")
-    w = np.ones(v.shape[-1]) if weights is None else np.asarray(weights, dtype=float)
-    norms = np.sqrt(np.sum(w * v * v, axis=-1, keepdims=True))
+    norms = control_norm(v, weights)[..., None]
     factor = np.where(norms > m, m / np.maximum(norms, 1e-300), 1.0)
     return v * factor
 

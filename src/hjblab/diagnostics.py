@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import ConstantSignal, convex_combination, zero_signal
+from .controls import ConstantSignal, zero_signal
 from .engine import simulate_ensemble
 from .hilbert import h_norm, space_norm
 from .report import PASS, FAIL, INCONCLUSIVE, DiagnosticReport
@@ -397,48 +397,36 @@ def trajectory_stability_check(
     problem,
     t,
     pairs,
-    variant="state",
     n_paths=200,
     n_steps=100,
     seed=0,
     norm_tag="H",
 ) -> DiagnosticReport:
-    """Scaling audit for E[sup ||X_1 - X_0||^2] against the input gap.
+    """Scaling audit for E[sup ||X_1 - X_0||^2] against the initial gap.
 
-    variant "state": pairs are (x0, x1); the perturbed leg starts at
-    x0 + eps (x1 - x0) and both legs run the zero signal. variant "control":
-    pairs are (x0, a0, a1); both legs start at x0 and the perturbed leg runs
-    a0 + eps (a1 - a0). Either way the regression of log mean-square sup gap
-    on log eps^2 over _STABILITY_EPS must have slope one, within
-    _STABILITY_SLOPE_BAND: the bound is quadratic in its input with a finite
-    prefactor (the intercept), and that form is what is testable when the
-    constants are not.
+    Pairs are (x0, x1); the perturbed leg starts at x0 + eps (x1 - x0) and
+    both legs run the zero signal, as the paper's estimates perturb the
+    initial state and keep the control fixed. The regression of log
+    mean-square sup gap on log eps^2 over _STABILITY_EPS must have slope
+    one, within _STABILITY_SLOPE_BAND: the bound is quadratic in the gap
+    with a finite prefactor (the intercept), and that form is what is
+    testable when the constants are not.
 
     All legs of all magnitudes ride one shared noise stream, so a degenerate
     pair (zero difference) reproduces the base leg bitwise; those pairs are
     verified to do exactly that and are excluded from the regression.
     """
-    if variant not in ("state", "control"):
-        raise ValueError("variant must be 'state' or 'control'")
+    if len(pairs) == 0:
+        raise ValueError("need at least one point pair")
     eps = np.asarray(_STABILITY_EPS)
     norm = space_norm(problem.space, problem.b_op, norm_tag)
-    base_control = zero_signal(problem.control_spec.dim)
+    controls = [zero_signal(problem.control_spec.dim)] * (len(eps) + 1)
 
     slopes, intercepts, exact_zero = [], [], 0
-    for item in pairs:
-        if variant == "state":
-            x0, x1 = item
-            x0 = np.asarray(x0, float)
-            d = np.asarray(x1, float) - x0
-            inits = [x0] + [x0 + e * d for e in eps]
-            controls = [base_control] * (len(eps) + 1)
-            degenerate = float(norm(d)) == 0.0
-        else:
-            x0, a0, a1 = item
-            x0 = np.asarray(x0, float)
-            inits = [x0] * (len(eps) + 1)
-            controls = [a0] + [convex_combination(a0, a1, float(e)) for e in eps]
-            degenerate = a0 is a1
+    for x0, x1 in pairs:
+        x0 = np.asarray(x0, float)
+        d = np.asarray(x1, float) - x0
+        inits = [x0] + [x0 + e * d for e in eps]
         runs = simulate_ensemble(problem, t, inits, controls, n_paths,
                                  n_steps, seed, "stability")
         base = runs[0].states
@@ -446,7 +434,7 @@ def trajectory_stability_check(
             float(np.mean(_sup_norm_gap(r.states, base, norm) ** 2))
             for r in runs[1:]
         ])
-        if degenerate or np.all(gaps == 0.0):
+        if float(norm(d)) == 0.0 or np.all(gaps == 0.0):
             if np.any(gaps != 0.0):
                 slopes.append(float("nan"))
             exact_zero += 1
@@ -457,7 +445,7 @@ def trajectory_stability_check(
 
     if not slopes:
         return DiagnosticReport(
-            name=f"trajectory_stability_{variant}_{norm_tag}",
+            name=f"trajectory_stability_state_{norm_tag}",
             verdict=INCONCLUSIVE, samples_used=exact_zero,
             constants={"exact_zero_pairs": exact_zero},
             witness=None, tolerance=_STABILITY_SLOPE_BAND,
@@ -470,7 +458,7 @@ def trajectory_stability_check(
     in_band = np.all((slopes_arr >= lo) & (slopes_arr <= hi))
     ok = bool(in_band) and np.all(np.isfinite(intercepts))
     return DiagnosticReport(
-        name=f"trajectory_stability_{variant}_{norm_tag}",
+        name=f"trajectory_stability_state_{norm_tag}",
         verdict=PASS if ok else FAIL,
         samples_used=len(slopes) * len(eps) * n_paths,
         constants={
@@ -483,7 +471,7 @@ def trajectory_stability_check(
                                  "slope": float(slopes_arr[worst]),
                                  "seed": seed},
         tolerance=_STABILITY_SLOPE_BAND,
-        notes=f"variant '{variant}', slope of log gap vs log eps^2",
+        notes="variant 'state', slope of log gap vs log eps^2",
     )
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "make_dirichlet_laplacian",
     "make_delay_generator",
     "make_zero_operator",
-    "make_custom_operator",
     "semigroup_matrix",
     "semigroup_apply",
     "h_inner",
@@ -209,11 +208,6 @@ def make_delay_generator(n: int, delay: float, n_past: int) -> DiscreteOperator:
 
 def make_zero_operator(dim: int) -> DiscreteOperator:
     return DiscreteOperator(np.zeros((dim, dim)), kind="zero")
-
-
-def make_custom_operator(matrix) -> DiscreteOperator:
-    """Operator from a given matrix: kept public to build user-defined generators."""
-    return DiscreteOperator(np.asarray(matrix, dtype=float), kind="custom")
 
 
 # the [13/13] Pade coefficients b_0..b_13 of exp, divided by b_0 (the ratio

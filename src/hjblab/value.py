@@ -66,7 +66,6 @@ __all__ = [
     "PolicyIterationResult",
     "policy_iteration",
     "make_policy_evaluator",
-    "make_exact_evaluator",
 ]
 
 
@@ -403,13 +402,6 @@ def make_policy_evaluator(problem, policy, n_paths=2000, n_steps=150):
         xs = np.asarray(xs, dtype=float)
         return np.stack(cost_samples(problem, t, list(xs), [policy] * len(xs),
                                      n_paths, n_steps, seed))
-    return evaluator
-
-
-def make_exact_evaluator(fn):
-    """Wrap a closed-form value function as a zero-noise evaluator (a test fake)."""
-    def evaluator(t, xs, seed):
-        return np.array([[float(fn(t, x))] for x in np.asarray(xs, dtype=float)])
     return evaluator
 
 

@@ -16,11 +16,11 @@ import numpy as np
 from hjblab import diagnostics as dg
 from hjblab.cli import default_config, run_experiment
 from hjblab.hilbert import (
+    DiscreteOperator,
     BOperatorSpec,
     check_b_condition,
     check_positivity_preserving,
     interval_space,
-    make_custom_operator,
     make_dirichlet_laplacian,
     make_zero_operator,
 )
@@ -228,7 +228,7 @@ def test_c4_comparison_ordering():
     sp = interval_space(2, 1.0)
     breaker = ControlProblem(
         name="order_breaker", space=sp,
-        op=make_custom_operator(np.array([[0.0, -3.0], [-3.0, 0.0]])),
+        op=DiscreteOperator(np.array([[0.0, -3.0], [-3.0, 0.0]]), kind="custom"),
         b_op=None, drift=lambda x, a: np.zeros_like(x),
         noise=0.05 * np.eye(2), noise_dim=2,
         running_cost=lambda x, a: np.zeros(x.shape[0]),

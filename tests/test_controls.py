@@ -1,4 +1,4 @@
-"""Control signal types: lookup semantics, combination, projections."""
+"""Control signal types: materialization on a step grid, projections."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hjblab.controls import (
     TraceSignal,
     clip_box,
     control_norm,
-    convex_combination,
     project_ball,
     signal_values,
     zero_signal,
@@ -19,20 +18,16 @@ from hjblab.controls import (
 def test_constant_signal_everywhere():
     sig = ConstantSignal(np.array([1.0, -2.0]))
     assert sig.dim == 2
-    np.testing.assert_array_equal(sig.at(0.37), [1.0, -2.0])
     vals = sig.values_on(np.linspace(0, 1, 5))
-    assert vals.shape == (5, 2)
+    np.testing.assert_array_equal(vals, np.tile([1.0, -2.0], (5, 1)))
 
 
 def test_piecewise_right_continuity_and_end_clamp():
     sig = PiecewiseConstantSignal(np.array([0.0, 0.25, 1.0]),
                                   np.array([[1.0], [2.0]]))
-    assert sig.at(0.0)[0] == 1.0
-    assert sig.at(0.25)[0] == 2.0   # right-continuous at the knot
-    assert sig.at(0.999)[0] == 2.0
-    assert sig.at(1.5)[0] == 2.0    # clamps past the last knot
-    vals = sig.values_on(np.array([0.0, 0.24, 0.25, 0.9]))
-    np.testing.assert_array_equal(vals[:, 0], [1.0, 1.0, 2.0, 2.0])
+    # right-continuous at the knot 0.25, clamped past the last knot
+    vals = sig.values_on(np.array([0.0, 0.24, 0.25, 0.999, 1.5]))
+    np.testing.assert_array_equal(vals[:, 0], [1.0, 1.0, 2.0, 2.0, 2.0])
 
 
 def test_piecewise_validation():
@@ -45,35 +40,19 @@ def test_piecewise_validation():
 def test_trace_signal_modes():
     grid = np.linspace(0, 0.9, 10)
     shared = TraceSignal(grid, np.ones((10, 1)))
-    assert not shared.per_path
-    assert shared.at(0.05)[0] == 1.0
+    assert signal_values(shared, grid).shape == (10, 1)
     per_path = TraceSignal(grid, np.ones((3, 10, 1)))
-    assert per_path.per_path
-    with pytest.raises(ValueError):
-        per_path.at(0.5)
+    assert per_path.dim == 1
+    assert signal_values(per_path, grid).shape == (3, 10, 1)
     with pytest.raises(ValueError):
         signal_values(shared, np.linspace(0, 0.9, 7))
-
-
-def test_convex_combination_matches_pointwise():
-    a = PiecewiseConstantSignal(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [3.0]]))
-    b = PiecewiseConstantSignal(np.array([0.0, 0.5, 1.0]), np.array([[-1.0], [1.0]]))
-    mix = convex_combination(a, b, 0.25)
-    for s in (0.1, 0.7):
-        np.testing.assert_allclose(mix.at(s), 0.75 * a.at(s) + 0.25 * b.at(s))
-    with pytest.raises(TypeError):
-        convex_combination(a, ConstantSignal(np.array([0.0])), 0.5)
     with pytest.raises(ValueError):
-        convex_combination(
-            a,
-            PiecewiseConstantSignal(np.array([0.0, 0.6, 1.0]), np.array([[0.0], [0.0]])),
-            0.5,
-        )
+        TraceSignal(grid, np.ones((3, 9, 1)))
 
 
 def test_zero_signal():
     z = zero_signal(3)
-    np.testing.assert_array_equal(z.at(0.5), np.zeros(3))
+    np.testing.assert_array_equal(signal_values(z, [0.0, 0.5]), np.zeros((2, 3)))
 
 
 def test_clip_box_and_none():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh, expm
 
 from hjblab.hilbert import (
+    DiscreteOperator,
     BOperatorSpec,
     SpaceSpec,
     b_norm,
@@ -14,7 +15,6 @@ from hjblab.hilbert import (
     h_inner,
     h_norm,
     interval_space,
-    make_custom_operator,
     make_delay_generator,
     make_dirichlet_laplacian,
     make_zero_operator,
@@ -264,7 +264,7 @@ EXPM_OPERATORS = {
     # the delay lift's generator (n = 1, delay 1)
     **{f"delay{n_past}": make_delay_generator(1, 1.0, n_past) for n_past in (5, 20)},
     # the non-normal matrix of the negative positivity control
-    "nonnormal": make_custom_operator([[-1.0, -0.9], [0.0, -1.0]]),
+    "nonnormal": DiscreteOperator([[-1.0, -0.9], [0.0, -1.0]], kind="custom"),
 }
 
 
@@ -298,8 +298,8 @@ def test_laplacian_semigroup_matches_its_spectral_form(n, dt):
 def test_semigroup_of_zero_is_exactly_the_identity():
     # a zero matrix built as a custom operator goes through the exponential
     # itself, not the zero operator's shortcut
-    assert np.array_equal(semigroup_matrix(make_custom_operator(np.zeros((3, 3))), 0.3),
-                          np.eye(3))
+    zero = DiscreteOperator(np.zeros((3, 3)), kind="custom")
+    assert np.array_equal(semigroup_matrix(zero, 0.3), np.eye(3))
     assert np.array_equal(semigroup_matrix(make_dirichlet_laplacian(5, 1.0), 0.0),
                           np.eye(5))
 
@@ -339,7 +339,7 @@ def test_strong_condition_zero_operator():
 
 def test_strong_condition_minus_identity():
     # A = -I, B = I, c0 = 0: -A*B = I, the strong form is again zero
-    op = make_custom_operator(-np.eye(3))
+    op = DiscreteOperator(-np.eye(3), kind="custom")
     b = BOperatorSpec(np.eye(3), c0=0.0, mode="strong")
     rep = check_b_condition(op, b)
     assert rep.verdict == "pass"
@@ -357,7 +357,7 @@ def test_strong_condition_laplacian():
 
 def test_strong_condition_fails_when_c0_too_small():
     # A = +I expands; B = I, c0 = 0 strong needs -A >= I which is false
-    op = make_custom_operator(np.eye(3))
+    op = DiscreteOperator(np.eye(3), kind="custom")
     b = BOperatorSpec(np.eye(3), c0=0.0, mode="strong")
     rep = check_b_condition(op, b)
     assert rep.verdict == "fail"
@@ -439,7 +439,7 @@ def test_positivity_check_counts_the_samples_of_every_step(steps):
 
 def test_positivity_check_fails_for_negative_offdiagonal():
     m = np.array([[-1.0, -0.9], [0.0, -1.0]])
-    op = make_custom_operator(m)
+    op = DiscreteOperator(m, kind="custom")
     rep = check_positivity_preserving(op, [0.1], n_samples=50, seed=1)
     assert rep.verdict == "fail"
     assert rep.witness["dt"] == 0.1

@@ -1,7 +1,8 @@
-"""Package structure: every public export resolves and has a caller, every
-record field has a reader, no module imports a name it does not use, one
-place asks for Brownian increments and one place forks, and the package
-runs on numpy without loading scipy."""
+"""Package structure: every public export resolves and has a caller, and so
+does every public method and property of a package class; every record
+field has a reader, no module imports a name it does not use, one place
+asks for Brownian increments and one place forks, and the package runs on
+numpy without loading scipy."""
 
 import ast
 import importlib
@@ -206,15 +207,15 @@ def test_module_state_is_declared():
         "declared module state that no function changes"
 
 
-# public names that no src module uses, each with the reason it stays public
-UNREACHED_EXPORTS = {
-    ("synthesis", "hamiltonian_min"):
-        "the numerical reference that tests check gamma_separated against",
-    ("value", "make_exact_evaluator"): "a zero-noise evaluator for tests",
-    ("value", "policy_iteration"): "used by acceptance test c1 and oracle_lq",
-    ("synthesis", "feynman_kac_value"):
-        "used by the oneshot_sdde workload and acceptance test c3",
-    ("hilbert", "make_custom_operator"): "builds user-defined generators",
+# public names that no package module or benchmark script uses, each with
+# the reason it stays public
+UNREACHED_EXPORTS = {}
+
+# public methods and properties of package classes that no package module or
+# benchmark script reaches through an attribute, each with the reason it stays
+UNREACHED_MEMBERS = {
+    ("report", "DiagnosticReport", "passed"):
+        "the verdict as a bool, which the tests' assertions read",
 }
 
 
@@ -240,17 +241,40 @@ def _used_names(tree):
     return used
 
 
+def _bench_trees():
+    return [ast.parse(p.read_text(), filename=str(p)) for p in BENCH_SOURCES]
+
+
 def test_public_names_have_a_caller():
-    # a public name is reached when some module of the package uses it; its
-    # definition and its __all__ entry do not count, nor do the re-exports
-    # of __init__
-    used = set().union(*(_used_names(_tree(name)) for name in MODULES))
+    # a public name is reached when some module of the package or a
+    # benchmark script uses it; its definition and its __all__ entry do not
+    # count, nor do the re-exports of __init__
+    trees = [_tree(name) for name in MODULES] + _bench_trees()
+    used = set().union(*(_used_names(t) for t in trees))
     exports = {(name, n) for name in MODULES for n in _exports(_tree(name))}
     unreached = {e for e in exports if e[1] not in used}
     assert unreached - set(UNREACHED_EXPORTS) == set(), \
         "public names with no caller and no stated reason"
     assert set(UNREACHED_EXPORTS) - unreached == set(), \
         "listed exceptions that are exported and used, or not exported at all"
+
+
+def test_public_members_have_a_caller():
+    # a method or property is reached when some module of the package or a
+    # benchmark script loads an attribute of its name; tests do not count
+    trees = [_tree(name) for name in MODULES] + _bench_trees()
+    used = {node.attr for t in trees for node in ast.walk(t)
+            if isinstance(node, ast.Attribute)}
+    members = {(name, cls.name, fn.name)
+               for name in MODULES for cls in _tree(name).body
+               if isinstance(cls, ast.ClassDef)
+               for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+    unreached = {m for m in members if m[2] not in used}
+    assert unreached - set(UNREACHED_MEMBERS) == set(), \
+        "public methods and properties with no caller and no stated reason"
+    assert set(UNREACHED_MEMBERS) - unreached == set(), \
+        "listed exceptions that are reached, or are no public member at all"
 
 
 # record fields that no reader in the package or the benchmark reads, each
@@ -268,7 +292,9 @@ UNREAD_FIELDS = {
         "a result that acceptance test c1 and tests inspect",
     ("models", "ControlProblem", "drift_lipschitz"):
         "a declared hypothesis that test_problems audits",
-    ("synthesis", "HamiltonianProbe", "x"): "read by test_synthesis",
+    ("models", "CostStructure", "dl2"):
+        "the gradient of l2 that the Hamiltonian reference in test_synthesis "
+        "descends along",
 }
 
 
@@ -303,8 +329,7 @@ def test_record_fields_have_a_reader():
               if isinstance(node, ast.ClassDef) and _is_dataclass(node)
               for stmt in node.body
               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
-    trees = [_tree(name) for name in MODULES]
-    trees += [ast.parse(p.read_text(), filename=str(p)) for p in BENCH_SOURCES]
+    trees = [_tree(name) for name in MODULES] + _bench_trees()
     read = set().union(*(_attribute_reads(t) for t in trees))
     unread = {f for f in fields if f[2] not in read}
     assert unread - set(UNREAD_FIELDS) == set(), \
@@ -329,8 +354,6 @@ TEST_SET_OPTIONS = {
         "a one-sided constant that turns the finiteness check into a bound",
     ("diagnostics", "c11_modulus", "c_semiconvex"):
         "a one-sided constant that turns the finiteness check into a bound",
-    ("diagnostics", "trajectory_stability_check", "variant"):
-        "the control-perturbation audit that test_diagnostics runs",
     ("diagnostics", "trajectory_stability_check", "norm_tag"):
         "the paper's weak norm, which acceptance test c6 audits",
     ("diagnostics", "midpoint_trajectory_check", "norm_tag"):
@@ -434,8 +457,7 @@ def test_defaulted_parameters_have_a_setter():
     builders = {f.__name__ for f in _BUILDERS.values()}
     options = [o for name in MODULES for o in _defaulted_options(name)
                if o[1] not in builders]
-    trees = [_tree(name) for name in MODULES]
-    trees += [ast.parse(p.read_text(), filename=str(p)) for p in BENCH_SOURCES]
+    trees = [_tree(name) for name in MODULES] + _bench_trees()
     calls = [c for t in trees for c in _call_settings(t)]
     unset = set()
     for module, owner, param, position in options:

@@ -40,10 +40,10 @@ from hjblab.engine import (
     write_ensemble_csv,
 )
 from hjblab.hilbert import (
+    DiscreteOperator,
     BOperatorSpec,
     SpaceSpec,
     h_norm,
-    make_custom_operator,
     make_zero_operator,
     semigroup_matrix,
 )
@@ -185,7 +185,7 @@ def test_refinement_is_first_order_on_smooth_deterministic_instance():
 
 def test_ou_terminal_mean_and_variance():
     # OU via the generator path: A = -I handled by the semigroup, drift 0
-    gen = make_custom_operator(-np.eye(1))
+    gen = DiscreteOperator(-np.eye(1), kind="custom")
     problem = scalar_problem(lambda x, a: np.zeros_like(x), 1.0, generator=gen)
     x0 = np.array([1.5])
     ens = simulate_ensemble(problem, 0.0, x0, zero_signal(1), n_paths=10_000,
@@ -201,7 +201,7 @@ def test_ou_terminal_mean_and_variance():
 def test_ou_drift_form_matches_generator_form_in_law():
     # same OU once through the drift, once through the generator; the two
     # discretizations differ at O(dt), so compare distributions loosely
-    gen = make_custom_operator(-np.eye(1))
+    gen = DiscreteOperator(-np.eye(1), kind="custom")
     p_gen = scalar_problem(lambda x, a: np.zeros_like(x), 1.0, generator=gen)
     p_drift = scalar_problem(lambda x, a: -x, 1.0)
     e1 = simulate_ensemble(p_gen, 0.0, np.array([0.0]), zero_signal(1),
@@ -1137,7 +1137,7 @@ def test_time_window_validation():
 
 
 def test_moment_bound_calibrated_passes_on_ou():
-    gen = make_custom_operator(-np.eye(1))
+    gen = DiscreteOperator(-np.eye(1), kind="custom")
     problem = scalar_problem(lambda x, a: np.zeros_like(x), 1.0, generator=gen)
     report = moment_bound_check(problem, 0.0, np.array([1.0]), zero_signal(1),
                                 p=4.0, n_paths=2000, n_steps=100, seed=0)
@@ -1147,7 +1147,7 @@ def test_moment_bound_calibrated_passes_on_ou():
 
 
 def test_moment_bound_estimate_stable_across_seeds():
-    gen = make_custom_operator(-np.eye(1))
+    gen = DiscreteOperator(-np.eye(1), kind="custom")
     problem = scalar_problem(lambda x, a: np.zeros_like(x), 1.0, generator=gen)
     reports = [
         moment_bound_check(problem, 0.0, np.array([1.0]), zero_signal(1),
@@ -1172,7 +1172,7 @@ def test_moment_bound_scaling_in_initial_state():
 
 def test_moment_bound_frozen_constant_holds_across_seeds():
     # c_p frozen from the calibration path on seed 0 (x2 headroom built in)
-    gen = make_custom_operator(-np.eye(1))
+    gen = DiscreteOperator(-np.eye(1), kind="custom")
     problem = scalar_problem(lambda x, a: np.zeros_like(x), 1.0, generator=gen)
     c_frozen = 4.854115183642038
     for s in (1, 2, 3):

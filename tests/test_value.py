@@ -41,12 +41,13 @@ from hjblab.value import (
     cost_samples,
     estimate_value_family,
     gradient_fd,
-    make_exact_evaluator,
     make_policy_evaluator,
     policy_iteration,
     truncation_scan,
 )
 from hjblab.seeds import stream
+
+from fakes import make_exact_evaluator
 
 
 # --- oracles ---------------------------------------------------------------
