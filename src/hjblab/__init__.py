@@ -10,38 +10,4 @@ feedback controls from value gradients, and audits regularity and ordering
 properties of the estimated value numerically.
 """
 
-from .report import DiagnosticReport
-from .hilbert import (
-    SpaceSpec,
-    DiscreteOperator,
-    BOperatorSpec,
-    make_dirichlet_laplacian,
-    make_delay_generator,
-    interval_space,
-    delay_space,
-    semigroup_apply,
-    h_norm,
-    b_norm,
-    check_b_condition,
-    check_positivity_preserving,
-)
-from .seeds import derive_seed
-
-__all__ = [
-    "DiagnosticReport",
-    "SpaceSpec",
-    "DiscreteOperator",
-    "BOperatorSpec",
-    "make_dirichlet_laplacian",
-    "make_delay_generator",
-    "interval_space",
-    "delay_space",
-    "semigroup_apply",
-    "h_norm",
-    "b_norm",
-    "check_b_condition",
-    "check_positivity_preserving",
-    "derive_seed",
-]
-
 __version__ = "0.1.0"

@@ -206,13 +206,21 @@ def _validate(cfg: ExperimentConfig):
             or any(b <= a for a, b in zip(trunc, trunc[1:]))):
         raise ValueError("key 'truncation_list' in [value] must hold at least "
                          "three strictly increasing positive radii")
-    if cfg.value["family_size"] < 1:
-        raise ValueError("key 'family_size' in [value] must be positive")
-    # the prefix check needs two pairs; evaluations and probes need two
-    # paths, since one gives a zero standard error and a vacuous pass
+    for key in ("family_size", "n_segments"):
+        if cfg.value[key] < 1:
+            raise ValueError(f"key '{key}' in [value] must be positive")
+    # the prefix check needs two pairs, the scans a positive radius and a
+    # step; evaluations and probes need two paths, since one gives a zero
+    # standard error and a vacuous pass, as a negative se_mult does by
+    # flipping the sign of every slack
     for key in ("n_pairs", "eval_paths", "probe_paths"):
         if cfg.diagnostics[key] < 2:
             raise ValueError(f"key '{key}' in [diagnostics] must be at least 2")
+    for key in ("radius", "eval_steps"):
+        if not cfg.diagnostics[key] > 0:
+            raise ValueError(f"key '{key}' in [diagnostics] must be positive")
+    if not cfg.diagnostics["se_mult"] >= 0:
+        raise ValueError("key 'se_mult' in [diagnostics] must be nonnegative")
     for scan in cfg.diagnostics["scans"]:
         if scan not in SCAN_NAMES:
             raise ValueError(

@@ -141,7 +141,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .controls import signal_values
 from .hilbert import h_norm, semigroup_matrix
 from .report import PASS, FAIL, DiagnosticReport
 from .seeds import derive_seed, path_keys, path_streams
@@ -309,15 +308,11 @@ def _draw(out, keys, lo, hi):
         gen.standard_normal(out=row)
 
 
-def _prepare_control(problem, control, step_times, n_paths):
-    """Classify the control: ('policy', obj) or ('values', array)."""
+def _prepare_control(problem, control, step_times):
+    """Classify the control: ('policy', obj) or ('values', (M, q) array)."""
     if hasattr(control, "feedback"):
         return "policy", control
-    vals = signal_values(control, step_times)
-    if vals.ndim == 3 and vals.shape[0] != n_paths:
-        raise ValueError(
-            f"per-path trace carries {vals.shape[0]} paths, run asks for {n_paths}"
-        )
+    vals = control.values_on(step_times)
     if vals.shape[-1] != problem.control_spec.dim:
         raise ValueError("control dimension mismatch")
     return "values", vals
@@ -353,7 +348,7 @@ def _prepare(problem, t, x, control, n_paths, n_steps, master_seed, stream_label
         if not (x0.ndim == 1 or x0.shape == (n_paths, n)):
             raise ValueError(f"initial state must be ({n},) or ({n_paths}, {n})")
         inits.append(x0)
-        controls.append(_prepare_control(problem, ctl, grid[:-1], n_paths))
+        controls.append(_prepare_control(problem, ctl, grid[:-1]))
     noise = _Noise(master_seed, stream_label, n_paths, n_steps, problem.noise_dim)
     return _Prepared(noise, dt, grid, inits, controls, semigroup_matrix(problem.op, dt))
 
@@ -501,10 +496,9 @@ def _run(problem, request, out, dw, lo, hi):
             x = inits[g0 + c]
             X[c] = x if x.ndim == 1 else x[lo:hi]
         # controls fill their blocks of one array: a feedback map on the block
-        # of the adjacent contestants that share it, shared signals in one
-        # assignment, per-path traces by rows
+        # of the adjacent contestants that share it, signals in one assignment
         A = np.empty((n_c, rows, q))
-        policies, shared, per_path = [], [], []
+        policies, shared = [], []
         for c, (kind, ctl) in enumerate(controls[g0:g1]):
             if kind == "policy":
                 # adjacent contestants under one policy object share its call
@@ -512,10 +506,8 @@ def _run(problem, request, out, dw, lo, hi):
                     policies[-1][1] = c + 1
                 else:
                     policies.append([c, c + 1, ctl])
-            elif ctl.ndim == 2:
-                shared.append((c, ctl))
             else:
-                per_path.append((c, ctl[lo:hi]))
+                shared.append((c, ctl))
         if shared:
             shared_at = [c for c, _ in shared]
             shared_vals = np.stack([v for _, v in shared])[:, :, None]
@@ -551,8 +543,6 @@ def _run(problem, request, out, dw, lo, hi):
                     np.clip(a, box[0], box[1], out=a)
             if shared:
                 A[shared_at] = shared_vals[:, k]
-            for c, vals in per_path:
-                A[c] = vals[:, k]
             if traces is not None:
                 traces[g0:g1, lo:hi, k] = A
 

@@ -347,6 +347,8 @@ def check_positivity_preserving(op: DiscreteOperator, dts,
     for every dt in dts, down to -1e-10 times each sample's largest entry."""
     tol = 1e-10
     dts = list(dts)  # read twice: by the audit and for samples_used
+    if not dts:
+        raise ValueError("need at least one step dt")
     rng = stream(seed, "positivity")
     worst = {"value": np.inf}
     for dt in dts:

@@ -95,15 +95,14 @@ class ControlSpec:
 class CostStructure:
     """Separated cost l(x,a) = l1(x) + l2(a), l2 strictly convex.
 
-    dl2 maps a control to the gradient of l2 in the control-space metric;
-    dl2_inverse is its inverse map. control_matrix is the coupling G in the
-    drift b(x,a) = f(x) + G a, so the pointwise minimizer of the Hamiltonian
-    is dl2_inverse(-G* p) with the adjoint taken between the weighted spaces.
+    dl2_inverse is the inverse of the gradient of l2 in the control-space
+    metric. control_matrix is the coupling G in the drift
+    b(x,a) = f(x) + G a, so the pointwise minimizer of the Hamiltonian is
+    dl2_inverse(-G* p) with the adjoint taken between the weighted spaces.
     """
 
     l1: Callable
     l2: Callable
-    dl2: Callable
     dl2_inverse: Callable
     control_matrix: np.ndarray
 
@@ -300,7 +299,7 @@ class RiccatiSolution:
 
     value(t, x)    = p(t) x^2 + offset(t)
     gradient(t, x) = 2 p(t) x
-    feedback(t, x) = gain(t) x,  gain = -alpha p / r
+    gain(t)        = -alpha p(t) / r, the optimal feedback a = gain(t) x
     """
 
     t: np.ndarray
@@ -326,10 +325,6 @@ class RiccatiSolution:
     def gradient(self, t, x):
         x = np.asarray(x, dtype=float)
         return 2.0 * self.p_at(t) * x
-
-    def feedback(self, t, x):
-        x = np.asarray(x, dtype=float)
-        return self.gain_at(t) * x
 
 
 _P_TRUST = 1e8
@@ -423,7 +418,6 @@ def build_lq_benchmark(
     cost = CostStructure(
         l1=lambda x: q_state * x[..., 0] ** 2,
         l2=lambda a: r_control * a[..., 0] ** 2,
-        dl2=lambda a: 2.0 * r_control * a,
         dl2_inverse=lambda v: v / (2.0 * r_control),
         control_matrix=np.array([[alpha]]),
     )
@@ -588,7 +582,6 @@ def build_reaction_diffusion(
     cost = CostStructure(
         l1=lambda x: np.einsum("...j,j->...", l1_fn(x), w),
         l2=lambda a: nu * np.einsum("...j,...j,j->...", a, a, w),
-        dl2=lambda a: 2.0 * nu * a,
         dl2_inverse=lambda v: v / (2.0 * nu),
         control_matrix=-np.eye(n_grid),
     )
@@ -700,7 +693,6 @@ def build_sdde_lift(
     cost = CostStructure(
         l1=lambda x: q0 * x[..., 0] ** 2,
         l2=lambda a: nu * a[..., 0] ** 2,
-        dl2=lambda a: 2.0 * nu * a,
         dl2_inverse=lambda v: v / (2.0 * nu),
         control_matrix=g_mat,
     )

@@ -2,10 +2,10 @@
 
 The value of a point (t, x) is approached from above by minimizing the
 estimated cost over a family of admissible candidates: sampled open-loop
-signals, the zero signal, and optionally feedback policies or recorded
-per-path traces. Policies count as candidates on purpose: with nonzero
-noise the best open-loop signal is strictly worse than the best adapted
-control, so a family without feedback candidates stalls above the value.
+signals, the zero signal, and optionally feedback policies. Policies count
+as candidates on purpose: with nonzero noise the best open-loop signal is
+strictly worse than the best adapted control, so a family without feedback
+candidates stalls above the value.
 
 All candidates at one point are evaluated on the same Brownian increments
 (common random numbers), which makes candidate comparisons paired and lets
@@ -102,8 +102,8 @@ class ControlFamily:
     Sampled candidates are piecewise constant on n_segments equal pieces of
     [t, T], drawn coordinatewise, clipped into the box and projected into
     the weighted ball of radius m_truncation. base_candidates are prepended
-    verbatim (signals, traces or feedback policies); the zero signal is
-    always worth including since costs here are nonnegative-ish near zero.
+    verbatim (signals or feedback policies); the zero signal is always
+    worth including since costs here are nonnegative-ish near zero.
     """
 
     n_segments: int = 4

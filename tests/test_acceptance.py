@@ -345,7 +345,7 @@ def test_c7_truncation_stabilizes_at_feedback_amplitude():
     monotone = bool(np.all(np.diff(values) <= 0))
     flat = bool(np.all(values[j] - values[j:]
                        <= 2.0 * np.sqrt(ses[j:] ** 2 + ses[j] ** 2)))
-    amp = abs(sol.feedback(0.0, x)[0])
+    amp = abs(sol.gain_at(0.0) * x[0])
     consistent = 0.5 * amp <= m_bar <= 2.0 * amp
 
     ok = rep.passed and monotone and flat and consistent

@@ -125,12 +125,18 @@ def test_config_validation_rules(tmp_path):
     ("diagnostics", "n_pairs = 1", "n_pairs"),
     ("diagnostics", "eval_paths = 1", "eval_paths"),
     ("diagnostics", "probe_paths = 1", "probe_paths"),
+    ("value", "n_segments = 0", "n_segments"),
+    ("diagnostics", "eval_steps = 0", "eval_steps"),
+    ("diagnostics", "radius = 0", "radius"),
+    ("diagnostics", "radius = -0.5", "radius"),
+    ("diagnostics", "se_mult = -1", "se_mult"),
 ])
 def test_config_rejects_what_a_stage_rejects(tmp_path, section, line, key):
     # the truncation scan needs three positive radii and the defect scans
-    # two pairs; a config without them would fail mid-run. One evaluation or
-    # probe path makes every standard error zero, and run-all would pass on
-    # no evidence
+    # two pairs and a positive radius; a config without them, without a
+    # step or a segment, would fail mid-run. One evaluation or probe path
+    # makes every standard error zero, and a negative se_mult every slack
+    # negative: run-all would then pass on no evidence
     p = tmp_path / "bad.ini"
     p.write_text(f"[{section}]\n{line}\n")
     with pytest.raises(ValueError, match=key):

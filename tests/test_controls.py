@@ -6,18 +6,15 @@ import pytest
 from hjblab.controls import (
     ConstantSignal,
     PiecewiseConstantSignal,
-    TraceSignal,
     clip_box,
     control_norm,
     project_ball,
-    signal_values,
     zero_signal,
 )
 
 
 def test_constant_signal_everywhere():
     sig = ConstantSignal(np.array([1.0, -2.0]))
-    assert sig.dim == 2
     vals = sig.values_on(np.linspace(0, 1, 5))
     np.testing.assert_array_equal(vals, np.tile([1.0, -2.0], (5, 1)))
 
@@ -37,22 +34,9 @@ def test_piecewise_validation():
         PiecewiseConstantSignal(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]))
 
 
-def test_trace_signal_modes():
-    grid = np.linspace(0, 0.9, 10)
-    shared = TraceSignal(grid, np.ones((10, 1)))
-    assert signal_values(shared, grid).shape == (10, 1)
-    per_path = TraceSignal(grid, np.ones((3, 10, 1)))
-    assert per_path.dim == 1
-    assert signal_values(per_path, grid).shape == (3, 10, 1)
-    with pytest.raises(ValueError):
-        signal_values(shared, np.linspace(0, 0.9, 7))
-    with pytest.raises(ValueError):
-        TraceSignal(grid, np.ones((3, 9, 1)))
-
-
 def test_zero_signal():
     z = zero_signal(3)
-    np.testing.assert_array_equal(signal_values(z, [0.0, 0.5]), np.zeros((2, 3)))
+    np.testing.assert_array_equal(z.values_on([0.0, 0.5]), np.zeros((2, 3)))
 
 
 def test_clip_box_and_none():

@@ -447,6 +447,15 @@ def test_positivity_check_fails_for_negative_offdiagonal():
     assert expm(0.1 * m).min() < 0
 
 
+def test_positivity_check_rejects_no_steps():
+    # with no step nothing is audited, and a pass would certify an operator
+    # that fails at dt = 0.1
+    op = DiscreteOperator(np.array([[-1.0, -1.0], [0.0, -1.0]]), kind="custom")
+    assert check_positivity_preserving(op, [0.1]).verdict == "fail"
+    with pytest.raises(ValueError, match="at least one step"):
+        check_positivity_preserving(op, [])
+
+
 def test_delay_semigroup_positivity():
     op = make_delay_generator(1, 1.0, 10)
     rep = check_positivity_preserving(op, [1e-2, 1e-1, 0.5], n_samples=50, seed=3)

@@ -2,7 +2,8 @@
 does every public method and property of a package class; every record
 field has a reader, no module imports a name it does not use, one place
 asks for Brownian increments and one place forks, and the package runs on
-numpy without loading scipy."""
+numpy without loading scipy; importing the package alone loads none of its
+modules."""
 
 import ast
 import importlib
@@ -37,11 +38,6 @@ def test_all_names_resolve(name):
     assert not missing, f"hjblab.{name}.__all__ names missing objects: {missing}"
 
 
-def test_package_all_names_resolve():
-    missing = [n for n in hjblab.__all__ if not hasattr(hjblab, n)]
-    assert not missing
-
-
 # imports the package and the CLI, then takes the semigroup and the
 # B-condition of the reaction-diffusion and delay-lift problems
 _NO_SCIPY_PROBE = """
@@ -56,16 +52,30 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def _probe(code):
+    """What a fresh interpreter that imports this package's source prints."""
+    src = str(Path(hjblab.__path__[0]).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_package_does_not_load_scipy():
     # the runtime needs numpy alone; scipy is a test-only reference, and
     # importing it would cost every process its start-up time, its memory
     # and a second BLAS thread pool
-    src = str(Path(hjblab.__path__[0]).parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]", f"scipy modules loaded: {out.stdout[:300]}"
+    out = _probe(_NO_SCIPY_PROBE)
+    assert out == "[]", f"scipy modules loaded: {out[:300]}"
+
+
+def test_package_namespace_loads_no_module():
+    # every name has one import path, its module's: the top-level package
+    # re-exports nothing, so importing it loads none of its modules
+    out = _probe("import sys, hjblab\n"
+                 "print(sorted(m for m in sys.modules if m.startswith('hjblab.')))")
+    assert out == "[]", f"import hjblab loaded: {out[:300]}"
 
 
 def _unused_imports(tree):
@@ -292,9 +302,6 @@ UNREAD_FIELDS = {
         "a result that acceptance test c1 and tests inspect",
     ("models", "ControlProblem", "drift_lipschitz"):
         "a declared hypothesis that test_problems audits",
-    ("models", "CostStructure", "dl2"):
-        "the gradient of l2 that the Hamiltonian reference in test_synthesis "
-        "descends along",
 }
 
 

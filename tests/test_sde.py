@@ -25,8 +25,6 @@ from hjblab import engine
 from hjblab.controls import (
     ConstantSignal,
     PiecewiseConstantSignal,
-    TraceSignal,
-    signal_values,
     zero_signal,
 )
 from hjblab.engine import (
@@ -58,6 +56,7 @@ from hjblab.models import (
 )
 from hjblab.seeds import stream
 from hjblab.synthesis import (
+    Policy,
     make_gamma_policy,
     make_riccati_policy,
     scale_policy,
@@ -278,17 +277,27 @@ def test_piecewise_signal_is_applied_on_the_right_steps():
     np.testing.assert_array_equal(trace[50:], -1.0)
 
 
-def test_trace_replay_reproduces_costs_bitwise():
-    problem = scalar_problem(lambda x, a: -x + a, 0.5)
-    sig = ConstantSignal(np.array([0.3]))
-    run = simulate_costs(problem, 0.0, np.array([1.0]), sig, n_paths=32,
-                         n_steps=40, seed=13, record_controls=True)
-    from hjblab.controls import TraceSignal
-
-    replay = TraceSignal(run.time_grid[:-1], run.control_traces)
-    run2 = simulate_costs(problem, 0.0, np.array([1.0]), replay, n_paths=32,
-                          n_steps=40, seed=13)
-    np.testing.assert_array_equal(run.costs, run2.costs)
+def test_constant_feedback_equals_its_signal_bitwise():
+    # the engine's two control kinds, a feedback map and a signal, fill the
+    # step's controls by different code; on the same values inside the box
+    # they give the same bits, run alone and as contestants of one call
+    problem = build_reaction_diffusion()
+    q = problem.control_spec.dim
+    value = np.linspace(-2.0, 3.0, q)
+    policy = Policy(feedback=lambda s, xb: np.broadcast_to(value, (len(xb), q)),
+                    provenance="oracle")
+    signal = ConstantSignal(value)
+    x = np.full(problem.dim, 0.7)
+    alone = [simulate_costs(problem, 0.0, x, c, n_paths=97, n_steps=30,
+                            seed=13, record_controls=True)
+             for c in (policy, signal)]
+    together = simulate_costs(problem, 0.0, [x, x], [policy, signal],
+                              n_paths=97, n_steps=30, seed=13,
+                              record_controls=True)
+    for run in alone[1:] + together:
+        assert run.costs.tobytes() == alone[0].costs.tobytes()
+        assert run.control_traces.tobytes() == alone[0].control_traces.tobytes()
+    assert np.all(alone[0].control_traces == value)
 
 
 def test_control_dimension_mismatch_rejected():
@@ -296,17 +305,6 @@ def test_control_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         simulate_ensemble(problem, 0.0, np.array([0.0]), zero_signal(2), 1,
                           seed=0)
-
-
-def test_per_path_trace_path_count_must_match():
-    problem = scalar_problem(lambda x, a: a, 0.0)
-    grid = np.linspace(0, 1, 11)
-    from hjblab.controls import TraceSignal
-
-    trace = TraceSignal(grid[:-1], np.zeros((4, 10, 1)))
-    with pytest.raises(ValueError):
-        simulate_ensemble(problem, 0.0, np.array([0.0]), trace, n_paths=3,
-                          n_steps=10, seed=0)
 
 
 # --- cost accumulation ---------------------------------------------------------
@@ -351,8 +349,7 @@ class _Counted:
 def test_separated_cost_evaluates_l1_per_state_and_l2_per_step(n_steps):
     l1 = _Counted(lambda x: x[..., 0] ** 2)
     l2 = _Counted(lambda a: a[..., 0] ** 2)
-    cost = CostStructure(l1=l1, l2=l2, dl2=lambda a: 2.0 * a,
-                         dl2_inverse=lambda v: v / 2.0,
+    cost = CostStructure(l1=l1, l2=l2, dl2_inverse=lambda v: v / 2.0,
                          control_matrix=np.eye(1))
     problem = dataclasses.replace(scalar_problem(lambda x, a: a, 0.3),
                                   cost_structure=cost)
@@ -461,12 +458,8 @@ def tile_controls(problem, case):
         return x, gamma
     if case == "per_path_states":
         return rng.normal(0.0, 0.5, (TILE_PATHS, n)), gamma
-    if case == "piecewise":
-        knots = np.linspace(0.0, problem.horizon, 5)
-        return x, PiecewiseConstantSignal(knots, rng.normal(0.0, 1.0, (4, q)))
-    step_times = (problem.horizon / TILE_STEPS) * np.arange(TILE_STEPS)
-    values = rng.normal(0.0, 1.0, (TILE_PATHS, TILE_STEPS, q))
-    return x, TraceSignal(step_times, values)
+    knots = np.linspace(0.0, problem.horizon, 5)
+    return x, PiecewiseConstantSignal(knots, rng.normal(0.0, 1.0, (4, q)))
 
 
 def multiplicative_reaction_diffusion():
@@ -477,8 +470,7 @@ def multiplicative_reaction_diffusion():
         problem, noise=lambda x: sigma * (1.0 + 0.1 * np.tanh(x))[..., :, None])
 
 
-@pytest.mark.parametrize("case", ["gamma_box", "per_path_states", "piecewise",
-                                  "per_path_trace"])
+@pytest.mark.parametrize("case", ["gamma_box", "per_path_states", "piecewise"])
 @pytest.mark.parametrize("builder", [
     lambda: build_lq_benchmark(control_bound=0.6)[0],
     build_reaction_diffusion,
@@ -577,13 +569,10 @@ def group_contestants(problem, n_paths, controls="mixed"):
         return [(x, gamma), (-x, gamma), (per_path, gamma),
                 (0.3 * x, scale_policy(gamma, 0.5)), (0.5 * x, gamma)]
     knots = np.linspace(0.0, problem.horizon, 5)
-    step_times = (problem.horizon / TILE_STEPS) * np.arange(TILE_STEPS)
-    trace = rng.normal(0.0, 1.0, (n_paths, TILE_STEPS, q))
     return [
         (x, gamma),
         (x, zero_signal(q)),
         (-x, PiecewiseConstantSignal(knots, rng.normal(0.0, 1.0, (4, q)))),
-        (x, TraceSignal(step_times, trace)),
         (per_path, scale_policy(gamma, 0.5)),
     ]
 
@@ -594,8 +583,8 @@ def run_contestants(problem, contestants, n_paths):
 
 GROUP_SIZES = {
     "default": None,
-    "pairs": [1, 2, 2],   # a group holds two contestants
-    "tiled": [1] * 5,     # each contestant alone, in 64-row tiles
+    "pairs": 2,           # a group holds two contestants
+    "tiled": 1,           # each contestant alone, in 64-row tiles
 }
 # the shared-policy contestants at two of those budgets
 SHARED_BUDGETS = {"shared_default": "default", "shared_tiled": "tiled"}
@@ -625,7 +614,8 @@ def test_grouped_contestants_match_their_own_runs_bitwise(
         assert len(engine._tile_bounds(n_paths, problem.dim)) > 1
     groups = engine._group_bounds(len(contestants), n_paths, problem.dim)
     if GROUP_SIZES[budget] is not None:
-        assert [g1 - g0 for g0, g1 in groups] == GROUP_SIZES[budget]
+        size = GROUP_SIZES[budget]
+        assert [g1 - g0 for g0, g1 in groups] == [size] * (len(contestants) // size)
     elif n_paths == 150:
         assert groups == [(0, len(contestants))]
     # in one process, then across 2 and 3: the request, whose block the
@@ -914,7 +904,7 @@ def full_width_run(problem, x, control, n_paths, seed=17, t=0.0):
                              problem.noise_dim) * math.sqrt(dt)
     E = semigroup_matrix(problem.op, dt)
     values = (None if hasattr(control, "feedback")
-              else signal_values(control, grid[:-1]))
+              else control.values_on(grid[:-1]))
     X = np.empty((n_paths, n))
     X[...] = x
     states, traces = [X], []
@@ -923,7 +913,7 @@ def full_width_run(problem, x, control, n_paths, seed=17, t=0.0):
         if values is None:
             a = np.clip(control.feedback(grid[k], X), lo, hi)
         else:
-            a = np.broadcast_to(values[..., k, :], (n_paths, q))
+            a = np.broadcast_to(values[k], (n_paths, q))
         b = np.zeros((n_paths, n))
         b[:, problem.block] = problem.drift(X, a)
         c2 = cost.l2(a)
