@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -209,6 +210,11 @@ def _validate(cfg: ExperimentConfig):
     for key in ("family_size", "n_segments"):
         if cfg.value[key] < 1:
             raise ValueError(f"key '{key}' in [value] must be positive")
+    # a zero step divides by zero in the central differences
+    fd_step = cfg.value["fd_step"]
+    if fd_step is not None and not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValueError("key 'fd_step' in [value] must be a positive finite "
+                         "number, or none for the default step")
     # the prefix check needs two pairs, the scans a positive radius and a
     # step; evaluations and probes need two paths, since one gives a zero
     # standard error and a vacuous pass, as a negative se_mult does by

@@ -8,9 +8,9 @@ with explicit Monte Carlo slack. Each report says which of those it did.
 
 Value-based scans speak to evaluators with the (t, xs (K, N), seed) ->
 samples (K, P) contract from the value layer: the points of one statistic
-(a pair, or a scan pair with the midpoints of its whole lambda grid) go in
-one call on one seed, so differences of value estimates are paired and their
-noise largely cancels.
+(every pair of the Lipschitz scan, or a scan pair with the midpoints of its
+whole lambda grid) go in one call on one seed, so differences of value
+estimates are paired and their noise largely cancels.
 Trajectory checks couple all variants for the same reason: the legs of one
 stability pair or midpoint segment, or the two ordered inputs of the
 comparison check, are contestants of one engine call, on one increment block
@@ -77,9 +77,10 @@ def lipschitz_estimate(
 ) -> DiagnosticReport:
     """Largest sampled ratio |V(t,x) - V(t,y)| / ||x - y|| over the pairs.
 
-    pairs is a nonempty sequence of (x, y), all at time t. Both members of a
-    pair are evaluated on the same seed, so the difference is paired and its
-    standard error is of the difference. With declared_bound given the
+    pairs is a nonempty sequence of (x, y), all at time t. The points of
+    every pair with x != y go to the evaluator in one call on one seed, so
+    each difference is paired and its standard error is of the difference;
+    a pair with x == y is skipped and counted. With declared_bound given the
     verdict tests every ratio against bound + se_mult * se; without it the
     scan is an estimate and passes on finiteness alone.
     """
@@ -87,14 +88,17 @@ def lipschitz_estimate(
         raise ValueError("need at least one point pair")
     norm = space_norm(space, b_op, norm_tag)
 
+    dists = [float(norm(np.asarray(x, float) - np.asarray(y, float)))
+             for x, y in pairs]
+    live = [i for i, d in enumerate(dists) if d != 0.0]
     kept = []
-    for i, (x, y) in enumerate(pairs):
-        d = float(norm(np.asarray(x, float) - np.asarray(y, float)))
-        if d == 0.0:
-            continue
-        vx, vy = _samples(value_evaluator, t, [x, y], seed)
-        est = MCEstimate.from_samples(vx - vy)
-        kept.append((i, (abs(est.mean) / d, est.std_error / d)))
+    if live:
+        # every pair's two points in one call, x then y for each pair
+        samples = _samples(value_evaluator, t,
+                           [p for i in live for p in pairs[i]], seed)
+        for i, vx, vy in zip(live, samples[0::2], samples[1::2]):
+            est = MCEstimate.from_samples(vx - vy)
+            kept.append((i, (abs(est.mean) / dists[i], est.std_error / dists[i])))
     skipped = len(pairs) - len(kept)
     if not kept:
         return DiagnosticReport(
@@ -611,7 +615,9 @@ def comparison_check(
     Pass iff the minimum of X1 - X2 over paths, steps and components stays
     above -_COMPARISON_TOL_SCALE * sup |X|. Paths run in chunks whose
     recorded states fit _COMPARISON_CHUNK_BYTES, chunk j on seed
-    derive_seed(seed, "comparison", j).
+    derive_seed(seed, "comparison", j). One chunk's records are held at a
+    time: each is reduced to its margin, witness and scale and let go before
+    the next chunk runs, so the audit's states never exceed one chunk.
 
     strict=True enforces the hypotheses (ordered inputs, Metzler operator,
     a declared reaction with a control channel of -I, dt L <= 1) and raises
@@ -668,6 +674,9 @@ def comparison_check(
             witness = {"step": int(step), "time": float(run1.time_grid[step]),
                        "path": lo + int(path), "component": int(component),
                        "seed": seed}
+        # every name of this chunk's records goes before the next chunk's
+        # run, or that run's states would be made while these are held
+        del run1, run2, run, gap
 
     tol = _COMPARISON_TOL_SCALE * sup_scale
     ok = min_margin >= -tol

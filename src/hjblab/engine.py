@@ -86,12 +86,18 @@ range of its paths, with groups and tiles sized by that range's rows; a
 shorter window is a run of the problem with a shorter horizon. `_simulate`
 runs a list of requests that make one noise request, in order, and returns
 one record per contestant, `PathEnsemble`: the time grid and terminal
-states always, and states, per-path costs, control traces or sup norms when
-they were asked for. simulate_ensemble (states) and simulate_costs (costs,
-optionally controls) hand it one request, and simulate_costs_batch each run
-of consecutive requests on one noise request, in turn; a request's records
-come back as one record, or a list for lists of states and controls; a
-single path is path 0 of a one-path ensemble.
+states always, and states, per-path costs, control traces, the controls'
+squared norms or sup norms when they were asked for. The squared norms,
+||a_k||^2 in the control metric per path and step, are (P, M) where the
+trace is (P, M, q): the moment audit reads only them, and keeps 1.6 MB in
+place of a 25.6 MB trace on a 2000-path, 100-step reaction-diffusion run.
+They are the trace squared, weighted and summed over its last axis, step by
+step, so they carry the bits of that reduction of the recorded trace.
+simulate_ensemble (states) and simulate_costs (costs, optionally controls)
+hand it one request, and simulate_costs_batch each run of consecutive
+requests on one noise request, in turn; a request's records come back as
+one record, or a list for lists of states and controls; a single path is
+path 0 of a one-path ensemble.
 
 `_simulate` is also the one fan-out, and its unit is that one noise
 request. When this process has more than one CPU and the call's work
@@ -222,8 +228,10 @@ class SimulationDivergenceError(RuntimeError):
 class PathEnsemble:
     """The run record: what one pass of the step loop produced.
 
-    The last four fields are None unless the run was asked for them. Traces
-    are clipped into the box, so they show how often a feedback sat on it.
+    The last five fields are None unless the run was asked for them. Traces
+    are clipped into the box, so they show how often a feedback sat on it;
+    control_sq_norms holds ||a_k||^2 in the control metric of those clipped
+    controls, the one reduction of them the moment audit reads.
     """
 
     time_grid: np.ndarray                        # (M+1,)
@@ -231,6 +239,7 @@ class PathEnsemble:
     states: Optional[np.ndarray]                 # (P, M+1, N)
     costs: Optional[np.ndarray]                  # (P,) running + terminal
     control_traces: Optional[np.ndarray]         # (P, M, q), step left-endpoints
+    control_sq_norms: Optional[np.ndarray]       # (P, M) weighted ||a_k||^2
     sup_norm: Optional[np.ndarray]               # (P,) max over steps of ||X||_H
 
 
@@ -359,7 +368,7 @@ def _record_shapes(problem, request, fields):
     always, the others when fields names them, else None."""
     n, q, m = problem.dim, problem.control_spec.dim, request.noise.n_steps
     tails = {"terminal_states": (n,), "states": (m + 1, n), "costs": (),
-             "control_traces": (m, q), "sup_norm": ()}
+             "control_traces": (m, q), "control_sq_norms": (m,), "sup_norm": ()}
     return {f: (len(request.inits), request.noise.n_paths) + tail
             if f == "terminal_states" or f in fields else None
             for f, tail in tails.items()}
@@ -482,6 +491,7 @@ def _run(problem, request, out, dw, lo, hi):
     sigma_t = problem.noise[J].T if problem.additive_noise else None
     terminal, states, costs = out["terminal_states"], out["states"], out["costs"]
     traces, sup_norm = out["control_traces"], out["sup_norm"]
+    sq_norms, weights = out["control_sq_norms"], problem.control_spec.weights
     separated = problem.cost_structure if costs is not None else None
 
     def advance(g0, g1, lo, hi):
@@ -527,6 +537,9 @@ def _run(problem, request, out, dw, lo, hi):
             c1[...] = separated.l1(X.reshape(n_c * rows, n))
         if sup_norm is not None:
             norm = h_norm(problem.space, X)
+        if sq_norms is not None:
+            # the weighted squares of the controls, made once per tile
+            A_sq = np.empty_like(A)
 
         for k in range(n_steps):
             if k % chunk == 0:
@@ -545,6 +558,12 @@ def _run(problem, request, out, dw, lo, hi):
                 A[shared_at] = shared_vals[:, k]
             if traces is not None:
                 traces[g0:g1, lo:hi, k] = A
+            if sq_norms is not None:
+                # square, weight, sum over the last axis: the operations, and
+                # so the bits, of reducing the (P, M, q) trace afterwards
+                np.square(A, out=A_sq)
+                np.multiply(A_sq, weights, out=A_sq)
+                sq_norms[g0:g1, lo:hi, k] = np.sum(A_sq, axis=-1)
 
             Xf = X.reshape(n_c * rows, n)
             bJ = problem.drift(Xf, Af).reshape(n_c, rows, width)
@@ -770,13 +789,9 @@ def moment_bound_check(
 
     def sweep(master):
         run = _simulate(problem, [(t, x, control, n_paths, n_steps, master, "paths")],
-                        ("control_traces", "sup_norm"))[0]
+                        ("control_sq_norms", "sup_norm"))[0]
         est = float(np.mean(run.sup_norm ** p))
-        # ||a||^2 in place: the (P, M, q) trace is the audit's largest array
-        tr = run.control_traces
-        np.square(tr, out=tr)
-        np.multiply(tr, problem.control_spec.weights, out=tr)
-        a_norm_p = np.sum(tr, axis=-1) ** (p / 2.0)
+        a_norm_p = run.control_sq_norms ** (p / 2.0)
         dt = (problem.horizon - t) / n_steps
         ctl_term = float(np.mean(np.sum(a_norm_p, axis=-1) * dt))
         denom = 1.0 + h_norm(problem.space, np.asarray(x, dtype=float)) ** p + ctl_term

@@ -130,11 +130,15 @@ def test_config_validation_rules(tmp_path):
     ("diagnostics", "radius = 0", "radius"),
     ("diagnostics", "radius = -0.5", "radius"),
     ("diagnostics", "se_mult = -1", "se_mult"),
+    ("value", "fd_step = 0", "fd_step"),
+    ("value", "fd_step = -0.001", "fd_step"),
+    ("value", "fd_step = inf", "fd_step"),
 ])
 def test_config_rejects_what_a_stage_rejects(tmp_path, section, line, key):
     # the truncation scan needs three positive radii and the defect scans
     # two pairs and a positive radius; a config without them, without a
-    # step or a segment, would fail mid-run. One evaluation or probe path
+    # step or a segment, would fail mid-run, and a zero difference step
+    # would write a NaN gradient. One evaluation or probe path
     # makes every standard error zero, and a negative se_mult every slack
     # negative: run-all would then pass on no evidence
     p = tmp_path / "bad.ini"

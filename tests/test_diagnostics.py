@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjblab import diagnostics as dg
+from hjblab import engine
 from hjblab.hilbert import DiscreteOperator, h_norm, interval_space, make_zero_operator
 from hjblab.models import (
     ControlProblem,
@@ -106,6 +108,32 @@ def test_lipschitz_validation_and_degenerate_pairs():
                                           (np.ones(3), np.zeros(3))], SP3)
     assert rep.constants["skipped_pairs"] == 1
     assert rep.constants["n_pairs"] == 1
+
+
+def test_lipschitz_pairs_go_in_one_call_with_their_own_bits():
+    # every pair with x != y goes to the evaluator in one call; the
+    # evaluator's contestants are row-wise, so each pair's ratio keeps the
+    # bits of a call on that pair alone
+    rd = build_reaction_diffusion()
+    ev = make_policy_evaluator(rd, zero_policy(rd), n_paths=200, n_steps=40)
+    calls = []
+
+    def counted(t, xs, seed):
+        calls.append(len(xs))
+        return ev(t, xs, seed)
+    rng = stream(5, "lpairs", 0)
+    pairs = [(0.3 * rng.normal(size=16), 0.3 * rng.normal(size=16))
+             for _ in range(4)]
+    pairs.insert(2, (pairs[0][0], pairs[0][0].copy()))
+    rep = dg.lipschitz_estimate(counted, 0.0, pairs, rd.space, seed=3)
+    assert calls == [8]
+    assert rep.constants["skipped_pairs"] == 1
+    alone = [dg.lipschitz_estimate(ev, 0.0, [pair], rd.space, seed=3)
+             for i, pair in enumerate(pairs) if i != 2]
+    best = max(alone, key=lambda r: r.constants["c_hat"])
+    for key in ("c_hat", "c_hat_se"):
+        assert rep.constants[key] == best.constants[key]
+    assert rep.witness == best.witness
 
 
 def test_lipschitz_delay_model_reported_in_both_norms():
@@ -470,6 +498,36 @@ def test_comparison_replays_bitwise():
     assert a.verdict == b.verdict
     assert a.constants == b.constants
     assert a.witness == b.witness
+
+
+def test_comparison_holds_one_chunk_at_a_time(monkeypatch):
+    # a chunk's records are let go before the next chunk's run, so the audit
+    # peaks near one chunk of both contestants' states, not two. One
+    # process: a forked run allocates its outputs in shared memory, which
+    # tracemalloc does not see
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    rd = build_reaction_diffusion()
+    n_paths, n_steps, rows = 300, 50, 100
+    chunk_bytes = 2 * rows * (n_steps + 1) * rd.dim * 8
+    monkeypatch.setattr(dg, "_COMPARISON_CHUNK_BYTES", chunk_bytes)
+    chunks = []
+    run = dg.simulate_ensemble
+
+    def counted(*args):
+        chunks.append(args[4])
+        return run(*args)
+    monkeypatch.setattr(dg, "simulate_ensemble", counted)
+    tracemalloc.start()
+    try:
+        rep = dg.comparison_check(rd, 0.1 * np.ones(rd.dim), np.zeros(rd.dim),
+                                  None, None, n_paths=n_paths, n_steps=n_steps,
+                                  seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert chunks == [rows] * 3
+    assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
 
 
 def order_breaker_problem():

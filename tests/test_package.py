@@ -302,6 +302,9 @@ UNREAD_FIELDS = {
         "a result that acceptance test c1 and tests inspect",
     ("models", "ControlProblem", "drift_lipschitz"):
         "a declared hypothesis that test_problems audits",
+    ("engine", "PathEnsemble", "control_traces"):
+        "the controls a feedback applied, which tests read, and the "
+        "reference that control_sq_norms is checked against",
 }
 
 

@@ -144,6 +144,7 @@ def test_costs_and_states_come_back_in_one_record():
     np.testing.assert_array_equal(run.time_grid, ens.time_grid)
     assert ens.costs is None and run.states is None
     assert run.control_traces is None and run.sup_norm is None
+    assert run.control_sq_norms is None
 
 
 def test_record_shapes_name_the_path_ensemble_fields():
@@ -422,7 +423,7 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-ALL_FIELDS = ("states", "costs", "control_traces", "sup_norm")
+ALL_FIELDS = ("states", "costs", "control_traces", "control_sq_norms", "sup_norm")
 
 
 def engine_run(problem, contestants, n_paths, n_steps, seed, fields=ALL_FIELDS):
@@ -486,8 +487,7 @@ def test_tiled_run_matches_one_pass_bitwise(monkeypatch, builder, case):
     bounds = engine._tile_bounds(TILE_PATHS, problem.dim)
     assert [lo for lo, _ in bounds] == [0, 256, 512, 768]
     tiled = run_all_outputs(problem, x, control)
-    for field in ("costs", "terminal_states", "states", "control_traces",
-                  "sup_norm"):
+    for field in ("terminal_states",) + ALL_FIELDS:
         assert getattr(tiled, field).tobytes() == getattr(one_pass, field).tobytes()
     if case == "gamma_box":
         assert on_box(problem, tiled.control_traces)
@@ -634,8 +634,7 @@ def test_grouped_contestants_match_their_own_runs_bitwise(
         assert_no_children()
         assert len(together) == len(contestants)
         for one, mine in zip(alone, together):
-            for field in ("costs", "terminal_states", "states",
-                          "control_traces", "sup_norm"):
+            for field in ("terminal_states",) + ALL_FIELDS:
                 assert (getattr(mine, field).tobytes()
                         == getattr(one, field).tobytes()), (processes, field)
         assert on_box(problem, together[0].control_traces)
@@ -829,8 +828,7 @@ def test_runs_below_the_fork_threshold_never_fork(monkeypatch):
     fallback = run_contestants(problem, contestants, 150)
     assert refused == [1]
     for want, got in zip(small, fallback):
-        for field in ("costs", "terminal_states", "states", "control_traces",
-                      "sup_norm"):
+        for field in ("terminal_states",) + ALL_FIELDS:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
@@ -1172,11 +1170,51 @@ def test_moment_bound_frozen_constant_holds_across_seeds():
         assert rep.passed, rep.constants
 
 
-def test_moment_audit_reduces_the_control_trace_in_place(monkeypatch):
-    # the (P, M, q) trace is the audit's largest array; squaring and
-    # weighting it must not allocate further arrays of its size. One
-    # process: a forked run allocates the trace in shared memory, which
-    # tracemalloc does not see
+@pytest.mark.parametrize("control", ["gamma_box", "piecewise"])
+@pytest.mark.parametrize("n_paths, forked", [(300, False), (2000, True)])
+def test_control_sq_norms_are_the_reduced_trace_bitwise(
+        monkeypatch, control, n_paths, forked):
+    # the recorded (P, M, q) trace, squared, weighted and summed over its
+    # last axis, is the reference for the (P, M) squared norms, and the
+    # moment audit on those norms gives the estimate and denominator of the
+    # audit on the trace; 2000 x 100 on reaction_diffusion is past the
+    # fork threshold, 300 paths are not
+    problem = build_reaction_diffusion()
+    q, n_steps, seed, p = problem.control_spec.dim, 100, 6, 4.0
+    x0 = 0.3 * np.sin(np.pi * np.arange(1, q + 1) / (q + 1))
+    if control == "gamma_box":
+        ctl = make_gamma_policy(problem, lambda s, xb: 40.0 * xb)
+    else:
+        ctl = PiecewiseConstantSignal(
+            np.linspace(0.0, problem.horizon, 5),
+            np.random.default_rng(31).normal(0.0, 1.0, (4, q)))
+    monkeypatch.setattr(engine, "_PROCESSES", 2)
+    forks = count_forks(monkeypatch)
+    run, = engine_run(problem, [(x0, ctl)], n_paths, n_steps, seed,
+                      fields=("control_traces", "control_sq_norms", "sup_norm"))
+    assert len(forks) == forked
+    sq = np.sum(np.square(run.control_traces) * problem.control_spec.weights,
+                axis=-1)
+    assert run.control_sq_norms.shape == (n_paths, n_steps)
+    assert run.control_sq_norms.tobytes() == sq.tobytes()
+    if control == "gamma_box":
+        assert on_box(problem, run.control_traces)
+    assert np.all(sq > 0)
+
+    rep = moment_bound_check(problem, 0.0, x0, ctl, p=p, n_paths=n_paths,
+                             n_steps=n_steps, seed=seed, c_p=10.0)
+    assert len(forks) == 2 * forked
+    dt = problem.horizon / n_steps
+    ctl_term = float(np.mean(np.sum(sq ** (p / 2.0), axis=-1) * dt))
+    assert rep.constants["estimate"] == float(np.mean(run.sup_norm ** p))
+    assert rep.constants["denominator"] == (
+        1.0 + h_norm(problem.space, x0) ** p + ctl_term)
+
+
+def test_moment_audit_peaks_below_its_control_trace(monkeypatch):
+    # the audit reads one squared norm per path and step, so it never holds
+    # an array of the (P, M, q) trace's size. One process: a forked run
+    # allocates its outputs in shared memory, which tracemalloc does not see
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     problem = build_reaction_diffusion()
     q = problem.control_spec.dim
@@ -1189,7 +1227,7 @@ def test_moment_audit_reduces_the_control_trace_in_place(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * trace_bytes, peak / trace_bytes
+    assert peak < trace_bytes, peak / trace_bytes
 
 
 def test_moment_bound_rejects_small_p():
