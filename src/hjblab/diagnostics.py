@@ -31,11 +31,11 @@ from typing import Optional
 import numpy as np
 
 from .controls import ConstantSignal, zero_signal
-from .engine import simulate_ensemble
+from .engine import simulate_sup
 from .hilbert import h_norm, space_norm
 from .report import PASS, FAIL, INCONCLUSIVE, DiagnosticReport
 from .seeds import derive_seed, stream
-from .value import MCEstimate, gradient_fd
+from .value import MCEstimate, below_noise_floor, gradient_fd
 
 __all__ = [
     "ScanConfig",
@@ -313,7 +313,10 @@ def c11_modulus(
     the two-sided bound 2 max(c_sc, 0) + 2 max(c_sv, 0) (defect ratios are
     half the quadratic coefficient, hence the factor) with 10% slack on the
     bound. Without them the check is finiteness only. Identical pairs are
-    skipped and counted.
+    skipped and counted. The report also counts the gradient calls with a
+    component below the Monte Carlo noise floor (value.below_noise_floor):
+    the calls on which value.gradient_fd warns, so those warnings show on
+    the report and not only on stderr.
     """
     if not pairs:
         raise ValueError("need at least one point pair")
@@ -323,7 +326,7 @@ def c11_modulus(
                                weights=space.weights)
 
     ratios, ses, kept_idx = [], [], []
-    skipped = 0
+    skipped = noisy = 0
     for i, (x, y) in enumerate(pairs):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
@@ -333,6 +336,8 @@ def c11_modulus(
             continue
         gx, sx = gradient_evaluator(t, x, seed)
         gy, sy = gradient_evaluator(t, y, seed)
+        noisy += sum(bool(np.any(below_noise_floor(g, s)))
+                     for g, s in ((gx, sx), (gy, sy)))
         ratios.append(float(h_norm(space, np.asarray(gx) - np.asarray(gy))) / d)
         ses.append(float(h_norm(space, np.sqrt(np.asarray(sx) ** 2
                                                + np.asarray(sy) ** 2))) / d)
@@ -370,6 +375,7 @@ def c11_modulus(
             "c_hat": c_hat, "c_hat_se": float(ses[top]),
             "two_sided_bound": bound,
             "n_pairs": len(ratios), "skipped_pairs": skipped,
+            "noise_floor_gradients": noisy,
         },
         witness={
             "t": t, "x": np.asarray(worst[0], float).tolist(),
@@ -384,11 +390,6 @@ def c11_modulus(
 # ---------------------------------------------------------------------------
 # coupled-trajectory checks
 # ---------------------------------------------------------------------------
-
-
-def _sup_norm_gap(states_a, states_b, norm):
-    """Per-path sup over time of ||X_a(s) - X_b(s)|| (first power)."""
-    return np.max(norm(states_a - states_b), axis=-1)
 
 
 # the input magnitudes eps of the stability regression, and the band its
@@ -418,7 +419,9 @@ def trajectory_stability_check(
 
     All legs of all magnitudes ride one shared noise stream, so a degenerate
     pair (zero difference) reproduces the base leg bitwise; those pairs are
-    verified to do exactly that and are excluded from the regression.
+    verified to do exactly that and are excluded from the regression. The
+    engine keeps each path's sup over time of every leg's gap as it steps
+    (engine.simulate_sup), so no state path is recorded.
     """
     if len(pairs) == 0:
         raise ValueError("need at least one point pair")
@@ -426,18 +429,18 @@ def trajectory_stability_check(
     norm = space_norm(problem.space, problem.b_op, norm_tag)
     controls = [zero_signal(problem.control_spec.dim)] * (len(eps) + 1)
 
+    def leg_gaps(X):
+        return norm(X[1:] - X[0]).T
+
     slopes, intercepts, exact_zero = [], [], 0
     for x0, x1 in pairs:
         x0 = np.asarray(x0, float)
         d = np.asarray(x1, float) - x0
         inits = [x0] + [x0 + e * d for e in eps]
-        runs = simulate_ensemble(problem, t, inits, controls, n_paths,
-                                 n_steps, seed, "stability")
-        base = runs[0].states
-        gaps = np.array([
-            float(np.mean(_sup_norm_gap(r.states, base, norm) ** 2))
-            for r in runs[1:]
-        ])
+        sup_gap, _ = simulate_sup(problem, t, inits, controls, n_paths, n_steps,
+                                  seed, "stability", leg_gaps, len(eps))
+        gaps = np.array([float(np.mean(sup_gap[:, i] ** 2))
+                         for i in range(len(eps))])
         if float(norm(d)) == 0.0 or np.all(gaps == 0.0):
             if np.any(gaps != 0.0):
                 slopes.append(float("nan"))
@@ -497,14 +500,16 @@ def midpoint_trajectory_check(
 
     X^mid is the average of the two endpoint trajectories, X_mid the
     trajectory launched from the segment's midpoint; all three legs run the
-    zero signal on one noise stream, in one engine call per radius. The
-    estimated constant is K_hat = max E[sup gap] / q with
-    q = ||x1 - x0||^2 / 4; the verdict needs K_hat to be stable when the
-    radii are cut to their first half, in the order given, and with three
-    or more radii the regression of log E[sup gap] on log ||x1 - x0|| to
-    have a slope in [1.8, 2.2]. Affine dynamics collapse the numerator to
-    rounding noise; that shows up as K_hat at the floor and is a pass with
-    a note. The report's probe counts and indices are over the radii.
+    zero signal on one noise stream, in one engine call per radius, which
+    keeps each path's sup over time of the gap as it steps
+    (engine.simulate_sup) and records no state path. The estimated constant
+    is K_hat = max E[sup gap] / q with q = ||x1 - x0||^2 / 4; the verdict
+    needs K_hat to be stable when the radii are cut to their first half, in
+    the order given, and with three or more radii the regression of
+    log E[sup gap] on log ||x1 - x0|| to have a slope in [1.8, 2.2]. Affine
+    dynamics collapse the numerator to rounding noise; that shows up as
+    K_hat at the floor and is a pass with a note. The report's probe counts
+    and indices are over the radii.
     """
     if len(radii) == 0:
         raise ValueError("need at least one radius")
@@ -515,18 +520,19 @@ def midpoint_trajectory_check(
     direction = np.asarray(direction, float)
     zero = zero_signal(problem.control_spec.dim)
 
+    def midpoint_gap(X):
+        return norm(0.5 * X[1] + 0.5 * X[0] - X[2])[:, None]
+
     rows = []
     for r in radii:
         x0, x1 = center - r * direction, center + r * direction
         dist = float(norm(x1 - x0))
         if dist == 0.0:
             raise ValueError(f"the segment of radius {r:g} is degenerate")
-        runs = simulate_ensemble(problem, t, [x0, x1, 0.5 * x1 + 0.5 * x0],
-                                 [zero] * 3, n_paths, n_steps, seed,
-                                 "midpoint")
-        interp = 0.5 * runs[1].states + 0.5 * runs[0].states
-        est = MCEstimate.from_samples(
-            _sup_norm_gap(interp, runs[2].states, norm))
+        sup_gap, _ = simulate_sup(problem, t, [x0, x1, 0.5 * x1 + 0.5 * x0],
+                                  [zero] * 3, n_paths, n_steps, seed, "midpoint",
+                                  midpoint_gap, 1)
+        est = MCEstimate.from_samples(sup_gap[:, 0])
         rows.append((est.mean, est.std_error, 0.25 * dist ** 2, dist))
 
     ratios = [num / q for num, _, q, _ in rows]
@@ -586,8 +592,10 @@ def midpoint_trajectory_check(
 # ---------------------------------------------------------------------------
 
 
-# byte budget of both contestants' recorded states in one comparison run; the
-# paths run in chunks of that size, each its own noise request
+# the paths run in chunks, each its own noise request, of as many rows as
+# both contestants' states over every step would fit in this many bytes: no
+# state is recorded any more, so the budget fixes the chunks and so the seeds
+# of each path (part of the frozen seed mapping), not the audit's memory
 _COMPARISON_CHUNK_BYTES = 16 * 2**20
 # the ordering tolerance, relative to the largest state magnitude
 _COMPARISON_TOL_SCALE = 1e-8
@@ -613,11 +621,14 @@ def comparison_check(
     E_dt >= 0 entrywise (a Metzler generator) and x + dt r(x) is
     nondecreasing, which dt L <= 1 gives for the reaction's slope bound L.
     Pass iff the minimum of X1 - X2 over paths, steps and components stays
-    above -_COMPARISON_TOL_SCALE * sup |X|. Paths run in chunks whose
-    recorded states fit _COMPARISON_CHUNK_BYTES, chunk j on seed
-    derive_seed(seed, "comparison", j). One chunk's records are held at a
-    time: each is reduced to its margin, witness and scale and let go before
-    the next chunk runs, so the audit's states never exceed one chunk.
+    above -_COMPARISON_TOL_SCALE * sup |X|. The engine keeps, per path and
+    component, the running maximum of -(X1 - X2) and the first step at it,
+    and per path the largest |X| (engine.simulate_sup), so no state path is
+    recorded; the witness is the first minimum in (path, step, component)
+    order, and min_margin carries its bits, the sign of a zero included.
+    Paths run in chunks of the rows whose two state paths would fill
+    _COMPARISON_CHUNK_BYTES, chunk j on seed derive_seed(seed, "comparison",
+    j).
 
     strict=True enforces the hypotheses (ordered inputs, Metzler operator,
     a declared reaction with a control channel of -I, dt L <= 1) and raises
@@ -653,30 +664,40 @@ def comparison_check(
             raise ValueError(f"explicit step is not order preserving: dt * L "
                              f"= {dt * lip:.3g} exceeds 1")
 
+    def order_gap(X):
+        # -(X1 - X2) per component, whose maximum is minus the minimum of
+        # X1 - X2 with its bits, a zero's sign included; then the row's
+        # largest |X| over both contestants
+        stat = np.empty((X.shape[1], dim + 1))
+        np.negative(X[0] - X[1], out=stat[:, :dim])
+        stat[:, dim] = np.abs(X).max(axis=(0, 2))
+        return stat
+
     controls = [ConstantSignal(-f1), ConstantSignal(-f2)]
     max_rows = max(1, _COMPARISON_CHUNK_BYTES // (2 * (n_steps + 1) * dim * 8))
     n_chunks = -(-n_paths // max_rows)
     bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
     min_margin, witness, sup_scale = math.inf, None, 1.0
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        run1, run2 = simulate_ensemble(problem, 0.0, [x1, x2], controls, hi - lo,
-                                       n_steps, derive_seed(seed, "comparison", j),
-                                       "comparison")
-        for run in (run1, run2):
-            sup_scale = max(sup_scale, float(run.states.max()),
-                            -float(run.states.min()))
-        # the gap overwrites run1's states: no third record-sized array
-        gap = np.subtract(run1.states, run2.states, out=run1.states)
-        flat = int(np.argmin(gap))
-        if gap.flat[flat] < min_margin:
-            path, step, component = np.unravel_index(flat, gap.shape)
-            min_margin = float(gap.flat[flat])
-            witness = {"step": int(step), "time": float(run1.time_grid[step]),
-                       "path": lo + int(path), "component": int(component),
-                       "seed": seed}
-        # every name of this chunk's records goes before the next chunk's
-        # run, or that run's states would be made while these are held
-        del run1, run2, run, gap
+        peak, first = simulate_sup(problem, 0.0, [x1, x2], controls, hi - lo,
+                                   n_steps, derive_seed(seed, "comparison", j),
+                                   "comparison", order_gap, dim + 1)
+        sup_scale = max(sup_scale, float(peak[:, dim].max()))
+        flipped = peak[:, :dim]
+        # the first minimum of X1 - X2 in (path, step, component) order: the
+        # first path that reaches it, its earliest step there, and the
+        # smallest component at that step
+        at_top = flipped == flipped.max()
+        path = int(np.argmax(at_top.any(axis=1)))
+        components = np.flatnonzero(at_top[path])
+        component = int(components[np.argmin(first[path, components])])
+        step = int(first[path, component])
+        margin = -float(flipped[path, component])
+        if margin < min_margin:
+            min_margin = margin
+            # the engine's time grid point t + step * dt at t = 0
+            witness = {"step": step, "time": dt * step, "path": lo + path,
+                       "component": component, "seed": seed}
 
     tol = _COMPARISON_TOL_SCALE * sup_scale
     ok = min_margin >= -tol

@@ -86,18 +86,35 @@ range of its paths, with groups and tiles sized by that range's rows; a
 shorter window is a run of the problem with a shorter horizon. `_simulate`
 runs a list of requests that make one noise request, in order, and returns
 one record per contestant, `PathEnsemble`: the time grid and terminal
-states always, and states, per-path costs, control traces, the controls'
-squared norms or sup norms when they were asked for. The squared norms,
-||a_k||^2 in the control metric per path and step, are (P, M) where the
-trace is (P, M, q): the moment audit reads only them, and keeps 1.6 MB in
-place of a 25.6 MB trace on a 2000-path, 100-step reaction-diffusion run.
-They are the trace squared, weighted and summed over its last axis, step by
-step, so they carry the bits of that reduction of the recorded trace.
+states always, and states, per-path costs, control traces or the controls'
+squared norms when they were asked for. The squared norms, ||a_k||^2 in the
+control metric per path and step, are (P, M) where the trace is (P, M, q):
+the moment audit reads only them, and keeps 1.6 MB in place of a 25.6 MB
+trace on a 2000-path, 100-step reaction-diffusion run. They are the trace
+squared, weighted and summed over its last axis, step by step, so they
+carry the bits of that reduction of the recorded trace.
 simulate_ensemble (states) and simulate_costs (costs, optionally controls)
 hand it one request, and simulate_costs_batch each run of consecutive
 requests on one noise request, in turn; a request's records come back as
 one record, or a list for lists of states and controls; a single path is
 path 0 of a one-path ensemble.
+
+A request may also carry a statistic, a row-wise map from the stacked
+(C, rows, N) state to (rows, width). The loop evaluates it on the starting
+states and after each step's divergence check, and keeps its per-path
+maximum over steps 0..M and the first step that reaches it (a later step
+replaces it only when strictly larger): request-level (P, width) arrays,
+whatever M is. The pathwise audits and the moment audit read only such a
+maximum, a sup over time of a gap between contestants or of one
+contestant's norm, so simulate_sup holds two (P, width) arrays where a
+recorded path would be (C, P, M+1, N): the comparison's 2 x 250 x 201 x 16
+states, 12.9 MB, become two 250 x 17 arrays. The statistic reads every
+contestant at once, so with one the contestants form one group, in tiles
+sized by C*N; the maximum is exact and any 64-row tiling keeps every
+state's bits, so the statistic sees the values the recorded states would
+hold, row by row. A diverging group reruns its contestants one at a time
+without the statistic, so the error is that contestant's own, as for any
+group.
 
 `_simulate` is also the one fan-out, and its unit is that one noise
 request. When this process has more than one CPU and the call's work
@@ -159,6 +176,7 @@ __all__ = [
     "simulate_ensemble",
     "simulate_costs",
     "simulate_costs_batch",
+    "simulate_sup",
     "moment_bound_check",
     "write_ensemble_csv",
 ]
@@ -228,7 +246,7 @@ class SimulationDivergenceError(RuntimeError):
 class PathEnsemble:
     """The run record: what one pass of the step loop produced.
 
-    The last five fields are None unless the run was asked for them. Traces
+    The last four fields are None unless the run was asked for them. Traces
     are clipped into the box, so they show how often a feedback sat on it;
     control_sq_norms holds ||a_k||^2 in the control metric of those clipped
     controls, the one reduction of them the moment audit reads.
@@ -240,7 +258,6 @@ class PathEnsemble:
     costs: Optional[np.ndarray]                  # (P,) running + terminal
     control_traces: Optional[np.ndarray]         # (P, M, q), step left-endpoints
     control_sq_norms: Optional[np.ndarray]       # (P, M) weighted ||a_k||^2
-    sup_norm: Optional[np.ndarray]               # (P,) max over steps of ||X||_H
 
 
 class _Noise(NamedTuple):
@@ -362,24 +379,32 @@ def _prepare(problem, t, x, control, n_paths, n_steps, master_seed, stream_label
     return _Prepared(noise, dt, grid, inits, controls, semigroup_matrix(problem.op, dt))
 
 
-def _record_shapes(problem, request, fields):
+def _record_shapes(problem, request, fields, width=0):
     """The stacked (contestants, paths, ...) shape of each PathEnsemble field
     of a prepared request after the time grid, in order: the terminal states
-    always, the others when fields names them, else None."""
+    always, the others when fields names them, else None. A statistic of
+    that width adds the (paths, width) shapes of its running maximum, "peak",
+    and of the first step that reaches it, "peak_step"."""
     n, q, m = problem.dim, problem.control_spec.dim, request.noise.n_steps
     tails = {"terminal_states": (n,), "states": (m + 1, n), "costs": (),
-             "control_traces": (m, q), "control_sq_norms": (m,), "sup_norm": ()}
-    return {f: (len(request.inits), request.noise.n_paths) + tail
-            if f == "terminal_states" or f in fields else None
-            for f, tail in tails.items()}
+             "control_traces": (m, q), "control_sq_norms": (m,)}
+    shapes = {f: (len(request.inits), request.noise.n_paths) + tail
+              if f == "terminal_states" or f in fields else None
+              for f, tail in tails.items()}
+    if width:
+        shapes["peak"] = shapes["peak_step"] = (request.noise.n_paths, width)
+    return shapes
 
 
 def _records(request, out):
     """One PathEnsemble per contestant of a prepared request, each holding
-    its slices of the stacked outputs out."""
-    return [PathEnsemble(time_grid=request.grid,
-                         **{f: None if a is None else a[c] for f, a in out.items()})
-            for c in range(len(request.inits))]
+    its slices of the stacked outputs out, and the request's running maximum
+    and its first steps (as integers), or None without a statistic."""
+    peak, peak_step = out.pop("peak", None), out.pop("peak_step", None)
+    records = [PathEnsemble(time_grid=request.grid,
+                            **{f: None if a is None else a[c] for f, a in out.items()})
+               for c in range(len(request.inits))]
+    return records, None if peak is None else (peak, peak_step.astype(np.int64))
 
 
 def _tile_bounds(n_paths, n):
@@ -476,11 +501,12 @@ def _run_forked(shares, advance):
     return done
 
 
-def _run(problem, request, out, dw, lo, hi):
+def _run(problem, request, out, dw, lo, hi, statistic=None):
     """Advance the contestants of a prepared request on its paths lo:hi, on
     the block dw of standard normals, and write their rows of the stacked
-    outputs out; the single step loop, which never forks. Groups and tiles
-    are sized by the hi - lo rows, and the tiles start at lo."""
+    outputs out, and of the running maximum of statistic when one is given;
+    the single step loop, which never forks. Groups and tiles are sized by
+    the hi - lo rows, and the tiles start at lo."""
     dt, grid, inits, controls = request.dt, request.grid, request.inits, request.controls
     E, n_steps, sqrt_dt = request.E, request.noise.n_steps, math.sqrt(dt)
     n, q = problem.dim, problem.control_spec.dim
@@ -490,13 +516,14 @@ def _run(problem, request, out, dw, lo, hi):
     width = J.stop - J.start
     sigma_t = problem.noise[J].T if problem.additive_noise else None
     terminal, states, costs = out["terminal_states"], out["states"], out["costs"]
-    traces, sup_norm = out["control_traces"], out["sup_norm"]
+    traces = out["control_traces"]
     sq_norms, weights = out["control_sq_norms"], problem.control_spec.weights
     separated = problem.cost_structure if costs is not None else None
 
-    def advance(g0, g1, lo, hi):
+    def advance(g0, g1, lo, hi, statistic=None):
         """Run every step on paths lo:hi of contestants g0:g1, stacked as one
-        (C, rows, N) state, and write their outputs."""
+        (C, rows, N) state, and write their outputs, with the running
+        maximum of statistic when one is given."""
         n_c, rows = g1 - g0, hi - lo
         X = np.empty((n_c, rows, n))
         # the product with E goes into Y, and the two swap every step: a
@@ -535,8 +562,13 @@ def _run(problem, request, out, dw, lo, hi):
             # page faults of a 20000-path delay-lift run)
             c1, c2 = np.empty((2, n_c * rows))
             c1[...] = separated.l1(X.reshape(n_c * rows, n))
-        if sup_norm is not None:
-            norm = h_norm(problem.space, X)
+        if statistic is not None:
+            # a copy: the statistic may hand back a view of X
+            peak = np.array(statistic(X), dtype=float)
+            if peak.shape != out["peak"][lo:hi].shape:
+                raise ValueError(f"statistic gave shape {peak.shape}, need "
+                                 f"{out['peak'][lo:hi].shape}")
+            peak_step = np.zeros_like(peak)
         if sq_norms is not None:
             # the weighted squares of the controls, made once per tile
             A_sq = np.empty_like(A)
@@ -610,38 +642,53 @@ def _run(problem, request, out, dw, lo, hi):
                 acc += 0.5 * dt * (l_left + problem.running_cost(Xf, Af))
             if states is not None:
                 states[g0:g1, lo:hi, k + 1] = X
-            if sup_norm is not None:
-                np.maximum(norm, h_norm(problem.space, X), out=norm)
+            if statistic is not None:
+                value = statistic(X)
+                # strictly larger only, so the step kept is the first at it
+                rise = value > peak
+                np.copyto(peak, value, where=rise)
+                np.copyto(peak_step, k + 1, where=rise)
 
         if costs is not None:
             acc += problem.terminal_cost(X.reshape(n_c * rows, n))
             costs[g0:g1, lo:hi] = acc.reshape(n_c, rows)
-        if sup_norm is not None:
-            sup_norm[g0:g1, lo:hi] = norm
+        if statistic is not None:
+            out["peak"][lo:hi] = peak
+            out["peak_step"][lo:hi] = peak_step
         terminal[g0:g1, lo:hi] = X
 
-    tiles = [(lo + a, lo + b) for a, b in _tile_bounds(hi - lo, n)]
-    for g0, g1 in _group_bounds(len(inits), hi - lo, n):
+    if statistic is None:
+        groups, tile_dim = _group_bounds(len(inits), hi - lo, n), n
+    else:
+        # the statistic reads every contestant's state at once: one group,
+        # in tiles of its stacked (C, rows, N) state
+        groups, tile_dim = [(0, len(inits))], len(inits) * n
+    tiles = [(lo + a, lo + b) for a, b in _tile_bounds(hi - lo, tile_dim)]
+    for g0, g1 in groups:
         try:
             for tile in tiles:
-                advance(g0, g1, *tile)
+                advance(g0, g1, *tile, statistic)
         except SimulationDivergenceError:
             if g1 - g0 == 1 and len(tiles) == 1:
                 raise
-            # each contestant's own run, one pass over these paths: the first
-            # to diverge raises the error its own run raises, naming the
-            # earliest step over its paths and the largest magnitude there
+            # each contestant's own run, one pass over these paths and
+            # without the statistic: the first to diverge raises the error
+            # its own run raises, naming the earliest step over its paths
+            # and the largest magnitude there
             for c in range(g0, g1):
                 advance(c, c + 1, lo, hi)
 
 
-def _simulate(problem, requests, fields):
+def _simulate(problem, requests, fields, statistic=None):
     """The records of requests (t, x, control, n_paths, n_steps, master_seed,
     stream_label) that make one noise request, in order, with the bits,
     error and memo counts of the serial loop at the end: per request a
     PathEnsemble holding the time grid, terminal states and the fields named
-    in fields, or a list of them for lists of states and controls. The one
+    in fields, or a list of them for lists of states and controls. With a
+    statistic (fn, width), per request the triple of that, the (P, width)
+    running maximum of fn and the first steps that reach it. The one
     fan-out of the package (see the module docstring)."""
+    fn, width = statistic or (None, 0)
     memo = increment_memo
     _, _, _, n_paths, n_steps, seed, label = requests[0]
     noise = _Noise(seed, label, n_paths, n_steps, problem.noise_dim)
@@ -667,14 +714,14 @@ def _simulate(problem, requests, fields):
         for _ in requests[1:]:
             _look_up(noise)
         outputs = [{f: None if s is None else _shared_empty(s)
-                    for f, s in _record_shapes(problem, r, fields).items()}
+                    for f, s in _record_shapes(problem, r, fields, width).items()}
                    for r in prepared]
 
         def advance(lo, hi):
             if keys is not None:
                 _draw(block, keys, lo, hi)
             for r, out in zip(prepared, outputs):
-                _run(problem, r, out, block, lo, hi)
+                _run(problem, r, out, block, lo, hi, fn)
 
         done = False
         try:
@@ -694,11 +741,15 @@ def _simulate(problem, requests, fields):
         for r in requests:
             request = _prepare(problem, *r)
             out = {f: None if s is None else np.empty(s)
-                   for f, s in _record_shapes(problem, request, fields).items()}
+                   for f, s in _record_shapes(problem, request, fields, width).items()}
             _run(problem, request, out, gaussian_increments(*request.noise), 0,
-                 request.noise.n_paths)
+                 request.noise.n_paths, fn)
             runs.append(_records(request, out))
-    return [rec if isinstance(r[2], list) else rec[0] for rec, r in zip(runs, requests)]
+    results = []
+    for (records, peaks), r in zip(runs, requests):
+        rec = records if isinstance(r[2], list) else records[0]
+        results.append(rec if peaks is None else (rec, *peaks))
+    return results
 
 
 def simulate_ensemble(
@@ -766,6 +817,25 @@ def simulate_costs_batch(problem, requests):
     return runs
 
 
+def simulate_sup(problem, t, x, control, n_paths, n_steps, seed, stream_label,
+                 statistic, width):
+    """(peak, step): per path, the maximum over the time grid of
+    statistic(X), and the first step that reaches it, both (n_paths, width),
+    without recording a state.
+
+    statistic maps the stacked states of the contestants, (C, rows, N) with
+    x[c] under control[c] (C = 1 for a single state and control), to
+    (rows, width); like every callback it must be row-wise and pure. It is
+    evaluated on the starting states and after every step, on the states
+    simulate_ensemble would record for the same request, so peak equals the
+    maximum over steps of statistic applied to those records, row by row.
+    """
+    _, peak, step = _simulate(
+        problem, [(t, x, control, n_paths, n_steps, seed, stream_label)], (),
+        (statistic, width))[0]
+    return peak, step
+
+
 def moment_bound_check(
     problem,
     t,
@@ -787,10 +857,14 @@ def moment_bound_check(
     if p <= 2:
         raise ValueError("moment order p must exceed 2")
 
+    def state_norm(X):
+        return h_norm(problem.space, X[0])[:, None]
+
     def sweep(master):
-        run = _simulate(problem, [(t, x, control, n_paths, n_steps, master, "paths")],
-                        ("control_sq_norms", "sup_norm"))[0]
-        est = float(np.mean(run.sup_norm ** p))
+        run, sup_norm, _ = _simulate(
+            problem, [(t, x, control, n_paths, n_steps, master, "paths")],
+            ("control_sq_norms",), (state_norm, 1))[0]
+        est = float(np.mean(sup_norm[:, 0] ** p))
         a_norm_p = run.control_sq_norms ** (p / 2.0)
         dt = (problem.horizon - t) / n_steps
         ctl_term = float(np.mean(np.sum(a_norm_p, axis=-1) * dt))

@@ -393,16 +393,16 @@ def test_artifacts_match_pinned_digests(tmp_path, monkeypatch, kind, processes):
 # leaves out, at fast_cfg budgets
 GRADIENT_SCAN_DIGESTS = {
     "lq": {
-        "reports.csv": "ae220252dc3b74929bfd3a4e34bf6cf226276e2ae0daab9ff0c640865c3de3fd",
-        "reports.json": "3ab49202e74c97315ffd8ee2d9d46d3ba16453e53538fe002144a509a7492f55",
+        "reports.csv": "481f33683663c752c158bfc5c1028d127a092cd8794f1eb05c2fefbe8fd21a87",
+        "reports.json": "7530a237f27b38ed2539a3029ab75da7a491e37d29ed8449d90f472143870fa8",
     },
     "reaction_diffusion": {
-        "reports.csv": "ccf063b7b634e68ecdf8a0545a04802dd4a58a4a5121213000e14f447ce09897",
-        "reports.json": "1287107c14bb245b7415057d863669eb0a31355a8e654e7ce8e89fbf8a35866b",
+        "reports.csv": "55f040b2813a49048ee089dbc728bc96c818c5f105da6401d5beb53116895c9d",
+        "reports.json": "e7a7034032da078ba2ffd63cb5c65da6045e4fdf0ce3d9e0012bbfff7eba01e8",
     },
     "sdde": {
-        "reports.csv": "20d8ca324006b6e9c6cd0c9a00ea42a53908dcbceb4810c8a7a420e914840f6f",
-        "reports.json": "af46f4d58608e3b875572d09be69ddd3d2f297b4dc6eeb463edade9757040ae5",
+        "reports.csv": "d1dcc3d0c0bf2546e4802340bb070723c5ecdfdc471436483f07967357d10acd",
+        "reports.json": "9b27ea5571eaa82c814d8e624da445d602bf31741e6534999e7264f8b538a946",
     },
 }
 
@@ -413,11 +413,18 @@ def test_c11_and_semiconvexity_reports_match_pinned_digests(tmp_path, kind):
     cfg = fast_cfg(out, kind=kind)
     cfg.diagnostics.update(scans=("c11", "semiconvexity"))
     # on reaction_diffusion some finite-difference gradient components of
-    # the c11 legs sit below the noise floor; elsewhere any warning fails
+    # the c11 legs sit below the noise floor; elsewhere any warning fails.
+    # The c11 report counts the gradient calls that warned
     with (pytest.warns(UserWarning, match="noise floor")
-          if kind == "reaction_diffusion" else contextlib.nullcontext()):
+          if kind == "reaction_diffusion" else contextlib.nullcontext()) as caught:
         assert run_experiment(cfg, stages=["diagnose"],
                               echo=lambda *_: None) == 0
+    warned = 0 if caught is None else sum(
+        "noise floor" in str(w.message) for w in caught)
+    assert warned == (2 if kind == "reaction_diffusion" else 0)
+    c11, = [r for r in json.loads((out / "reports.json").read_text())
+            if r["name"].startswith("c11_modulus")]
+    assert c11["constants"]["noise_floor_gradients"] == warned
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in sorted(os.listdir(out))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hjblab import diagnostics as dg
 from hjblab import engine
+from hjblab.controls import ConstantSignal
 from hjblab.hilbert import DiscreteOperator, h_norm, interval_space, make_zero_operator
 from hjblab.models import (
     ControlProblem,
@@ -20,7 +22,7 @@ from hjblab.models import (
     build_sdde_lift,
     riccati_solve,
 )
-from hjblab.seeds import stream
+from hjblab.seeds import derive_seed, stream
 from hjblab.synthesis import make_riccati_policy, zero_policy
 from hjblab.value import make_policy_evaluator, gradient_fd
 
@@ -326,6 +328,29 @@ def test_c11_fails_undersized_bound_and_skips_degenerates():
     assert rep.constants["skipped_pairs"] == 1
 
 
+def test_c11_counts_gradient_calls_below_the_noise_floor():
+    # a call counts when any component's standard error exceeds the
+    # component (value.below_noise_floor, gradient_fd's warning rule): here
+    # the calls at points with a negative first coordinate
+    coeffs = np.array([1.0, 0.5, 0.25])
+    exact = quad_gradient(SP3, coeffs)
+
+    def gev(t, x, seed):
+        grad, se = exact(t, x, seed)
+        return grad, np.where(np.arange(3) == 2, 10.0 * (x[0] < 0), se)
+
+    pairs = [(np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.0, 1.0])),
+             (np.array([-2.0, 1.0, 1.0]), np.array([-1.0, 1.0, 1.0])),
+             (np.ones(3), np.ones(3)),
+             (np.array([2.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))]
+    rep = dg.c11_modulus(quad_evaluator(SP3, coeffs), gev, 0.0, pairs, SP3)
+    assert rep.constants["noise_floor_gradients"] == 3
+    assert rep.constants["skipped_pairs"] == 1
+    clean = dg.c11_modulus(quad_evaluator(SP3, coeffs), exact, 0.0, pairs, SP3)
+    assert clean.constants["noise_floor_gradients"] == 0
+    assert clean.constants["c_hat"] == rep.constants["c_hat"]
+
+
 # --- trajectory stability ----------------------------------------------------
 
 
@@ -500,34 +525,158 @@ def test_comparison_replays_bitwise():
     assert a.witness == b.witness
 
 
-def test_comparison_holds_one_chunk_at_a_time(monkeypatch):
-    # a chunk's records are let go before the next chunk's run, so the audit
-    # peaks near one chunk of both contestants' states, not two. One
+def recorded_comparison(problem, x1, x2, f1, f2, n_paths, n_steps, seed):
+    """comparison_check's min_margin, witness and sup_scale from recorded
+    states: per chunk (the audit's rows and seeds) both contestants'
+    (P, M+1, N) states, the first minimum of X1 - X2 in (path, step,
+    component) order by np.argmin, kept only when strictly below the
+    chunks before it, and the largest |X|."""
+    dim = problem.dim
+    rows = max(1, dg._COMPARISON_CHUNK_BYTES // (2 * (n_steps + 1) * dim * 8))
+    n_chunks = -(-n_paths // rows)
+    bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
+    controls = [ConstantSignal(-np.asarray(f, float)) for f in (f1, f2)]
+    margin, witness, scale = math.inf, None, 1.0
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        a, b = engine.simulate_ensemble(
+            problem, 0.0, [x1, x2], controls, hi - lo, n_steps,
+            derive_seed(seed, "comparison", j), "comparison")
+        for states in (a.states, b.states):
+            scale = max(scale, float(states.max()), -float(states.min()))
+        gap = a.states - b.states
+        flat = int(np.argmin(gap))
+        if gap.flat[flat] < margin:
+            path, step, component = np.unravel_index(flat, gap.shape)
+            margin = float(gap.flat[flat])
+            witness = {"step": int(step), "time": float(a.time_grid[step]),
+                       "path": lo + int(path), "component": int(component),
+                       "seed": seed}
+    return margin, witness, scale
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+def assert_recorded_comparison(rep, *args):
+    # the margin keeps a zero's sign, and the time the bits of the engine's
+    # time grid point
+    margin, witness, scale = recorded_comparison(*args)
+    assert bits(rep.constants["min_margin"]) == bits(margin)
+    assert rep.witness == witness
+    assert bits(rep.witness["time"]) == bits(witness["time"])
+    assert rep.constants["sup_scale"] == scale
+
+
+@pytest.mark.parametrize("case", ["heat_pass", "breaker_fail", "steep_fail"])
+def test_comparison_matches_the_recorded_states(monkeypatch, case):
+    # the running maximum gives the margin, witness and scale that the
+    # recorded states give, bit for bit, over three chunks
+    if case == "heat_pass":
+        problem = build_reaction_diffusion(n_grid=10, reaction="zero",
+                                           noise_modes=2, horizon=0.3)
+        x1, x2, f1 = 0.1 * np.ones(10), np.zeros(10), 0.2 * np.ones(10)
+        n_steps = 40
+    elif case == "breaker_fail":
+        problem = order_breaker_problem()
+        x1, x2, f1 = np.array([0.0, 0.4]), np.zeros(2), np.zeros(2)
+        n_steps = 40
+    else:
+        problem = build_reaction_diffusion(n_grid=8, reaction_gain=60)
+        x1, x2, f1 = np.zeros(8), np.zeros(8), np.zeros(8)
+        x1[2:5] = 0.2
+        n_steps = 10
+    f2 = np.zeros(problem.dim)
+    n_paths = 150
+    monkeypatch.setattr(dg, "_COMPARISON_CHUNK_BYTES",
+                        2 * 60 * (n_steps + 1) * problem.dim * 8)
+    args = (problem, x1, x2, f1, f2, n_paths, n_steps, 11)
+    rep = dg.comparison_check(*args[:6], n_steps=n_steps, seed=11, strict=False)
+    assert rep.passed == (case == "heat_pass")
+    assert_recorded_comparison(rep, *args)
+
+
+def tie_problem(dim=3):
+    """Deterministic dX = -a 1{X > -1} ds on a zero generator: at dt = 0.25 a
+    control of 1 or 2 walks a component down by exact quarters or halves to
+    -1, where it stays; the noise matrix is zero, so every path ties."""
+    return ControlProblem(
+        name="ties", space=interval_space(dim, 1.0),
+        op=make_zero_operator(dim), b_op=None,
+        drift=lambda x, a: -a * (x > -1.0),
+        noise=np.zeros((dim, 1)), noise_dim=1,
+        running_cost=lambda x, a: np.zeros(x.shape[0]),
+        terminal_cost=lambda x: np.zeros(x.shape[0]),
+        control_spec=ControlSpec(dim=dim), horizon=1.0,
+    )
+
+
+def test_comparison_ties_keep_the_first_minimum_and_its_zero(monkeypatch):
+    # ties everywhere: all paths equal, so path 0 holds the minimum; -1 is
+    # reached by component 1 at step 2 and by component 0 at step 4, so the
+    # earliest step wins over the smallest component; and the three chunks
+    # tie too, so the first chunk's witness stays
+    problem = tie_problem()
+    monkeypatch.setattr(dg, "_COMPARISON_CHUNK_BYTES", 2 * 10 * 5 * 3 * 8)
+    x = np.zeros(3)
+    f1 = np.array([-1.0, -2.0, 0.0])
+    args = (problem, x, x.copy(), f1, np.zeros(3), 30, 4, 2)
+    rep = dg.comparison_check(*args[:6], n_steps=4, seed=2, strict=False)
+    assert rep.constants["min_margin"] == -1.0
+    assert rep.witness == {"step": 2, "time": 0.5, "path": 0, "component": 1,
+                           "seed": 2}
+    assert_recorded_comparison(rep, *args)
+    # a margin of zero keeps the sign of its first occurrence: -0.0 at step
+    # 0, component 0, where X1 starts at -0.0 and X2 at +0.0; later zeros
+    # of that component are +0.0
+    x1 = np.array([-0.0, 0.1, 0.2])
+    args = (problem, x1, np.zeros(3), np.zeros(3), np.zeros(3), 30, 4, 2)
+    rep = dg.comparison_check(*args[:6], n_steps=4, seed=2, strict=False)
+    assert rep.passed
+    assert math.copysign(1.0, rep.constants["min_margin"]) == -1.0
+    assert rep.witness == {"step": 0, "time": 0.0, "path": 0, "component": 0,
+                           "seed": 2}
+    assert_recorded_comparison(rep, *args)
+
+
+AUDIT_STEPS = (50, 800)
+
+
+@pytest.mark.parametrize("audit", ["comparison", "stability", "midpoint"])
+def test_pathwise_audits_hold_no_state_path(monkeypatch, audit):
+    # each audit reads a per-path sup over time that the engine keeps as it
+    # steps, so 16 times the steps add to its peak only what grows with the
+    # steps anyway: the noise block the memo holds, and a signal's values
+    # per step. A recorded state path of one contestant over the added steps
+    # is 14.4 MB here; the audit may add a quarter of that at most. One
     # process: a forked run allocates its outputs in shared memory, which
     # tracemalloc does not see
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     rd = build_reaction_diffusion()
-    n_paths, n_steps, rows = 300, 50, 100
-    chunk_bytes = 2 * rows * (n_steps + 1) * rd.dim * 8
-    monkeypatch.setattr(dg, "_COMPARISON_CHUNK_BYTES", chunk_bytes)
-    chunks = []
-    run = dg.simulate_ensemble
-
-    def counted(*args):
-        chunks.append(args[4])
-        return run(*args)
-    monkeypatch.setattr(dg, "simulate_ensemble", counted)
-    tracemalloc.start()
-    try:
-        rep = dg.comparison_check(rd, 0.1 * np.ones(rd.dim), np.zeros(rd.dim),
-                                  None, None, n_paths=n_paths, n_steps=n_steps,
-                                  seed=4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rep.passed
-    assert chunks == [rows] * 3
-    assert peak < 1.5 * chunk_bytes, peak / chunk_bytes
+    n, n_paths = rd.dim, 150
+    x0 = 0.3 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    u = np.ones(n) / np.sqrt(n)
+    run = {
+        "comparison": lambda m: dg.comparison_check(
+            rd, 0.1 * np.ones(n), np.zeros(n), None, None, n_paths=n_paths,
+            n_steps=m, seed=4),
+        "stability": lambda m: dg.trajectory_stability_check(
+            rd, 0.0, [(x0, x0 + 0.8 * u)], n_paths=n_paths, n_steps=m, seed=4),
+        "midpoint": lambda m: dg.midpoint_trajectory_check(
+            rd, 0.0, x0, u, (0.8, 0.4), n_paths=n_paths, n_steps=m, seed=4),
+    }[audit]
+    held = []
+    for m in AUDIT_STEPS:
+        engine.gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
+        tracemalloc.start()
+        try:
+            assert run(m).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held.append(peak - engine.increment_memo.block.nbytes)
+    path_bytes = n_paths * (AUDIT_STEPS[1] - AUDIT_STEPS[0]) * n * 8
+    assert held[1] - held[0] < 0.25 * path_bytes, (held[1] - held[0]) / path_bytes
 
 
 def order_breaker_problem():

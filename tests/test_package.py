@@ -372,6 +372,9 @@ TEST_SET_OPTIONS = {
         "the negative control that runs with a broken hypothesis",
     ("engine", "simulate_costs", "record_controls"):
         "tests read the controls a feedback applied",
+    ("engine", "simulate_ensemble", "stream_label"):
+        "tests record the states of the audits' noise streams, the "
+        "reference that simulate_sup is checked against",
     ("engine", "moment_bound_check", "c_p"):
         "a frozen constant that test_sde checks the moment bound against",
     ("hilbert", "check_positivity_preserving", "n_samples"):

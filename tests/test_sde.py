@@ -35,6 +35,7 @@ from hjblab.engine import (
     simulate_costs,
     simulate_costs_batch,
     simulate_ensemble,
+    simulate_sup,
     write_ensemble_csv,
 )
 from hjblab.hilbert import (
@@ -44,6 +45,7 @@ from hjblab.hilbert import (
     h_norm,
     make_zero_operator,
     semigroup_matrix,
+    space_norm,
 )
 from hjblab.models import (
     ControlProblem,
@@ -143,8 +145,7 @@ def test_costs_and_states_come_back_in_one_record():
     assert run.terminal_states.tobytes() == ens.states[:, -1].tobytes()
     np.testing.assert_array_equal(run.time_grid, ens.time_grid)
     assert ens.costs is None and run.states is None
-    assert run.control_traces is None and run.sup_norm is None
-    assert run.control_sq_norms is None
+    assert run.control_traces is None and run.control_sq_norms is None
 
 
 def test_record_shapes_name_the_path_ensemble_fields():
@@ -423,15 +424,17 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-ALL_FIELDS = ("states", "costs", "control_traces", "control_sq_norms", "sup_norm")
+ALL_FIELDS = ("states", "costs", "control_traces", "control_sq_norms")
 
 
-def engine_run(problem, contestants, n_paths, n_steps, seed, fields=ALL_FIELDS):
+def engine_run(problem, contestants, n_paths, n_steps, seed, fields=ALL_FIELDS,
+               statistic=None):
     """One request of (x, control) contestants from t = 0 through the
-    engine's one entry into the step loop; a record per contestant."""
+    engine's one entry into the step loop; a record per contestant, and
+    with a statistic (fn, width) its running maximum and first steps."""
     xs, controls = (list(c) for c in zip(*contestants))
     return engine._simulate(problem, [(0.0, xs, controls, n_paths, n_steps, seed,
-                                       "paths")], fields)[0]
+                                       "paths")], fields, statistic)[0]
 
 
 def run_all_outputs(problem, x, control, seed=17):
@@ -697,13 +700,17 @@ def test_shared_policy_call_spans_adjacent_contestants_only():
     assert policy.rows == [300, 150] * TILE_STEPS
 
 
-@pytest.mark.parametrize("blowup", ["overflow", "nan"])
+@pytest.mark.parametrize("blowup, statistic", [
+    (blowup, statistic) for statistic in (None, (lambda X: X.max(axis=0), 1))
+    for blowup in ("overflow", "nan")],
+    ids=["overflow", "nan", "overflow-statistic", "nan-statistic"])
 def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
-                                                               blowup):
+                                                               blowup, statistic):
     # contestant 2 of 4 diverges; contestant 4 diverges earlier, but the
     # error must be contestant 2's, as in a run of each contestant in turn,
     # in one process or across 2 or 3, where the group's one tile is cut in
-    # halves
+    # halves; a running statistic, which puts every contestant in one group,
+    # changes none of it
     if blowup == "overflow":
         drift, starts = (lambda x, a: 5.0 * x), (1.0, 1e7, 1.0, 5e7)
     else:
@@ -716,25 +723,99 @@ def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
 
     forks = count_forks(monkeypatch)
 
-    def error_of(group, processes=1):
+    def error_of(group, processes=1, statistic=None):
         fan_out(monkeypatch, processes)
         forks.clear()
         with pytest.raises(SimulationDivergenceError) as info:
-            engine_run(problem, group, 150, 100, 0, ("costs",))
+            engine_run(problem, group, 150, 100, 0, ("costs",), statistic)
         assert len(forks) == (processes > 1)
         assert_no_children()
         return info.value
 
     own, first = error_of([contestants[1]]), error_of([contestants[3]])
     assert first.step < own.step
+    assert str(error_of([contestants[3]], statistic=statistic)) == str(first)
     for processes in (1, 2, 3):
-        grouped = error_of(contestants, processes)
+        grouped = error_of(contestants, processes, statistic)
         assert str(grouped) == str(own)
         assert (grouped.step, grouped.time) == (own.step, own.time)
         if blowup == "nan":
             assert math.isnan(grouped.magnitude) and math.isnan(own.magnitude)
         else:
             assert grouped.magnitude == own.magnitude
+
+
+# --- running statistic ----------------------------------------------------------
+
+
+def gap_statistic(norm):
+    """The stacked states' statistic of the pathwise audits: each
+    contestant's gap norm to contestant 0, then -(X[0] - X[1]) per
+    component, the comparison audit's flipped order gap."""
+    def statistic(X):
+        return np.concatenate([norm(X[1:] - X[0]).T, -(X[0] - X[1])], axis=1)
+    return statistic
+
+
+def recorded_gap_statistic(norm, runs):
+    """gap_statistic reduced from recorded states the way the audits reduced
+    them: the norms of whole (P, M+1, N) differences and the (P, M+1, N)
+    order gap; per path and column the first step at the maximum over
+    steps, and the value there."""
+    base = runs[0].states
+    values = np.concatenate(
+        [np.stack([norm(r.states - base) for r in runs[1:]], axis=-1),
+         -(base - runs[1].states)], axis=-1)
+    first = np.argmax(values, axis=1)
+    return np.take_along_axis(values, first[:, None], axis=1)[:, 0], first
+
+
+@pytest.mark.parametrize("norm_tag", ["H", "minus1"])
+@pytest.mark.parametrize("mode", ["serial", "forked", "tiled"])
+@pytest.mark.parametrize("builder", [build_reaction_diffusion, build_sdde_lift],
+                         ids=["reaction_diffusion", "sdde"])
+def test_running_max_is_the_recorded_reduction_bitwise(monkeypatch, builder,
+                                                       mode, norm_tag):
+    # the engine's per-path maximum over steps 0..M of a statistic, and the
+    # first step that reaches it, against the states simulate_ensemble
+    # records reduced afterwards, bit for bit: in one pass, across two
+    # processes, and in tiles of the stacked (C, rows, N) state. Contestant
+    # 1 repeats contestant 0, so its gap norm is 0 at every step and its
+    # first step is 0; the minus1 norm is one gemm on (rows, N) per step in
+    # place of one on the whole (P, M+1, N) difference, with the same bits
+    problem = builder()
+    n, n_paths, n_steps = problem.dim, 300, 30
+    norm = space_norm(problem.space, problem.b_op, norm_tag)
+    x0 = 0.3 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    u = np.cos(np.arange(n)) / np.linalg.norm(np.cos(np.arange(n)))
+    xs = [x0, x0.copy(), x0 + 0.5 * u, x0 - 0.25 * u]
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    controls = [gamma, gamma, zero_signal(problem.control_spec.dim), gamma]
+    args = (problem, 0.0, xs, controls, n_paths, n_steps, 8, "stat")
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    want, want_step = recorded_gap_statistic(norm, simulate_ensemble(*args))
+    forks = count_forks(monkeypatch)
+    if mode == "forked":
+        fan_out(monkeypatch, 2)
+    elif mode == "tiled":
+        monkeypatch.setattr(engine, "_TILE_BYTES", 8 * len(xs) * n * 64)
+        assert len(engine._tile_bounds(n_paths, len(xs) * n)) > 1
+    peak, step = simulate_sup(*args, gap_statistic(norm), len(xs) - 1 + n)
+    assert len(forks) == (mode == "forked")
+    assert_no_children()
+    assert peak.shape == step.shape == (n_paths, len(xs) - 1 + n)
+    assert step.dtype == np.int64
+    assert peak.tobytes() == want.tobytes()
+    assert step.tobytes() == want_step.tobytes()
+    assert np.all(peak[:, 0] == 0.0) and np.all(step[:, 0] == 0)
+    assert np.any(step[:, 1:] > 0) and np.any(step[:, 1:] < n_steps)
+
+
+def test_statistic_of_the_wrong_shape_is_refused():
+    problem = scalar_problem(lambda x, a: -x, 0.1)
+    with pytest.raises(ValueError, match="statistic gave shape"):
+        simulate_sup(problem, 0.0, np.array([1.0]), zero_signal(1), 10, 5, 0,
+                     "stat", lambda X: X[0], 2)
 
 
 # --- processes ------------------------------------------------------------------
@@ -1176,9 +1257,10 @@ def test_control_sq_norms_are_the_reduced_trace_bitwise(
         monkeypatch, control, n_paths, forked):
     # the recorded (P, M, q) trace, squared, weighted and summed over its
     # last axis, is the reference for the (P, M) squared norms, and the
-    # moment audit on those norms gives the estimate and denominator of the
-    # audit on the trace; 2000 x 100 on reaction_diffusion is past the
-    # fork threshold, 300 paths are not
+    # moment audit on those norms and on its running sup of ||X||_H gives
+    # the estimate and denominator of the audit on the recorded trace and
+    # states; 2000 x 100 on reaction_diffusion is past the fork threshold,
+    # 300 paths are not
     problem = build_reaction_diffusion()
     q, n_steps, seed, p = problem.control_spec.dim, 100, 6, 4.0
     x0 = 0.3 * np.sin(np.pi * np.arange(1, q + 1) / (q + 1))
@@ -1191,7 +1273,7 @@ def test_control_sq_norms_are_the_reduced_trace_bitwise(
     monkeypatch.setattr(engine, "_PROCESSES", 2)
     forks = count_forks(monkeypatch)
     run, = engine_run(problem, [(x0, ctl)], n_paths, n_steps, seed,
-                      fields=("control_traces", "control_sq_norms", "sup_norm"))
+                      fields=("states", "control_traces", "control_sq_norms"))
     assert len(forks) == forked
     sq = np.sum(np.square(run.control_traces) * problem.control_spec.weights,
                 axis=-1)
@@ -1206,7 +1288,8 @@ def test_control_sq_norms_are_the_reduced_trace_bitwise(
     assert len(forks) == 2 * forked
     dt = problem.horizon / n_steps
     ctl_term = float(np.mean(np.sum(sq ** (p / 2.0), axis=-1) * dt))
-    assert rep.constants["estimate"] == float(np.mean(run.sup_norm ** p))
+    sup_norm = np.max(h_norm(problem.space, run.states), axis=-1)
+    assert rep.constants["estimate"] == float(np.mean(sup_norm ** p))
     assert rep.constants["denominator"] == (
         1.0 + h_norm(problem.space, x0) ** p + ctl_term)
 
