@@ -35,6 +35,20 @@ receives. Only one block is held: a second would cost as much memory as the
 first. The memo only decides how often a block is built, never what it
 holds; increment_memo counts its hits and misses.
 
+A block is held only where holding it can pay: when it is within 8 MB, or
+when the call reads it through several requests (a policy-iteration round's
+rows, c1's 27 000 x 120 block among them). A larger block that the call
+reads through one request only is never built whole: the step loop draws
+each path tile's rows when it reaches the tile, into one tile-sized buffer,
+and the memo then holds nothing, so the request counts as a miss. A 20 000
+x 200 delay-lift Feynman-Kac run thus holds 2.4 MB of normals where its
+block is 32 MB, and a run's memory no longer grows with its path count
+through its noise. The budget is above the largest block that a default
+run-all or c1 reads again in a later call, 4.8 MB (2000 paths x 100 steps x
+3 noise dimensions on reaction-diffusion), so those keep their hits. Path
+k's normals depend only on its key, so a streamed block has the bits of the
+held one.
+
 Every callback, model and feedback alike, is row-wise: row k of its output
 depends on row k of its input alone, with the same bits at any row offset
 in a batch of any size. Path tiles and contestant groups both rest on it.
@@ -53,7 +67,10 @@ modulo 64 in each matrix product. That last part matters: OpenBLAS 0.3.31
 larger product, so a one-path run need not equal path 0 of a larger one;
 64 rows leave room for kernels with wider row blocks. Only the tiles and the
 semigroup product below keep that alignment. The noise block is requested
-once per run and sliced per tile. A divergence in any tile reruns the
+once per run and sliced per tile, or, when it is streamed, each tile's rows
+are drawn as the loop reaches the tile. The tiles are the outer loop and
+the contestant groups below the inner one, so each tile's rows are read,
+or drawn, once for every group. A divergence in any tile reruns the
 request as one pass, so the error names the earliest step over all paths
 and the magnitude over all of them at that step.
 
@@ -75,10 +92,12 @@ fresh product per step on a 1536-row delay-lift tile made glibc trim the
 top of the heap and fault it back in every step (69k minor page faults in
 a 20000-path delay-lift Feynman-Kac run and DPP check, against 9.5k with
 the two arrays). When E_dt is exactly the identity (a zero generator), the
-product is skipped; that is decided once per run. Each contestant thus gets
-the bits of its own run. If a group diverges, its contestants rerun one at
-a time, in order, so the error raised is the one that contestant's own run
-raises.
+product is skipped; that is decided once per run. Signal contestants' values
+are stacked once per run, per group, and copied into the controls each step.
+Each contestant thus gets the bits of its own run. If a group diverges in
+any tile, every contestant reruns alone, in order, in one pass over the
+run's paths (drawn once more if the block is streamed), so the error raised
+is the one the first diverging contestant's own run raises.
 
 One loop, `_run`, advances every run, a single contestant being the C = 1
 case, over its problem's window [t, horizon] in n_steps equal steps, on a
@@ -125,12 +144,13 @@ what the processes do: paths x steps x (dim x the contestants of every
 request, plus the noise dimensions unless the memo holds the block). First
 this process looks the block up in increment_memo once per request, as the
 serial loop would, so the counts are that loop's; a missed block gets its
-keys derived here and is made in anonymous shared memory, which the memo
-holds from then on. Rows 0:P are cut into shares of equal rows, and so of
-equal work, each cut at the 64-row slab boundary nearest its even split,
-which the tile rules make as safe as any tiling. Each process, this one
-taking the first share, draws its rows of the block unless the memo held
-it, runs every request on them and writes its rows of every output there.
+keys derived here and, unless it is streamed, is made in anonymous shared
+memory, which the memo holds from then on. Rows 0:P are cut into shares of
+equal rows, and so of equal work, each cut at the 64-row slab boundary
+nearest its even split, which the tile rules make as safe as any tiling.
+Each process, this one taking the first share, draws its rows of the block
+unless the memo held it (a streamed block tile by tile, as it runs them),
+runs every request on them and writes its rows of every output there.
 OpenBLAS is pinned to one thread in every process meanwhile, and nothing
 fans out where it cannot be pinned, or inside a fan-out. A child always
 leaves with os._exit, and every child is reaped before the call returns.
@@ -192,6 +212,11 @@ _TILE_ALIGN = 64
 # glibc's 128 KB mmap threshold (16 steps of a 1536-row delay-lift tile)
 # added its size to the run's peak memory
 _SCALE_BYTES = 64 * 1024
+# bytes of the largest noise block held whole that a call reads through one
+# request only; a larger one is drawn tile by tile and not held (see the
+# module docstring). The largest block a default run-all or c1 reads again
+# in a later call is 4.8 MB, 2000 paths x 100 steps x 3 on reaction-diffusion
+_HOLD_BYTES = 8 * 1024 * 1024
 # processes a call may use, and the work that buys it one forked child: a
 # call whose requests hold W of work (paths x steps x (contestants x dim +
 # noise dimensions unless the block is held), a draw counted as one
@@ -302,7 +327,9 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w) -> np.ndarray
 
     A repeat of the previous request returns the same array again; a block
     built anew is drawn here, in this process, on the path keys that
-    seeds.path_keys derives.
+    seeds.path_keys derives, and held. This is the serial loop's draw of a
+    held block; a block the call streams is drawn by the step loop, tile by
+    tile, and never built here (see the module docstring).
     """
     request = _Noise(master_seed, label, n_paths, n_steps, n_w)
     block, keys = _look_up(request)
@@ -317,7 +344,10 @@ def gaussian_increments(master_seed, label, n_paths, n_steps, n_w) -> np.ndarray
 def _look_up(request):
     """(the block increment_memo holds, None) when it holds request, or else
     (None, the path keys of request); counted as a hit or a miss. A miss
-    drops the held block first, so two blocks are never held at once."""
+    drops the held block first, so two blocks are never held at once, and
+    the memo then holds nothing until the caller stores the block it
+    builds: a streamed block is never stored, so after it the memo is
+    empty."""
     memo = increment_memo
     if memo.request == request:
         memo.hits += 1
@@ -501,9 +531,10 @@ def _run_forked(shares, advance):
     return done
 
 
-def _run(problem, request, out, dw, lo, hi, statistic=None):
+def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
     """Advance the contestants of a prepared request on its paths lo:hi, on
-    the block dw of standard normals, and write their rows of the stacked
+    the block dw of standard normals, or with dw None on the normals of the
+    path keys, drawn tile by tile, and write their rows of the stacked
     outputs out, and of the running maximum of statistic when one is given;
     the single step loop, which never forks. Groups and tiles are sized by
     the hi - lo rows, and the tiles start at lo."""
@@ -520,11 +551,31 @@ def _run(problem, request, out, dw, lo, hi, statistic=None):
     sq_norms, weights = out["control_sq_norms"], problem.control_spec.weights
     separated = problem.cost_structure if costs is not None else None
 
-    def advance(g0, g1, lo, hi, statistic=None):
+    def plan(g0, g1):
+        """The controls of contestants g0:g1, counted from g0: [first, stop,
+        policy] per run of adjacent contestants under one policy object, the
+        places of the signals, and their values stacked as (S, M, 1, q)."""
+        policies, shared_at = [], []
+        for c, (kind, ctl) in enumerate(controls[g0:g1]):
+            if kind == "policy":
+                # adjacent contestants under one policy object share its call
+                if policies and policies[-1][2] is ctl and policies[-1][1] == c:
+                    policies[-1][1] = c + 1
+                else:
+                    policies.append([c, c + 1, ctl])
+            else:
+                shared_at.append(c)
+        shared_vals = (np.stack([controls[g0 + c][1] for c in shared_at])[:, :, None]
+                       if shared_at else None)
+        return policies, shared_at, shared_vals
+
+    def advance(g0, g1, lo, hi, dw_rows, controls_of, statistic=None):
         """Run every step on paths lo:hi of contestants g0:g1, stacked as one
-        (C, rows, N) state, and write their outputs, with the running
-        maximum of statistic when one is given."""
+        (C, rows, N) state, on their normals dw_rows and their controls as
+        plan gives them, and write their outputs, with the running maximum
+        of statistic when one is given."""
         n_c, rows = g1 - g0, hi - lo
+        policies, shared_at, shared_vals = controls_of
         X = np.empty((n_c, rows, n))
         # the product with E goes into Y, and the two swap every step: a
         # fresh product per step churns the heap (see the module docstring)
@@ -535,21 +586,7 @@ def _run(problem, request, out, dw, lo, hi, statistic=None):
         # controls fill their blocks of one array: a feedback map on the block
         # of the adjacent contestants that share it, signals in one assignment
         A = np.empty((n_c, rows, q))
-        policies, shared = [], []
-        for c, (kind, ctl) in enumerate(controls[g0:g1]):
-            if kind == "policy":
-                # adjacent contestants under one policy object share its call
-                if policies and policies[-1][2] is ctl and policies[-1][1] == c:
-                    policies[-1][1] = c + 1
-                else:
-                    policies.append([c, c + 1, ctl])
-            else:
-                shared.append((c, ctl))
-        if shared:
-            shared_at = [c for c, _ in shared]
-            shared_vals = np.stack([v for _, v in shared])[:, :, None]
         Af = A.reshape(n_c * rows, q)
-        dw_rows = dw[lo:hi]
         chunk = max(1, _SCALE_BYTES // max(1, dw_rows[:, 0].nbytes))
         if costs is not None:
             acc = np.zeros(n_c * rows)
@@ -586,7 +623,7 @@ def _run(problem, request, out, dw, lo, hi, statistic=None):
                     s, X[first:stop].reshape(-1, n))
                 if box is not None:
                     np.clip(a, box[0], box[1], out=a)
-            if shared:
+            if shared_at:
                 A[shared_at] = shared_vals[:, k]
             if traces is not None:
                 traces[g0:g1, lo:hi, k] = A
@@ -664,19 +701,41 @@ def _run(problem, request, out, dw, lo, hi, statistic=None):
         # in tiles of its stacked (C, rows, N) state
         groups, tile_dim = [(0, len(inits))], len(inits) * n
     tiles = [(lo + a, lo + b) for a, b in _tile_bounds(hi - lo, tile_dim)]
-    for g0, g1 in groups:
-        try:
-            for tile in tiles:
-                advance(g0, g1, *tile, statistic)
-        except SimulationDivergenceError:
-            if g1 - g0 == 1 and len(tiles) == 1:
-                raise
-            # each contestant's own run, one pass over these paths and
-            # without the statistic: the first to diverge raises the error
-            # its own run raises, naming the earliest step over its paths
-            # and the largest magnitude there
-            for c in range(g0, g1):
-                advance(c, c + 1, lo, hi)
+    if dw is None:
+        # a streamed block: each tile's rows are drawn into one buffer, made
+        # here, as the loop reaches the tile; the first tile is the largest
+        buf = np.empty((tiles[0][1] - tiles[0][0], n_steps, request.noise.n_w))
+
+    def normals(a, b):
+        """The standard normals of paths a:b: rows of the block, or else
+        drawn, into the buffer when they fit in it."""
+        if dw is not None:
+            return dw[a:b]
+        into = buf if b - a <= len(buf) else np.empty((b - a,) + buf.shape[1:])
+        _draw(into, keys[a:b], 0, b - a)
+        return into[:b - a]
+
+    # each group's signals are stacked once here, not once per tile
+    plans = [plan(g0, g1) for g0, g1 in groups]
+    try:
+        # tiles outside, so a streamed tile is drawn once for every group
+        for a, b in tiles:
+            dw_rows = normals(a, b)
+            for (g0, g1), controls_of in zip(groups, plans):
+                advance(g0, g1, a, b, dw_rows, controls_of, statistic)
+    except SimulationDivergenceError:
+        # a lone contestant in one tile has just run its own run; g0 and g1
+        # are the loop's, those of the group that diverged
+        if g1 - g0 == 1 and len(tiles) == 1:
+            raise
+        # each contestant's own run, one pass over these paths and without
+        # the statistic: the first to diverge raises the error its own run
+        # raises, naming the earliest step over its paths and the largest
+        # magnitude there. An earlier group may yet diverge in a later tile,
+        # so every contestant reruns
+        dw_rows = normals(lo, hi)
+        for c in range(len(inits)):
+            advance(c, c + 1, lo, hi, dw_rows, plan(c, c + 1))
 
 
 def _simulate(problem, requests, fields, statistic=None):
@@ -692,6 +751,9 @@ def _simulate(problem, requests, fields, statistic=None):
     memo = increment_memo
     _, _, _, n_paths, n_steps, seed, label = requests[0]
     noise = _Noise(seed, label, n_paths, n_steps, problem.noise_dim)
+    # a block over the budget that the call reads through one request is
+    # streamed: drawn tile by tile by the step loop, never whole, and not held
+    stream = len(requests) == 1 and 8 * n_paths * n_steps * noise.n_w > _HOLD_BYTES
     contestants = sum(len(c) if isinstance(c, list) else 1 for _, _, c, *_ in requests)
     # a path's work: its element-steps, and its draws unless the block is held
     procs = _process_count(n_paths * n_steps * (
@@ -708,7 +770,7 @@ def _simulate(problem, requests, fields, statistic=None):
         # the serial loop's look-ups: the first may miss, and the others hit
         # the block it then holds, here drawn by the processes' shares
         block, keys = _look_up(noise)
-        if block is None:
+        if block is None and not stream:
             block = _shared_empty((n_paths, n_steps, noise.n_w))
             memo.request, memo.block = noise, block
         for _ in requests[1:]:
@@ -718,10 +780,10 @@ def _simulate(problem, requests, fields, statistic=None):
                    for r in prepared]
 
         def advance(lo, hi):
-            if keys is not None:
+            if block is not None and keys is not None:
                 _draw(block, keys, lo, hi)
             for r, out in zip(prepared, outputs):
-                _run(problem, r, out, block, lo, hi, fn)
+                _run(problem, r, out, block, keys, lo, hi, fn)
 
         done = False
         try:
@@ -734,7 +796,8 @@ def _simulate(problem, requests, fields, statistic=None):
                 if keys is not None:
                     memo.request = memo.block = None
         if done:
-            block.flags.writeable = False
+            if block is not None:
+                block.flags.writeable = False
             runs = [_records(r, out) for r, out in zip(prepared, outputs)]
     if runs is None:
         runs = []
@@ -742,8 +805,11 @@ def _simulate(problem, requests, fields, statistic=None):
             request = _prepare(problem, *r)
             out = {f: None if s is None else np.empty(s)
                    for f, s in _record_shapes(problem, request, fields, width).items()}
-            _run(problem, request, out, gaussian_increments(*request.noise), 0,
-                 request.noise.n_paths, fn)
+            if stream:
+                block, keys = _look_up(request.noise)
+            else:
+                block, keys = gaussian_increments(*request.noise), None
+            _run(problem, request, out, block, keys, 0, request.noise.n_paths, fn)
             runs.append(_records(request, out))
     results = []
     for (records, peaks), r in zip(runs, requests):
@@ -865,7 +931,10 @@ def moment_bound_check(
             problem, [(t, x, control, n_paths, n_steps, master, "paths")],
             ("control_sq_norms",), (state_norm, 1))[0]
         est = float(np.mean(sup_norm[:, 0] ** p))
-        a_norm_p = run.control_sq_norms ** (p / 2.0)
+        # raised in place, the same power and so the same bits, where a new
+        # array would be a second (P, M)
+        a_norm_p = run.control_sq_norms
+        a_norm_p **= p / 2.0
         dt = (problem.horizon - t) / n_steps
         ctl_term = float(np.mean(np.sum(a_norm_p, axis=-1) * dt))
         denom = 1.0 + h_norm(problem.space, np.asarray(x, dtype=float)) ** p + ctl_term

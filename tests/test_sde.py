@@ -406,6 +406,11 @@ def fan_out(monkeypatch, processes):
     monkeypatch.setattr(engine, "_FORK_MIN_WORK", 1)
 
 
+def stream_every_block(monkeypatch):
+    """Stream every later block that a call reads through one request."""
+    monkeypatch.setattr(engine, "_HOLD_BYTES", 0)
+
+
 def count_forks(monkeypatch):
     """A list that gains one entry per os.fork call of this process."""
     forks, real_fork, parent = [], os.fork, os.getpid()
@@ -706,19 +711,25 @@ def test_shared_policy_call_spans_adjacent_contestants_only():
     ids=["overflow", "nan", "overflow-statistic", "nan-statistic"])
 def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
                                                                blowup, statistic):
-    # contestant 2 of 4 diverges; contestant 4 diverges earlier, but the
-    # error must be contestant 2's, as in a run of each contestant in turn,
-    # in one process or across 2 or 3, where the group's one tile is cut in
-    # halves; a running statistic, which puts every contestant in one group,
-    # changes none of it
+    # contestant 2 of 4 diverges, on one path of the last 64-row tile;
+    # contestant 4 diverges earlier, on every path, but the error must be
+    # contestant 2's, as in a run of each contestant in turn, in one process
+    # or across 2 or 3, where the group's one tile is cut in halves. So too
+    # in 64-row tiles, where each contestant is a group of its own and
+    # contestant 4 diverges in the first tile, and on a streamed block,
+    # drawn tile by tile. A running statistic, which puts every contestant
+    # in one group, changes none of it
     if blowup == "overflow":
         drift, starts = (lambda x, a: 5.0 * x), (1.0, 1e7, 1.0, 5e7)
     else:
         def drift(x, a):
             return np.where(np.abs(x) > 1e3, np.nan, 5.0 * x)
         starts = (1.0, 20.0, 1.0, 500.0)
-    problem = scalar_problem(drift, 0.0)
+    problem = scalar_problem(drift, 0.2)
     contestants = [(np.array([s]), zero_signal(1)) for s in starts]
+    late = np.full((150, 1), 1.0)
+    late[140] = starts[1]
+    contestants[1] = (late, zero_signal(1))
     assert engine._group_bounds(4, 150, 1) == [(0, 4)]
 
     forks = count_forks(monkeypatch)
@@ -726,6 +737,7 @@ def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
     def error_of(group, processes=1, statistic=None):
         fan_out(monkeypatch, processes)
         forks.clear()
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
         with pytest.raises(SimulationDivergenceError) as info:
             engine_run(problem, group, 150, 100, 0, ("costs",), statistic)
         assert len(forks) == (processes > 1)
@@ -735,14 +747,25 @@ def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
     own, first = error_of([contestants[1]]), error_of([contestants[3]])
     assert first.step < own.step
     assert str(error_of([contestants[3]], statistic=statistic)) == str(first)
-    for processes in (1, 2, 3):
-        grouped = error_of(contestants, processes, statistic)
-        assert str(grouped) == str(own)
-        assert (grouped.step, grouped.time) == (own.step, own.time)
-        if blowup == "nan":
-            assert math.isnan(grouped.magnitude) and math.isnan(own.magnitude)
-        else:
-            assert grouped.magnitude == own.magnitude
+    budgets = engine._TILE_BYTES, engine._HOLD_BYTES
+    for tiled, streamed in itertools.product((False, True), repeat=2):
+        monkeypatch.setattr(engine, "_TILE_BYTES", budgets[0])
+        monkeypatch.setattr(engine, "_HOLD_BYTES", budgets[1])
+        if tiled:
+            monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 64))
+            assert engine._group_bounds(4, 150, 1) == [(c, c + 1) for c in range(4)]
+            assert engine._tile_bounds(150, 1)[-1] == (128, 150)
+        if streamed:
+            stream_every_block(monkeypatch)
+        for processes in (1, 2, 3):
+            grouped = error_of(contestants, processes, statistic)
+            assert str(grouped) == str(own)
+            assert (grouped.step, grouped.time) == (own.step, own.time)
+            if blowup == "nan":
+                assert math.isnan(grouped.magnitude) and math.isnan(own.magnitude)
+            else:
+                assert grouped.magnitude == own.magnitude
+            assert (increment_memo.request is None) == streamed
 
 
 # --- running statistic ----------------------------------------------------------
@@ -1814,8 +1837,9 @@ def test_a_cut_last_request_held_in_one_process_leaves_its_whole_block(
 
 def counted_call(case):
     """Run one case on the engine: policy iteration at the oracle_lq
-    benchmark's sizes on seed 101, a 20 000-path delay-lift run whose block
-    is missed, or a batch of two identical requests. The output bytes."""
+    benchmark's sizes on seed 101, a 20 000-path delay-lift run whose 32 MB
+    block is missed and streamed, or a batch of two identical requests. The
+    output bytes."""
     if case == "policy_iteration":
         problem, _ = build_lq_benchmark()
         res = policy_iteration(problem, (0.0, 0.4, 0.8),
@@ -1842,18 +1866,25 @@ def test_fanned_calls_count_as_the_serial_loop(monkeypatch, case):
     # the memo's counts, the request it holds and its block's bits after a
     # call forced across two processes are those of the serial loop, as are
     # the call's output bits; each count is made in this process, before
-    # the fork
+    # the fork. The delay-lift block, over the budget and read by one
+    # request, is streamed: a miss, and no block is held after it
     forks, results = count_forks(monkeypatch), []
     for processes in (1, 2):
         fan_out(monkeypatch, processes)
         monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
         bits = counted_call(case)
         memo = engine.increment_memo
-        results.append((bits, memo.hits, memo.misses, memo.request,
-                        memo.block.tobytes()))
+        if case == "sdde_block":
+            assert memo.request is None and memo.block is None
+            results.append((bits, memo.hits, memo.misses))
+        else:
+            results.append((bits, memo.hits, memo.misses, memo.request,
+                             memo.block.tobytes()))
         assert_no_children()
     assert forks
     assert results[1] == results[0]
+    if case == "sdde_block":
+        assert results[0][1:] == (0, 1)
 
 
 def failing_problem(kind):
@@ -1971,3 +2002,148 @@ def test_no_fan_out_where_blas_threads_cannot_be_pinned(monkeypatch):
     batch = simulate_costs_batch(problem, requests)
     assert not forks
     assert cost_bits(batch) == cost_bits(runs)
+
+
+# --- streamed noise blocks ------------------------------------------------------
+
+
+def count_draws(monkeypatch, path):
+    """A function giving the engine._draw calls made since it was last
+    called, in this process or in any process it forks. Each call appends
+    a byte to path: an append is atomic, where two processes adding to one
+    counter in shared memory can lose a count."""
+    draw = engine._draw
+
+    def spy(out, keys, lo, hi):
+        with open(path, "ab") as fh:
+            fh.write(b"1")
+        return draw(out, keys, lo, hi)
+    monkeypatch.setattr(engine, "_draw", spy)
+
+    def taken():
+        count = path.stat().st_size if path.exists() else 0
+        path.write_bytes(b"")
+        return count
+    return taken
+
+
+def run_outputs(run):
+    """The bytes of every output of an engine_run: each record's fields,
+    and the running maximum and its first steps when there are any."""
+    records, *peaks = run if isinstance(run, tuple) else (run,)
+    return ([getattr(r, f).tobytes() for r in records
+             for f in ("terminal_states",) + ALL_FIELDS]
+            + [a.tobytes() for a in peaks])
+
+
+@pytest.mark.parametrize("with_statistic", [False, True], ids=["plain", "statistic"])
+@pytest.mark.parametrize("layout", ["one_tile", "tiles"])
+@pytest.mark.parametrize("builder", [
+    lambda: build_lq_benchmark(control_bound=0.6)[0],
+    build_reaction_diffusion,
+    lambda: build_sdde_lift(control_bound=0.4),
+], ids=["lq", "reaction_diffusion", "sdde"])
+def test_streamed_block_gives_the_held_bits(monkeypatch, tmp_path, builder,
+                                             layout, with_statistic):
+    # four contestants of every control kind on one request whose block is
+    # streamed: every output, and the running maximum and its first steps,
+    # has the bits of the run on the held block, in one process and across
+    # 2 and 3; each process draws each of its tiles once, whatever the
+    # groups, and the request is a miss that leaves the memo empty
+    problem = builder()
+    n_paths, n = 997, problem.dim
+    contestants = group_contestants(problem, n_paths)
+    statistic = None
+    if with_statistic:
+        norm = space_norm(problem.space, problem.b_op, "H")
+        statistic = (gap_statistic(norm), len(contestants) - 1 + n)
+    tile_dim = len(contestants) * n if with_statistic else n
+    if layout == "tiles":
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 256))
+        assert len(engine._tile_bounds(n_paths, tile_dim)) > 1
+    if layout == "tiles" and not with_statistic:
+        assert len(engine._group_bounds(len(contestants), n_paths, n)) > 1
+
+    def run():
+        return engine_run(problem, contestants, n_paths, TILE_STEPS, 17,
+                          statistic=statistic)
+
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+    held = run_outputs(run())
+    assert engine.increment_memo.block is not None
+    stream_every_block(monkeypatch)
+    draws = count_draws(monkeypatch, tmp_path / "draws")
+    for processes in (1, 2, 3):
+        fan_out(monkeypatch, processes)
+        monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+        gaussian_increments(0, "unrelated", 1, 1, 1)
+        draws()
+        streamed = run_outputs(run())
+        assert_no_children()
+        assert streamed == held, processes
+        memo = engine.increment_memo
+        assert (memo.hits, memo.misses) == (0, 2)
+        assert memo.request is None and memo.block is None
+        assert draws() == sum(len(engine._tile_bounds(hi - lo, tile_dim))
+                               for lo, hi in engine._deal(n_paths, processes))
+
+
+def test_a_call_of_several_requests_holds_its_block_over_the_budget(monkeypatch):
+    # a batch of two requests on one noise request reads its block twice,
+    # so it is held whatever its size, as after the serial loop, in one
+    # process or across two; a lone request on that block then hits it and
+    # reads it, and the memo keeps it
+    problem = build_lq_benchmark(control_bound=0.6)[0]
+    x = np.full(problem.dim, 0.7)
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    requests = [(0.0, x, gamma, 300, TILE_STEPS, 3, "paths"),
+                (0.0, [x, -x], [gamma] * 2, 300, TILE_STEPS, 3, "paths")]
+    dw = reference_increments(3, "paths", 300, TILE_STEPS, problem.noise_dim)
+    stream_every_block(monkeypatch)
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    alone = [simulate_costs(problem, *r) for r in requests]
+    assert increment_memo.request is None
+    forks, results = count_forks(monkeypatch), []
+    for processes in (1, 2):
+        fan_out(monkeypatch, processes)
+        monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+        batch = simulate_costs_batch(problem, requests)
+        memo = engine.increment_memo
+        assert (memo.hits, memo.misses) == (1, 1)
+        assert memo.request == (3, "paths", 300, TILE_STEPS, problem.noise_dim)
+        assert memo.block.tobytes() == dw.tobytes()
+        block = memo.block
+        again = simulate_costs(problem, *requests[0])
+        assert (memo.hits, memo.misses) == (2, 1) and memo.block is block
+        assert_no_children()
+        results.append(cost_bits(batch + [again]))
+    assert forks
+    assert results[0] == results[1] == cost_bits(alone + alone[:1])
+
+
+def test_streamed_run_memory_does_not_grow_with_its_block(monkeypatch):
+    # a delay-lift run whose block is over the budget at P = 3072 paths and
+    # at 4P: its peak at 4P may exceed the one at P by less than the tile
+    # buffer of its normals, where a block built whole adds 3P x M x 8
+    # bytes, 29.5 MB. One process: a forked run allocates its outputs in
+    # shared memory, which tracemalloc does not see
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    problem = build_sdde_lift()
+    n_paths, n_steps = 3072, 400
+    assert 8 * n_paths * n_steps > engine._HOLD_BYTES
+    peaks = []
+    for paths in (n_paths, 4 * n_paths):
+        gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
+        tracemalloc.start()
+        try:
+            simulate_costs(problem, 0.0, 0.3 * np.ones(problem.dim), zero_signal(1),
+                           paths, n_steps=n_steps, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        assert increment_memo.block is None
+    lo, hi = engine._tile_bounds(4 * n_paths, problem.dim)[0]
+    buffer_bytes = (hi - lo) * n_steps * 8
+    assert peaks[1] - peaks[0] < buffer_bytes, (peaks[1] - peaks[0]) / buffer_bytes
