@@ -8,46 +8,41 @@ i.e. explicit Euler on the nonlinearity, exact flow of the generator. The
 semigroup matrix is computed once per (operator, dt) and cached.
 
 b and sigma vanish off the problem's channel (models.ControlProblem), so
-the step adds them in place on that block of coordinates alone:
-X_J += dt * b_J, then X_J += dW sigma_J^T, the same floating-point
-operations in the same order as X + dt*b + sigma dW, and with one temporary
-fewer than that expression even when the channel is every coordinate. On
-the 21-dimensional delay lift the channel is the present value, so drift,
-noise and update touch one column, not 21; the generator alone moves the
-past segment. The one bit this can change is the sign of a zero: an entry
-off the channel that is exactly -0.0 stays -0.0, where -0.0 + 0.0 made it
-+0.0.
+the step adds them in place on that block of coordinates alone: X_J += dt *
+b_J, then X_J += dW sigma_J^T, the operations of X + dt*b + sigma dW in the
+same order, with one temporary fewer. On the 21-dimensional delay lift the
+channel is the present value, so drift, noise and update touch one column,
+and the generator alone moves the past segment. The one bit this can
+change is the sign of a zero off the channel: -0.0 stays -0.0.
 
 Noise is generated per path from counter-derived streams, so path k's
 standard normals depend only on (master_seed, stream_label, k) and never on
 how many paths run alongside it, in what order, or in which process. One
-Philox generator is re-keyed for each path rather than built anew
-(seeds.path_streams), so any process can draw any range of paths from their
-keys. A block holds standard normals, not increments: the step loop scales
-what it reads by sqrt(dt), a few steps at a time, the same product a block
-drawn at dt would hold, so runs from different start times on one horizon
-share a block. The step loop takes no block from its caller: contestants
-share noise by making the same request (seed, stream_label, n_paths,
-n_steps, n_w), in one call or several, and so get the same bits. The last
-block made is kept and a repeat of the same request gets that array back;
-blocks are handed out read-only, so no caller can change what the next one
-receives. Only one block is held: a second would cost as much memory as the
-first. The memo only decides how often a block is built, never what it
-holds; increment_memo counts its hits and misses.
+Philox generator is re-keyed for each path (seeds.path_streams), so any
+process can draw any range of paths from their keys. A block holds standard
+normals, not increments: the step loop scales what it reads by sqrt(dt), a
+few steps at a time, the product a block drawn at dt would hold, so runs
+from different start times on one horizon share a block. Contestants share
+noise by making the same request (seed, stream_label, n_paths, n_steps,
+n_w), in one call or several. The last block made is kept, read-only, and a
+repeat of its request gets that array back; only one block is held, and the
+memo decides how often a block is built, never what it holds;
+increment_memo counts its hits and misses.
 
-A block is held only where holding it can pay: when it is within 8 MB, or
-when the call reads it through several requests (a policy-iteration round's
-rows, c1's 27 000 x 120 block among them). A larger block that the call
-reads through one request only is never built whole: the step loop draws
-each path tile's rows when it reaches the tile, into one tile-sized buffer,
-and the memo then holds nothing, so the request counts as a miss. A 20 000
-x 200 delay-lift Feynman-Kac run thus holds 2.4 MB of normals where its
-block is 32 MB, and a run's memory no longer grows with its path count
-through its noise. The budget is above the largest block that a default
-run-all or c1 reads again in a later call, 4.8 MB (2000 paths x 100 steps x
-3 noise dimensions on reaction-diffusion), so those keep their hits. Path
-k's normals depend only on its key, so a streamed block has the bits of the
-held one.
+A block is held only where holding it can pay: when the call reads it
+through several requests (a policy-iteration round's rows, c1's 27 000 x 120
+block among them), or when it is within 8 MB and its P paths fit in one
+tile, sized as _run sizes them. Any other block is streamed, never built
+whole: the step loop draws each path tile's rows as it reaches the tile,
+into one tile-sized buffer, and the memo then holds nothing, so the request
+counts as a miss. The test reads P, not a process's share, so what is held
+and the memo's counts do not depend on the process count. A 20 000 x 200
+delay-lift Feynman-Kac run holds 2.4 MB of normals where its block is 32 MB,
+and the DPP check's 7200 x 100 inner block one 1.2 MB tile of its 5.8 MB.
+The largest block a default run-all or c1 reads again in a later call, 4.8
+MB (2000 paths x 100 steps x 3 on reaction-diffusion), is one tile, so it
+keeps its hits. Path k's normals depend only on its key, so a streamed
+block has the bits of the held one.
 
 Every callback, model and feedback alike, is row-wise: row k of its output
 depends on row k of its input alone, with the same bits at any row offset
@@ -57,120 +52,93 @@ Large ensembles are advanced in path tiles that fit in cache: the budget is
 256 KB for one tile's (rows, dim) float64 state, so 1536 rows on the 21-dim
 delay lift and 2048 on the 16-point reaction-diffusion grid. The tiles run
 one after another, each through every step, and write their slices of the
-run's outputs; a run that fits in one tile is one pass, as before. Every
-tile but the last is a multiple of 64 rows, and the tiles are balanced. The
-result carries the same bits as one pass because every callback is
-row-wise, path k's noise depends only on k, and every row keeps its place
-modulo 64 in each matrix product. That last part matters: OpenBLAS 0.3.31
-(Haswell kernel) can give the trailing m mod 4 rows of an m-row product,
-(m, 21) @ (21, 1) for instance, other bits than the same rows inside a
-larger product, so a one-path run need not equal path 0 of a larger one;
-64 rows leave room for kernels with wider row blocks. Only the tiles and the
-semigroup product below keep that alignment. The noise block is requested
-once per run and sliced per tile, or, when it is streamed, each tile's rows
-are drawn as the loop reaches the tile. The tiles are the outer loop and
-the contestant groups below the inner one, so each tile's rows are read,
-or drawn, once for every group. A divergence in any tile reruns the
-request as one pass, so the error names the earliest step over all paths
-and the magnitude over all of them at that step.
+run's outputs. Every tile but the last is a multiple of 64 rows, and the
+tiles are balanced. The result carries the bits of one pass because every
+callback is row-wise, path k's noise depends only on k, and every row keeps
+its place modulo 64 in each matrix product: OpenBLAS 0.3.31 (Haswell) can
+give the trailing m mod 4 rows of an m-row product, (m, 21) @ (21, 1) for
+instance, other bits than the same rows inside a larger one, and 64 rows
+leave room for wider row blocks. The tiles are the outer loop and the
+contestant groups the inner one, so each tile's rows are read, or drawn,
+once for every group. A divergence in any tile reruns the request as one
+pass, so the error names the earliest step and the magnitude over all paths.
 
 A run takes a list of contestants, each a starting state and a control, on
 one noise request: the candidates of a value family, the legs of a finite
 difference, the challengers of a tournament. They advance in groups, as one
 stacked (C, P, N) state, which pays each step's fixed numpy overhead once
-per group rather than once per contestant. A group holds whole contestants
-whose state fits in half the tile budget, 128 KB, so 6 reaction-diffusion
-contestants at 150 paths and a lone one at 1000; a contestant larger than a
-tile runs alone, in tiles. Per step an additive noise term is formed once
-on P rows of the channel and shared; drift, costs and noise_at are called
-once on the stacked rows; adjacent contestants that share one policy object
-get one feedback call on their stacked rows, and other policies one call on
-their own block; the stacked product with E is one gemm per contestant
-block, so every row keeps its place. The product is written into one of
-two (C, rows, N) arrays made once per tile, which swap roles every step: a
-fresh product per step on a 1536-row delay-lift tile made glibc trim the
-top of the heap and fault it back in every step (69k minor page faults in
-a 20000-path delay-lift Feynman-Kac run and DPP check, against 9.5k with
-the two arrays). When E_dt is exactly the identity (a zero generator), the
-product is skipped; that is decided once per run. Signal contestants' values
-are stacked once per run, per group, and copied into the controls each step.
+per group. A group holds whole contestants whose state fits in half the tile
+budget, so 6 reaction-diffusion contestants at 150 paths; a contestant
+larger than a tile runs alone, in tiles. Per step an additive noise term is
+formed once on the channel and shared; drift, costs and noise_at are called
+once on the stacked rows; adjacent contestants under one policy object get
+one feedback call, other policies one call on their own block; the product
+with E is one gemm per contestant block, written into one of two (C, rows,
+N) arrays made once per tile, which swap roles every step (a fresh product
+per step made glibc trim and refault the heap top: 69k minor page faults in
+a 20000-path delay-lift Feynman-Kac run and DPP check, against 9.5k). When
+E_dt is exactly the identity, the product is skipped. A signal keeps its
+distinct consecutive rows and each step's row, and a step writes its block
+of the controls, and of l2 (evaluated once per run on those rows), only
+where its row changes; l2 is called on feedback contestants' blocks alone.
 Each contestant thus gets the bits of its own run. If a group diverges in
 any tile, every contestant reruns alone, in order, in one pass over the
-run's paths (drawn once more if the block is streamed), so the error raised
-is the one the first diverging contestant's own run raises.
+run's paths, so the error is the first diverging contestant's own.
 
 One loop, `_run`, advances every run, a single contestant being the C = 1
 case, over its problem's window [t, horizon] in n_steps equal steps, on a
 range of its paths, with groups and tiles sized by that range's rows; a
 shorter window is a run of the problem with a shorter horizon. `_simulate`
 runs a list of requests that make one noise request, in order, and returns
-one record per contestant, `PathEnsemble`: the time grid and terminal
-states always, and states, per-path costs, control traces or the controls'
-squared norms when they were asked for. The squared norms, ||a_k||^2 in the
-control metric per path and step, are (P, M) where the trace is (P, M, q):
-the moment audit reads only them, and keeps 1.6 MB in place of a 25.6 MB
-trace on a 2000-path, 100-step reaction-diffusion run. They are the trace
-squared, weighted and summed over its last axis, step by step, so they
-carry the bits of that reduction of the recorded trace.
-simulate_ensemble (states) and simulate_costs (costs, optionally controls)
-hand it one request, and simulate_costs_batch each run of consecutive
-requests on one noise request, in turn; a request's records come back as
-one record, or a list for lists of states and controls; a single path is
-path 0 of a one-path ensemble.
+one record per contestant, `PathEnsemble`, which holds the time grid and
+only what its caller asked for: simulate_ensemble the states, simulate_costs
+the per-path costs and, on request, the terminal states, which only the DPP
+check's first leg reads. simulate_costs_batch hands it each run of
+consecutive requests on one noise request, in turn; a request's records come
+back as one record, or a list for lists of states and controls; a single
+path is path 0 of a one-path ensemble.
 
-A request may also carry a statistic, a row-wise map from the stacked
-(C, rows, N) state to (rows, width). The loop evaluates it on the starting
-states and after each step's divergence check, and keeps its per-path
-maximum over steps 0..M and the first step that reaches it (a later step
-replaces it only when strictly larger): request-level (P, width) arrays,
-whatever M is. The pathwise audits and the moment audit read only such a
-maximum, a sup over time of a gap between contestants or of one
-contestant's norm, so simulate_sup holds two (P, width) arrays where a
-recorded path would be (C, P, M+1, N): the comparison's 2 x 250 x 201 x 16
-states, 12.9 MB, become two 250 x 17 arrays. The statistic reads every
-contestant at once, so with one the contestants form one group, in tiles
-sized by C*N; the maximum is exact and any 64-row tiling keeps every
-state's bits, so the statistic sees the values the recorded states would
-hold, row by row. A diverging group reruns its contestants one at a time
-without the statistic, so the error is that contestant's own, as for any
-group.
+A request may also carry reductions, each a row-wise map fn of the stacked
+contestant arrays to (rows, width), kept per path in request-level (P,
+width) arrays whatever M is: a "max" keeps the largest fn(X_k) over steps
+0..M and the first step at it (replaced only by a strictly larger value), a
+"sum" adds fn(X_k, A_k, X_{k+1}) step by step over steps 0..M-1. The
+pathwise audits read a max (simulate_sup) and the moment audit a max of
+||X||_H and a sum of ||a_k||^p, so none records a path of states or
+controls. Reductions read every contestant at once, so with one the
+contestants form one group, in tiles sized by C*N, where fn sees the bits
+the recorded states would hold; a diverging group reruns its contestants
+one at a time without them, so the error is that contestant's own.
 
 `_simulate` is also the one fan-out, and its unit is that one noise
 request. When this process has more than one CPU and the call's work
 reaches 2 M, it forks a child for each full 2 M, at most one process per
-CPU and per 64-row slab: processes, since once the callbacks' sums are
-short the step loop is bound by the interpreter lock. The work is exactly
-what the processes do: paths x steps x (dim x the contestants of every
-request, plus the noise dimensions unless the memo holds the block). First
-this process looks the block up in increment_memo once per request, as the
-serial loop would, so the counts are that loop's; a missed block gets its
-keys derived here and, unless it is streamed, is made in anonymous shared
-memory, which the memo holds from then on. Rows 0:P are cut into shares of
-equal rows, and so of equal work, each cut at the 64-row slab boundary
-nearest its even split, which the tile rules make as safe as any tiling.
-Each process, this one taking the first share, draws its rows of the block
-unless the memo held it (a streamed block tile by tile, as it runs them),
-runs every request on them and writes its rows of every output there.
-OpenBLAS is pinned to one thread in every process meanwhile, and nothing
-fans out where it cannot be pinned, or inside a fan-out. A child always
-leaves with os._exit, and every child is reaped before the call returns.
-If any process fails (an error, a divergence, a child killed by a signal),
-the counts go back to where the look-ups began, a block drawn in part is
-let go while a block held before the call stays held, and the requests run
-here as the serial loop, so the caller gets its result or error and the
-serial loop's counts. Callbacks must be pure: what one sets in a child is
-lost with it, and a warning raised there reaches only the child's stderr.
+CPU and per 64-row slab: processes, since the step loop is bound by the
+interpreter lock. The work is paths x steps x (dim x the contestants of
+every request, plus the noise dimensions unless the memo holds the block).
+First this process looks the block up in increment_memo once per request,
+as the serial loop would, so the counts are that loop's; a missed block
+that is not streamed is made in anonymous shared memory, which the memo
+holds from then on. Rows 0:P are cut into shares of equal rows, each cut at
+the 64-row slab boundary nearest its even split. Each process, this one
+taking the first share, draws its rows of the block unless the memo held it
+(a streamed block tile by tile), runs every request on them and writes its
+rows of every output there. OpenBLAS is pinned to one thread in every
+process meanwhile, and nothing fans out where it cannot be pinned, or inside
+a fan-out. A child always leaves with os._exit, and every child is reaped
+before the call returns. If any process fails (an error, a divergence, a
+child killed by a signal), the counts go back to where the look-ups began, a
+block drawn in part is let go, and the requests run here as the serial loop,
+so the caller gets its result or error and the serial loop's counts.
+Callbacks must be pure: what one sets in a child is lost with it.
 
 Running costs are accumulated with the trapezoid rule in time, with the
 control held at its step value on both ends: dt/2 * [l(X_k, a_k) +
-l(X_{k+1}, a_k)]. For smooth integrands this is second-order along the
-drift, which matters when cost values are compared against closed forms.
-With a separated cost l = l1 + l2 (problem.cost_structure), l1 is evaluated
-once per state, the right end of step k being the left end of step k+1, and
-l2 once per step, since the control is held across it. The sums are the same
-floating-point operations as l1(x) + l2(a), so the costs carry the same bits
-as calling running_cost at both ends, which is what a problem without a
-separated cost does.
+l(X_{k+1}, a_k)], second-order along the drift for smooth integrands. With
+a separated cost l = l1 + l2 (problem.cost_structure), l1 is evaluated once
+per state, the right end of step k being the left end of step k+1, and l2
+once per control, with the operations, and so the bits, of running_cost at
+both ends, which is what a problem without a separated cost calls.
 """
 
 import ctypes
@@ -212,10 +180,8 @@ _TILE_ALIGN = 64
 # glibc's 128 KB mmap threshold (16 steps of a 1536-row delay-lift tile)
 # added its size to the run's peak memory
 _SCALE_BYTES = 64 * 1024
-# bytes of the largest noise block held whole that a call reads through one
-# request only; a larger one is drawn tile by tile and not held (see the
-# module docstring). The largest block a default run-all or c1 reads again
-# in a later call is 4.8 MB, 2000 paths x 100 steps x 3 on reaction-diffusion
+# bytes of the largest noise block of one tile held whole that a call reads
+# through one request only (see the module docstring)
 _HOLD_BYTES = 8 * 1024 * 1024
 # processes a call may use, and the work that buys it one forked child: a
 # call whose requests hold W of work (paths x steps x (contestants x dim +
@@ -269,20 +235,13 @@ class SimulationDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """The run record: what one pass of the step loop produced.
-
-    The last four fields are None unless the run was asked for them. Traces
-    are clipped into the box, so they show how often a feedback sat on it;
-    control_sq_norms holds ||a_k||^2 in the control metric of those clipped
-    controls, the one reduction of them the moment audit reads.
-    """
+    """One pass's record: the time grid, then states (simulate_ensemble),
+    costs, and terminal states on request (simulate_costs), else None."""
 
     time_grid: np.ndarray                        # (M+1,)
-    terminal_states: np.ndarray                  # (P, N)
+    terminal_states: Optional[np.ndarray]        # (P, N)
     states: Optional[np.ndarray]                 # (P, M+1, N)
     costs: Optional[np.ndarray]                  # (P,) running + terminal
-    control_traces: Optional[np.ndarray]         # (P, M, q), step left-endpoints
-    control_sq_norms: Optional[np.ndarray]       # (P, M) weighted ||a_k||^2
 
 
 class _Noise(NamedTuple):
@@ -305,6 +264,17 @@ class _Prepared(NamedTuple):
     inits: list                 # per contestant, (N,) or (P, N)
     controls: list              # per contestant, _prepare_control's pair
     E: np.ndarray               # semigroup matrix for dt
+
+
+class _Reduction(NamedTuple):
+    """A per-path reduction over a run's steps of fn, a row-wise map of the
+    stacked contestant arrays to (rows, width): "max" keeps the largest
+    fn(X_k) over steps 0..M and the first step at it, "sum" the sum of
+    fn(X_k, A_k, X_{k+1}) over steps 0..M-1, added step by step."""
+
+    kind: str
+    fn: object
+    width: int
 
 
 class _LastBlock:
@@ -365,13 +335,18 @@ def _draw(out, keys, lo, hi):
 
 
 def _prepare_control(problem, control, step_times):
-    """Classify the control: ('policy', obj) or ('values', (M, q) array)."""
+    """Classify the control: ('policy', obj), or ('signal', (rows, index)):
+    a signal's distinct consecutive rows (K, q) and each step's row, (M,)."""
     if hasattr(control, "feedback"):
         return "policy", control
-    vals = control.values_on(step_times)
+    vals = np.ascontiguousarray(control.values_on(step_times), dtype=float)
     if vals.shape[-1] != problem.control_spec.dim:
         raise ValueError("control dimension mismatch")
-    return "values", vals
+    # rows compared as bits, so one that differs in a zero's sign is kept
+    bits = vals.view(np.uint64)
+    new = np.ones(len(vals), dtype=bool)
+    new[1:] = np.any(bits[1:] != bits[:-1], axis=-1)
+    return "signal", (vals[new], (np.cumsum(new) - 1).tolist())
 
 
 def _contestants(x, control):
@@ -409,32 +384,35 @@ def _prepare(problem, t, x, control, n_paths, n_steps, master_seed, stream_label
     return _Prepared(noise, dt, grid, inits, controls, semigroup_matrix(problem.op, dt))
 
 
-def _record_shapes(problem, request, fields, width=0):
+def _record_shapes(problem, request, fields, reductions=()):
     """The stacked (contestants, paths, ...) shape of each PathEnsemble field
-    of a prepared request after the time grid, in order: the terminal states
-    always, the others when fields names them, else None. A statistic of
-    that width adds the (paths, width) shapes of its running maximum, "peak",
-    and of the first step that reaches it, "peak_step"."""
-    n, q, m = problem.dim, problem.control_spec.dim, request.noise.n_steps
-    tails = {"terminal_states": (n,), "states": (m + 1, n), "costs": (),
-             "control_traces": (m, q), "control_sq_norms": (m,)}
-    shapes = {f: (len(request.inits), request.noise.n_paths) + tail
-              if f == "terminal_states" or f in fields else None
+    of a prepared request after the time grid, in order, None for a field
+    that fields does not name; then per reduction i the (paths, width) shape
+    of its value, (i, "value"), and for a max of its first steps, (i, "step")."""
+    n, m, paths = problem.dim, request.noise.n_steps, request.noise.n_paths
+    tails = {"terminal_states": (n,), "states": (m + 1, n), "costs": ()}
+    shapes = {f: (len(request.inits), paths) + tail if f in fields else None
               for f, tail in tails.items()}
-    if width:
-        shapes["peak"] = shapes["peak_step"] = (request.noise.n_paths, width)
+    for i, r in enumerate(reductions):
+        shapes[i, "value"] = (paths, r.width)
+        if r.kind == "max":
+            shapes[i, "step"] = (paths, r.width)
     return shapes
 
 
-def _records(request, out):
+def _records(request, out, reductions):
     """One PathEnsemble per contestant of a prepared request, each holding
-    its slices of the stacked outputs out, and the request's running maximum
-    and its first steps (as integers), or None without a statistic."""
-    peak, peak_step = out.pop("peak", None), out.pop("peak_step", None)
+    its slices of the stacked outputs out, and the reductions' outputs in
+    order: a max's peak and its first steps (as integers), a sum's total."""
+    reduced = []
+    for i, r in enumerate(reductions):
+        reduced.append(out.pop((i, "value")))
+        if r.kind == "max":
+            reduced.append(out.pop((i, "step")).astype(np.int64))
     records = [PathEnsemble(time_grid=request.grid,
                             **{f: None if a is None else a[c] for f, a in out.items()})
                for c in range(len(request.inits))]
-    return records, None if peak is None else (peak, peak_step.astype(np.int64))
+    return records, reduced
 
 
 def _tile_bounds(n_paths, n):
@@ -531,13 +509,22 @@ def _run_forked(shares, advance):
     return done
 
 
-def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
+def _reduced(reduction, rows, *args):
+    """reduction.fn(*args), refused unless it is (rows, width)."""
+    value = reduction.fn(*args)
+    if np.shape(value) != (rows, reduction.width):
+        raise ValueError(f"statistic gave shape {np.shape(value)}, need "
+                         f"{(rows, reduction.width)}")
+    return value
+
+
+def _run(problem, request, out, dw, keys, lo, hi, reductions=()):
     """Advance the contestants of a prepared request on its paths lo:hi, on
     the block dw of standard normals, or with dw None on the normals of the
     path keys, drawn tile by tile, and write their rows of the stacked
-    outputs out, and of the running maximum of statistic when one is given;
-    the single step loop, which never forks. Groups and tiles are sized by
-    the hi - lo rows, and the tiles start at lo."""
+    outputs out, the reductions' among them; the single step loop, which
+    never forks. Groups and tiles are sized by the hi - lo rows, and the
+    tiles start at lo."""
     dt, grid, inits, controls = request.dt, request.grid, request.inits, request.controls
     E, n_steps, sqrt_dt = request.E, request.noise.n_steps, math.sqrt(dt)
     n, q = problem.dim, problem.control_spec.dim
@@ -547,35 +534,37 @@ def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
     width = J.stop - J.start
     sigma_t = problem.noise[J].T if problem.additive_noise else None
     terminal, states, costs = out["terminal_states"], out["states"], out["costs"]
-    traces = out["control_traces"]
-    sq_norms, weights = out["control_sq_norms"], problem.control_spec.weights
     separated = problem.cost_structure if costs is not None else None
 
     def plan(g0, g1):
         """The controls of contestants g0:g1, counted from g0: [first, stop,
-        policy] per run of adjacent contestants under one policy object, the
-        places of the signals, and their values stacked as (S, M, 1, q)."""
-        policies, shared_at = [], []
+        policy] per run of adjacent contestants under one policy object, and
+        per run of adjacent policy contestants [first, stop], which share an
+        l2 call; per signal (c, rows, index, l2 of its rows or None)."""
+        policies, spans, signals = [], [], []
         for c, (kind, ctl) in enumerate(controls[g0:g1]):
-            if kind == "policy":
-                # adjacent contestants under one policy object share its call
-                if policies and policies[-1][2] is ctl and policies[-1][1] == c:
-                    policies[-1][1] = c + 1
-                else:
-                    policies.append([c, c + 1, ctl])
+            if kind == "signal":
+                rows, index = ctl
+                signals.append((c, rows, index,
+                                None if separated is None else separated.l2(rows)))
+                continue
+            # adjacent contestants under one policy object share its call
+            if policies and policies[-1][2] is ctl and policies[-1][1] == c:
+                policies[-1][1] = c + 1
             else:
-                shared_at.append(c)
-        shared_vals = (np.stack([controls[g0 + c][1] for c in shared_at])[:, :, None]
-                       if shared_at else None)
-        return policies, shared_at, shared_vals
+                policies.append([c, c + 1, ctl])
+            if spans and spans[-1][1] == c:
+                spans[-1][1] = c + 1
+            else:
+                spans.append([c, c + 1])
+        return policies, spans, signals
 
-    def advance(g0, g1, lo, hi, dw_rows, controls_of, statistic=None):
+    def advance(g0, g1, lo, hi, dw_rows, controls_of, reductions=()):
         """Run every step on paths lo:hi of contestants g0:g1, stacked as one
         (C, rows, N) state, on their normals dw_rows and their controls as
-        plan gives them, and write their outputs, with the running maximum
-        of statistic when one is given."""
+        plan gives them, and write their outputs and the reductions'."""
         n_c, rows = g1 - g0, hi - lo
-        policies, shared_at, shared_vals = controls_of
+        policies, spans, signals = controls_of
         X = np.empty((n_c, rows, n))
         # the product with E goes into Y, and the two swap every step: a
         # fresh product per step churns the heap (see the module docstring)
@@ -584,7 +573,8 @@ def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
             x = inits[g0 + c]
             X[c] = x if x.ndim == 1 else x[lo:hi]
         # controls fill their blocks of one array: a feedback map on the block
-        # of the adjacent contestants that share it, signals in one assignment
+        # of the adjacent contestants that share it, a signal its own block
+        # at the steps where its row changes
         A = np.empty((n_c, rows, q))
         Af = A.reshape(n_c * rows, q)
         chunk = max(1, _SCALE_BYTES // max(1, dw_rows[:, 0].nbytes))
@@ -599,16 +589,16 @@ def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
             # page faults of a 20000-path delay-lift run)
             c1, c2 = np.empty((2, n_c * rows))
             c1[...] = separated.l1(X.reshape(n_c * rows, n))
-        if statistic is not None:
-            # a copy: the statistic may hand back a view of X
-            peak = np.array(statistic(X), dtype=float)
-            if peak.shape != out["peak"][lo:hi].shape:
-                raise ValueError(f"statistic gave shape {peak.shape}, need "
-                                 f"{out['peak'][lo:hi].shape}")
-            peak_step = np.zeros_like(peak)
-        if sq_norms is not None:
-            # the weighted squares of the controls, made once per tile
-            A_sq = np.empty_like(A)
+        # per reduction its running value, and a max's first step at it; a
+        # max starts at step 0, copied since fn may hand back a view of X
+        kept = []
+        for r in reductions:
+            if r.kind == "max":
+                peak = np.array(_reduced(r, rows, X), dtype=float)
+                kept.append((peak, np.zeros_like(peak)))
+            else:
+                kept.append((np.zeros((rows, r.width)),))
+        X_prev = np.empty_like(X) if any(r.kind == "sum" for r in reductions) else None
 
         for k in range(n_steps):
             if k % chunk == 0:
@@ -623,21 +613,19 @@ def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
                     s, X[first:stop].reshape(-1, n))
                 if box is not None:
                     np.clip(a, box[0], box[1], out=a)
-            if shared_at:
-                A[shared_at] = shared_vals[:, k]
-            if traces is not None:
-                traces[g0:g1, lo:hi, k] = A
-            if sq_norms is not None:
-                # square, weight, sum over the last axis: the operations, and
-                # so the bits, of reducing the (P, M, q) trace afterwards
-                np.square(A, out=A_sq)
-                np.multiply(A_sq, weights, out=A_sq)
-                sq_norms[g0:g1, lo:hi, k] = np.sum(A_sq, axis=-1)
+            for c, sig_rows, index, l2_rows in signals:
+                j = index[k]
+                if k == 0 or j != index[k - 1]:
+                    A[c] = sig_rows[j]
+                    if l2_rows is not None:
+                        c2[c * rows:(c + 1) * rows] = l2_rows[j]
 
             Xf = X.reshape(n_c * rows, n)
             bJ = problem.drift(Xf, Af).reshape(n_c, rows, width)
             if separated is not None:
-                c2[...] = separated.l2(Af)
+                for first, stop in spans:
+                    c2[first * rows:stop * rows] = separated.l2(
+                        Af[first * rows:stop * rows])
                 l_left = c1 + c2
             elif costs is not None:
                 # a copy, since X is updated in place below
@@ -653,6 +641,8 @@ def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
                 noise_term = np.empty((n_c, rows, n))
                 for c in range(n_c):
                     noise_term[c] = np.einsum("pnq,pq->pn", sig[c], dw_k)
+            if X_prev is not None:
+                np.copyto(X_prev, X)
             # X + dt*b + sigma dW on the channel, in place, in that order;
             # off it b and sigma are zero and the generator alone moves X
             XJ = X[..., J]
@@ -679,28 +669,27 @@ def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
                 acc += 0.5 * dt * (l_left + problem.running_cost(Xf, Af))
             if states is not None:
                 states[g0:g1, lo:hi, k + 1] = X
-            if statistic is not None:
-                value = statistic(X)
+            for r, (value, *first) in zip(reductions, kept):
+                if r.kind == "sum":
+                    value += _reduced(r, rows, X_prev, A, X)
+                    continue
+                new = _reduced(r, rows, X)
                 # strictly larger only, so the step kept is the first at it
-                rise = value > peak
-                np.copyto(peak, value, where=rise)
-                np.copyto(peak_step, k + 1, where=rise)
+                rise = new > value
+                np.copyto(value, new, where=rise)
+                np.copyto(first[0], k + 1, where=rise)
 
         if costs is not None:
             acc += problem.terminal_cost(X.reshape(n_c * rows, n))
             costs[g0:g1, lo:hi] = acc.reshape(n_c, rows)
-        if statistic is not None:
-            out["peak"][lo:hi] = peak
-            out["peak_step"][lo:hi] = peak_step
-        terminal[g0:g1, lo:hi] = X
+        for i, arrays in enumerate(kept):
+            for name, array in zip(("value", "step"), arrays):
+                out[i, name][lo:hi] = array
+        if terminal is not None:
+            terminal[g0:g1, lo:hi] = X
 
-    if statistic is None:
-        groups, tile_dim = _group_bounds(len(inits), hi - lo, n), n
-    else:
-        # the statistic reads every contestant's state at once: one group,
-        # in tiles of its stacked (C, rows, N) state
-        groups, tile_dim = [(0, len(inits))], len(inits) * n
-    tiles = [(lo + a, lo + b) for a, b in _tile_bounds(hi - lo, tile_dim)]
+    groups, tiles = _layout(problem, len(inits), hi - lo, reductions)
+    tiles = [(lo + a, lo + b) for a, b in tiles]
     if dw is None:
         # a streamed block: each tile's rows are drawn into one buffer, made
         # here, as the loop reaches the tile; the first tile is the largest
@@ -715,21 +704,21 @@ def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
         _draw(into, keys[a:b], 0, b - a)
         return into[:b - a]
 
-    # each group's signals are stacked once here, not once per tile
+    # each group's controls are planned once here, not once per tile
     plans = [plan(g0, g1) for g0, g1 in groups]
     try:
         # tiles outside, so a streamed tile is drawn once for every group
         for a, b in tiles:
             dw_rows = normals(a, b)
             for (g0, g1), controls_of in zip(groups, plans):
-                advance(g0, g1, a, b, dw_rows, controls_of, statistic)
+                advance(g0, g1, a, b, dw_rows, controls_of, reductions)
     except SimulationDivergenceError:
         # a lone contestant in one tile has just run its own run; g0 and g1
         # are the loop's, those of the group that diverged
         if g1 - g0 == 1 and len(tiles) == 1:
             raise
         # each contestant's own run, one pass over these paths and without
-        # the statistic: the first to diverge raises the error its own run
+        # the reductions: the first to diverge raises the error its own run
         # raises, naming the earliest step over its paths and the largest
         # magnitude there. An earlier group may yet diverge in a later tile,
         # so every contestant reruns
@@ -738,22 +727,34 @@ def _run(problem, request, out, dw, keys, lo, hi, statistic=None):
             advance(c, c + 1, lo, hi, dw_rows, plan(c, c + 1))
 
 
-def _simulate(problem, requests, fields, statistic=None):
+def _layout(problem, n_contestants, n_paths, reductions):
+    """(groups, tiles) of a run of n_paths rows: with reductions, which read
+    every contestant at once, one group in tiles of the (C, rows, N) state."""
+    if reductions:
+        return [(0, n_contestants)], _tile_bounds(n_paths, n_contestants * problem.dim)
+    return (_group_bounds(n_contestants, n_paths, problem.dim),
+            _tile_bounds(n_paths, problem.dim))
+
+
+def _simulate(problem, requests, fields, reductions=()):
     """The records of requests (t, x, control, n_paths, n_steps, master_seed,
     stream_label) that make one noise request, in order, with the bits,
     error and memo counts of the serial loop at the end: per request a
-    PathEnsemble holding the time grid, terminal states and the fields named
-    in fields, or a list of them for lists of states and controls. With a
-    statistic (fn, width), per request the triple of that, the (P, width)
-    running maximum of fn and the first steps that reach it. The one
-    fan-out of the package (see the module docstring)."""
-    fn, width = statistic or (None, 0)
+    PathEnsemble holding the time grid and the fields named in fields, or a
+    list of them for lists of states and controls. With reductions, per
+    request a tuple of that and each reduction's (P, width) outputs, as
+    _records gives them. The one fan-out of the package (see the module
+    docstring)."""
     memo = increment_memo
-    _, _, _, n_paths, n_steps, seed, label = requests[0]
+    _, _, first, n_paths, n_steps, seed, label = requests[0]
     noise = _Noise(seed, label, n_paths, n_steps, problem.noise_dim)
-    # a block over the budget that the call reads through one request is
-    # streamed: drawn tile by tile by the step loop, never whole, and not held
-    stream = len(requests) == 1 and 8 * n_paths * n_steps * noise.n_w > _HOLD_BYTES
+    # a block that the call reads through one request is streamed, drawn
+    # tile by tile by the step loop, never whole, and not held, when it is
+    # over the budget or its paths span more than one tile
+    _, tiles = _layout(problem, len(first) if isinstance(first, list) else 1,
+                       n_paths, reductions)
+    stream = len(requests) == 1 and (
+        8 * n_paths * n_steps * noise.n_w > _HOLD_BYTES or len(tiles) > 1)
     contestants = sum(len(c) if isinstance(c, list) else 1 for _, _, c, *_ in requests)
     # a path's work: its element-steps, and its draws unless the block is held
     procs = _process_count(n_paths * n_steps * (
@@ -776,14 +777,14 @@ def _simulate(problem, requests, fields, statistic=None):
         for _ in requests[1:]:
             _look_up(noise)
         outputs = [{f: None if s is None else _shared_empty(s)
-                    for f, s in _record_shapes(problem, r, fields, width).items()}
+                    for f, s in _record_shapes(problem, r, fields, reductions).items()}
                    for r in prepared]
 
         def advance(lo, hi):
             if block is not None and keys is not None:
                 _draw(block, keys, lo, hi)
             for r, out in zip(prepared, outputs):
-                _run(problem, r, out, block, keys, lo, hi, fn)
+                _run(problem, r, out, block, keys, lo, hi, reductions)
 
         done = False
         try:
@@ -798,23 +799,24 @@ def _simulate(problem, requests, fields, statistic=None):
         if done:
             if block is not None:
                 block.flags.writeable = False
-            runs = [_records(r, out) for r, out in zip(prepared, outputs)]
+            runs = [_records(r, out, reductions) for r, out in zip(prepared, outputs)]
     if runs is None:
         runs = []
         for r in requests:
             request = _prepare(problem, *r)
-            out = {f: None if s is None else np.empty(s)
-                   for f, s in _record_shapes(problem, request, fields, width).items()}
+            shapes = _record_shapes(problem, request, fields, reductions)
+            out = {f: None if s is None else np.empty(s) for f, s in shapes.items()}
             if stream:
                 block, keys = _look_up(request.noise)
             else:
                 block, keys = gaussian_increments(*request.noise), None
-            _run(problem, request, out, block, keys, 0, request.noise.n_paths, fn)
-            runs.append(_records(request, out))
+            _run(problem, request, out, block, keys, 0, request.noise.n_paths,
+                 reductions)
+            runs.append(_records(request, out, reductions))
     results = []
-    for (records, peaks), r in zip(runs, requests):
+    for (records, reduced), r in zip(runs, requests):
         rec = records if isinstance(r[2], list) else records[0]
-        results.append(rec if peaks is None else (rec, *peaks))
+        results.append((rec, *reduced) if reductions else rec)
     return results
 
 
@@ -851,17 +853,18 @@ def simulate_costs(
     n_steps=200,
     seed=42,
     stream_label="paths",
-    record_controls=False,
+    terminal_states=False,
 ):
-    """Per-path running plus terminal costs over [t, horizon], without
-    storing intermediate states.
+    """Per-path running plus terminal costs over [t, horizon], recorded with
+    the terminal states when terminal_states is true, and no other state.
 
     A shorter sweep is a run of the problem cut at that time: the
     dynamic-programming audit stitches one on a problem with horizon s and a
-    zero terminal cost to a second from s. Lists of initial states and
-    controls are contestants, as in simulate_ensemble.
+    zero terminal cost to a second from s, started at the first one's
+    terminal states. Lists of initial states and controls are contestants,
+    as in simulate_ensemble.
     """
-    fields = ("costs", "control_traces") if record_controls else ("costs",)
+    fields = ("costs", "terminal_states") if terminal_states else ("costs",)
     return _simulate(problem, [(t, x, control, n_paths, n_steps, seed, stream_label)],
                      fields)[0]
 
@@ -885,20 +888,15 @@ def simulate_costs_batch(problem, requests):
 
 def simulate_sup(problem, t, x, control, n_paths, n_steps, seed, stream_label,
                  statistic, width):
-    """(peak, step): per path, the maximum over the time grid of
-    statistic(X), and the first step that reaches it, both (n_paths, width),
-    without recording a state.
-
-    statistic maps the stacked states of the contestants, (C, rows, N) with
-    x[c] under control[c] (C = 1 for a single state and control), to
-    (rows, width); like every callback it must be row-wise and pure. It is
-    evaluated on the starting states and after every step, on the states
-    simulate_ensemble would record for the same request, so peak equals the
-    maximum over steps of statistic applied to those records, row by row.
-    """
+    """(peak, step): per path, the maximum over steps 0..M of statistic(X)
+    and the first step that reaches it, both (n_paths, width), with no state
+    recorded. statistic maps the stacked states of the contestants, (C,
+    rows, N) with x[c] under control[c], to (rows, width), row-wise and
+    pure; peak equals that maximum over the states simulate_ensemble would
+    record for the same request, row by row."""
     _, peak, step = _simulate(
         problem, [(t, x, control, n_paths, n_steps, seed, stream_label)], (),
-        (statistic, width))[0]
+        (_Reduction("max", statistic, width),))[0]
     return peak, step
 
 
@@ -923,20 +921,22 @@ def moment_bound_check(
     if p <= 2:
         raise ValueError("moment order p must exceed 2")
 
+    weights = problem.control_spec.weights
+
     def state_norm(X):
         return h_norm(problem.space, X[0])[:, None]
 
+    def control_norm_p(X, A, X_next):
+        # ||a_k||^p: the controls squared, weighted and summed, then raised
+        return (np.sum(np.square(A[0]) * weights, axis=-1) ** (p / 2.0))[:, None]
+
     def sweep(master):
-        run, sup_norm, _ = _simulate(
-            problem, [(t, x, control, n_paths, n_steps, master, "paths")],
-            ("control_sq_norms",), (state_norm, 1))[0]
+        _, sup_norm, _, ctl_sum = _simulate(
+            problem, [(t, x, control, n_paths, n_steps, master, "paths")], (),
+            (_Reduction("max", state_norm, 1), _Reduction("sum", control_norm_p, 1)))[0]
         est = float(np.mean(sup_norm[:, 0] ** p))
-        # raised in place, the same power and so the same bits, where a new
-        # array would be a second (P, M)
-        a_norm_p = run.control_sq_norms
-        a_norm_p **= p / 2.0
         dt = (problem.horizon - t) / n_steps
-        ctl_term = float(np.mean(np.sum(a_norm_p, axis=-1) * dt))
+        ctl_term = float(np.mean(ctl_sum[:, 0] * dt))
         denom = 1.0 + h_norm(problem.space, np.asarray(x, dtype=float)) ** p + ctl_term
         return est, denom
 

@@ -265,7 +265,7 @@ def dpp_check(problem, policy, t, x, s_mid, cfg: Optional[DppConfig] = None,
         cut = replace(problem, horizon=s_mid,
                       terminal_cost=lambda xb: np.zeros(xb.shape[:-1]))
         leg = simulate_costs(cut, t, x, policy, cfg.n_outer, n1, seed,
-                             stream_label="dpp_leg1")
+                             stream_label="dpp_leg1", terminal_states=True)
         mids = np.repeat(leg.terminal_states, cfg.n_inner, axis=0)
         inner = simulate_costs(problem, s_mid, mids,
                                policy, cfg.n_outer * cfg.n_inner, n2,

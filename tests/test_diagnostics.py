@@ -647,10 +647,10 @@ def test_pathwise_audits_hold_no_state_path(monkeypatch, audit):
     # each audit reads a per-path sup over time that the engine keeps as it
     # steps, so 16 times the steps add to its peak only what grows with the
     # steps anyway: the noise block the memo holds, and a signal's values
-    # per step. A recorded state path of one contestant over the added steps
-    # is 14.4 MB here; the audit may add a quarter of that at most. One
-    # process: a forked run allocates its outputs in shared memory, which
-    # tracemalloc does not see
+    # per step while its distinct rows are found. A recorded state path of
+    # one contestant over the added steps is 14.4 MB here; the audit may add
+    # a quarter of that at most. One process: a forked run allocates its
+    # outputs in shared memory, which tracemalloc does not see
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     rd = build_reaction_diffusion()
     n, n_paths = rd.dim, 150

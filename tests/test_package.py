@@ -302,9 +302,6 @@ UNREAD_FIELDS = {
         "a result that acceptance test c1 and tests inspect",
     ("models", "ControlProblem", "drift_lipschitz"):
         "a declared hypothesis that test_problems audits",
-    ("engine", "PathEnsemble", "control_traces"):
-        "the controls a feedback applied, which tests read, and the "
-        "reference that control_sq_norms is checked against",
 }
 
 
@@ -370,8 +367,6 @@ TEST_SET_OPTIONS = {
         "the paper's weak norm, which acceptance test c6 audits",
     ("diagnostics", "comparison_check", "strict"):
         "the negative control that runs with a broken hypothesis",
-    ("engine", "simulate_costs", "record_controls"):
-        "tests read the controls a feedback applied",
     ("engine", "simulate_ensemble", "stream_label"):
         "tests record the states of the audits' noise streams, the "
         "reference that simulate_sup is checked against",

@@ -134,18 +134,22 @@ def test_single_path_equals_ensemble_member_bitwise():
 
 
 def test_costs_and_states_come_back_in_one_record():
-    # both entry points run the one loop and return its record unchanged
+    # both entry points run the one loop and return its record unchanged,
+    # holding only the fields they were asked for: terminal states too
     problem = scalar_problem(lambda x, a: -x + a, 0.4)
     sig = ConstantSignal(np.array([0.2]))
     ens = simulate_ensemble(problem, 0.0, np.array([1.0]), sig, n_paths=5,
                             n_steps=30, seed=12)
     run = simulate_costs(problem, 0.0, np.array([1.0]), sig, n_paths=5,
-                         n_steps=30, seed=12)
-    assert type(run) is type(ens)
+                         n_steps=30, seed=12, terminal_states=True)
+    plain = simulate_costs(problem, 0.0, np.array([1.0]), sig, n_paths=5,
+                           n_steps=30, seed=12)
+    assert type(run) is type(ens) is type(plain)
     assert run.terminal_states.tobytes() == ens.states[:, -1].tobytes()
+    assert plain.costs.tobytes() == run.costs.tobytes()
     np.testing.assert_array_equal(run.time_grid, ens.time_grid)
     assert ens.costs is None and run.states is None
-    assert run.control_traces is None and run.control_sq_norms is None
+    assert ens.terminal_states is None and plain.terminal_states is None
 
 
 def test_record_shapes_name_the_path_ensemble_fields():
@@ -273,10 +277,10 @@ def test_piecewise_signal_is_applied_on_the_right_steps():
     # integral of the signal is 0.5 - 0.5 = 0
     assert abs(run.states[0, -1, 0]) < 1e-12
     assert abs(run.states[0, 50, 0] - 0.5) < 1e-12
-    trace = simulate_costs(problem, 0.0, np.array([0.0]), sig, 1, n_steps=100,
-                           seed=0, record_controls=True).control_traces[0]
-    np.testing.assert_array_equal(trace[:50], 1.0)
-    np.testing.assert_array_equal(trace[50:], -1.0)
+    # with drift a and no noise, each step moves the state by dt * a_k
+    applied = np.diff(run.states[0, :, 0]) / 0.01
+    np.testing.assert_allclose(applied[:50], 1.0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(applied[50:], -1.0, rtol=0, atol=1e-9)
 
 
 def test_constant_feedback_equals_its_signal_bitwise():
@@ -290,16 +294,13 @@ def test_constant_feedback_equals_its_signal_bitwise():
                     provenance="oracle")
     signal = ConstantSignal(value)
     x = np.full(problem.dim, 0.7)
-    alone = [simulate_costs(problem, 0.0, x, c, n_paths=97, n_steps=30,
-                            seed=13, record_controls=True)
-             for c in (policy, signal)]
-    together = simulate_costs(problem, 0.0, [x, x], [policy, signal],
-                              n_paths=97, n_steps=30, seed=13,
-                              record_controls=True)
+    alone = [engine_run(problem, [(x, c)], 97, 30, 13)[0] for c in (policy, signal)]
+    together = engine_run(problem, [(x, policy), (x, signal)], 97, 30, 13)
     for run in alone[1:] + together:
-        assert run.costs.tobytes() == alone[0].costs.tobytes()
-        assert run.control_traces.tobytes() == alone[0].control_traces.tobytes()
-    assert np.all(alone[0].control_traces == value)
+        for field in ALL_FIELDS:
+            assert (getattr(run, field).tobytes()
+                    == getattr(alone[0], field).tobytes()), field
+    assert np.all(applied_controls(problem, alone[0], policy) == value)
 
 
 def test_control_dimension_mismatch_rejected():
@@ -330,7 +331,7 @@ def test_partial_cost_sweep_excludes_terminal():
         scalar_problem(lambda x, a: -x, 0.0), horizon=0.5,
         terminal_cost=lambda x: np.zeros(x.shape[:-1]))
     full = simulate_costs(problem, 0.0, np.array([1.0]), zero_signal(1),
-                          n_paths=1, n_steps=100, seed=0)
+                          n_paths=1, n_steps=100, seed=0, terminal_states=True)
     # running cost over [0, 0.5] only: int e^{-2s} = (1 - e^{-1})/2
     assert abs(full.costs[0] - (1 - np.exp(-1)) / 2) < 5e-3
     assert abs(full.terminal_states[0, 0] - np.exp(-0.5)) < 5e-3
@@ -349,15 +350,22 @@ class _Counted:
 
 @pytest.mark.parametrize("n_steps", [1, 7])
 def test_separated_cost_evaluates_l1_per_state_and_l2_per_step(n_steps):
-    l1 = _Counted(lambda x: x[..., 0] ** 2)
-    l2 = _Counted(lambda a: a[..., 0] ** 2)
-    cost = CostStructure(l1=l1, l2=l2, dl2_inverse=lambda v: v / 2.0,
-                         control_matrix=np.eye(1))
-    problem = dataclasses.replace(scalar_problem(lambda x, a: a, 0.3),
-                                  cost_structure=cost)
-    simulate_costs(problem, 0.0, np.array([1.0]), ConstantSignal(np.array([0.5])),
-                   n_paths=5, n_steps=n_steps, seed=1)
-    assert (l1.calls, l2.calls) == (n_steps + 1, n_steps)
+    # l2 once per step on a feedback map's controls, and once per run on a
+    # signal's distinct rows, which the steps read; the costs agree
+    costs = []
+    for control, l2_calls in ((Policy(feedback=lambda s, xb: np.full((len(xb), 1), 0.5),
+                                      provenance="oracle"), n_steps),
+                              (ConstantSignal(np.array([0.5])), 1)):
+        l1 = _Counted(lambda x: x[..., 0] ** 2)
+        l2 = _Counted(lambda a: a[..., 0] ** 2)
+        cost = CostStructure(l1=l1, l2=l2, dl2_inverse=lambda v: v / 2.0,
+                             control_matrix=np.eye(1))
+        problem = dataclasses.replace(scalar_problem(lambda x, a: a, 0.3),
+                                      cost_structure=cost)
+        costs.append(simulate_costs(problem, 0.0, np.array([1.0]), control,
+                                    n_paths=5, n_steps=n_steps, seed=1).costs)
+        assert (l1.calls, l2.calls) == (n_steps + 1, l2_calls)
+    assert costs[0].tobytes() == costs[1].tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [1, 7])
@@ -429,17 +437,36 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-ALL_FIELDS = ("states", "costs", "control_traces", "control_sq_norms")
+ALL_FIELDS = ("terminal_states", "states", "costs")
 
 
 def engine_run(problem, contestants, n_paths, n_steps, seed, fields=ALL_FIELDS,
-               statistic=None):
+               reductions=()):
     """One request of (x, control) contestants from t = 0 through the
     engine's one entry into the step loop; a record per contestant, and
-    with a statistic (fn, width) its running maximum and first steps."""
+    with reductions their outputs."""
     xs, controls = (list(c) for c in zip(*contestants))
     return engine._simulate(problem, [(0.0, xs, controls, n_paths, n_steps, seed,
-                                       "paths")], fields, statistic)[0]
+                                       "paths")], fields, reductions)[0]
+
+
+def running_max(fn, width):
+    """The reductions of a running maximum of fn, (rows, width)."""
+    return (engine._Reduction("max", fn, width),)
+
+
+def applied_controls(problem, record, control):
+    """The (P, M, q) controls a run applied, rebuilt from its recorded
+    states and time grid: a feedback map at each step's left state,
+    clipped into the box, or a signal's values."""
+    grid, states = record.time_grid[:-1], record.states
+    if not hasattr(control, "feedback"):
+        values = control.values_on(grid)
+        return np.broadcast_to(values, (len(states),) + values.shape)
+    a = np.stack([np.asarray(control.feedback(s, states[:, k]), dtype=float)
+                  for k, s in enumerate(grid)], axis=1)
+    box = problem.control_spec.box
+    return a if box is None else np.clip(a, box[0], box[1])
 
 
 def run_all_outputs(problem, x, control, seed=17):
@@ -452,7 +479,7 @@ def run_all_outputs(problem, x, control, seed=17):
 
 
 def on_box(problem, traces):
-    """Whether some control trace entry sits on the problem's box."""
+    """Whether some applied control entry sits on the problem's box."""
     lo, hi = problem.control_spec.box
     return bool(np.any((traces <= lo) | (traces >= hi)))
 
@@ -495,10 +522,10 @@ def test_tiled_run_matches_one_pass_bitwise(monkeypatch, builder, case):
     bounds = engine._tile_bounds(TILE_PATHS, problem.dim)
     assert [lo for lo, _ in bounds] == [0, 256, 512, 768]
     tiled = run_all_outputs(problem, x, control)
-    for field in ("terminal_states",) + ALL_FIELDS:
+    for field in ALL_FIELDS:
         assert getattr(tiled, field).tobytes() == getattr(one_pass, field).tobytes()
     if case == "gamma_box":
-        assert on_box(problem, tiled.control_traces)
+        assert on_box(problem, applied_controls(problem, tiled, control))
 
 
 @pytest.mark.parametrize("n_paths, max_rows, sizes", [
@@ -642,10 +669,11 @@ def test_grouped_contestants_match_their_own_runs_bitwise(
         assert_no_children()
         assert len(together) == len(contestants)
         for one, mine in zip(alone, together):
-            for field in ("terminal_states",) + ALL_FIELDS:
+            for field in ALL_FIELDS:
                 assert (getattr(mine, field).tobytes()
                         == getattr(one, field).tobytes()), (processes, field)
-        assert on_box(problem, together[0].control_traces)
+        assert on_box(problem, applied_controls(problem, together[0],
+                                                contestants[0][1]))
 
 
 @pytest.mark.parametrize("n_contestants, per_group, sizes", [
@@ -706,7 +734,7 @@ def test_shared_policy_call_spans_adjacent_contestants_only():
 
 
 @pytest.mark.parametrize("blowup, statistic", [
-    (blowup, statistic) for statistic in (None, (lambda X: X.max(axis=0), 1))
+    (blowup, statistic) for statistic in ((), running_max(lambda X: X.max(axis=0), 1))
     for blowup in ("overflow", "nan")],
     ids=["overflow", "nan", "overflow-statistic", "nan-statistic"])
 def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
@@ -717,8 +745,8 @@ def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
     # or across 2 or 3, where the group's one tile is cut in halves. So too
     # in 64-row tiles, where each contestant is a group of its own and
     # contestant 4 diverges in the first tile, and on a streamed block,
-    # drawn tile by tile. A running statistic, which puts every contestant
-    # in one group, changes none of it
+    # drawn tile by tile, as is every block of several tiles. A running
+    # statistic, which puts every contestant in one group, changes none of it
     if blowup == "overflow":
         drift, starts = (lambda x, a: 5.0 * x), (1.0, 1e7, 1.0, 5e7)
     else:
@@ -734,7 +762,7 @@ def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
 
     forks = count_forks(monkeypatch)
 
-    def error_of(group, processes=1, statistic=None):
+    def error_of(group, processes=1, statistic=()):
         fan_out(monkeypatch, processes)
         forks.clear()
         gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
@@ -765,7 +793,7 @@ def test_grouped_divergence_reports_that_contestants_own_error(monkeypatch,
                 assert math.isnan(grouped.magnitude) and math.isnan(own.magnitude)
             else:
                 assert grouped.magnitude == own.magnitude
-            assert (increment_memo.request is None) == streamed
+            assert (increment_memo.request is None) == (streamed or tiled)
 
 
 # --- running statistic ----------------------------------------------------------
@@ -841,6 +869,91 @@ def test_statistic_of_the_wrong_shape_is_refused():
                      "stat", lambda X: X[0], 2)
 
 
+def step_statistic(X, A, X_next):
+    """A sum reduction's map of the stacked arrays: per contestant
+    ||a_k||^2 and <X_k, X_{k+1}>, (rows, 2C)."""
+    return np.concatenate([np.sum(A * A, axis=-1).T,
+                           np.sum(X * X_next, axis=-1).T], axis=1)
+
+
+def recorded_step_sums(problem, records, controls):
+    """step_statistic summed over steps 0..M-1, step by step, on recorded
+    states and the controls rebuilt from them."""
+    applied = [applied_controls(problem, r, c) for r, c in zip(records, controls)]
+    total = np.zeros((len(records[0].states), 2 * len(records)))
+    for k in range(len(records[0].time_grid) - 1):
+        total += np.stack(
+            [np.sum(a[:, k] * a[:, k], axis=-1) for a in applied]
+            + [np.sum(r.states[:, k] * r.states[:, k + 1], axis=-1) for r in records],
+            axis=1)
+    return total
+
+
+@pytest.mark.parametrize("mode", ["serial", "forked_2", "forked_3", "tiled"])
+@pytest.mark.parametrize("builder", [build_reaction_diffusion, build_sdde_lift],
+                         ids=["reaction_diffusion", "sdde"])
+def test_running_sum_is_the_recorded_reduction(monkeypatch, builder, mode):
+    # the engine's per-path sum over steps 0..M-1 of fn(X_k, A_k, X_{k+1})
+    # against the recorded states and the controls rebuilt from them and
+    # the policy, within 1e-12 relative: in one pass, across two and three
+    # processes, and in tiles of the stacked (C, rows, N) state
+    problem = builder()
+    n, n_paths, n_steps = problem.dim, 300, 30
+    x0 = 0.3 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    signal = PiecewiseConstantSignal(
+        np.linspace(0.0, problem.horizon, 4),
+        np.random.default_rng(5).normal(0.0, 1.0, (3, problem.control_spec.dim)))
+    contestants = [(x0, gamma), (-x0, signal), (0.5 * x0, scale_policy(gamma, 0.5))]
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    records = engine_run(problem, contestants, n_paths, n_steps, 8, ("states",))
+    want = recorded_step_sums(problem, records, [c for _, c in contestants])
+    forks, processes = count_forks(monkeypatch), 1
+    if mode.startswith("forked"):
+        processes = int(mode[-1])
+        fan_out(monkeypatch, processes)
+    elif mode == "tiled":
+        monkeypatch.setattr(engine, "_TILE_BYTES", 8 * len(contestants) * n * 64)
+        assert len(engine._tile_bounds(n_paths, len(contestants) * n)) > 1
+    width = 2 * len(contestants)
+    runs, total = engine_run(problem, contestants, n_paths, n_steps, 8, (),
+                             (engine._Reduction("sum", step_statistic, width),))
+    assert len(forks) == processes - 1
+    assert_no_children()
+    assert all(r.states is None and r.costs is None for r in runs)
+    assert total.shape == (n_paths, width)
+    np.testing.assert_allclose(total, want, rtol=1e-12, atol=0)
+    assert np.all(want[:, :len(contestants)] > 0)
+
+
+@pytest.mark.parametrize("mode", ["serial", "forked_2", "forked_3", "tiled"])
+def test_terminal_states_are_recorded_on_request(monkeypatch, mode):
+    # simulate_costs records no state unless asked for the terminal ones,
+    # and those are the last states simulate_ensemble records, bit for bit,
+    # in one pass, across two and three processes, and in 64-row tiles
+    problem = build_sdde_lift(control_bound=0.4)
+    xs, controls = (list(c) for c in zip(*group_contestants(problem, 300)))
+    args = (problem, 0.0, xs, controls, 300, TILE_STEPS, 17)
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    recorded = simulate_ensemble(*args)
+    forks, processes = count_forks(monkeypatch), 1
+    if mode.startswith("forked"):
+        processes = int(mode[-1])
+        fan_out(monkeypatch, processes)
+    elif mode == "tiled":
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 64))
+        assert len(engine._tile_bounds(300, problem.dim)) > 1
+    asked = simulate_costs(*args, terminal_states=True)
+    plain = simulate_costs(*args)
+    assert len(forks) == 2 * (processes - 1)
+    assert_no_children()
+    for ens, run, bare in zip(recorded, asked, plain):
+        assert run.terminal_states.tobytes() == ens.states[:, -1].tobytes()
+        assert run.costs.tobytes() == bare.costs.tobytes()
+        assert bare.terminal_states is None and bare.states is None
+        assert ens.terminal_states is None and run.states is None
+
+
 # --- processes ------------------------------------------------------------------
 
 
@@ -906,7 +1019,8 @@ def test_a_child_killed_by_a_signal_reruns_serially(monkeypatch):
         fan_out(monkeypatch, procs)
         runs.append(simulate_costs(problem, 0.0, np.array([0.5]),
                                    zero_signal(1), TILE_PATHS,
-                                   n_steps=TILE_STEPS, seed=0))
+                                   n_steps=TILE_STEPS, seed=0,
+                                   terminal_states=True))
         assert_no_children()
     assert len(forks) == 1
     serial, rerun = runs
@@ -932,7 +1046,7 @@ def test_runs_below_the_fork_threshold_never_fork(monkeypatch):
     fallback = run_contestants(problem, contestants, 150)
     assert refused == [1]
     for want, got in zip(small, fallback):
-        for field in ("terminal_states",) + ALL_FIELDS:
+        for field in ALL_FIELDS:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
@@ -996,7 +1110,7 @@ def full_width_run(problem, x, control, n_paths, seed=17, t=0.0):
     one pass: the increments formed up front as the block's standard normals
     times sqrt(dt), the channel drift embedded in zeros(N), the full noise
     product, then X + dt*b + sigma dW and the semigroup. Returns costs,
-    terminal states, states and control traces."""
+    terminal states and states."""
     n, q = problem.dim, problem.control_spec.dim
     cost = problem.cost_structure
     lo, hi = problem.control_spec.box
@@ -1009,7 +1123,7 @@ def full_width_run(problem, x, control, n_paths, seed=17, t=0.0):
               else control.values_on(grid[:-1]))
     X = np.empty((n_paths, n))
     X[...] = x
-    states, traces = [X], []
+    states = [X]
     c1, acc = cost.l1(X), np.zeros(n_paths)
     for k in range(TILE_STEPS):
         if values is None:
@@ -1024,11 +1138,9 @@ def full_width_run(problem, x, control, n_paths, seed=17, t=0.0):
         c1 = cost.l1(X)
         acc += 0.5 * dt * (l_left + (c1 + c2))
         states.append(X)
-        traces.append(a)
     acc += problem.terminal_cost(X)
     return {"costs": acc, "terminal_states": X,
-            "states": np.stack(states, axis=1),
-            "control_traces": np.stack(traces, axis=1)}
+            "states": np.stack(states, axis=1)}
 
 
 @pytest.mark.parametrize("layout, n_paths", [
@@ -1065,13 +1177,15 @@ def test_runs_from_three_start_times_share_one_block_with_their_own_bits(
     times = (0.0, 0.4, 0.8)
     gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
     hits, misses = increment_memo.hits, increment_memo.misses
-    shared = [simulate_costs(problem, t, x, gamma, 150, TILE_STEPS, seed=17)
+    shared = [simulate_costs(problem, t, x, gamma, 150, TILE_STEPS, seed=17,
+                             terminal_states=True)
               for t in times]
     assert (increment_memo.hits, increment_memo.misses) == (hits + 2, misses + 1)
     assert increment_memo.request == (17, "paths", 150, TILE_STEPS, 1)
     for t, run in zip(times, shared):
         monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
-        fresh = simulate_costs(problem, t, x, gamma, 150, TILE_STEPS, seed=17)
+        fresh = simulate_costs(problem, t, x, gamma, 150, TILE_STEPS, seed=17,
+                               terminal_states=True)
         assert engine.increment_memo.misses == 1
         reference = full_width_run(problem, x, gamma, 150, t=t)
         for field in ("costs", "terminal_states"):
@@ -1278,12 +1392,12 @@ def test_moment_bound_frozen_constant_holds_across_seeds():
 @pytest.mark.parametrize("n_paths, forked", [(300, False), (2000, True)])
 def test_control_sq_norms_are_the_reduced_trace_bitwise(
         monkeypatch, control, n_paths, forked):
-    # the recorded (P, M, q) trace, squared, weighted and summed over its
-    # last axis, is the reference for the (P, M) squared norms, and the
-    # moment audit on those norms and on its running sup of ||X||_H gives
-    # the estimate and denominator of the audit on the recorded trace and
-    # states; 2000 x 100 on reaction_diffusion is past the fork threshold,
-    # 300 paths are not
+    # the controls rebuilt from the recorded states and the control, squared,
+    # weighted and summed over q, raised to p/2 and added step by step, and
+    # the sup of ||X||_H over the recorded states: the moment audit's
+    # estimate and denominator have their bits, and the denominator lies
+    # within 1e-12 of the pairwise np.sum over steps; 2000 x 100 on
+    # reaction_diffusion is past the fork threshold, 300 paths are not
     problem = build_reaction_diffusion()
     q, n_steps, seed, p = problem.control_spec.dim, 100, 6, 4.0
     x0 = 0.3 * np.sin(np.pi * np.arange(1, q + 1) / (q + 1))
@@ -1295,26 +1409,27 @@ def test_control_sq_norms_are_the_reduced_trace_bitwise(
             np.random.default_rng(31).normal(0.0, 1.0, (4, q)))
     monkeypatch.setattr(engine, "_PROCESSES", 2)
     forks = count_forks(monkeypatch)
-    run, = engine_run(problem, [(x0, ctl)], n_paths, n_steps, seed,
-                      fields=("states", "control_traces", "control_sq_norms"))
+    run = simulate_ensemble(problem, 0.0, x0, ctl, n_paths, n_steps, seed)
     assert len(forks) == forked
-    sq = np.sum(np.square(run.control_traces) * problem.control_spec.weights,
-                axis=-1)
-    assert run.control_sq_norms.shape == (n_paths, n_steps)
-    assert run.control_sq_norms.tobytes() == sq.tobytes()
+    applied = applied_controls(problem, run, ctl)
+    sq = np.sum(np.square(applied) * problem.control_spec.weights, axis=-1)
     if control == "gamma_box":
-        assert on_box(problem, run.control_traces)
+        assert on_box(problem, applied)
     assert np.all(sq > 0)
 
     rep = moment_bound_check(problem, 0.0, x0, ctl, p=p, n_paths=n_paths,
                              n_steps=n_steps, seed=seed, c_p=10.0)
     assert len(forks) == 2 * forked
     dt = problem.horizon / n_steps
-    ctl_term = float(np.mean(np.sum(sq ** (p / 2.0), axis=-1) * dt))
+    in_steps = np.zeros(n_paths)
+    for k in range(n_steps):
+        in_steps += sq[:, k] ** (p / 2.0)
+    base = 1.0 + h_norm(problem.space, x0) ** p
     sup_norm = np.max(h_norm(problem.space, run.states), axis=-1)
     assert rep.constants["estimate"] == float(np.mean(sup_norm ** p))
-    assert rep.constants["denominator"] == (
-        1.0 + h_norm(problem.space, x0) ** p + ctl_term)
+    assert rep.constants["denominator"] == base + float(np.mean(in_steps * dt))
+    pairwise = base + float(np.mean(np.sum(sq ** (p / 2.0), axis=-1) * dt))
+    assert abs(rep.constants["denominator"] - pairwise) <= 1e-12 * pairwise
 
 
 def test_moment_audit_peaks_below_its_control_trace(monkeypatch):
@@ -1546,7 +1661,8 @@ def test_zero_width_noise_is_never_drawn_across_processes(monkeypatch, processes
         gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
         runs.append(simulate_costs(problem, 0.0, np.full(problem.dim, 0.3),
                                    zero_signal(q), TILE_PATHS,
-                                   n_steps=TILE_STEPS, seed=3))
+                                   n_steps=TILE_STEPS, seed=3,
+                                   terminal_states=True))
         assert_no_children()
     serial, fanned = runs
     assert fanned.costs.tobytes() == serial.costs.tobytes()
@@ -1645,9 +1761,12 @@ def batch_requests(problem):
 
 
 def cost_bits(runs):
-    """The bytes of each record's time grid, terminal states and costs."""
+    """The bytes of each record's time grid, terminal states (None when not
+    recorded) and costs."""
     records = [r for run in runs for r in (run if isinstance(run, list) else [run])]
-    return [(r.time_grid.tobytes(), r.terminal_states.tobytes(), r.costs.tobytes())
+    return [(r.time_grid.tobytes(),
+             None if r.terminal_states is None else r.terminal_states.tobytes(),
+             r.costs.tobytes())
             for r in records]
 
 
@@ -1980,7 +2099,8 @@ def test_fan_out_pins_blas_to_one_thread_and_restores_it(monkeypatch):
             seen[:] = 0
             runs.append(simulate_costs(problem, 0.0, np.array([0.5]),
                                        zero_signal(1), TILE_PATHS,
-                                       n_steps=TILE_STEPS, seed=0))
+                                       n_steps=TILE_STEPS, seed=0,
+                                       terminal_states=True))
             assert get_threads() == 2
             assert list(seen) == ([2, 0] if procs == 1 else [1, 1])
     finally:
@@ -2031,8 +2151,7 @@ def run_outputs(run):
     """The bytes of every output of an engine_run: each record's fields,
     and the running maximum and its first steps when there are any."""
     records, *peaks = run if isinstance(run, tuple) else (run,)
-    return ([getattr(r, f).tobytes() for r in records
-             for f in ("terminal_states",) + ALL_FIELDS]
+    return ([getattr(r, f).tobytes() for r in records for f in ALL_FIELDS]
             + [a.tobytes() for a in peaks])
 
 
@@ -2053,10 +2172,10 @@ def test_streamed_block_gives_the_held_bits(monkeypatch, tmp_path, builder,
     problem = builder()
     n_paths, n = 997, problem.dim
     contestants = group_contestants(problem, n_paths)
-    statistic = None
+    statistic = ()
     if with_statistic:
         norm = space_norm(problem.space, problem.b_op, "H")
-        statistic = (gap_statistic(norm), len(contestants) - 1 + n)
+        statistic = running_max(gap_statistic(norm), len(contestants) - 1 + n)
     tile_dim = len(contestants) * n if with_statistic else n
     if layout == "tiles":
         monkeypatch.setattr(engine, "_TILE_BYTES", tile_budget(problem, 256))
@@ -2066,11 +2185,14 @@ def test_streamed_block_gives_the_held_bits(monkeypatch, tmp_path, builder,
 
     def run():
         return engine_run(problem, contestants, n_paths, TILE_STEPS, 17,
-                          statistic=statistic)
+                          reductions=statistic)
 
     monkeypatch.setattr(engine, "_PROCESSES", 1)
     monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+    # the run on the block the memo holds, a hit whatever the tiles
+    gaussian_increments(17, "paths", n_paths, TILE_STEPS, problem.noise_dim)
     held = run_outputs(run())
+    assert (engine.increment_memo.hits, engine.increment_memo.misses) == (1, 1)
     assert engine.increment_memo.block is not None
     stream_every_block(monkeypatch)
     draws = count_draws(monkeypatch, tmp_path / "draws")
@@ -2120,6 +2242,68 @@ def test_a_call_of_several_requests_holds_its_block_over_the_budget(monkeypatch)
         results.append(cost_bits(batch + [again]))
     assert forks
     assert results[0] == results[1] == cost_bits(alone + alone[:1])
+
+
+def test_a_read_once_block_of_several_tiles_is_streamed(monkeypatch):
+    # a delay-lift request of two tiles, its block well within the budget,
+    # read by one request: streamed, a miss that leaves the memo empty, with
+    # the bits of the run on the held block, and the same counts in one
+    # process and across two. A call of several such requests holds it
+    problem = build_sdde_lift(control_bound=0.4)
+    n_paths = 2000
+    assert len(engine._tile_bounds(n_paths, problem.dim)) == 2
+    assert 8 * n_paths * TILE_STEPS * problem.noise_dim < engine._HOLD_BYTES
+    gamma = make_gamma_policy(problem, lambda s, xb: 10.0 * xb)
+    request = (0.0, np.full(problem.dim, 0.3), gamma, n_paths, TILE_STEPS, 5, "paths")
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+    gaussian_increments(5, "paths", n_paths, TILE_STEPS, problem.noise_dim)
+    held = simulate_costs(problem, *request, terminal_states=True)
+    assert engine.increment_memo.block is not None
+    forks, counts = count_forks(monkeypatch), []
+    for processes in (1, 2):
+        fan_out(monkeypatch, processes)
+        forks.clear()
+        monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+        streamed = simulate_costs(problem, *request, terminal_states=True)
+        assert len(forks) == processes - 1
+        assert_no_children()
+        memo = engine.increment_memo
+        assert memo.request is None and memo.block is None
+        counts.append((memo.hits, memo.misses))
+        assert cost_bits([streamed]) == cost_bits([held])
+    assert counts == [(0, 1), (0, 1)]
+    monkeypatch.setattr(engine, "increment_memo", engine._LastBlock())
+    batch = simulate_costs_batch(problem, [request, request])
+    memo = engine.increment_memo
+    assert (memo.hits, memo.misses) == (1, 1)
+    assert memo.request == (5, "paths", n_paths, TILE_STEPS, problem.noise_dim)
+    assert [r.costs.tobytes() for r in batch] == [held.costs.tobytes()] * 2
+
+
+def test_a_read_once_block_of_several_tiles_peaks_below_half_its_bytes(
+        monkeypatch):
+    # a serial delay-lift run of one request over four tiles, its 4.9 MB
+    # block within the budget: streamed, one tile's normals at a time, its
+    # peak stays below half the block, which holding it whole would pass.
+    # One process: a forked run allocates its outputs in shared memory,
+    # which tracemalloc does not see
+    monkeypatch.setattr(engine, "_PROCESSES", 1)
+    problem = build_sdde_lift()
+    n_paths, n_steps = 6144, 100
+    block_bytes = 8 * n_paths * n_steps * problem.noise_dim
+    assert block_bytes < engine._HOLD_BYTES
+    assert len(engine._tile_bounds(n_paths, problem.dim)) == 4
+    gaussian_increments(0, "unrelated", 1, 1, 1)  # the next request misses
+    tracemalloc.start()
+    try:
+        simulate_costs(problem, 0.0, 0.3 * np.ones(problem.dim), zero_signal(1),
+                       n_paths, n_steps=n_steps, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * block_bytes, peak / block_bytes
+    assert increment_memo.block is None
 
 
 def test_streamed_run_memory_does_not_grow_with_its_block(monkeypatch):
